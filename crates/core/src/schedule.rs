@@ -295,7 +295,8 @@ impl CompiledVlArb {
     }
 
     /// Rewinds the walk to the freshly-compiled state without
-    /// recompiling (benchmarks, repeated deterministic runs).
+    /// recompiling: a table download that left this port's table
+    /// unchanged, benchmarks, repeated deterministic runs.
     pub fn reset(&mut self) {
         self.high_cursor = self.shared.high.initial_cursor;
         self.high_credit = 0;
@@ -415,6 +416,19 @@ mod tests {
         }
     }
 
+    /// A seeded ready mask over VL0..=5 with a head-packet size for
+    /// every ready lane.
+    fn random_ready(rng: &mut SplitMix64) -> (u16, [u64; 16]) {
+        let ready_mask = (rng.next_u64() % (1 << 6)) as u16;
+        let mut bytes = [0u64; 16];
+        for (v, b) in bytes.iter_mut().enumerate() {
+            if ready_mask & (1 << v) != 0 {
+                *b = 64 * (1 + rng.next_u64() % 64);
+            }
+        }
+        (ready_mask, bytes)
+    }
+
     #[test]
     fn compiled_matches_interpreted_grant_for_grant() {
         // The core equivalence claim: over seeded random configs and
@@ -426,13 +440,7 @@ mod tests {
             let mut interpreted = VlArbEngine::new(config.clone());
             let mut compiled = CompiledVlArb::new(config);
             for step in 0..500 {
-                let ready_mask = (rng.next_u64() % (1 << 6)) as u16;
-                let mut bytes = [0u64; 16];
-                for (v, b) in bytes.iter_mut().enumerate() {
-                    if ready_mask & (1 << v) != 0 {
-                        *b = 64 * (1 + rng.next_u64() % 64);
-                    }
-                }
+                let (ready_mask, bytes) = random_ready(&mut rng);
                 let a = interpreted
                     .select(|vl| (ready_mask & (1 << vl.index()) != 0).then(|| bytes[vl.index()]));
                 let b = compiled.select(ready_mask, &bytes);
@@ -463,22 +471,41 @@ mod tests {
     }
 
     #[test]
-    fn reset_rewinds_to_the_freshly_compiled_state() {
-        let config = VlArbConfig {
-            high: vec![entry(0, 2), entry(1, 2)],
-            low: vec![],
-            limit_of_high_priority: LIMIT_UNLIMITED,
-        };
-        let mut arb = CompiledVlArb::new(config.clone());
-        let bytes = [64u64; 16];
-        let first: Vec<_> = (0..6).map(|_| arb.select(0b11, &bytes)).collect();
-        arb.reset();
-        let again: Vec<_> = (0..6).map(|_| arb.select(0b11, &bytes)).collect();
-        assert_eq!(first, again);
-        // ... and equals a freshly compiled engine.
-        let mut fresh = CompiledVlArb::new(config);
-        let fresh_run: Vec<_> = (0..6).map(|_| fresh.select(0b11, &bytes)).collect();
-        assert_eq!(first, fresh_run);
+    fn reset_mid_walk_matches_a_fresh_engine() {
+        // A download that leaves a port's table unchanged only resets
+        // its engine, so after any prefix of grants `reset` must leave
+        // both engines exactly as freshly built ones for the same config.
+        let mut rng = SplitMix64::seed_from_u64(0x2E5E_7A1C);
+        for case in 0..200 {
+            let config = random_config(&mut rng);
+            let mut compiled = CompiledVlArb::new(config.clone());
+            let mut interpreted = VlArbEngine::new(config.clone());
+            for _ in 0..rng.next_u64() % 40 {
+                let (mask, bytes) = random_ready(&mut rng);
+                let _ = compiled.select(mask, &bytes);
+                let _ = interpreted
+                    .select(|vl| (mask & (1 << vl.index()) != 0).then(|| bytes[vl.index()]));
+            }
+            compiled.reset();
+            interpreted.reset();
+            let mut fresh_compiled = CompiledVlArb::new(config.clone());
+            let mut fresh_interpreted = VlArbEngine::new(config);
+            for step in 0..200 {
+                let (mask, bytes) = random_ready(&mut rng);
+                let ready =
+                    |vl: VirtualLane| (mask & (1 << vl.index()) != 0).then(|| bytes[vl.index()]);
+                assert_eq!(
+                    compiled.select(mask, &bytes),
+                    fresh_compiled.select(mask, &bytes),
+                    "case {case} step {step}: compiled reset"
+                );
+                assert_eq!(
+                    interpreted.select(ready),
+                    fresh_interpreted.select(ready),
+                    "case {case} step {step}: interpreted reset"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct ArbEntry {
 }
 
 /// Static configuration of a port's `VLArbitrationTable`.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VlArbConfig {
     /// High-priority table (up to 64 entries).
     pub high: Vec<ArbEntry>,
@@ -62,6 +62,26 @@ impl VlArbConfig {
             low,
             limit_of_high_priority,
         }
+    }
+
+    /// Whether this config equals what [`VlArbConfig::from_slots`] would
+    /// build from the same arguments, checked without building it (the
+    /// subnet manager's per-port "did this table change?" test).
+    #[must_use]
+    pub fn matches_slots(
+        &self,
+        high: &[TableSlot; TABLE_ENTRIES],
+        low: &[ArbEntry],
+        limit_of_high_priority: u8,
+    ) -> bool {
+        self.limit_of_high_priority == limit_of_high_priority
+            && self.low == low
+            && self.high.len() == TABLE_ENTRIES
+            && self
+                .high
+                .iter()
+                .zip(high)
+                .all(|(e, s)| e.vl.raw() == s.vl && e.weight == s.weight)
     }
 
     /// A config with an empty high-priority table and one low-priority
@@ -109,7 +129,7 @@ pub struct Grant {
 }
 
 /// Per-table weighted-round-robin state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct WrrState {
     /// Index of the active entry.
     index: usize,
@@ -168,14 +188,8 @@ impl VlArbEngine {
         let hl_budget = Self::limit_bytes(config.limit_of_high_priority);
         VlArbEngine {
             config,
-            high: WrrState {
-                index: 0,
-                credit: 0,
-            },
-            low: WrrState {
-                index: 0,
-                credit: 0,
-            },
+            high: WrrState::default(),
+            low: WrrState::default(),
             hl_budget,
         }
     }
@@ -184,6 +198,15 @@ impl VlArbEngine {
     /// the tables); round-robin state restarts.
     pub fn reconfigure(&mut self, config: VlArbConfig) {
         *self = VlArbEngine::new(config);
+    }
+
+    /// Restarts the round-robin walk on the current configuration: the
+    /// engine is then exactly as [`VlArbEngine::new`] built it, without
+    /// validating or copying the tables again.
+    pub fn reset(&mut self) {
+        self.high = WrrState::default();
+        self.low = WrrState::default();
+        self.hl_budget = Self::limit_bytes(self.config.limit_of_high_priority);
     }
 
     /// Current configuration.

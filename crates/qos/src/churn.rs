@@ -14,6 +14,7 @@ use crate::frame::QosFrame;
 use crate::measure::QosObserver;
 use iba_sim::{Cycles, Fabric};
 use iba_traffic::{flow_for_connection, ConnectionRequest};
+use std::collections::VecDeque;
 
 /// One scheduled churn event.
 #[derive(Clone, Debug)]
@@ -56,7 +57,8 @@ pub struct ChurnStats {
 /// Drives a fabric through a churn scenario.
 pub struct ChurnRunner {
     events: Vec<ChurnEvent>,
-    live: Vec<(ConnectionId, u32)>,
+    /// Live churn-admitted connections, oldest first.
+    live: VecDeque<(ConnectionId, u32)>,
     stats: ChurnStats,
 }
 
@@ -67,7 +69,7 @@ impl ChurnRunner {
         events.sort_by_key(ChurnEvent::at);
         ChurnRunner {
             events,
-            live: Vec::new(),
+            live: VecDeque::new(),
             stats: ChurnStats::default(),
         }
     }
@@ -107,22 +109,20 @@ impl ChurnRunner {
                             let phase = fabric.now()
                                 + (u64::from(request.id) * 97) % conn.interarrival.max(1);
                             fabric.add_flow(flow_for_connection(&request, 0).with_start(phase));
-                            self.live.push((id, request.id));
+                            self.live.push_back((id, request.id));
                         }
                         Err(_) => self.stats.rejected += 1,
                     }
                 }
-                ChurnEvent::DepartOldest { at } => {
-                    if self.live.is_empty() {
-                        self.stats.empty_departures += 1;
-                    } else {
-                        let (conn_id, flow_id) = self.live.remove(0);
+                ChurnEvent::DepartOldest { at } => match self.live.pop_front() {
+                    None => self.stats.empty_departures += 1,
+                    Some((conn_id, flow_id)) => {
                         fabric.stop_flow(flow_id, at);
                         assert!(frame.manager.teardown(conn_id));
                         frame.manager.apply_tables(fabric);
                         self.stats.departed += 1;
                     }
-                }
+                },
             }
         }
         fabric.run_until(horizon, observer);

@@ -4,7 +4,7 @@
 
 use crate::cac::{PortKey, PortTables, RejectReason};
 use crate::connection::{Connection, ConnectionId};
-use iba_core::{sl, AllocatorKind, ArbEntry, SlTable, SlToVlMap, VlArbConfig};
+use iba_core::{sl, AllocatorKind, ArbEntry, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig};
 use iba_sim::{Fabric, NodeId, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 use iba_traffic::ConnectionRequest;
@@ -413,12 +413,38 @@ impl QosManager {
         &mut self.tables
     }
 
+    /// The output ports a table download covers, in canonical
+    /// [`PortKey`] order: every wired switch port, then every host
+    /// uplink.
+    pub fn output_ports(&self) -> impl Iterator<Item = PortKey> + '_ {
+        let topo = &self.topo;
+        let switch_ports = topo.switch_ids().flat_map(move |s| {
+            (0..topo.ports_per_switch())
+                .filter(move |&p| !matches!(topo.peer(s, p), PortPeer::Free))
+                .map(move |p| PortKey {
+                    node: NodeId::Switch(s.0),
+                    port: p,
+                })
+        });
+        let host_ports = topo.host_ids().map(|h| PortKey {
+            node: NodeId::Host(h.0),
+            port: 0,
+        });
+        switch_ports.chain(host_ports)
+    }
+
     /// Builds the `VLArbitrationTable` configuration of one output port:
     /// its high-priority table as filled by admission (empty if never
     /// touched), plus the shared low-priority policy.
     #[must_use]
     pub fn arb_config_for(&self, key: PortKey) -> VlArbConfig {
-        match self.tables.table(key) {
+        self.config_from(self.tables.table(key))
+    }
+
+    /// The configuration of a port whose high-priority table is `table`
+    /// (`None`: never touched).
+    fn config_from(&self, table: Option<&HighPriorityTable>) -> VlArbConfig {
+        match table {
             Some(t) => VlArbConfig::from_slots(
                 t.slots(),
                 self.low.entries.clone(),
@@ -432,35 +458,53 @@ impl QosManager {
         }
     }
 
+    /// Whether `installed` is exactly what `config_from(table)` builds,
+    /// checked without building it.
+    fn is_installed(&self, table: Option<&HighPriorityTable>, installed: &VlArbConfig) -> bool {
+        let (low, limit) = (&self.low.entries, self.low.limit_of_high_priority);
+        match table {
+            Some(t) => installed.matches_slots(t.slots(), low, limit),
+            None => {
+                installed.high.is_empty()
+                    && installed.low == *low
+                    && installed.limit_of_high_priority == limit
+            }
+        }
+    }
+
     /// Pushes the current table state into every output port of a
-    /// fabric (the subnet-management download step). Each download
-    /// invalidates and recompiles that port's grant schedule.
+    /// fabric (the subnet-management download step). A port whose
+    /// installed table differs from the manager's is recompiled; every
+    /// other port only restarts its arbitration walk, which leaves it
+    /// exactly as a recompile of the same table would.
     pub fn apply_tables(&self, fabric: &mut Fabric) {
         self.apply_tables_observed(fabric, &mut iba_obs::NullRecorder);
     }
 
-    /// [`QosManager::apply_tables`] with instrumentation: every table
-    /// download fires the recorder's schedule invalidate/compile hooks
-    /// (`schedule_invalidate_total` / `schedule_compile_total`).
+    /// [`QosManager::apply_tables`] with instrumentation: every port it
+    /// recompiles fires the recorder's schedule invalidate/compile hooks
+    /// (`schedule_invalidate_total` / `schedule_compile_total`); a port
+    /// whose table did not change fires none.
+    ///
+    /// The comparison reads the table installed in the fabric, not a
+    /// record of the last download, so a port changed behind the
+    /// manager's back (a `CorruptTable` fault, another download) is
+    /// recompiled too.
     pub fn apply_tables_observed(&self, fabric: &mut Fabric, rec: &mut dyn iba_obs::Recorder) {
-        for s in self.topo.switch_ids() {
-            for p in 0..self.topo.ports_per_switch() {
-                if matches!(self.topo.peer(s, p), PortPeer::Free) {
-                    continue;
-                }
-                let key = PortKey {
-                    node: NodeId::Switch(s.0),
-                    port: p,
-                };
-                fabric.set_output_table_recorded(key.node, p, self.arb_config_for(key), rec);
+        // Ports and registry entries both come in canonical key order,
+        // so one merge pass finds each port's table without lookups.
+        let mut tables = self.tables.tables().peekable();
+        for key in self.output_ports() {
+            while tables.next_if(|&(k, _)| k < key).is_some() {}
+            let table = tables.next_if(|&(k, _)| k == key).map(|(_, t)| t);
+            let unchanged = fabric
+                .output_table(key.node, key.port)
+                .is_some_and(|installed| self.is_installed(table, installed));
+            if unchanged {
+                fabric.restart_output_walk(key.node, key.port);
+            } else {
+                fabric.set_output_table_recorded(key.node, key.port, self.config_from(table), rec);
             }
-        }
-        for h in self.topo.host_ids() {
-            let key = PortKey {
-                node: NodeId::Host(h.0),
-                port: 0,
-            };
-            fabric.set_output_table_recorded(key.node, 0, self.arb_config_for(key), rec);
         }
     }
 

@@ -6,7 +6,9 @@
 //! funnels through [`PortArbiter::reconfigure`], which invalidates the
 //! previous compiled schedule and recompiles — the single point the
 //! fabric's `schedule_compile_total` / `schedule_invalidate_total`
-//! accounting hangs off.
+//! accounting hangs off. A download that leaves a port's table
+//! unchanged calls [`PortArbiter::reset`] instead: the walk restarts
+//! and nothing recompiles.
 
 use crate::config::ArbiterMode;
 use iba_core::{CompiledVlArb, Grant, VlArbConfig, VlArbEngine};
@@ -71,6 +73,16 @@ impl PortArbiter {
         }
     }
 
+    /// Restarts the walk on the installed table without recompiling:
+    /// the arbiter is then exactly as a freshly built one for the same
+    /// configuration.
+    pub fn reset(&mut self) {
+        match self {
+            PortArbiter::Compiled(arb) => arb.reset(),
+            PortArbiter::Interpreted { engine, .. } => engine.reset(),
+        }
+    }
+
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &VlArbConfig {
@@ -104,7 +116,7 @@ impl PortArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iba_core::{ArbEntry, VirtualLane};
+    use iba_core::{ArbEntry, SplitMix64, VirtualLane};
 
     fn config() -> VlArbConfig {
         VlArbConfig {
@@ -145,6 +157,75 @@ mod tests {
                 interpreted.select(mask, &bytes),
                 "step {step}"
             );
+        }
+    }
+
+    /// A seeded random table: up to 8 entries per priority over VL0..=5
+    /// with weights 0..=4 (weight 0 exercises skipping), and a limit
+    /// that includes the 0 and 255 edge cases.
+    fn random_config(rng: &mut SplitMix64) -> VlArbConfig {
+        let table = |rng: &mut SplitMix64| {
+            let len = rng.next_u64() % 9;
+            (0..len)
+                .map(|_| ArbEntry {
+                    vl: VirtualLane::data((rng.next_u64() % 6) as u8),
+                    weight: (rng.next_u64() % 5) as u8,
+                })
+                .collect::<Vec<_>>()
+        };
+        let high = table(rng);
+        let low = table(rng);
+        let limit_of_high_priority = match rng.next_u64() % 4 {
+            0 => 0,
+            1 => 255,
+            _ => (rng.next_u64() % 8) as u8,
+        };
+        VlArbConfig {
+            high,
+            low,
+            limit_of_high_priority,
+        }
+    }
+
+    /// A seeded ready mask over VL0..=5 with a head-packet size for
+    /// every ready lane.
+    fn random_ready(rng: &mut SplitMix64) -> (u16, [u64; 16]) {
+        let mask = (rng.next_u64() % (1 << 6)) as u16;
+        let mut bytes = [0u64; 16];
+        for (v, b) in bytes.iter_mut().enumerate() {
+            if mask & (1 << v) != 0 {
+                *b = 64 * (1 + rng.next_u64() % 64);
+            }
+        }
+        (mask, bytes)
+    }
+
+    #[test]
+    fn reset_mid_walk_matches_a_fresh_arbiter_in_both_modes() {
+        // A download that leaves a port's table unchanged only resets
+        // its arbiter, so after any prefix of grants `reset` must leave
+        // it exactly as a freshly built arbiter for the same table.
+        let mut rng = SplitMix64::seed_from_u64(0xA2B1_7E5E);
+        for case in 0..100 {
+            let config = random_config(&mut rng);
+            for mode in [ArbiterMode::Compiled, ArbiterMode::Interpreted] {
+                let mut arb = PortArbiter::new(config.clone(), mode);
+                for _ in 0..rng.next_u64() % 40 {
+                    let (mask, bytes) = random_ready(&mut rng);
+                    let _ = arb.select(mask, &bytes);
+                }
+                arb.reset();
+                let mut fresh = PortArbiter::new(config.clone(), mode);
+                assert_eq!(arb.high_vl_mask(), fresh.high_vl_mask());
+                for step in 0..200 {
+                    let (mask, bytes) = random_ready(&mut rng);
+                    assert_eq!(
+                        arb.select(mask, &bytes),
+                        fresh.select(mask, &bytes),
+                        "case {case} {mode:?} step {step}"
+                    );
+                }
+            }
         }
     }
 

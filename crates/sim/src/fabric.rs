@@ -259,10 +259,12 @@ impl Fabric {
 
     /// Installs an arbitration table on one output port.
     ///
-    /// This invalidates the port's compiled grant schedule and compiles
-    /// the new table (every mutation path — admit, teardown, repair,
-    /// fault corruption — funnels through here or through the fault
-    /// handler's corruption arm).
+    /// This always invalidates the port's compiled grant schedule and
+    /// compiles the new table (every mutation path — admit, teardown,
+    /// repair, fault corruption — funnels through here or through the
+    /// fault handler's corruption arm). The subnet manager's download
+    /// calls it only for ports whose table changed and restarts the
+    /// others with [`Fabric::restart_output_walk`].
     pub fn set_output_table(&mut self, node: NodeId, port: u8, cfg: VlArbConfig) {
         self.set_output_table_recorded(node, port, cfg, &mut NullRecorder);
     }
@@ -294,6 +296,24 @@ impl Fabric {
         self.schedule_compiles += 1;
         rec.schedule_invalidated();
         rec.schedule_compiled();
+    }
+
+    /// The arbitration table installed on one output port (`None` for
+    /// an invalid target).
+    #[must_use]
+    pub fn output_table(&self, node: NodeId, port: u8) -> Option<&VlArbConfig> {
+        self.output_port(node, port).map(|o| o.arb.config())
+    }
+
+    /// Restarts one output port's arbitration walk on the table it
+    /// already holds, without recompiling: the port then arbitrates
+    /// exactly as after a [`Fabric::set_output_table`] of that same
+    /// table, but no schedule is invalidated or compiled. Does nothing
+    /// for an invalid target.
+    pub fn restart_output_walk(&mut self, node: NodeId, port: u8) {
+        if let Some(out) = self.output_port_mut(node, port) {
+            out.arb.reset();
+        }
     }
 
     /// Installs the same arbitration table on every output port of
@@ -352,18 +372,17 @@ impl Fabric {
     /// target).
     #[must_use]
     pub fn fault_state(&self, node: NodeId, port: u8) -> Option<FaultState> {
+        self.output_port(node, port).map(|o| o.fault)
+    }
+
+    fn output_port(&self, node: NodeId, port: u8) -> Option<&OutputPort> {
         match node {
-            NodeId::Switch(s) => self
-                .switches
-                .get(s as usize)?
-                .outputs
-                .get(port as usize)
-                .map(|o| o.fault),
+            NodeId::Switch(s) => self.switches.get(s as usize)?.outputs.get(port as usize),
             NodeId::Host(h) => {
                 if port != 0 {
                     return None;
                 }
-                self.hosts.get(h as usize).map(|h| h.out.fault)
+                self.hosts.get(h as usize).map(|h| &h.out)
             }
         }
     }

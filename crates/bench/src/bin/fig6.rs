@@ -13,6 +13,7 @@ use iba_stats::Table;
 fn main() {
     let exp = build_experiment(256);
     let m = run_measured(&exp, false);
+    let by_conn = m.obs.delay_by_conn();
 
     let thresholds = iba_stats::DEFAULT_THRESHOLDS;
     for sl in 0u8..4 {
@@ -30,10 +31,7 @@ fn main() {
         }
         // Rank by % before the tightest threshold.
         let pct_at = |flow: u32, idx: usize| -> Option<f64> {
-            m.obs
-                .delay_by_conn
-                .group(flow as usize)
-                .map(|d| d.percentages()[idx])
+            by_conn.group(flow as usize).map(|d| d.percentages()[idx])
         };
         let mut ranked: Vec<(u32, f64)> = conns
             .iter()
@@ -55,13 +53,13 @@ fn main() {
             &header_refs,
         );
         for (label, flow) in [("The Best", best), ("The Worst", worst)] {
-            let d = m.obs.delay_by_conn.group(flow as usize).unwrap();
+            let d = by_conn.group(flow as usize).unwrap();
             let mut row = vec![format!("{label} (conn {flow})")];
             row.extend(d.percentages().iter().map(|p| format!("{p:.2}")));
             t.row(row);
         }
         println!("{}", t.render());
-        let worst_d = m.obs.delay_by_conn.group(worst as usize).unwrap();
+        let worst_d = by_conn.group(worst as usize).unwrap();
         println!(
             "  worst connection still meets deadline: {} misses, max delay/D = {:.3}\n",
             worst_d.missed(),

@@ -3,7 +3,7 @@
 //!
 //! The protocol mirrors the classic warmup/sample design: each
 //! benchmark is warmed up, the per-sample iteration count is calibrated
-//! so one sample takes at least [`MIN_SAMPLE`], and then a fixed number
+//! so one sample takes at least `MIN_SAMPLE` (2 ms), and then a fixed number
 //! of samples is timed. The report shows the minimum (least-noise
 //! estimate), median and mean nanoseconds per iteration.
 //!

@@ -10,7 +10,7 @@
 //!    each answered by the [`iba_qos::RecoveryManager`]: evict, rebuild,
 //!    re-pack with the canonical bit-reversal defragmentation, and
 //!    re-admit what was evicted. The repaired table is then driven
-//!    through the arbiter under the [`GuaranteeAuditor`] with the
+//!    through the arbiter under the [`iba_obs::GuaranteeAuditor`] with the
 //!    *original contracted* budgets. The paper's claim extends to
 //!    recovery: with the bit-reversal allocator the repaired table
 //!    audits clean (zero post-repair violations); the first-fit strawman

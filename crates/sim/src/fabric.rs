@@ -48,6 +48,36 @@ impl NodeId {
 struct SwitchNode {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
+    /// Routed-head index, the crossbar's request matrix:
+    /// `routed[out * n + q]` has bit `v` set iff lane `v` of input `q`
+    /// holds a head packet routed to output `out` (`n` = port count).
+    routed: Vec<u16>,
+    /// `routed_inputs[out]` has bit `q` set iff `routed[out * n + q]`
+    /// is non-zero: the inputs an output's candidate scan visits.
+    routed_inputs: Vec<u64>,
+}
+
+impl SwitchNode {
+    /// Indexes the new head packet of lane `vl` at input `q`, routed to
+    /// output `out`.
+    #[inline]
+    fn index_head(&mut self, q: usize, vl: usize, out: usize) {
+        let n = self.inputs.len();
+        self.routed[out * n + q] |= 1 << vl;
+        self.routed_inputs[out] |= 1 << q;
+    }
+
+    /// Drops the head packet of lane `vl` at input `q`, routed to
+    /// output `out`, from the index.
+    #[inline]
+    fn unindex_head(&mut self, q: usize, vl: usize, out: usize) {
+        let n = self.inputs.len();
+        let cell = &mut self.routed[out * n + q];
+        *cell &= !(1 << vl);
+        if *cell == 0 {
+            self.routed_inputs[out] &= !(1 << q);
+        }
+    }
 }
 
 struct HostNode {
@@ -151,10 +181,14 @@ impl Fabric {
         // cheaper than validating and compiling per port.
         let proto = PortArbiter::new(Self::default_arb_config(), config.arbiter);
 
+        let n = topo.ports_per_switch() as usize;
+        assert!(
+            n <= 64,
+            "the routed-head index holds at most 64 ports per switch, got {n}"
+        );
         let switches: Vec<SwitchNode> = topo
             .switch_ids()
             .map(|s| {
-                let n = topo.ports_per_switch() as usize;
                 let inputs = (0..n).map(|_| InputPort::new(cap)).collect();
                 let outputs = (0..n)
                     .map(|p| {
@@ -169,7 +203,12 @@ impl Fabric {
                         OutputPort::new(proto.clone(), Credits::full(cap), peer)
                     })
                     .collect();
-                SwitchNode { inputs, outputs }
+                SwitchNode {
+                    inputs,
+                    outputs,
+                    routed: vec![0; n * n],
+                    routed_inputs: vec![0; n],
+                }
             })
             .collect();
 
@@ -696,12 +735,15 @@ impl Fabric {
                 let onward = self.routing.port(SwitchId(switch), dst);
                 {
                     let Fabric { switches, pool, .. } = self;
-                    let input = &mut switches[switch as usize].inputs[in_port as usize];
+                    let node = &mut switches[switch as usize];
+                    let input = &mut node.inputs[in_port as usize];
                     input.vls.push(pool, vl, inflight.packet);
                     // A packet that became its lane's head carries the
-                    // lane's cached route from here on.
+                    // lane's cached route from here on, and enters the
+                    // routed-head index under that route.
                     if input.vls.len(vl) == 1 {
                         input.head_route[vl] = onward;
+                        node.index_head(in_port as usize, vl, onward as usize);
                     }
                 }
                 // The new packet may enable its onward output.
@@ -840,6 +882,16 @@ impl Fabric {
         false
     }
 
+    /// Grants the next transfer on idle switch output `port`, if any
+    /// input holds an eligible head packet for it.
+    ///
+    /// The candidate scan reads the switch's routed-head index: it
+    /// visits only the inputs with a head packet routed to `port`, in
+    /// round-robin order from `next_input`, and at each only the lanes
+    /// so routed. A lane routed elsewhere can neither become a
+    /// candidate nor fire a hook here, so the candidates, the
+    /// `fault_blocked` / `arb_hol_stall` hooks and the grant are those
+    /// of a scan over every input and occupied lane in the same order.
     fn kick_switch_output<R: Recorder>(&mut self, s: usize, port: usize, rec: &mut R) {
         let protect_inputs = self.config.priority_input_claiming;
         loop {
@@ -863,54 +915,63 @@ impl Fabric {
                 let fault = out.fault;
                 let my_high = out.arb.high_vl_mask();
                 let n_in = node.inputs.len();
-                let start = out.next_input as usize;
-                for off in 0..n_in {
-                    // `start < n_in`, so one conditional subtract wraps.
-                    let mut q = start + off;
-                    if q >= n_in {
-                        q -= n_in;
-                    }
-                    let input = &node.inputs[q];
-                    if input.busy {
-                        continue;
-                    }
-                    // Extension: inputs with pending high-priority work
-                    // for other outputs are reserved for that work —
-                    // this output may still take its *own* high-table
-                    // VLs from them, but not low-priority packets.
-                    let protected = protect_inputs && self.input_has_foreign_high_work(s, q, port);
-                    // Occupied lanes without a candidate yet, ascending.
-                    // The cached head route and head size answer the
-                    // whole scan from port-local arrays — no packet
-                    // pool or routing table access on this path.
-                    let mut pend = input.vls.occupied() & !cand_mask;
-                    while pend != 0 {
-                        let vl = pend.trailing_zeros() as usize;
-                        pend &= pend - 1;
-                        if input.head_route[vl] as usize != port {
+                let routed = &node.routed[port * n_in..(port + 1) * n_in];
+                let inputs = node.routed_inputs[port];
+                // Round-robin from `next_input`: the inputs at or above
+                // it ascending, then the wrap below it. `next_input <
+                // n_in <= 64`, so the shift is in range.
+                let upper = !0u64 << out.next_input;
+                for mut set in [inputs & upper, inputs & !upper] {
+                    while set != 0 {
+                        let q = set.trailing_zeros() as usize;
+                        set &= set - 1;
+                        let input = &node.inputs[q];
+                        if input.busy {
                             continue;
                         }
-                        if protected && vl != 15 && my_high & (1 << vl) == 0 {
+                        // Lanes whose head routes here and that have no
+                        // candidate yet, ascending. The cached head size
+                        // answers the whole scan from port-local arrays —
+                        // no packet pool or routing table access here.
+                        let mut pend = routed[q] & !cand_mask;
+                        if pend == 0 {
                             continue;
                         }
-                        if fault.blackout_mask & (1 << vl) != 0 || fault.stall_mask & (1 << vl) != 0
-                        {
-                            // Injected VL blackout / credit stall: the
-                            // head packet is routed here but the fault
-                            // layer withholds it from the arbiter.
-                            rec.fault_blocked(vl as u8);
-                            continue;
+                        // Extension: inputs with pending high-priority
+                        // work for other outputs are reserved for that
+                        // work — this output may still take its *own*
+                        // high-table VLs from them, but not low-priority
+                        // packets.
+                        let protected =
+                            protect_inputs && self.input_has_foreign_high_work(s, q, port);
+                        while pend != 0 {
+                            let vl = pend.trailing_zeros() as usize;
+                            pend &= pend - 1;
+                            if protected && vl != 15 && my_high & (1 << vl) == 0 {
+                                continue;
+                            }
+                            if fault.blackout_mask & (1 << vl) != 0
+                                || fault.stall_mask & (1 << vl) != 0
+                            {
+                                // Injected VL blackout / credit stall:
+                                // the head packet is routed here but the
+                                // fault layer withholds it from the
+                                // arbiter.
+                                rec.fault_blocked(vl as u8);
+                                continue;
+                            }
+                            let bytes = u64::from(input.vls.head_bytes(vl));
+                            if !out.credits.can_send(vl, bytes) {
+                                // Head packet routed here but blocked on
+                                // downstream credit: a head-of-line
+                                // stall.
+                                rec.arb_hol_stall(vl as u8);
+                                continue;
+                            }
+                            cand_mask |= 1 << vl;
+                            cand_src[vl] = q as u8;
+                            cand_bytes[vl] = bytes;
                         }
-                        let bytes = u64::from(input.vls.head_bytes(vl));
-                        if !out.credits.can_send(vl, bytes) {
-                            // Head packet routed here but blocked on
-                            // downstream credit: a head-of-line stall.
-                            rec.arb_hol_stall(vl as u8);
-                            continue;
-                        }
-                        cand_mask |= 1 << vl;
-                        cand_src[vl] = q as u8;
-                        cand_bytes[vl] = bytes;
                     }
                 }
             }
@@ -969,15 +1030,15 @@ impl Fabric {
             "granted size {bytes} differs from head packet {}",
             packet.bytes
         );
-        self.switches[s].inputs[q].busy = true;
-        // The pop promoted a new head: refresh the lane's cached route.
-        let head_dst = self.switches[s].inputs[q]
-            .vls
-            .head(&self.pool, vl as usize)
-            .map(|p| p.dst);
-        if let Some(dst) = head_dst {
-            self.switches[s].inputs[q].head_route[vl as usize] =
-                self.routing.port(SwitchId(s as u16), dst);
+        let node = &mut self.switches[s];
+        node.inputs[q].busy = true;
+        // The popped head leaves the index; a promoted head gets the
+        // lane's cached route and enters the index under it.
+        node.unindex_head(q, vl as usize, port);
+        if let Some(p) = node.inputs[q].vls.head(&self.pool, vl as usize) {
+            let onward = self.routing.port(SwitchId(s as u16), p.dst);
+            node.inputs[q].head_route[vl as usize] = onward;
+            node.index_head(q, vl as usize, onward as usize);
         }
 
         // Return the buffer credit to whoever feeds this input port.
@@ -1598,6 +1659,163 @@ mod tests {
             corrupt_config(&cfg, 7).high,
             "corruption is seeded"
         );
+    }
+
+    /// Recomputes every switch's routed-head index from the lanes'
+    /// occupancy and cached head routes, checks each cached route
+    /// against the routing table, and asserts the incremental index
+    /// equals the recomputed one.
+    fn assert_route_index_consistent(f: &Fabric) {
+        for (s, node) in f.switches.iter().enumerate() {
+            let n = node.inputs.len();
+            let mut routed = vec![0u16; n * n];
+            let mut inputs = vec![0u64; n];
+            for (q, input) in node.inputs.iter().enumerate() {
+                let mut pend = input.vls.occupied();
+                while pend != 0 {
+                    let vl = pend.trailing_zeros() as usize;
+                    pend &= pend - 1;
+                    let out = input.head_route[vl];
+                    let head = input
+                        .vls
+                        .head(&f.pool, vl)
+                        .expect("occupied lane has a head");
+                    assert_eq!(
+                        out,
+                        f.routing.port(SwitchId(s as u16), head.dst),
+                        "switch {s} input {q} VL{vl}: stale cached route"
+                    );
+                    routed[usize::from(out) * n + q] |= 1 << vl;
+                    inputs[usize::from(out)] |= 1 << q;
+                }
+            }
+            assert_eq!(node.routed, routed, "switch {s}: routed lanes at {}", f.now);
+            assert_eq!(
+                node.routed_inputs, inputs,
+                "switch {s}: routed inputs at {}",
+                f.now
+            );
+        }
+    }
+
+    /// A seeded 4-switch fabric under heavy random load, with a
+    /// high-priority table on every port so input claiming has work to
+    /// protect, and SL15 management traffic beside the data lanes.
+    fn seeded_fabric(seed: u64, claiming: bool) -> Fabric {
+        let topo = iba_topo::irregular::generate(iba_topo::IrregularConfig::with_switches(4, seed));
+        let routing = updown::compute(&topo);
+        let hosts = topo.num_hosts() as u16;
+        let mut config = SimConfig::paper_default(256);
+        config.priority_input_claiming = claiming;
+        let mut f = Fabric::new(topo, routing, config);
+        let high = [(1u8, 8u8), (3, 4), (5, 2)]
+            .into_iter()
+            .map(|(vl, weight)| ArbEntry {
+                vl: VirtualLane::data(vl),
+                weight,
+            })
+            .collect();
+        f.set_uniform_tables(&VlArbConfig {
+            high,
+            limit_of_high_priority: 255,
+            ..Fabric::default_arb_config()
+        });
+        let mut rng = iba_core::rng::SplitMix64::seed_from_u64(seed);
+        for id in 0..32 {
+            let src = rng.gen_range(0..hosts);
+            let dst = (src + rng.gen_range(1..hosts)) % hosts;
+            let sl = if id % 11 == 10 {
+                15
+            } else {
+                rng.gen_range(0u8..10)
+            };
+            f.add_flow(flow(id, src, dst, sl, 256, rng.gen_range(300u64..3000)));
+        }
+        f
+    }
+
+    /// One fault of each port-level kind on switch 0 and 1 ports that
+    /// carry traffic, the transient ones restored inside the run.
+    fn index_fault_plan(f: &Fabric) -> FaultPlan {
+        let wired = |s: u16| -> Vec<u8> {
+            (0..f.topo.ports_per_switch())
+                .filter(|&p| f.topo.peer(SwitchId(s), p) != PortPeer::Free)
+                .collect()
+        };
+        let (w0, w1) = (wired(0), wired(1));
+        let (s0, s1) = (NodeId::Switch(0), NodeId::Switch(1));
+        let mut plan = FaultPlan::new(0);
+        for (i, &port) in w0.iter().enumerate() {
+            let t = 20_000 + 10_000 * i as u64;
+            plan.push(
+                t,
+                FaultAction::SetVlBlackout {
+                    node: s0,
+                    port,
+                    mask: 0x00F3,
+                },
+            );
+            plan.push(
+                t + 90_000,
+                FaultAction::SetVlBlackout {
+                    node: s0,
+                    port,
+                    mask: 0,
+                },
+            );
+        }
+        for (i, &port) in w1.iter().enumerate() {
+            let t = 40_000 + 10_000 * i as u64;
+            plan.push(
+                t,
+                FaultAction::SetCreditStall {
+                    node: s1,
+                    port,
+                    mask: 0x030C,
+                },
+            );
+            plan.push(
+                t + 70_000,
+                FaultAction::SetCreditStall {
+                    node: s1,
+                    port,
+                    mask: 0,
+                },
+            );
+            plan.push(t + 150_000, FaultAction::LinkDown { node: s1, port });
+            plan.push(t + 200_000, FaultAction::LinkUp { node: s1, port });
+            plan.push(
+                t + 250_000,
+                FaultAction::CorruptTable {
+                    node: s1,
+                    port,
+                    seed: t,
+                },
+            );
+        }
+        plan.events.sort_by_key(|&(t, _)| t);
+        plan
+    }
+
+    #[test]
+    fn routed_head_index_matches_a_recomputation() {
+        for seed in 0..6u64 {
+            for claiming in [false, true] {
+                for faulted in [false, true] {
+                    let mut f = seeded_fabric(seed, claiming);
+                    if faulted {
+                        let plan = index_fault_plan(&f);
+                        f.apply_fault_plan(&plan);
+                    }
+                    let mut obs = VecObserver::default();
+                    for slice in 1..=40u64 {
+                        f.run_until(slice * 12_500, &mut obs);
+                        assert_route_index_consistent(&f);
+                    }
+                    assert!(obs.records.len() > 500, "seed {seed}: too little traffic");
+                }
+            }
+        }
     }
 
     #[test]

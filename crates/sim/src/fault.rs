@@ -104,7 +104,7 @@ pub enum FaultAction {
     },
     /// Control-plane fault: crash the admission-service shard worker
     /// handling trace operation `op`. Consumed by
-    /// [`iba_qos::service::ServeFaultPlan::from_calendar`]; the fabric
+    /// `iba_qos::service::ServeFaultPlan::from_calendar`; the fabric
     /// ignores it.
     ServeCrash {
         /// Targeted trace-operation index.

@@ -19,6 +19,36 @@ pub const DEFAULT_THRESHOLDS: [f64; 8] = [
     1.0,
 ];
 
+/// Running totals of a delay distribution, beside its threshold counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Tally {
+    total: u64,
+    /// Packets that missed even the deadline itself.
+    missed: u64,
+    max_ratio: f64,
+}
+
+impl Tally {
+    /// Scores one packet with end-to-end `delay` against `deadline`
+    /// into `counts` (one per threshold) and the totals. The one
+    /// definition of a packet's score, so [`DelayDistribution`] and
+    /// [`DelayCounts`] agree bit for bit.
+    fn score(&mut self, thresholds: &[f64], counts: &mut [u64], delay: u64, deadline: u64) {
+        assert!(deadline > 0);
+        let ratio = delay as f64 / deadline as f64;
+        self.total += 1;
+        self.max_ratio = self.max_ratio.max(ratio);
+        if ratio > 1.0 {
+            self.missed += 1;
+        }
+        for (c, &t) in counts.iter_mut().zip(thresholds) {
+            if ratio <= t {
+                *c += 1;
+            }
+        }
+    }
+}
+
 /// Accumulated delay distribution of one group (an SL, or a single
 /// connection).
 #[derive(Clone, Debug)]
@@ -26,10 +56,7 @@ pub struct DelayDistribution {
     thresholds: Vec<f64>,
     /// `counts[i]` = packets with `delay <= thresholds[i] * deadline`.
     counts: Vec<u64>,
-    total: u64,
-    /// Packets that missed even the deadline itself.
-    missed: u64,
-    max_ratio: f64,
+    tally: Tally,
 }
 
 impl DelayDistribution {
@@ -45,27 +72,15 @@ impl DelayDistribution {
         DelayDistribution {
             thresholds: thresholds.to_vec(),
             counts: vec![0; thresholds.len()],
-            total: 0,
-            missed: 0,
-            max_ratio: 0.0,
+            tally: Tally::default(),
         }
     }
 
     /// Records one packet with end-to-end `delay` against its
     /// connection's `deadline` (both in cycles).
     pub fn record(&mut self, delay: u64, deadline: u64) {
-        assert!(deadline > 0);
-        let ratio = delay as f64 / deadline as f64;
-        self.total += 1;
-        self.max_ratio = self.max_ratio.max(ratio);
-        if ratio > 1.0 {
-            self.missed += 1;
-        }
-        for (i, &t) in self.thresholds.iter().enumerate() {
-            if ratio <= t {
-                self.counts[i] += 1;
-            }
-        }
+        self.tally
+            .score(&self.thresholds, &mut self.counts, delay, deadline);
     }
 
     /// The sampled thresholds.
@@ -77,19 +92,19 @@ impl DelayDistribution {
     /// Packets recorded.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.total
+        self.tally.total
     }
 
     /// Packets that exceeded their deadline.
     #[must_use]
     pub fn missed(&self) -> u64 {
-        self.missed
+        self.tally.missed
     }
 
     /// Largest observed `delay / deadline` ratio.
     #[must_use]
     pub fn max_ratio(&self) -> f64 {
-        self.max_ratio
+        self.tally.max_ratio
     }
 
     /// The CDF: percentage of packets received before each threshold.
@@ -98,10 +113,10 @@ impl DelayDistribution {
         self.counts
             .iter()
             .map(|&c| {
-                if self.total == 0 {
+                if self.tally.total == 0 {
                     0.0
                 } else {
-                    100.0 * c as f64 / self.total as f64
+                    100.0 * c as f64 / self.tally.total as f64
                 }
             })
             .collect()
@@ -110,10 +125,11 @@ impl DelayDistribution {
     /// Percentage of packets that met the deadline (threshold 1.0).
     #[must_use]
     pub fn met_deadline_pct(&self) -> f64 {
-        if self.total == 0 {
+        let Tally { total, missed, .. } = self.tally;
+        if total == 0 {
             return 100.0;
         }
-        100.0 * (self.total - self.missed) as f64 / self.total as f64
+        100.0 * (total - missed) as f64 / total as f64
     }
 
     /// Merges another distribution with identical thresholds.
@@ -122,9 +138,45 @@ impl DelayDistribution {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
-        self.total += other.total;
-        self.missed += other.missed;
-        self.max_ratio = self.max_ratio.max(other.max_ratio);
+        self.tally.total += other.tally.total;
+        self.tally.missed += other.tally.missed;
+        self.tally.max_ratio = self.tally.max_ratio.max(other.tally.max_ratio);
+    }
+}
+
+/// One group's delay distribution at [`DEFAULT_THRESHOLDS`], as a flat
+/// `Copy` record with no heap storage: per-connection state that lives
+/// inline in a larger record. Scores packets exactly as
+/// [`DelayDistribution`] does and converts to one on demand.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DelayCounts {
+    counts: [u64; DEFAULT_THRESHOLDS.len()],
+    tally: Tally,
+}
+
+impl DelayCounts {
+    /// Records one packet with end-to-end `delay` against its
+    /// connection's `deadline` (both in cycles).
+    pub fn record(&mut self, delay: u64, deadline: u64) {
+        self.tally
+            .score(&DEFAULT_THRESHOLDS, &mut self.counts, delay, deadline);
+    }
+
+    /// Packets recorded.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.tally.total
+    }
+
+    /// The same counts as a [`DelayDistribution`] at
+    /// [`DEFAULT_THRESHOLDS`].
+    #[must_use]
+    pub fn to_distribution(&self) -> DelayDistribution {
+        DelayDistribution {
+            thresholds: DEFAULT_THRESHOLDS.to_vec(),
+            counts: self.counts.to_vec(),
+            tally: self.tally,
+        }
     }
 }
 
@@ -160,6 +212,16 @@ impl DelayCollector {
         self.groups[key]
             .get_or_insert_with(|| DelayDistribution::new(&self.thresholds))
             .record(delay, deadline);
+    }
+
+    /// Installs `dist` as group `key`, replacing any distribution
+    /// recorded there.
+    pub fn insert(&mut self, key: usize, dist: DelayDistribution) {
+        assert_eq!(dist.thresholds, self.thresholds, "threshold mismatch");
+        if key >= self.groups.len() {
+            self.groups.resize(key + 1, None);
+        }
+        self.groups[key] = Some(dist);
     }
 
     /// The distribution of a group, if any packets were recorded.
@@ -261,6 +323,24 @@ mod tests {
         assert_eq!(best, 0);
         assert!(c.group(3).is_none());
         assert_eq!(c.groups().count(), 3);
+    }
+
+    #[test]
+    fn flat_counts_match_the_distribution() {
+        let mut flat = DelayCounts::default();
+        let mut dist = DelayDistribution::new(&DEFAULT_THRESHOLDS);
+        for (delay, deadline) in [(1, 30), (7, 100), (33, 100), (100, 100), (3, 2), (0, 9)] {
+            flat.record(delay, deadline);
+            dist.record(delay, deadline);
+        }
+        let back = flat.to_distribution();
+        assert_eq!(flat.total(), 6);
+        assert_eq!(back.counts, dist.counts);
+        assert_eq!(back.tally, dist.tally);
+        let mut c = DelayCollector::new();
+        c.insert(4, back);
+        assert_eq!(c.group(4).unwrap().missed(), 1);
+        assert_eq!(c.groups().count(), 1);
     }
 
     #[test]

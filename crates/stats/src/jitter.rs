@@ -103,15 +103,12 @@ impl JitterHistogram {
     }
 }
 
-/// Per-connection jitter tracking: remembers each connection's last
-/// arrival and nominal IAT, bins gaps into a per-group histogram.
+/// Jitter histograms per group (e.g. per SL). The caller keeps each
+/// connection's previous arrival and nominal IAT and hands over the
+/// gap.
 #[derive(Clone, Debug, Default)]
 pub struct JitterCollector {
-    /// `last[conn]` = time of the previous arrival.
-    last: Vec<Option<u64>>,
-    /// `iat[conn]` = nominal interarrival time.
-    iat: Vec<u64>,
-    /// One histogram per group (e.g. per SL).
+    /// One histogram per group.
     groups: Vec<JitterHistogram>,
 }
 
@@ -122,28 +119,17 @@ impl JitterCollector {
         Self::default()
     }
 
-    /// Declares a connection with its nominal IAT (cycles).
-    pub fn declare(&mut self, conn: usize, iat: u64) {
-        if conn >= self.iat.len() {
-            self.iat.resize(conn + 1, 0);
-            self.last.resize(conn + 1, None);
-        }
-        self.iat[conn] = iat;
-        self.last[conn] = None;
-    }
-
-    /// Records an arrival of connection `conn` (grouped under `group`)
-    /// at time `now`.
-    pub fn record(&mut self, conn: usize, group: usize, now: u64) {
-        assert!(conn < self.iat.len(), "connection {conn} not declared");
+    /// Records one arrival of a connection grouped under `group`:
+    /// `gap` cycles after its previous arrival, against its nominal
+    /// `iat`. A first arrival (`gap == None`) opens the group without
+    /// a sample.
+    pub fn record(&mut self, group: usize, gap: Option<u64>, iat: u64) {
         if group >= self.groups.len() {
             self.groups.resize(group + 1, JitterHistogram::default());
         }
-        if let Some(prev) = self.last[conn] {
-            let gap = now.saturating_sub(prev);
-            self.groups[group].record(gap, self.iat[conn]);
+        if let Some(gap) = gap {
+            self.groups[group].record(gap, iat);
         }
-        self.last[conn] = Some(now);
     }
 
     /// The histogram of a group.
@@ -192,17 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn collector_tracks_per_connection_gaps() {
+    fn collector_bins_gaps_per_group() {
         let mut c = JitterCollector::new();
-        c.declare(0, 100);
-        c.declare(1, 200);
-        // Conn 0 arrives at 0, 100, 205 -> gaps 100 (centre), 105 (centre).
-        c.record(0, 0, 0);
-        c.record(0, 0, 100);
-        c.record(0, 0, 205);
-        // Conn 1 arrives at 0, 420 -> gap 420, dev +1.1 -> beyond +IAT.
-        c.record(1, 1, 0);
-        c.record(1, 1, 420);
+        // Group 0, IAT 100: gaps 100 and 105 land in the centre.
+        c.record(0, None, 100);
+        c.record(0, Some(100), 100);
+        c.record(0, Some(105), 100);
+        // Group 1, IAT 200: gap 420, dev +1.1 -> beyond +IAT.
+        c.record(1, None, 200);
+        c.record(1, Some(420), 200);
         assert_eq!(c.group(0).unwrap().total(), 2);
         assert_eq!(c.group(0).unwrap().central_pct(), 100.0);
         assert!(c.group(1).unwrap().exceeded_iat());
@@ -212,9 +196,9 @@ mod tests {
     #[test]
     fn first_arrival_produces_no_sample() {
         let mut c = JitterCollector::new();
-        c.declare(0, 50);
-        c.record(0, 0, 10);
-        assert!(c.group(0).is_none_or(|g| g.total() == 0));
+        c.record(2, None, 50);
+        assert_eq!(c.group(2).map(JitterHistogram::total), Some(0));
+        assert_eq!(c.groups().count(), 0);
     }
 
     #[test]

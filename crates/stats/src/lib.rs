@@ -16,11 +16,9 @@
 pub mod delay;
 pub mod jitter;
 pub mod report;
-pub mod series;
 pub mod util;
 
-pub use delay::{DelayCollector, DelayDistribution, DEFAULT_THRESHOLDS};
+pub use delay::{DelayCollector, DelayCounts, DelayDistribution, DEFAULT_THRESHOLDS};
 pub use jitter::{JitterCollector, JitterHistogram, JITTER_BIN_LABELS};
 pub use report::{Align, Table};
-pub use series::{Series, TimeBins};
 pub use util::{MeanAccumulator, UtilizationSummary};

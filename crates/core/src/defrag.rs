@@ -16,13 +16,24 @@
 //! power-of-two size `≤ f`, hence the canonical invariant: *any request
 //! whose entry count does not exceed the free-entry count is
 //! satisfiable*.
+//!
+//! # The cursor form
+//!
+//! Because descending-size placement keeps the used slots a contiguous
+//! prefix of reversed space, the leftmost free aligned block for the
+//! next sequence always starts at the prefix's end. The plan therefore
+//! needs no probes: a cursor counts the reversed-space slots packed so
+//! far, the next sequence of `s = 64/d` entries takes block
+//! `cursor / s`, i.e. `E_{log2 d, rev(cursor / s)}`, and the cursor
+//! advances by `s`. The set does not fit once `cursor + s > 64`.
 
-use crate::alloc::{BitReversalAllocator, SequenceAllocator};
+use crate::bitrev::bit_reverse;
+use crate::entry::TABLE_ENTRIES;
 use crate::eset::ESet;
 use crate::sequence::SequenceId;
 
 /// One sequence move produced by the defragmentation pass.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Relocation {
     /// The sequence being (possibly) moved.
     pub sequence: SequenceId,
@@ -34,10 +45,14 @@ pub struct Relocation {
 
 /// Computes the canonical placement for a set of live sequences.
 ///
-/// Sequences are re-placed by the bit-reversal policy, largest (most
-/// entries, i.e. smallest distance) first; ties are broken by the current
-/// offset and then the id, which keeps the plan deterministic and avoids
-/// gratuitous swaps between equal-sized sequences.
+/// Sequences are re-placed leftmost-first in reversed space (the
+/// bit-reversal policy's choice), largest (most entries, i.e. smallest
+/// distance) first; ties are broken by the current offset and then the
+/// id, which keeps the plan deterministic. The tie-break does not avoid
+/// moves: equal-size sequences sort by natural offset, not by their
+/// reversed-space position, so a plan can swap two equal-size sequences
+/// whose union already sits in place, rewriting slots without changing
+/// the occupancy mask.
 ///
 /// Returns `None` only if re-packing fails, which is impossible for any
 /// set of non-overlapping live sequences (their total size is ≤ 64 and
@@ -45,21 +60,35 @@ pub struct Relocation {
 /// so callers can keep the proof obligation visible.
 #[must_use]
 pub fn canonical_plan(live: &[(SequenceId, ESet)]) -> Option<Vec<Relocation>> {
-    let mut order: Vec<&(SequenceId, ESet)> = live.iter().collect();
-    order.sort_by_key(|(id, e)| (e.distance().slots(), e.offset(), *id));
+    let mut plan: Vec<Relocation> = live
+        .iter()
+        .map(|&(sequence, from)| Relocation {
+            sequence,
+            from,
+            to: from,
+        })
+        .collect();
+    plan_in_place(&mut plan).then_some(plan)
+}
 
-    let mut occupancy = 0u64;
-    let mut plan = Vec::with_capacity(live.len());
-    for (id, from) in order {
-        let to = BitReversalAllocator.select(occupancy, from.distance())?;
-        occupancy |= to.mask();
-        plan.push(Relocation {
-            sequence: *id,
-            from: *from,
-            to,
-        });
+/// The canonical plan computed in place, without allocating: sorts
+/// `plan` into placement order by its `from` sets and sets every `to`.
+/// Returns `false` (leaving the targets partly set) when the sequences
+/// do not fit in one table.
+pub(crate) fn plan_in_place(plan: &mut [Relocation]) -> bool {
+    // Ids are unique, so the unstable sort's order is fully determined.
+    plan.sort_unstable_by_key(|r| (r.from.distance().slots(), r.from.offset(), r.sequence));
+    let mut cursor = 0;
+    for r in plan {
+        let d = r.from.distance();
+        let size = d.entries();
+        if cursor + size > TABLE_ENTRIES {
+            return false;
+        }
+        r.to = ESet::new(d, bit_reverse((cursor / size) as u32, d.log2()) as usize);
+        cursor += size;
     }
-    Some(plan)
+    true
 }
 
 /// Whether an occupancy mask is canonical: for every distance `d`, if at
@@ -76,7 +105,7 @@ pub fn is_canonical(occupancy: u64) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::distance::Distance;
 
@@ -170,5 +199,93 @@ mod tests {
     #[test]
     fn full_table_is_canonical() {
         assert!(is_canonical(u64::MAX));
+    }
+
+    /// The probe-based planner the cursor form replaced: each sequence,
+    /// in canonical order, takes the first free set the bit-reversal
+    /// allocator finds.
+    pub(crate) fn probe_plan(live: &[(SequenceId, ESet)]) -> Option<Vec<Relocation>> {
+        use crate::alloc::{BitReversalAllocator, SequenceAllocator};
+        let mut order: Vec<&(SequenceId, ESet)> = live.iter().collect();
+        order.sort_by_key(|(id, e)| (e.distance().slots(), e.offset(), *id));
+        let mut occupancy = 0u64;
+        let mut plan = Vec::with_capacity(live.len());
+        for (id, from) in order {
+            let to = BitReversalAllocator.select(occupancy, from.distance())?;
+            occupancy |= to.mask();
+            plan.push(Relocation {
+                sequence: *id,
+                from: *from,
+                to,
+            });
+        }
+        Some(plan)
+    }
+
+    /// A random set at a random offset of a random distance.
+    fn any_set(rng: &mut crate::rng::SplitMix64) -> ESet {
+        let d = *rng.choose(&Distance::ALL).expect("non-empty");
+        ESet::new(d, rng.gen_range(0usize..d.slots()))
+    }
+
+    /// Live sets of `tries` greedy non-overlapping picks; a full table
+    /// is topped up with singles.
+    fn packed_set(rng: &mut crate::rng::SplitMix64, tries: usize, full: bool) -> Vec<ESet> {
+        let mut occ = 0u64;
+        let mut sets = Vec::new();
+        for _ in 0..tries {
+            let e = any_set(rng);
+            if e.is_free_in(occ) {
+                occ |= e.mask();
+                sets.push(e);
+            }
+        }
+        if full {
+            sets.extend(
+                (0..64)
+                    .filter(|s| occ & 1 << s == 0)
+                    .map(|s| ESet::new(Distance::D64, s)),
+            );
+        }
+        sets
+    }
+
+    #[test]
+    fn cursor_plan_equals_the_probe_plan() {
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0xDEF4A6);
+        let (mut full, mut overfull) = (0, 0);
+        for seed in 0..3000u64 {
+            let sets = match seed % 5 {
+                // Non-overlapping sets of every fill level.
+                0 | 1 => {
+                    let tries = rng.gen_range(0usize..80);
+                    packed_set(&mut rng, tries, false)
+                }
+                // Full tables.
+                2 => packed_set(&mut rng, 40, true),
+                // Arbitrary sets, overlapping as after an entry-set
+                // collision: some fit, most over-full ones must not.
+                _ => {
+                    let n = rng.gen_range(0usize..24);
+                    (0..n).map(|_| any_set(&mut rng)).collect()
+                }
+            };
+            let mut live: Vec<(SequenceId, ESet)> = sets
+                .into_iter()
+                .enumerate()
+                .map(|(i, e)| (SequenceId::new(i as u32 * 3 + 1), e))
+                .collect();
+            rng.shuffle(&mut live);
+            let size: usize = live.iter().map(|(_, e)| e.len()).sum();
+            full += usize::from(size == 64);
+            overfull += usize::from(size > 64);
+            let plan = canonical_plan(&live);
+            assert_eq!(plan, probe_plan(&live), "seed {seed}: {live:?}");
+            assert_eq!(plan.is_none(), size > 64, "seed {seed}");
+        }
+        assert!(
+            full > 300 && overfull > 300,
+            "{full} full, {overfull} over-full"
+        );
     }
 }

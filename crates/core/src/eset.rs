@@ -9,6 +9,22 @@ use crate::bitrev::probe_order;
 use crate::distance::Distance;
 use crate::entry::TABLE_ENTRIES;
 
+/// Base pattern of `E_{i,0}`, indexed by `i = log2(d)`: bits
+/// `0, d, 2d, …`. A set's mask is its base pattern shifted by `j`.
+const BASE_MASKS: [u64; 7] = {
+    let mut masks = [0u64; 7];
+    let mut i = 0;
+    while i < masks.len() {
+        let mut k = 0;
+        while k < TABLE_ENTRIES {
+            masks[i] |= 1u64 << k;
+            k += 1 << i;
+        }
+        i += 1;
+    }
+    masks
+};
+
 /// The set `E_{i,j} = { t_{j + n·2^i} : n = 0 .. 64/2^i - 1 }`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ESet {
@@ -17,6 +33,12 @@ pub struct ESet {
 }
 
 impl ESet {
+    /// `E_{6,0}`, the single slot 0: a filler for fixed-size buffers.
+    pub(crate) const SLOT_ZERO: ESet = ESet {
+        distance: Distance::D64,
+        offset: 0,
+    };
+
     /// Creates `E_{i,j}` for `i = log2(distance)` and offset `j`.
     ///
     /// Panics if `offset >= distance` (offsets beyond the distance alias
@@ -67,15 +89,7 @@ impl ESet {
     /// The set as a bitmask over the 64 table slots.
     #[must_use]
     pub fn mask(self) -> u64 {
-        // Base pattern for distance d: bits 0, d, 2d, ... then shift by j.
-        let d = self.distance.slots();
-        let mut base: u64 = 0;
-        let mut k = 0;
-        while k < TABLE_ENTRIES {
-            base |= 1u64 << k;
-            k += d;
-        }
-        base << self.offset
+        BASE_MASKS[self.distance.log2() as usize] << self.offset
     }
 
     /// Whether every slot of the set is free under the given occupancy

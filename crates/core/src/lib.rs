@@ -45,7 +45,6 @@ pub mod sl;
 pub mod table;
 pub mod vlarb;
 pub mod weight;
-pub mod wire;
 
 pub use alloc::{AllocatorKind, BitReversalAllocator, FirstFitAllocator, SequenceAllocator};
 pub use defrag::{is_canonical, Relocation};

@@ -3,7 +3,7 @@
 //! defragmentation.
 
 use crate::alloc::AllocatorKind;
-use crate::defrag::{canonical_plan, Relocation};
+use crate::defrag::{plan_in_place, Relocation};
 use crate::distance::{effective_request, Distance};
 use crate::entry::{TableSlot, VirtualLane, TABLE_ENTRIES};
 use crate::eset::ESet;
@@ -383,35 +383,52 @@ impl HighPriorityTable {
     /// which provably packs them and leaves the free slots in the
     /// canonical layout (free entries can always serve the most
     /// restrictive request their count permits).
+    ///
+    /// Allocates nothing but the returned moves. When a sequence moves,
+    /// every slot is rewritten from the sequence records, so damaged
+    /// slot contents are discarded too.
     pub fn defragment(&mut self) -> Vec<Relocation> {
-        let live: Vec<(SequenceId, ESet)> = self
-            .sequences
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (SequenceId(i as u32), s.eset)))
-            .collect();
-        let plan = canonical_plan(&live);
+        const UNUSED: Relocation = Relocation {
+            sequence: SequenceId(0),
+            from: ESet::SLOT_ZERO,
+            to: ESet::SLOT_ZERO,
+        };
+        // Every live sequence holds at least one slot, so a table that
+        // re-packs has at most 64 of them.
+        let mut plan = [UNUSED; TABLE_ENTRIES];
+        let mut live = 0;
+        for (i, s) in self.sequences.iter().enumerate() {
+            if let Some(s) = s {
+                assert!(live < TABLE_ENTRIES, "live sequences always re-pack");
+                plan[live] = Relocation {
+                    sequence: SequenceId(i as u32),
+                    from: s.eset,
+                    to: s.eset,
+                };
+                live += 1;
+            }
+        }
+        let plan = &mut plan[..live];
         // Theorem: descending-size re-placement of a feasible live set
         // always fits.
-        assert!(plan.is_some(), "live sequences always re-pack");
-        let Some(plan) = plan else { return Vec::new() };
-        let moves: Vec<Relocation> = plan.iter().filter(|r| r.from != r.to).cloned().collect();
-        if moves.is_empty() {
-            return moves;
+        assert!(plan_in_place(plan), "live sequences always re-pack");
+        let moved = plan.iter().filter(|r| r.from != r.to).count();
+        if moved == 0 {
+            return Vec::new();
         }
-        // Apply: clear all slots of moved sequences, then rewrite.
+        let mut moves = Vec::with_capacity(moved);
+        moves.extend(plan.iter().filter(|r| r.from != r.to));
+        // Apply: clear every slot, then write each sequence at its
+        // target (the targets are disjoint).
         self.occupancy = 0;
         self.slots = [TableSlot::FREE; TABLE_ENTRIES];
-        for r in &plan {
+        for r in plan.iter() {
             // The plan only names live sequences.
             if let Some(seq) = self.sequences[r.sequence.0 as usize].as_mut() {
                 seq.eset = r.to;
                 self.occupancy |= r.to.mask();
             }
-        }
-        let ids: Vec<SequenceId> = plan.iter().map(|r| r.sequence).collect();
-        for id in ids {
-            self.rewrite_sequence_slots(id);
+            self.rewrite_sequence_slots(r.sequence);
         }
         moves
     }
@@ -872,6 +889,98 @@ mod tests {
         // released and re-admissible.
         assert_eq!(t.reserved_weight(), 40);
         assert!(t.can_admit(sl(2), Distance::D16, 60));
+    }
+
+    /// The defragmentation the allocation-free pass replaced: collect
+    /// the live set, plan it with the probe-based planner, and on any
+    /// move clear every slot and rewrite each sequence in plan order.
+    fn reference_defragment(t: &mut HighPriorityTable) -> Vec<Relocation> {
+        let live: Vec<(SequenceId, ESet)> = t
+            .sequences
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|s| (SequenceId(i as u32), s.eset)))
+            .collect();
+        let plan = crate::defrag::tests::probe_plan(&live).expect("live sequences re-pack");
+        let moves: Vec<Relocation> = plan.iter().filter(|r| r.from != r.to).cloned().collect();
+        if moves.is_empty() {
+            return moves;
+        }
+        t.occupancy = 0;
+        t.slots = [TableSlot::FREE; TABLE_ENTRIES];
+        for r in &plan {
+            if let Some(seq) = t.sequences[r.sequence.0 as usize].as_mut() {
+                seq.eset = r.to;
+                t.occupancy |= r.to.mask();
+            }
+        }
+        for r in &plan {
+            t.rewrite_sequence_slots(r.sequence);
+        }
+        moves
+    }
+
+    fn assert_twins(a: &HighPriorityTable, b: &HighPriorityTable, at: &str) {
+        assert_eq!(a.slots(), b.slots(), "{at}: slots");
+        assert_eq!(a.occupancy(), b.occupancy(), "{at}: occupancy");
+        assert_eq!(a.reserved_weight(), b.reserved_weight(), "{at}: weight");
+        let seqs = |t: &HighPriorityTable| format!("{:?}", t.sequences);
+        assert_eq!(seqs(a), seqs(b), "{at}: sequences");
+    }
+
+    #[test]
+    fn defragment_matches_the_reference_on_a_seeded_walk() {
+        for (seed, allocator) in [
+            (1u64, AllocatorKind::BitReversal),
+            (2, AllocatorKind::BitReversal),
+            (3, AllocatorKind::FirstFit),
+            (4, AllocatorKind::ReverseFit),
+        ] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            // `a` defragments itself on release; its twin `b` never
+            // does, and is defragmented by the reference instead.
+            let mut a = HighPriorityTable::with_allocator(allocator);
+            let mut b = HighPriorityTable::with_allocator(allocator);
+            b.set_auto_defrag(false);
+            let mut live: Vec<(SequenceId, Weight)> = Vec::new();
+            let mut moved = 0;
+            for step in 0..4000 {
+                let at = format!("seed {seed} step {step}");
+                if live.is_empty() || rng.gen_range(0u32..5) < 3 {
+                    let k = rng.gen_range(0u8..10);
+                    let d = *rng.choose(&Distance::ALL).unwrap();
+                    let w = rng.gen_range(1u32..300);
+                    let got = a.admit(sl(k), vl(k), d, w);
+                    assert_eq!(got, b.admit(sl(k), vl(k), d, w), "{at}: admit");
+                    if let Ok(adm) = got {
+                        live.push((adm.sequence, w));
+                    }
+                } else {
+                    let (id, w) = live.swap_remove(rng.gen_range(0usize..live.len()));
+                    let got = a.release(id, w).unwrap();
+                    b.release(id, w).unwrap();
+                    // Release defragments only when the sequence dies.
+                    let want = match b.sequence(id) {
+                        None => reference_defragment(&mut b),
+                        Some(_) => Vec::new(),
+                    };
+                    assert_eq!(got, want, "{at}: relocations");
+                    moved += usize::from(!got.is_empty());
+                }
+                assert_twins(&a, &b, &at);
+                if step % 97 == 0 {
+                    // Damaged slots and colliding entry sets: both
+                    // passes must rewrite the same slots from the same
+                    // records.
+                    let (mut da, mut db) = (a.clone(), b.clone());
+                    da.inject_corruption(&mut SplitMix64::seed_from_u64(step));
+                    db.inject_corruption(&mut SplitMix64::seed_from_u64(step));
+                    assert_eq!(da.defragment(), reference_defragment(&mut db), "{at}");
+                    assert_twins(&da, &db, &format!("{at} (damaged)"));
+                }
+            }
+            assert!(moved > 100, "seed {seed}: only {moved} moving defrags");
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@ use iba_core::{sl, AllocatorKind, ArbEntry, HighPriorityTable, SlTable, SlToVlMa
 use iba_sim::{Fabric, NodeId, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 use iba_traffic::ConnectionRequest;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Configuration of the low-priority table shared by all ports: one
 /// entry per best-effort class, weighted by preference (PBE over BE over
@@ -85,6 +87,9 @@ pub struct QosManager {
     sl_to_vl: SlToVlMap,
     tables: PortTables,
     connections: Vec<Option<Connection>>,
+    /// Indices of the empty `connections` records, smallest on top: a
+    /// new connection takes the smallest free id.
+    free_ids: BinaryHeap<Reverse<u32>>,
     low: LowPriorityPolicy,
     link_mbps: f64,
     header_bytes: u32,
@@ -117,6 +122,7 @@ impl QosManager {
             sl_to_vl: SlToVlMap::identity(),
             tables: PortTables::with_allocator(allocator, qos_fraction),
             connections: Vec::new(),
+            free_ids: BinaryHeap::new(),
             low: LowPriorityPolicy::default(),
             link_mbps: LINK_1X_MBPS,
             header_bytes: 0,
@@ -219,18 +225,19 @@ impl QosManager {
     /// (the last one faces the destination host).
     #[must_use]
     pub fn path_ports(&self, src: HostId, dst: HostId) -> Vec<PortKey> {
-        let mut ports = vec![PortKey {
+        // A loop-free route visits each switch at most once.
+        let mut ports = Vec::with_capacity(1 + self.topo.num_switches());
+        ports.push(PortKey {
             node: NodeId::Host(src.0),
             port: 0,
-        }];
-        let path = self.routing.switch_path(&self.topo, src, dst);
-        assert!(path.is_some(), "routing is complete: {src} -> {dst}");
-        for s in path.into_iter().flatten() {
+        });
+        let routed = self.routing.for_each_hop(&self.topo, src, dst, |s, port| {
             ports.push(PortKey {
                 node: NodeId::Switch(s.0),
-                port: self.routing.port(s, dst),
+                port,
             });
-        }
+        });
+        assert!(routed, "routing is complete: {src} -> {dst}");
         ports
     }
 
@@ -316,17 +323,18 @@ impl QosManager {
             interarrival: req.interarrival(),
             hops,
         };
-        let id = self
-            .connections
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or_else(|| {
-                self.connections.push(None);
-                self.connections.len() - 1
-            });
-        self.connections[id] = Some(conn);
+        let id = match self.free_ids.pop() {
+            Some(Reverse(id)) => {
+                self.connections[id as usize] = Some(conn);
+                id
+            }
+            None => {
+                self.connections.push(Some(conn));
+                (self.connections.len() - 1) as u32
+            }
+        };
         self.accepted += 1;
-        Ok(ConnectionId(id as u32))
+        Ok(ConnectionId(id))
     }
 
     /// Tears a connection down, releasing every hop (defragmentation
@@ -345,6 +353,7 @@ impl QosManager {
         let Some(conn) = slot.take() else {
             return false;
         };
+        self.free_ids.push(Reverse(id.0));
         // A failed release means the reservation was already evicted by
         // a repair pass; the connection record is gone either way, so
         // absorb the error instead of propagating a teardown failure.
@@ -398,7 +407,7 @@ impl QosManager {
     /// Number of live connections.
     #[must_use]
     pub fn live_connections(&self) -> usize {
-        self.connections.iter().flatten().count()
+        self.connections.len() - self.free_ids.len()
     }
 
     /// Access to the raw port tables (reports, tests).
@@ -670,6 +679,80 @@ mod tests {
             m.topology().peer(SwitchId(s), port),
             PortPeer::Host(HostId(15))
         );
+    }
+
+    #[test]
+    fn connection_ids_match_a_linear_smallest_free_scan() {
+        for seed in 0..4u64 {
+            let mut m = small_manager(seed);
+            let mut rng = iba_core::SplitMix64::seed_from_u64(seed ^ 0x1D5);
+            // The reference: which ids are live, and the smallest free
+            // one found by scanning them all.
+            let mut live: Vec<bool> = Vec::new();
+            let (mut reused, mut stale) = (0, 0);
+            for i in 0..3000u32 {
+                if rng.gen_range(0u32..5) < 3 {
+                    let d = *rng
+                        .choose(&[Distance::D8, Distance::D32, Distance::D64])
+                        .unwrap();
+                    let r = req(
+                        i,
+                        rng.gen_range(0u16..16),
+                        rng.gen_range(0u16..16),
+                        rng.gen_range(0u8..10),
+                        d,
+                        f64::from(rng.gen_range(1u32..40)),
+                    );
+                    let Ok(id) = m.request(&r) else { continue };
+                    let want = live.iter().position(|l| !l).unwrap_or(live.len());
+                    assert_eq!(id.0 as usize, want, "seed {seed} request {i}");
+                    reused += usize::from(want < live.len());
+                    if want == live.len() {
+                        live.push(false);
+                    }
+                    live[want] = true;
+                } else {
+                    // Live, already torn down, or never issued.
+                    let id = rng.gen_range(0usize..live.len() + 3);
+                    let was_live = live.get(id).copied().unwrap_or(false);
+                    stale += usize::from(!was_live);
+                    assert_eq!(m.teardown(ConnectionId(id as u32)), was_live, "seed {seed}");
+                    if was_live {
+                        live[id] = false;
+                        if rng.gen_range(0u32..4) == 0 {
+                            assert!(!m.teardown(ConnectionId(id as u32)), "double teardown");
+                            stale += 1;
+                        }
+                    }
+                }
+                assert_eq!(m.live_connections(), live.iter().filter(|l| **l).count());
+            }
+            assert!(
+                reused > 100 && stale > 100,
+                "seed {seed}: {reused} reused, {stale} stale"
+            );
+        }
+    }
+
+    #[test]
+    fn path_ports_match_the_routed_switch_path() {
+        for seed in 0..4 {
+            let m = small_manager(seed);
+            for src in m.topology().host_ids() {
+                for dst in m.topology().host_ids() {
+                    let switches = m.routing().switch_path(m.topology(), src, dst).unwrap();
+                    let mut want = vec![PortKey {
+                        node: NodeId::Host(src.0),
+                        port: 0,
+                    }];
+                    want.extend(switches.into_iter().map(|s| PortKey {
+                        node: NodeId::Switch(s.0),
+                        port: m.routing().port(s, dst),
+                    }));
+                    assert_eq!(m.path_ports(src, dst), want, "seed {seed}: {src} -> {dst}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,49 +44,53 @@ impl RoutingTable {
         self.root
     }
 
+    /// Walks the route from `src`'s switch to `dest`'s switch, calling
+    /// `hop(switch, port)` for every switch on it with the output port
+    /// the table forwards on (the last one faces `dest`). Returns
+    /// `false`, possibly after some hops, when the table forwards into
+    /// a host or free port before `dest`'s switch, or loops (cannot
+    /// happen for a table [`compute`] built).
+    pub fn for_each_hop(
+        &self,
+        topo: &Topology,
+        src: HostId,
+        dest: HostId,
+        mut hop: impl FnMut(SwitchId, u8),
+    ) -> bool {
+        let target = topo.host_switch(dest);
+        let mut s = topo.host_switch(src);
+        // A loop-free route visits each switch at most once.
+        for _ in 0..topo.num_switches() {
+            let port = self.port(s, dest);
+            hop(s, port);
+            if s == target {
+                return true;
+            }
+            match topo.peer(s, port) {
+                PortPeer::Switch { switch, .. } => s = switch,
+                _ => return false,
+            }
+        }
+        false
+    }
+
     /// Number of switch-to-switch hops from `src` host's switch to
     /// `dest` host's switch, plus the two host links: the path length in
     /// links. Returns `None` for unreachable pairs (cannot happen on
     /// connected fabrics).
     #[must_use]
     pub fn path_hops(&self, topo: &Topology, src: HostId, dest: HostId) -> Option<usize> {
-        let mut s = topo.host_switch(src);
-        let target = topo.host_switch(dest);
-        let mut hops = 1; // host -> first switch
-        let mut guard = 0;
-        while s != target {
-            let p = self.port(s, dest);
-            match topo.peer(s, p) {
-                PortPeer::Switch { switch, .. } => s = switch,
-                _ => return None,
-            }
-            hops += 1;
-            guard += 1;
-            if guard > topo.num_switches() {
-                return None; // routing loop — invalid table
-            }
-        }
-        Some(hops)
+        let mut hops = 0;
+        self.for_each_hop(topo, src, dest, |_, _| hops += 1)
+            .then_some(hops)
     }
 
     /// The full switch path (excluding host links) from `src` to `dest`.
     #[must_use]
     pub fn switch_path(&self, topo: &Topology, src: HostId, dest: HostId) -> Option<Vec<SwitchId>> {
-        let mut s = topo.host_switch(src);
-        let target = topo.host_switch(dest);
-        let mut path = vec![s];
-        while s != target {
-            let p = self.port(s, dest);
-            match topo.peer(s, p) {
-                PortPeer::Switch { switch, .. } => s = switch,
-                _ => return None,
-            }
-            if path.contains(&s) {
-                return None; // loop
-            }
-            path.push(s);
-        }
-        Some(path)
+        let mut path = Vec::new();
+        self.for_each_hop(topo, src, dest, |s, _| path.push(s))
+            .then_some(path)
     }
 }
 
@@ -323,6 +327,21 @@ mod tests {
         let r = compute(&t);
         assert_eq!(r.path_hops(&t, HostId(0), HostId(1)), Some(2));
         assert_eq!(r.path_hops(&t, HostId(1), HostId(2)), Some(2));
+    }
+
+    #[test]
+    fn looping_or_dead_end_tables_have_no_route() {
+        let t = line3();
+        let mut r = compute(&t);
+        // S1 sends H2's traffic back to S0: a loop.
+        r.ports[1][2] = r.port(SwitchId(1), HostId(0));
+        r.ports[0][2] = r.port(SwitchId(0), HostId(1));
+        assert_eq!(r.switch_path(&t, HostId(0), HostId(2)), None);
+        assert_eq!(r.path_hops(&t, HostId(0), HostId(2)), None);
+        // S0 sends H2's traffic to its own host: a dead end.
+        r.ports[0][2] = r.port(SwitchId(0), HostId(0));
+        assert!(!r.for_each_hop(&t, HostId(0), HostId(2), |_, _| {}));
+        assert_eq!(r.switch_path(&t, HostId(0), HostId(2)), None);
     }
 
     #[test]

@@ -1,17 +1,27 @@
-//! Delivery digests pinned for the simulator modes the golden fixtures
-//! do not exercise: priority-aware input claiming, alone and under a
-//! hand-built port-fault plan (VL blackout, credit stall, link down/up,
-//! table corruption).
+//! Digests pinned for behaviour the golden fixtures do not exercise.
 //!
-//! Each run folds every delivery, in order, into an FNV-1a digest. A
-//! change to the crossbar candidate scan, the input-claiming rule or
-//! the fault gating that moves a single packet by a single cycle
-//! changes the digest. The constants were recorded with a candidate
-//! scan over every input and occupied lane, the reference the
-//! routed-head index must reproduce; never regenerate them to make a
-//! scan change pass.
+//! * Delivery digests of the simulator's priority-aware input claiming,
+//!   alone and under a hand-built port-fault plan (VL blackout, credit
+//!   stall, link down/up, table corruption). Each run folds every
+//!   delivery, in order, into an FNV-1a digest. A change to the
+//!   crossbar candidate scan, the input-claiming rule or the fault
+//!   gating that moves a single packet by a single cycle changes the
+//!   digest. The constants were recorded with a candidate scan over
+//!   every input and occupied lane, the reference the routed-head index
+//!   must reproduce.
+//! * Admission digests: the final port tables and the per-request
+//!   outcomes (connection id or reject reason) of a seeded Table-1 fill,
+//!   and of a churn run that keeps admitting and tearing down on a
+//!   filled fabric. A change to the allocator, the canonical
+//!   defragmentation plan or the connection-id rule that moves one
+//!   table slot or one id changes them. The constants were recorded
+//!   with the probe-based defragmentation planner and a linear
+//!   smallest-free connection-id scan.
+//!
+//! Never regenerate the constants to make a change pass.
 
 use infiniband_qos::prelude::*;
+use infiniband_qos::qos::{ChurnEvent, ChurnRunner, PortTables};
 use infiniband_qos::sim::{DeliveryRecord, FaultAction, FaultPlan, Observer};
 use infiniband_qos::topo::PortPeer;
 use infiniband_qos::traffic::hotspot::permutation_flows;
@@ -22,6 +32,26 @@ const CLAIMING: (u64, u64) = (0x3eed_e360_45c8_4338, 85_296);
 const CLAIMING_FAULTED: (u64, u64) = (0xd99e_6fb8_c10c_5e73, 75_139);
 
 const HORIZON: u64 = 2_000_000;
+
+/// Seeded Table-1 fill: `(tables digest, outcomes digest, attempted,
+/// accepted)`.
+const FILL: (u64, u64, usize, usize) =
+    (0xdfa6_ef57_523e_6d55, 0x881a_bad9_1141_1109, 20_000, 4_414);
+/// Churn on a filled fabric: `(tables digest, outcomes digest,
+/// admitted, rejected, departed)`.
+const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b7_e55a, 53, 97, 48);
+
+/// FNV-1a over a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of every table's slots, occupancy and sequence records.
+fn tables_digest(tables: &PortTables) -> u64 {
+    fnv64(format!("{tables:?}").as_bytes())
+}
 
 struct Digest {
     hash: u64,
@@ -179,5 +209,110 @@ fn priority_input_claiming_under_faults_digest_is_pinned() {
         got, CLAIMING_FAULTED,
         "faulted claiming run: got {:#018x}, {}",
         got.0, got.1
+    );
+}
+
+/// An 8-switch Table-1 fill, request by request, with
+/// [`QosFrame::fill`]'s stopping rule: every rejection past the first
+/// admission rolls back partial reservations and defragments.
+fn fill_outcomes() -> (u64, u64, usize, usize) {
+    let seed = 47;
+    let topo = generate(IrregularConfig::with_switches(8, seed));
+    let mut manager = QosManager::new(
+        topo.clone(),
+        compute_routing(&topo),
+        SlTable::paper_table1(),
+    );
+    let mut gen = RequestGenerator::new(
+        &topo,
+        &SlTable::paper_table1(),
+        &WorkloadConfig::new(256, seed ^ 5),
+    );
+    let mut outcomes = Vec::new();
+    let mut consecutive = 0;
+    while outcomes.len() < 20_000 && consecutive < 200 {
+        let outcome = manager.request(&gen.next_request());
+        consecutive = if outcome.is_ok() { 0 } else { consecutive + 1 };
+        outcomes.push(outcome);
+    }
+    let accepted = outcomes.iter().filter(|o| o.is_ok()).count();
+    (
+        tables_digest(manager.port_tables()),
+        fnv64(format!("{outcomes:?}").as_bytes()),
+        outcomes.len(),
+        accepted,
+    )
+}
+
+/// A filled 4-switch frame that keeps taking arrivals while the oldest
+/// churn connections depart. The outcome digest covers the final
+/// connection-id → request-id map, which every id reuse shapes.
+fn churn_outcomes() -> (u64, u64, u64, u64, u64) {
+    let seed = 53;
+    let topo = generate(IrregularConfig::with_switches(4, seed));
+    let mut frame = QosFrame::new(
+        topo.clone(),
+        compute_routing(&topo),
+        SlTable::paper_table1(),
+        SimConfig::paper_default(256),
+    );
+    let mut gen = RequestGenerator::new(
+        &topo,
+        &SlTable::paper_table1(),
+        &WorkloadConfig::new(256, seed ^ 5),
+    );
+    frame.fill(&mut gen, 30, 1500);
+    let mut events = Vec::new();
+    for k in 0..150u64 {
+        events.push(ChurnEvent::Arrive {
+            at: k * 8_000,
+            request: gen.next_request(),
+        });
+        // Departures in bursts, so several ids are free at once and
+        // the smallest-free rule decides which one the next admit gets.
+        if k % 9 == 8 {
+            for i in 0..3 {
+                events.push(ChurnEvent::DepartOldest {
+                    at: k * 8_000 + 4_000 + i,
+                });
+            }
+        }
+    }
+    let (mut fabric, mut obs) = frame.build_fabric(3, None);
+    let stats = ChurnRunner::new(events).run(&mut frame, &mut fabric, &mut obs, 1_300_000);
+    let live: Vec<(u32, u32)> = frame
+        .manager
+        .connections()
+        .map(|(id, c)| (id.0, c.request.id))
+        .collect();
+    (
+        tables_digest(frame.manager.port_tables()),
+        fnv64(format!("{live:?}").as_bytes()),
+        stats.admitted,
+        stats.rejected,
+        stats.departed,
+    )
+}
+
+#[test]
+fn table1_fill_tables_and_outcomes_are_pinned() {
+    let got = fill_outcomes();
+    assert!(got.3 > 0 && got.3 < got.2, "fill must admit and reject");
+    assert_eq!(
+        got, FILL,
+        "fill: got ({:#018x}, {:#018x}, {}, {})",
+        got.0, got.1, got.2, got.3
+    );
+}
+
+#[test]
+fn churn_tables_and_outcomes_are_pinned() {
+    let got = churn_outcomes();
+    assert!(got.2 > 0 && got.3 > 0, "churn must admit and reject");
+    assert!(got.2 > got.4, "churn connections must outlive the run");
+    assert_eq!(
+        got, CHURN,
+        "churn: got ({:#018x}, {:#018x}, {}, {}, {})",
+        got.0, got.1, got.2, got.3, got.4
     );
 }

@@ -365,16 +365,19 @@ fn measured_shares() -> Vec<VlShare> {
     vl_shares(&rec.metrics)
 }
 
-/// CAC tier: sustained end-to-end admissions through the sharded
-/// admission service at 1, 2 and 8 shards over a repair-free
-/// admit/teardown trace. Each row reports the per-admission cost
-/// (`ns_per_op`, i.e. `1e9 / ns` admissions per second sustained) with
-/// p50/p99 over the per-segment admit latencies. Every segment's
-/// outcome vector is asserted byte-identical across shard counts — a
-/// bench run doubles as a determinism check.
+/// CAC tier: sustained end-to-end admissions over a repair-free
+/// admit/teardown trace, through the sequential `QosManager`
+/// (`cac/sequential`) and through the sharded admission service at 1,
+/// 2 and 8 shards (`cac/serve/shards=K`), on the same segments, so the
+/// service's cost over the manager it must match is visible. Each row
+/// reports the per-admission cost (`ns_per_op`, i.e. `1e9 / ns`
+/// admissions per second sustained) with p50/p99 over the per-segment
+/// admit latencies. Every segment's service outcome vector is asserted
+/// byte-identical to the sequential one — a bench run doubles as a
+/// determinism check.
 fn bench_cac() -> Vec<BenchRecord> {
-    use iba_qos::service::{generate_trace, run_trace, TraceConfig};
-    use iba_qos::QosManager;
+    use iba_qos::service::{apply_trace_sequential, generate_trace, run_trace, TraceConfig};
+    use iba_qos::{QosManager, TraceOutcome};
 
     const SEGMENTS: usize = 8;
     const TRACE_LEN: usize = 256;
@@ -399,42 +402,55 @@ fn bench_cac() -> Vec<BenchRecord> {
             })
         })
         .collect();
+    let timed = |run: &mut dyn FnMut() -> Vec<TraceOutcome>| {
+        let started = std::time::Instant::now();
+        let outcomes = run();
+        (outcomes, started.elapsed().as_nanos() as f64)
+    };
 
-    let mut reference: Vec<Vec<iba_qos::TraceOutcome>> = Vec::new();
+    let mut reference: Vec<Vec<TraceOutcome>> = Vec::new();
     let mut records = Vec::new();
-    for shards in [1usize, 2, 8] {
+    // `None` is the sequential manager, `Some(k)` the service at k shards.
+    for shards in [None, Some(1usize), Some(2), Some(8)] {
         let mut samples_ns: Vec<f64> = Vec::with_capacity(SEGMENTS);
         let mut admissions = 0u64;
         let mut wall_ns = 0f64;
         for (s, ops) in traces.iter().enumerate() {
-            let (planner, _) = build();
+            let (mut mgr, _) = build();
             let mut rec = ObsRecorder::new();
-            let started = std::time::Instant::now();
-            let report = run_trace(&planner, ops, shards, &mut rec);
-            let ns = started.elapsed().as_nanos() as f64;
-            if shards == 1 {
-                reference.push(report.outcomes.clone());
-            } else {
-                assert_eq!(
-                    report.outcomes, reference[s],
-                    "serve outcomes diverge at {shards} shards (segment {s})"
-                );
+            let (outcomes, ns) = match shards {
+                None => timed(&mut || apply_trace_sequential(&mut mgr, ops, &mut rec)),
+                Some(k) => timed(&mut || run_trace(&mgr, ops, k, &mut rec).outcomes),
+            };
+            match shards {
+                None => reference.push(outcomes.clone()),
+                Some(k) => assert_eq!(
+                    outcomes, reference[s],
+                    "serve outcomes diverge at {k} shards (segment {s})"
+                ),
             }
-            samples_ns.push(ns / report.accepted.max(1) as f64);
-            admissions += report.accepted;
+            let accepted = outcomes
+                .iter()
+                .filter(|o| matches!(o, TraceOutcome::Admitted { .. }))
+                .count() as u64;
+            samples_ns.push(ns / accepted.max(1) as f64);
+            admissions += accepted;
             wall_ns += ns;
         }
         samples_ns.sort_by(|a, b| a.total_cmp(b));
         let pct = |q: f64| samples_ns[((samples_ns.len() - 1) as f64 * q).round() as usize];
         let ns_per_op = wall_ns / admissions.max(1) as f64;
+        let name = match shards {
+            None => "cac/sequential".to_string(),
+            Some(k) => format!("cac/serve/shards={k}"),
+        };
         println!(
-            "cac serve shards={shards}: {admissions} admissions, {:.0} admissions/s \
-             sustained, p99 admit {:.0} ns",
+            "{name}: {admissions} admissions, {:.0} admissions/s sustained, p99 admit {:.0} ns",
             1e9 / ns_per_op,
             pct(0.99),
         );
         records.push(BenchRecord {
-            name: format!("cac/serve/shards={shards}"),
+            name,
             iters: admissions,
             ns_per_op,
             p50_ns: pct(0.50),

@@ -540,11 +540,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
     // timeline keyed by finalized trace operations plus per-request
     // trace records for span reassembly and request tracks.
     let windowed = args.slo.is_some() || args.flight_dir.is_some() || args.perfetto.is_some();
-    let mut outcome = if windowed {
-        iba_harness::run_serve_windowed(&cfg, args.window)
-    } else {
-        iba_harness::run_serve(&cfg)
-    };
+    let mut outcome = iba_harness::run_serve(&cfg, windowed.then_some(args.window));
     let mut out = if args.replay {
         outcome.render_report()
     } else {
@@ -627,7 +623,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
 }
 
 /// `ibaqos chaos-serve` — drives the sharded admission service under a
-/// seeded control-plane fault calendar (worker crashes, vote-message
+/// seeded control-plane fault calendar (shard crashes, vote-message
 /// loss/delay, reply loss) and audits the survivor for convergence to
 /// the sequential manager plus exactly-once reservation semantics. The
 /// `--replay` report is byte-identical at any `--shards`; CI checks 1,
@@ -639,11 +635,7 @@ pub fn chaos_serve(args: &Args) -> Result<String, String> {
         iba_harness::ChaosServeConfig::new(args.switches, args.seed, args.requests, args.shards);
     cfg.journal = !args.no_journal;
     let windowed = args.slo.is_some() || args.flight_dir.is_some() || args.perfetto.is_some();
-    let mut outcome = if windowed {
-        iba_harness::run_chaos_serve_windowed(&cfg, args.window)
-    } else {
-        iba_harness::run_chaos_serve(&cfg)
-    };
+    let mut outcome = iba_harness::run_chaos_serve(&cfg, windowed.then_some(args.window));
     let mut out = if args.replay {
         outcome.render_report()
     } else {

@@ -44,7 +44,7 @@
 //! `--replay` report is byte-identical at any `--shards`, and its
 //! `--perfetto` export renders one causal track per request.
 //! `chaos-serve` replays the same trace under a seeded control-plane
-//! fault calendar — shard-worker crashes, vote-message loss/delay,
+//! fault calendar — shard crashes, vote-message loss/delay,
 //! reply loss — and exits non-zero unless the write-ahead journal,
 //! deterministic timeouts and idempotent retries make the faulted run
 //! converge to the sequential manager with zero lost and zero

@@ -26,6 +26,7 @@
 use crate::audit::{drive_engine, fill_table, AuditConfig, AuditOutcome};
 use crate::engine::run_sweep_recorded;
 use crate::experiment::{build_experiment_sized, run_measured_faulted};
+use crate::fnv::Fnv64;
 use iba_core::{AllocatorKind, SplitMix64};
 use iba_obs::ObsRecorder;
 use iba_qos::{RecoveryManager, RecoveryStats, RecoverySummary};
@@ -91,9 +92,6 @@ pub struct ChaosOutcome {
     /// Arbitration candidates suppressed by blackout/stall faults.
     pub faults_blocked: u64,
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl ChaosOutcome {
     /// Post-repair guarantee violations.
@@ -224,10 +222,10 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
         let m = run_measured_faulted(&exp, 3, false, &plan, rec);
         (m.delivery_digest, m.delivery_count)
     });
-    let mut sweep_digest = FNV_OFFSET;
+    let mut sweep_digest = Fnv64::default();
     let mut sweep_deliveries = 0u64;
-    for (digest, count) in &digests {
-        sweep_digest = (sweep_digest ^ digest).wrapping_mul(FNV_PRIME);
+    for &(digest, count) in &digests {
+        sweep_digest.word(digest);
         sweep_deliveries += count;
     }
     let faults_injected = merged.metrics.fault_injected.get();
@@ -240,7 +238,7 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
         recovery_stats,
         consistent,
         audit,
-        sweep_digest,
+        sweep_digest: sweep_digest.finish(),
         sweep_deliveries,
         faults_injected,
         faults_blocked,

@@ -1,6 +1,6 @@
 //! The chaos-serve drive: runs a seeded admit/teardown/repair trace
 //! through the sharded admission service **under a control-plane fault
-//! calendar** — worker crashes, vote-message loss/delay, reply loss —
+//! calendar** — shard crashes, vote-message loss/delay, reply loss —
 //! and differentially audits the survivor against both the sequential
 //! [`QosManager`] reference and an unfaulted sharded run.
 //!
@@ -24,23 +24,13 @@
 //! under the same calendar is the negative control: crashes then lose
 //! reservations and the verdict must flip to FAIL.
 
-use iba_core::SlTable;
+use crate::fnv::fnv64;
+use crate::serve::{build_manager, windowed_recorder};
 use iba_obs::ObsRecorder;
 use iba_qos::service::{
     self, FaultStats, ServeFaultPlan, ServeOptions, ServeReport, TraceConfig, TraceOutcome,
 };
-use iba_qos::{PortTables, QosManager};
-use iba_topo::{irregular, updown, Topology};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string — the table-digest witness.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
+use iba_qos::PortTables;
 
 /// Parameters of one chaos-serve run.
 #[derive(Clone, Copy, Debug)]
@@ -99,19 +89,6 @@ pub struct ChaosServeOutcome {
     /// The faulted run's merged recorder (metrics, request tracer and
     /// — on windowed runs — the finished timeline).
     pub recorder: ObsRecorder,
-}
-
-fn build_manager(config: &ChaosServeConfig) -> (QosManager, u16) {
-    let topo: Topology = irregular::generate(irregular::IrregularConfig::with_switches(
-        config.switches,
-        config.seed,
-    ));
-    let hosts = topo.num_hosts() as u16;
-    let routing = updown::compute(&topo);
-    (
-        QosManager::new(topo, routing, SlTable::paper_table1()),
-        hosts,
-    )
 }
 
 /// Releases every live connection's hops (reverse path order) out of a
@@ -242,26 +219,16 @@ impl ChaosServeOutcome {
     }
 }
 
-/// Ring capacity for the coordinator's request tracer on windowed runs.
-const CHAOS_SERVE_TRACE_CAP: usize = 1 << 16;
-
 /// Runs the chaos-serve scenario: one faulted sharded run plus the
 /// sequential reference and the unfaulted ledger baseline.
+///
+/// `window: Some(len)` attaches a windowed timeline (`len` ticks per
+/// window, at least 1) and a request tracer to the faulted recorder,
+/// for `--slo` and the flight recorder. The differential verdicts are
+/// unaffected.
 #[must_use]
-pub fn run_chaos_serve(config: &ChaosServeConfig) -> ChaosServeOutcome {
-    run_chaos_serve_inner(config, 0)
-}
-
-/// [`run_chaos_serve`] with a windowed timeline and a request tracer
-/// attached to the faulted recorder (for `--slo` and the flight
-/// recorder). The differential verdicts are unaffected.
-#[must_use]
-pub fn run_chaos_serve_windowed(config: &ChaosServeConfig, window_len: u64) -> ChaosServeOutcome {
-    run_chaos_serve_inner(config, window_len.max(1))
-}
-
-fn run_chaos_serve_inner(config: &ChaosServeConfig, window_len: u64) -> ChaosServeOutcome {
-    let (planner, hosts) = build_manager(config);
+pub fn run_chaos_serve(config: &ChaosServeConfig, window: Option<u64>) -> ChaosServeOutcome {
+    let (planner, hosts) = build_manager(config.switches, config.seed);
     let ops = service::generate_trace(&TraceConfig::new(hosts, config.seed, config.requests));
 
     // The control-plane fault calendar rides the same seeded-schedule
@@ -271,7 +238,7 @@ fn run_chaos_serve_inner(config: &ChaosServeConfig, window_len: u64) -> ChaosSer
     let plan = ServeFaultPlan::from_calendar(&calendar);
 
     // Sequential reference on an identical, independently built manager.
-    let (mut seq_mgr, _) = build_manager(config);
+    let (mut seq_mgr, _) = build_manager(config.switches, config.seed);
     let mut seq_rec = ObsRecorder::new();
     let seq_outcomes: Vec<TraceOutcome> =
         service::apply_trace_sequential(&mut seq_mgr, &ops, &mut seq_rec);
@@ -279,19 +246,13 @@ fn run_chaos_serve_inner(config: &ChaosServeConfig, window_len: u64) -> ChaosSer
 
     // Unfaulted sharded baseline: its ledger residue is the legitimate
     // one (repairs evict reservations even without faults).
-    let (base_planner, _) = build_manager(config);
+    let (base_planner, _) = build_manager(config.switches, config.seed);
     let mut base_rec = ObsRecorder::new();
     let baseline = service::run_trace(&base_planner, &ops, 1, &mut base_rec);
     let (base_lost, base_leftover) = sweep_ledger(&baseline.tables, &baseline.live);
 
     // The faulted run.
-    let mut rec = if window_len > 0 {
-        let mut r = ObsRecorder::with_tracer(CHAOS_SERVE_TRACE_CAP);
-        r.timeline = Some(iba_obs::Timeline::new(window_len));
-        r
-    } else {
-        ObsRecorder::new()
-    };
+    let mut rec = windowed_recorder(window.map(|len| len.max(1)));
     let opts = ServeOptions {
         journal: config.journal,
         ..ServeOptions::default()
@@ -331,7 +292,7 @@ mod tests {
         let reports: Vec<String> = [1usize, 2, 8]
             .iter()
             .map(|&shards| {
-                let outcome = run_chaos_serve(&ChaosServeConfig::new(4, 7, 48, shards));
+                let outcome = run_chaos_serve(&ChaosServeConfig::new(4, 7, 48, shards), None);
                 assert!(outcome.passed(), "{}", outcome.summary_line());
                 assert!(
                     outcome.fault_stats.crashes + outcome.fault_stats.msg_losses > 0,
@@ -350,7 +311,7 @@ mod tests {
     fn journal_off_negative_control_fails_with_lost_reservations() {
         let mut config = ChaosServeConfig::new(4, 7, 48, 2);
         config.journal = false;
-        let outcome = run_chaos_serve(&config);
+        let outcome = run_chaos_serve(&config, None);
         assert!(!outcome.passed(), "negative control passed");
         assert!(
             outcome.lost > 0 || !outcome.outcomes_match,
@@ -364,7 +325,7 @@ mod tests {
 
     #[test]
     fn chaos_serve_summary_names_the_shard_count() {
-        let outcome = run_chaos_serve(&ChaosServeConfig::new(4, 3, 24, 2));
+        let outcome = run_chaos_serve(&ChaosServeConfig::new(4, 3, 24, 2), None);
         assert!(outcome.summary_line().contains("shards=2"));
         assert!(outcome.summary_line().contains("journal=on"));
     }

@@ -7,6 +7,7 @@
 //! state. `iba-bench` layers the `IBA_*` environment knobs on top for
 //! the table/figure binaries.
 
+use crate::fnv::Fnv64;
 use iba_core::SlTable;
 use iba_obs::{NullRecorder, ObsRecorder, Recorder};
 use iba_qos::{FillReport, QosFrame, QosObserver};
@@ -71,30 +72,24 @@ pub struct Measured {
 /// into an FNV-1a digest — the equality witness for determinism tests.
 struct DigestObserver<'a> {
     inner: &'a mut QosObserver,
-    hash: u64,
+    hash: Fnv64,
     count: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl DigestObserver<'_> {
-    #[inline]
-    fn fold(&mut self, v: u64) {
-        self.hash = (self.hash ^ v).wrapping_mul(FNV_PRIME);
-    }
 }
 
 impl Observer for DigestObserver<'_> {
     fn on_delivered(&mut self, rec: &DeliveryRecord) {
-        self.fold(u64::from(rec.flow));
-        self.fold(rec.seq);
-        self.fold(u64::from(rec.src.0));
-        self.fold(u64::from(rec.dst.0));
-        self.fold(u64::from(rec.sl.raw()));
-        self.fold(u64::from(rec.bytes));
-        self.fold(rec.created);
-        self.fold(rec.delivered);
+        for v in [
+            u64::from(rec.flow),
+            rec.seq,
+            u64::from(rec.src.0),
+            u64::from(rec.dst.0),
+            u64::from(rec.sl.raw()),
+            u64::from(rec.bytes),
+            rec.created,
+            rec.delivered,
+        ] {
+            self.hash.word(v);
+        }
         self.count += 1;
         self.inner.on_delivered(rec);
     }
@@ -189,11 +184,11 @@ fn run_measured_inner<R: Recorder>(
     fabric.reset_stats();
     let mut digest = DigestObserver {
         inner: &mut obs,
-        hash: FNV_OFFSET,
+        hash: Fnv64::default(),
         count: 0,
     };
     fabric.run_until_recorded(transient + steady, &mut digest, rec);
-    let (hash, count) = (digest.hash, digest.count);
+    let (hash, count) = (digest.hash.finish(), digest.count);
 
     let stats = fabric.summarize();
     Measured {

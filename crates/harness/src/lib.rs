@@ -23,22 +23,20 @@ pub mod chaos;
 pub mod chaos_serve;
 pub mod engine;
 pub mod experiment;
+pub mod fnv;
 pub mod serve;
 pub mod sweep;
 pub mod timeline;
 
 pub use audit::{run_audit, run_audit_spanned, AuditConfig, AuditOutcome};
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
-pub use chaos_serve::{
-    run_chaos_serve, run_chaos_serve_windowed, ChaosServeConfig, ChaosServeOutcome,
-};
+pub use chaos_serve::{run_chaos_serve, ChaosServeConfig, ChaosServeOutcome};
 pub use engine::{run_sweep, run_sweep_recorded, run_sweep_recorded_with, threads_from_env};
 pub use experiment::{
     build_experiment_sized, run_measured, run_measured_faulted, run_measured_instrumented,
     run_measured_recorded, Experiment, Measured,
 };
-pub use serve::{
-    run_serve, run_serve_windowed, timeline_invariant_lines, ServeConfig, ServeOutcome,
-};
+pub use fnv::{fnv64, Fnv64};
+pub use serve::{run_serve, timeline_invariant_lines, ServeConfig, ServeOutcome};
 pub use sweep::{run_points, run_points_spanned, PointOutcome, SimPoint};
 pub use timeline::{run_timeline, TimelineConfig, TimelineOutcome};

@@ -10,21 +10,12 @@
 //! --replay` must therefore print byte-identical reports at 1, 2 and
 //! 8 shards, which CI checks with `cmp`.
 
+use crate::fnv::fnv64;
 use iba_core::SlTable;
 use iba_obs::ObsRecorder;
 use iba_qos::service::{self, ServeReport, TraceConfig, TraceOutcome};
 use iba_qos::QosManager;
 use iba_topo::{irregular, updown, Topology};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string — the table-digest witness.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// Parameters of one serve run.
 #[derive(Clone, Copy, Debug)]
@@ -106,11 +97,13 @@ fn invariant_metric_lines(metrics: &iba_obs::Metrics) -> Vec<String> {
         .collect()
 }
 
-fn build_manager(config: &ServeConfig) -> (QosManager, u16) {
-    let topo: Topology = irregular::generate(irregular::IrregularConfig::with_switches(
-        config.switches,
-        config.seed,
-    ));
+/// The manager under test and its host count: a `switches`-switch
+/// irregular fabric seeded by `seed`, up*/down* routing and the paper's
+/// Table-1 SLs. The serve and chaos-serve drives build the sharded
+/// planner and the sequential reference from identical calls.
+pub(crate) fn build_manager(switches: usize, seed: u64) -> (QosManager, u16) {
+    let topo: Topology =
+        irregular::generate(irregular::IrregularConfig::with_switches(switches, seed));
     let hosts = topo.num_hosts() as u16;
     let routing = updown::compute(&topo);
     (
@@ -224,49 +217,26 @@ const SERVE_TRACE_CAP: usize = 1 << 16;
 /// Runs the serve scenario: one sharded trace run plus the sequential
 /// reference run, differentially compared on outcomes, final tables
 /// and shard-invariant metrics.
-#[must_use]
-pub fn run_serve(config: &ServeConfig) -> ServeOutcome {
-    run_serve_inner(config, 0)
-}
-
-/// [`run_serve`] with a windowed timeline (one logical tick per
-/// finalized trace op, `window_len` ticks per window) attached to both
+///
+/// `window: Some(len)` attaches a windowed timeline (one logical tick
+/// per finalized trace op, `len` ticks per window, at least 1) to both
 /// the sharded and the sequential recorder, plus a request tracer on
 /// the coordinator so `ServeReport::request_records` carries the
 /// dispatch/finalize stages. The differential verdicts are unaffected;
 /// per-window **invariant** metrics are additionally shard-count
-/// invariant (worker-side metrics merge after the last tick, so they
+/// invariant (shard-side metrics merge after the last tick, so they
 /// land in the trailing window at every shard count).
 #[must_use]
-pub fn run_serve_windowed(config: &ServeConfig, window_len: u64) -> ServeOutcome {
-    run_serve_inner(config, window_len.max(1))
-}
-
-/// Per-window shard-invariant metric lines of a finished timeline —
-/// the serve timeline's cross-shard equality witness.
-#[must_use]
-pub fn timeline_invariant_lines(timeline: &iba_obs::Timeline) -> Vec<String> {
-    timeline
-        .windows()
-        .iter()
-        .flat_map(|(idx, m)| {
-            invariant_metric_lines(m)
-                .into_iter()
-                .map(move |l| format!("window={idx} {l}"))
-        })
-        .collect()
-}
-
-fn run_serve_inner(config: &ServeConfig, window_len: u64) -> ServeOutcome {
-    let (planner, hosts) = build_manager(config);
+pub fn run_serve(config: &ServeConfig, window: Option<u64>) -> ServeOutcome {
+    let window = window.map(|len| len.max(1));
+    let (planner, hosts) = build_manager(config.switches, config.seed);
     let ops = service::generate_trace(&TraceConfig::new(hosts, config.seed, config.requests));
 
     // Sequential reference on an identical, independently built manager.
-    let (mut seq_mgr, _) = build_manager(config);
-    let mut seq_rec = if window_len > 0 {
-        ObsRecorder::with_timeline(window_len)
-    } else {
-        ObsRecorder::new()
+    let (mut seq_mgr, _) = build_manager(config.switches, config.seed);
+    let mut seq_rec = match window {
+        Some(len) => ObsRecorder::with_timeline(len),
+        None => ObsRecorder::new(),
     };
     let seq_outcomes: Vec<TraceOutcome> =
         service::apply_trace_sequential(&mut seq_mgr, &ops, &mut seq_rec);
@@ -274,13 +244,7 @@ fn run_serve_inner(config: &ServeConfig, window_len: u64) -> ServeOutcome {
     let seq_digest = fnv64(format!("{:?}", seq_mgr.port_tables()).as_bytes());
 
     // Sharded run.
-    let mut rec = if window_len > 0 {
-        let mut r = ObsRecorder::with_tracer(SERVE_TRACE_CAP);
-        r.timeline = Some(iba_obs::Timeline::new(window_len));
-        r
-    } else {
-        ObsRecorder::new()
-    };
+    let mut rec = windowed_recorder(window);
     let report = service::run_trace(&planner, &ops, config.shards, &mut rec);
     rec.finish_timeline();
     let tables_digest = fnv64(format!("{:?}", report.tables).as_bytes());
@@ -303,6 +267,34 @@ fn run_serve_inner(config: &ServeConfig, window_len: u64) -> ServeOutcome {
     }
 }
 
+/// The recorder of a service run: a plain registry, or with `window`
+/// also a windowed timeline and a request tracer on the coordinator.
+pub(crate) fn windowed_recorder(window: Option<u64>) -> ObsRecorder {
+    match window {
+        Some(len) => {
+            let mut r = ObsRecorder::with_tracer(SERVE_TRACE_CAP);
+            r.timeline = Some(iba_obs::Timeline::new(len));
+            r
+        }
+        None => ObsRecorder::new(),
+    }
+}
+
+/// Per-window shard-invariant metric lines of a finished timeline —
+/// the serve timeline's cross-shard equality witness.
+#[must_use]
+pub fn timeline_invariant_lines(timeline: &iba_obs::Timeline) -> Vec<String> {
+    timeline
+        .windows()
+        .iter()
+        .flat_map(|(idx, m)| {
+            invariant_metric_lines(m)
+                .into_iter()
+                .map(move |l| format!("window={idx} {l}"))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +304,7 @@ mod tests {
         let reports: Vec<String> = [1usize, 2, 8]
             .iter()
             .map(|&shards| {
-                let outcome = run_serve(&ServeConfig::new(4, 3, 48, shards));
+                let outcome = run_serve(&ServeConfig::new(4, 3, 48, shards), None);
                 assert!(outcome.passed(), "{}", outcome.summary_line());
                 outcome.render_report()
             })
@@ -324,7 +316,7 @@ mod tests {
 
     #[test]
     fn serve_summary_line_names_the_shard_count() {
-        let outcome = run_serve(&ServeConfig::new(4, 7, 24, 2));
+        let outcome = run_serve(&ServeConfig::new(4, 7, 24, 2), None);
         assert!(outcome.summary_line().contains("shards=2"));
     }
 
@@ -333,7 +325,7 @@ mod tests {
         let window_len = 16;
         let runs: Vec<ServeOutcome> = [1usize, 2, 8]
             .iter()
-            .map(|&shards| run_serve_windowed(&ServeConfig::new(4, 3, 48, shards), window_len))
+            .map(|&shards| run_serve(&ServeConfig::new(4, 3, 48, shards), Some(window_len)))
             .collect();
         let reference: Vec<String> =
             timeline_invariant_lines(runs[0].recorder.timeline.as_ref().expect("timeline on"));
@@ -353,13 +345,13 @@ mod tests {
 
     #[test]
     fn windowed_serve_collects_request_records() {
-        let outcome = run_serve_windowed(&ServeConfig::new(4, 3, 48, 4), 16);
+        let outcome = run_serve(&ServeConfig::new(4, 3, 48, 4), Some(16));
         assert!(!outcome.report.request_records.is_empty());
         let spans = iba_obs::reassemble(&outcome.report.request_records);
         assert_eq!(spans.len(), 48, "one span per trace op");
         // Unwindowed runs carry no coordinator tracer: worker stages
         // only reach the report when the coordinator traces too.
-        let plain = run_serve(&ServeConfig::new(4, 3, 48, 4));
+        let plain = run_serve(&ServeConfig::new(4, 3, 48, 4), None);
         assert!(plain.recorder.timeline.is_none());
     }
 }

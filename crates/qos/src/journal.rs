@@ -1,14 +1,13 @@
-//! The per-shard write-ahead intent journal: what makes a shard-worker
-//! crash survivable.
+//! The per-shard write-ahead intent journal: what makes a shard crash
+//! survivable.
 //!
-//! A shard worker owns its table partition **in memory**; a crash
-//! (simulated by the control-plane fault engine in [`crate::service`])
-//! loses the tables, the idempotency cache — everything volatile. The
-//! journal is the one durable artifact: before a worker mutates
-//! anything it appends an *intent* record, and after the mutation
-//! completes it appends the matching *done* record. On supervised
-//! restart the worker replays the journal against a fresh empty
-//! partition:
+//! A shard owns its table partition **in memory**; a crash (simulated
+//! by the control-plane fault engine in [`crate::service`]) loses the
+//! tables, the idempotency cache — everything volatile. The journal is
+//! the one durable artifact: before a shard mutates anything it
+//! appends an *intent* record, and after the mutation completes it
+//! appends the matching *done* record. On supervised restart the shard
+//! replays the journal against a fresh empty partition:
 //!
 //! * every `…Intent`/`…Done` pair is re-applied in order (the redo
 //!   log — all table mutations are deterministic, so the rebuilt
@@ -51,7 +50,7 @@ pub type OpKey = (u32, u32);
 /// (voting never mutates) and exists to rebuild the reply cache.
 #[derive(Clone, Debug)]
 pub enum JournalRecord {
-    /// The worker computed these per-hop votes (non-mutating).
+    /// The shard computed these per-hop votes (non-mutating).
     Voted {
         /// Transaction key.
         key: OpKey,
@@ -152,10 +151,10 @@ impl JournalRecord {
     }
 }
 
-/// The write-ahead intent journal of one shard worker.
+/// The write-ahead intent journal of one shard.
 ///
 /// When disabled (the negative-control configuration) every append is
-/// dropped, so a crashed worker restarts from an empty partition and
+/// dropped, so a crashed shard restarts from an empty partition and
 /// the differential harness observes the lost reservations.
 #[derive(Clone, Debug, Default)]
 pub struct IntentJournal {

@@ -23,15 +23,17 @@
 //!   exponential backoff with seeded jitter, used by both [`recovery`]
 //!   and the [`service`] coordinator timeouts;
 //! * [`journal`] — the per-shard write-ahead intent journal that makes
-//!   shard-worker crashes survivable: intents are appended before any
-//!   table mutation and replayed on supervised restart;
+//!   shard crashes survivable: intents are appended before any table
+//!   mutation and replayed on supervised restart;
 //! * [`service`] — the sharded admission service: port tables
-//!   partitioned across exclusive worker threads, batched multi-hop
-//!   admission with vote/commit/abort, byte-identical to the
-//!   single-owner manager at any shard count, and a deterministic
-//!   control-plane fault engine (crashes, vote loss/delay, reply loss)
-//!   survived via journal replay, idempotent retries and a bounded
-//!   admission queue with a load-shedding ladder.
+//!   partitioned across exclusively-owning shards, each a
+//!   single-threaded protocol machine stepped by an in-process
+//!   network, batched multi-hop admission with vote/commit/abort,
+//!   byte-identical to the single-owner manager at any shard count,
+//!   and a deterministic control-plane fault engine (crashes, vote
+//!   loss/delay, reply loss) survived via journal replay, idempotent
+//!   retries and a bounded admission queue with a load-shedding
+//!   ladder.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

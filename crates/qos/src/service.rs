@@ -1,13 +1,18 @@
-//! The sharded admission-control service: the paper's §5 CAC made
-//! concurrent without a global lock — and without giving up the
+//! The sharded admission-control service: the paper's §5 CAC run as a
+//! two-phase protocol over partitioned port tables — with the
 //! workspace's byte-identical determinism contract.
 //!
 //! # Ownership
 //!
 //! [`PortTables`] is partitioned by output port: port `k` belongs to
 //! shard `k.stable_code() % shards`, and each shard **exclusively
-//! owns** its partition behind a bounded-channel worker thread. No
-//! table is ever touched by two threads; there is no lock at all.
+//! owns** its partition. A shard is a plain state machine with one
+//! entry point, `step`, which executes one delivered message and
+//! returns its reply (the `Node::receive(p, time) -> Vec<Event>` shape
+//! of a discrete-event simulator). The coordinator and every shard run
+//! on the caller's thread: an in-process network steps the addressed
+//! shard directly and queues the reply, so there are no threads,
+//! channels or locks.
 //!
 //! # Batched multi-hop admission
 //!
@@ -43,9 +48,9 @@
 //! * Every random stream is a [`SplitMix64`] keyed by the owning
 //!   port's [`PortKey::stable_code`], so repair randomness is
 //!   identical no matter which shard (or how many shards) runs it.
-//! * The coordinator's scheduling state (queue depth, dispatch tick)
-//!   is a pure function of the trace and the shard count — worker
-//!   reply timing cannot leak into any observable.
+//! * Replies are consumed in delivery order from one queue, so the
+//!   coordinator's scheduling state (queue depth, dispatch tick) is a
+//!   pure function of the trace and the shard count.
 //!
 //! The differential test (`tests/service_equivalence.rs`) proves the
 //! claim on 100 random traces at 1, 2 and 8 shards.
@@ -53,20 +58,19 @@
 //! # Control-plane fault model
 //!
 //! [`run_trace_faulted`] layers a deterministic fault engine over the
-//! protocol: a seeded [`ServeFaultPlan`] injects shard-worker crashes
-//! (including between Vote and Commit), coordinator→shard message
-//! loss and delay, and shard→coordinator reply loss. The service
-//! survives every plan through three mechanisms:
+//! in-process network: a seeded [`ServeFaultPlan`] injects shard
+//! crashes (including between Vote and Commit), coordinator→shard
+//! message loss and delay, and shard→coordinator reply loss. The
+//! service survives every plan through three mechanisms:
 //!
 //! * a per-shard write-ahead [`IntentJournal`] (append intent before
 //!   mutating, replay on supervised restart; the dangling tail intent
 //!   is rolled forward deterministically);
-//! * coordinator-side deterministic timeouts with the shared
-//!   [`crate::retry::Backoff`] schedule plus idempotency keys
-//!   (`(epoch, op)`), so a retried Commit that already landed is
-//!   answered from the worker's reply cache instead of reserving
-//!   twice;
-//! * bounded-queue backpressure with a graceful-degradation ladder
+//! * deterministic timeouts with the shared [`crate::retry::Backoff`]
+//!   schedule plus idempotency keys (`(epoch, op)`), so a retried
+//!   Commit that already landed is answered from the shard's reply
+//!   cache instead of reserving twice;
+//! * a bounded admission queue with a graceful-degradation ladder
 //!   ([`ServeOptions`]): shed lowest-SL admissions first (rung 0),
 //!   then fall back to [`Distance::looser`] installs (rung 1).
 //!
@@ -86,8 +90,7 @@ use crate::recovery::{RecoveryManager, RecoverySummary};
 use crate::retry::{Backoff, RetryPolicy};
 use iba_core::{Distance, ServiceLevel, SplitMix64, TableError, VirtualLane, Weight};
 use iba_traffic::ConnectionRequest;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Domain-separation constant for trace generation.
 const TRACE_SEED: u64 = 0x5E87_EACE_5EED;
@@ -96,10 +99,10 @@ const TRACE_SEED: u64 = 0x5E87_EACE_5EED;
 const CORRUPT_SEED: u64 = 0x07AB_1EC0_5EED;
 /// Odd multiplier spreading a port's stable code into a sub-seed.
 const KEY_SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Ring capacity of each shard worker's request tracer (16-byte
-/// records; the ring keeps the newest protocol stages when a long
-/// trace overflows it).
-const WORKER_TRACE_CAP: usize = 16384;
+/// Ring capacity of each shard's request tracer (16-byte records; the
+/// ring keeps the newest protocol stages when a long trace overflows
+/// it).
+const SHARD_TRACE_CAP: usize = 16384;
 /// Domain-separation constant for control-plane fault plans.
 const SERVE_FAULT_SEED: u64 = 0xC0DE_FA17_5EED;
 
@@ -361,9 +364,8 @@ pub struct ServeReport {
     /// `iba_obs::request::reassemble`. Empty when the coordinator's
     /// recorder carries no tracer.
     pub request_records: Vec<(u64, iba_obs::TraceEvent)>,
-    /// Each shard's write-ahead intent journal (indexed by shard), as
-    /// returned at shutdown — the exactly-once ledger's raw material.
-    /// Empty when a worker died mid-trace.
+    /// Each shard's write-ahead intent journal (indexed by shard) at
+    /// the end of the trace — the exactly-once ledger's raw material.
     pub journals: Vec<IntentJournal>,
     /// What the fault engine injected and survived (all zeros on an
     /// unfaulted run).
@@ -435,7 +437,7 @@ impl ProtocolPhase {
     }
 }
 
-/// Where inside a message's processing the worker crashes.
+/// Where inside a message's processing the shard crashes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CrashPoint {
     /// After journaling the intent, before any table mutation.
@@ -443,14 +445,14 @@ pub enum CrashPoint {
     /// Mid-batch: after the first hop's mutation, before the rest.
     MidBatch,
     /// After every mutation and the journal's done marker, before the
-    /// reply is sent (the reply is lost with the worker).
+    /// reply is sent (the reply is lost with the shard).
     BeforeReply,
 }
 
 /// The kind of control-plane fault to inject.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ServeFaultKind {
-    /// The worker processing the message crashes at the given point
+    /// The shard processing the message crashes at the given point
     /// and is supervised-restarted (journal replay), losing its
     /// volatile state and the pending reply.
     Crash(CrashPoint),
@@ -459,7 +461,7 @@ pub enum ServeFaultKind {
     MsgLoss,
     /// The message is delayed past the timeout: the retry *and* the
     /// late original are both delivered (duplicate delivery), which
-    /// exercises the worker-side idempotency cache.
+    /// exercises the shard-side idempotency cache.
     MsgDelay,
     /// The shard→coordinator reply is lost; the timeout fires and the
     /// retried message is answered from the reply cache.
@@ -613,11 +615,11 @@ impl ServeFaultPlan {
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
     /// Retain the write-ahead journal (disable only as the negative
-    /// control: a crashed worker then restarts from an empty
+    /// control: a crashed shard then restarts from an empty
     /// partition and every earlier reservation on it is lost).
     pub journal: bool,
     /// Bound on in-flight (dispatched, unfinalized) operations; the
-    /// dispatcher backpressures at the bound.
+    /// dispatcher backpressures at the bound. Zero is treated as one.
     pub queue_capacity: usize,
     /// Enable the graceful-degradation ladder when the queue is full:
     /// rung 0 sheds admissions below [`ServeOptions::shed_sl_floor`],
@@ -646,7 +648,7 @@ impl Default for ServeOptions {
 /// (identical at any shard count).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Worker crashes injected (each one forced a journal replay).
+    /// Shard crashes injected (each one forced a journal replay).
     pub crashes: u64,
     /// Coordinator→shard messages lost.
     pub msg_losses: u64,
@@ -690,123 +692,56 @@ enum ToShard {
         op: usize,
         seed: u64,
     },
-    Finish,
 }
 
 impl ToShard {
-    /// The protocol phase this message drives (`None` for `Finish`).
-    fn phase(&self) -> Option<ProtocolPhase> {
+    /// The trace operation and protocol phase this message drives.
+    fn op_phase(&self) -> (usize, ProtocolPhase) {
         match self {
-            ToShard::Vote { .. } => Some(ProtocolPhase::Vote),
-            ToShard::Commit { .. } => Some(ProtocolPhase::Commit),
-            ToShard::Abort { .. } => Some(ProtocolPhase::Abort),
-            ToShard::Release { .. } => Some(ProtocolPhase::Release),
-            ToShard::Repair { .. } => Some(ProtocolPhase::Repair),
-            ToShard::Finish => None,
+            ToShard::Vote { op, .. } => (*op, ProtocolPhase::Vote),
+            ToShard::Commit { op, .. } => (*op, ProtocolPhase::Commit),
+            ToShard::Abort { op, .. } => (*op, ProtocolPhase::Abort),
+            ToShard::Release { op, .. } => (*op, ProtocolPhase::Release),
+            ToShard::Repair { op, .. } => (*op, ProtocolPhase::Repair),
         }
     }
 }
 
-/// The wire envelope: the fault engine sits on this layer. `crash`
-/// carries a scripted worker crash for this delivery (`None` on the
-/// unfaulted path and on every retry); `epoch` is the idempotency-key
-/// epoch the coordinator stamped at dispatch.
+/// One delivery of a message to a shard. `crash` carries a scripted
+/// crash for this delivery (`None` on the unfaulted path and on every
+/// retry); `epoch` is the idempotency-key epoch the coordinator stamped
+/// at dispatch.
 struct Envelope {
     epoch: u32,
     crash: Option<CrashPoint>,
     msg: ToShard,
 }
 
-impl Envelope {
-    fn clean(epoch: u32, msg: ToShard) -> Self {
-        Envelope {
-            epoch,
-            crash: None,
-            msg,
-        }
-    }
-}
-
-/// Shard → coordinator replies. `from` names the replying shard so the
-/// fault engine can attribute replies (the state machines ignore it).
+/// Shard → coordinator replies. A shard caches each reply it sends
+/// under the message's idempotency key, so a retry is answered with a
+/// clone instead of being re-executed.
+#[derive(Clone)]
 enum FromShard {
     Voted {
         op: usize,
-        from: usize,
         votes: Vec<HopVote>,
     },
     Committed {
         op: usize,
-        from: usize,
         hops: Vec<(usize, HopReservation)>,
     },
     Aborted {
         op: usize,
-        from: usize,
         error: Option<TableError>,
     },
     Released {
         op: usize,
-        from: usize,
     },
     Repaired {
         op: usize,
-        from: usize,
         damage: usize,
         summary: RecoverySummary,
     },
-    Finished {
-        shard: usize,
-        tables: Box<PortTables>,
-        rec: Box<iba_obs::ObsRecorder>,
-        journal: Box<IntentJournal>,
-    },
-}
-
-/// A cached reply payload, keyed by `(OpKey, phase code)` — the
-/// idempotency cache. Rebuilt from the journal on restart, so a retry
-/// whose original landed before a crash is still answered without
-/// re-execution.
-#[derive(Clone)]
-enum CachedReply {
-    Voted(Vec<HopVote>),
-    Committed(Vec<(usize, HopReservation)>),
-    Aborted(Option<TableError>),
-    Released,
-    Repaired {
-        damage: usize,
-        summary: RecoverySummary,
-    },
-}
-
-impl CachedReply {
-    /// Reconstructs the wire reply for a retried message.
-    fn to_reply(&self, op: usize, from: usize) -> FromShard {
-        match self {
-            CachedReply::Voted(votes) => FromShard::Voted {
-                op,
-                from,
-                votes: votes.clone(),
-            },
-            CachedReply::Committed(hops) => FromShard::Committed {
-                op,
-                from,
-                hops: hops.clone(),
-            },
-            CachedReply::Aborted(error) => FromShard::Aborted {
-                op,
-                from,
-                error: *error,
-            },
-            CachedReply::Released => FromShard::Released { op, from },
-            CachedReply::Repaired { damage, summary } => FromShard::Repaired {
-                op,
-                from,
-                damage: *damage,
-                summary: *summary,
-            },
-        }
-    }
 }
 
 /// Coordinator-side state of one dispatched, unfinalized operation.
@@ -870,15 +805,6 @@ fn reject_for(error: Option<TableError>, key: PortKey) -> RejectReason {
     }
 }
 
-/// The volatile half of a shard worker — exactly what a crash
-/// destroys. The journal and the recorder live outside it: the
-/// journal is the durable WAL, the recorder models the external
-/// observability backplane.
-struct ShardVolatile {
-    tables: PortTables,
-    cache: BTreeMap<(OpKey, u8), CachedReply>,
-}
-
 /// Reserves every hop of a commit batch in ascending path order.
 /// `live` meters the protocol counters and stage events; journal
 /// replay re-applies the mutations without re-counting protocol
@@ -909,7 +835,6 @@ fn apply_commit(
 /// The mutation-faithful rollback replay (see module docs): admit the
 /// owned hops below the failing index, re-run the failing admission,
 /// then roll back in descending path order.
-#[allow(clippy::too_many_arguments)] // internal protocol plumbing; a struct would just rename the args
 fn apply_abort(
     tables: &mut PortTables,
     spec: AdmitSpec,
@@ -917,7 +842,6 @@ fn apply_abort(
     fail_at: usize,
     rec: &mut iba_obs::ObsRecorder,
     lane: u8,
-    shard: usize,
     live: bool,
 ) -> Option<TableError> {
     use iba_obs::Recorder;
@@ -929,7 +853,7 @@ fn apply_abort(
     }
     assert!(
         done.len() == hops.iter().filter(|&&(i, _)| i < fail_at).count(),
-        "vote/rollback divergence on shard {shard}"
+        "vote/rollback divergence on shard {lane}"
     );
     // Replay the failing admission (recording the same allocator
     // probes the sequential path records)...
@@ -950,7 +874,7 @@ fn apply_abort(
         }
         assert!(
             error.is_some(),
-            "aborted hop admitted despite a failing vote on shard {shard}"
+            "aborted hop admitted despite a failing vote on shard {lane}"
         );
     }
     // ...then roll back in descending path order, exactly like the
@@ -973,400 +897,275 @@ fn apply_release(tables: &mut PortTables, weight: Weight, hops: &[(usize, HopRes
     }
 }
 
-/// The corrupt-and-repair drill over one partition.
-fn apply_repair(
-    tables: &mut PortTables,
-    seed: u64,
-    rec: &mut iba_obs::ObsRecorder,
-) -> (usize, RecoverySummary) {
-    let damage = corrupt_tables_keyed(tables, seed);
-    let summary = repair_tables_keyed(tables, seed, rec);
-    (damage, summary)
+/// One shard of the service: it exclusively owns one partition of the
+/// port tables and executes the coordinator's protocol messages in
+/// delivery order. The tables and the reply cache are its volatile
+/// state — exactly what a crash destroys. The journal is the durable
+/// WAL; the recorder models the external observability backplane.
+struct Shard {
+    id: usize,
+    tables: PortTables,
+    /// The idempotency cache: the reply sent for each `(OpKey, phase
+    /// code)`. Rebuilt from the journal on restart, so a retry whose
+    /// original landed before a crash is still answered without
+    /// re-execution.
+    cache: BTreeMap<(OpKey, u8), FromShard>,
+    journal: IntentJournal,
+    rec: iba_obs::ObsRecorder,
 }
 
-/// Re-applies one journaled intent against the rebuilding partition,
-/// rebuilds its cached reply, and returns the done marker that closes
-/// it (used when rolling the dangling tail forward).
-fn replay_intent(
-    tables: &mut PortTables,
-    intent: &JournalRecord,
-    cache: &mut BTreeMap<(OpKey, u8), CachedReply>,
-    rec: &mut iba_obs::ObsRecorder,
-    shard: usize,
-) -> Option<JournalRecord> {
-    let lane = shard as u8;
-    match intent {
-        JournalRecord::CommitIntent { key, spec, hops } => {
-            let done = apply_commit(tables, key.1 as usize, *spec, hops, rec, lane, false);
-            assert!(
-                done.len() == hops.len(),
-                "journal replay commit divergence on shard {shard}"
-            );
-            cache.insert(
-                (*key, ProtocolPhase::Commit.code()),
-                CachedReply::Committed(done),
-            );
-            Some(JournalRecord::CommitDone { key: *key })
+impl Shard {
+    fn new(id: usize, base: &PortTables, journal: bool) -> Self {
+        Shard {
+            id,
+            tables: base.empty_like(),
+            cache: BTreeMap::new(),
+            journal: IntentJournal::new(journal),
+            rec: iba_obs::ObsRecorder::with_tracer(SHARD_TRACE_CAP),
         }
-        JournalRecord::AbortIntent {
-            key,
-            spec,
-            hops,
-            fail_at,
-        } => {
-            let error = apply_abort(tables, *spec, hops, *fail_at, rec, lane, shard, false);
-            cache.insert(
-                (*key, ProtocolPhase::Abort.code()),
-                CachedReply::Aborted(error),
-            );
-            Some(JournalRecord::AbortDone { key: *key })
-        }
-        JournalRecord::ReleaseIntent { key, weight, hops } => {
-            apply_release(tables, *weight, hops);
-            cache.insert((*key, ProtocolPhase::Release.code()), CachedReply::Released);
-            Some(JournalRecord::ReleaseDone { key: *key })
-        }
-        JournalRecord::RepairIntent { key, seed } => {
-            let (damage, summary) = apply_repair(tables, *seed, rec);
-            cache.insert(
-                (*key, ProtocolPhase::Repair.code()),
-                CachedReply::Repaired { damage, summary },
-            );
-            Some(JournalRecord::RepairDone { key: *key })
-        }
-        _ => None,
     }
-}
 
-/// Supervised-restart recovery: rebuilds the partition and the reply
-/// cache by replaying the journal against a fresh empty partition.
-/// Completed intent/done pairs are re-applied in order; the dangling
-/// tail intent (the transaction the crash interrupted) is rolled
-/// forward and closed in the journal. Every table mutation is
-/// deterministic, so the rebuilt partition is byte-identical to the
-/// crash-free one.
-fn rebuild_from_journal(
-    shard: usize,
-    base: &PortTables,
-    journal: &mut IntentJournal,
-    rec: &mut iba_obs::ObsRecorder,
-) -> ShardVolatile {
-    let mut tables = base.empty_like();
-    let mut cache: BTreeMap<(OpKey, u8), CachedReply> = BTreeMap::new();
-    let records: Vec<JournalRecord> = journal.records().to_vec();
-    let mut open: Option<JournalRecord> = None;
-    for r in &records {
-        match r {
-            JournalRecord::Voted { key, votes } => {
-                cache.insert(
-                    (*key, ProtocolPhase::Vote.code()),
-                    CachedReply::Voted(votes.clone()),
+    /// Executes one delivery, honoring its scripted crash point and the
+    /// idempotency cache. Returns the reply, or `None` when the
+    /// scripted crash took the shard down before it could answer.
+    fn step(&mut self, base: &PortTables, env: Envelope) -> Option<FromShard> {
+        use iba_obs::{request_stage, Recorder};
+        let lane = self.id as u8;
+        let (op, phase) = env.msg.op_phase();
+        let key: OpKey = (env.epoch, op as u32);
+        self.rec.tick(op as u64);
+        // Idempotent retry: a re-delivered message whose transaction
+        // already completed is answered from the cache — never
+        // re-executed, so a retried Commit cannot double-reserve.
+        if let Some(cached) = self.cache.get(&(key, phase.code())) {
+            return Some(cached.clone());
+        }
+        let intent = match &env.msg {
+            ToShard::Vote { spec, hops, .. } => {
+                return self.vote(base, key, *spec, hops, env.crash);
+            }
+            ToShard::Commit { spec, hops, .. } => JournalRecord::CommitIntent {
+                key,
+                spec: *spec,
+                hops: hops.clone(),
+            },
+            ToShard::Abort {
+                spec,
+                hops,
+                fail_at,
+                ..
+            } => JournalRecord::AbortIntent {
+                key,
+                spec: *spec,
+                hops: hops.clone(),
+                fail_at: *fail_at,
+            },
+            ToShard::Release { weight, hops, .. } => JournalRecord::ReleaseIntent {
+                key,
+                weight: *weight,
+                hops: hops.clone(),
+            },
+            ToShard::Repair { seed, .. } => JournalRecord::RepairIntent { key, seed: *seed },
+        };
+        // Write-ahead: the intent is durable before any mutation, so
+        // every crash below rolls forward on restart.
+        self.journal.append(intent.clone());
+        if let ToShard::Abort { fail_at, .. } = env.msg {
+            self.rec
+                .request_stage(op as u32, request_stage::ABORT, lane, fail_at as u8);
+        }
+        match (env.crash, &env.msg) {
+            (Some(CrashPoint::BeforeAct), _) => return self.crash_restart(base),
+            (Some(CrashPoint::MidBatch), ToShard::Commit { spec, hops, .. }) => {
+                // First hop reserved, rest of the batch lost with the
+                // shard — the half-committed transaction.
+                let first = &hops[..hops.len().min(1)];
+                let _ = apply_commit(
+                    &mut self.tables,
+                    op,
+                    *spec,
+                    first,
+                    &mut self.rec,
+                    lane,
+                    true,
                 );
+                return self.crash_restart(base);
             }
-            JournalRecord::CommitIntent { .. }
-            | JournalRecord::AbortIntent { .. }
-            | JournalRecord::ReleaseIntent { .. }
-            | JournalRecord::RepairIntent { .. } => {
-                open = Some(r.clone());
+            (Some(CrashPoint::MidBatch), ToShard::Release { weight, hops, .. }) => {
+                // Release the last hop (descending order starts there).
+                apply_release(
+                    &mut self.tables,
+                    *weight,
+                    &hops[hops.len().saturating_sub(1)..],
+                );
+                return self.crash_restart(base);
             }
-            JournalRecord::CommitDone { .. }
-            | JournalRecord::AbortDone { .. }
-            | JournalRecord::ReleaseDone { .. }
-            | JournalRecord::RepairDone { .. } => {
-                if let Some(intent) = open.take() {
-                    let _ = replay_intent(&mut tables, &intent, &mut cache, rec, shard);
-                }
-            }
+            // Abort and repair go down inside the act; the journal
+            // rolls the whole transaction forward.
+            (Some(CrashPoint::MidBatch), _) => return self.crash_restart(base),
+            _ => {}
         }
-    }
-    if let Some(intent) = open.take() {
-        // Roll the interrupted transaction forward and close it.
-        if let Some(done) = replay_intent(&mut tables, &intent, &mut cache, rec, shard) {
-            journal.append(done);
+        let (reply, done) = self.apply(&intent, true)?;
+        self.journal.append(done);
+        if env.crash == Some(CrashPoint::BeforeReply) {
+            return self.crash_restart(base);
         }
+        Some(reply)
     }
-    ShardVolatile { tables, cache }
-}
 
-/// A scripted crash at `point`: discard the volatile state and run the
-/// supervised restart. The reply the coordinator was waiting for is
-/// lost with the worker — the engine's deterministic timeout retries.
-fn crash_restart(
-    shard: usize,
-    base: &PortTables,
-    vol: &mut ShardVolatile,
-    journal: &mut IntentJournal,
-    rec: &mut iba_obs::ObsRecorder,
-) {
-    use iba_obs::Recorder;
-    let lane = shard as u8;
-    rec.serve_crash(lane);
-    *vol = rebuild_from_journal(shard, base, journal, rec);
-    rec.serve_journal_replay(lane, journal.len() as u64);
-}
-
-/// Executes one protocol message on a shard, honoring the envelope's
-/// scripted crash point and the idempotency cache.
-fn handle_message(
-    shard: usize,
-    base: &PortTables,
-    env: Envelope,
-    vol: &mut ShardVolatile,
-    journal: &mut IntentJournal,
-    rec: &mut iba_obs::ObsRecorder,
-    tx: &mpsc::Sender<FromShard>,
-) {
-    use iba_obs::{request_stage, Recorder};
-    let lane = shard as u8;
-    let (op, phase) = match (&env.msg, env.msg.phase()) {
-        (
-            ToShard::Vote { op, .. }
-            | ToShard::Commit { op, .. }
-            | ToShard::Abort { op, .. }
-            | ToShard::Release { op, .. }
-            | ToShard::Repair { op, .. },
-            Some(phase),
-        ) => (*op, phase),
-        _ => return,
-    };
-    let key: OpKey = (env.epoch, op as u32);
-    rec.tick(op as u64);
-    // Idempotent retry: a re-delivered message whose transaction
-    // already completed is answered from the cache — never
-    // re-executed, so a retried Commit cannot double-reserve.
-    if let Some(cached) = vol.cache.get(&(key, phase.code())) {
-        let _ = tx.send(cached.to_reply(op, shard));
-        return;
+    /// The non-mutating per-hop vote. It journals its result so a
+    /// restart can still answer a retry from the cache.
+    fn vote(
+        &mut self,
+        base: &PortTables,
+        key: OpKey,
+        spec: AdmitSpec,
+        hops: &[(usize, PortKey)],
+        crash: Option<CrashPoint>,
+    ) -> Option<FromShard> {
+        use iba_obs::{request_stage, Recorder};
+        let (op, lane) = (key.1 as usize, self.id as u8);
+        let probes = match crash {
+            Some(CrashPoint::BeforeAct) => 0,
+            // Probe the first hop, then go down mid-batch.
+            Some(CrashPoint::MidBatch) => hops.len().min(1),
+            _ => hops.len(),
+        };
+        let mut votes: Vec<HopVote> = Vec::with_capacity(probes);
+        for &(i, k) in &hops[..probes] {
+            self.rec
+                .request_stage(op as u32, request_stage::VOTE, lane, i as u8);
+            let vote = self
+                .tables
+                .probe_admit(k, spec.sl, spec.distance, spec.weight);
+            votes.push((i, vote));
+        }
+        if matches!(crash, Some(CrashPoint::BeforeAct | CrashPoint::MidBatch)) {
+            return self.crash_restart(base);
+        }
+        self.journal.append(JournalRecord::Voted {
+            key,
+            votes: votes.clone(),
+        });
+        let reply = FromShard::Voted { op, votes };
+        self.cache
+            .insert((key, ProtocolPhase::Vote.code()), reply.clone());
+        if crash == Some(CrashPoint::BeforeReply) {
+            return self.crash_restart(base);
+        }
+        Some(reply)
     }
-    match env.msg {
-        ToShard::Vote { op, spec, hops } => {
-            match env.crash {
-                Some(CrashPoint::BeforeAct) => {
-                    crash_restart(shard, base, vol, journal, rec);
-                    return;
+
+    /// Applies one intent against the partition and caches its reply.
+    /// Returns the reply and the done marker that closes the intent
+    /// (`None` for a record that is not an intent). `live` is false on
+    /// journal replay, which re-applies mutations without re-counting
+    /// protocol actions.
+    fn apply(&mut self, intent: &JournalRecord, live: bool) -> Option<(FromShard, JournalRecord)> {
+        let (lane, key) = (self.id as u8, intent.key());
+        let op = key.1 as usize;
+        let (phase, reply, done) = match intent {
+            JournalRecord::CommitIntent { spec, hops, .. } => {
+                let done =
+                    apply_commit(&mut self.tables, op, *spec, hops, &mut self.rec, lane, live);
+                // The conflict gate guarantees nothing touched these
+                // tables since the vote, so every voted-yes hop commits.
+                assert!(
+                    done.len() == hops.len(),
+                    "vote/commit divergence on shard {lane}"
+                );
+                let reply = FromShard::Committed { op, hops: done };
+                (
+                    ProtocolPhase::Commit,
+                    reply,
+                    JournalRecord::CommitDone { key },
+                )
+            }
+            JournalRecord::AbortIntent {
+                spec,
+                hops,
+                fail_at,
+                ..
+            } => {
+                let tables = &mut self.tables;
+                let error = apply_abort(tables, *spec, hops, *fail_at, &mut self.rec, lane, live);
+                let reply = FromShard::Aborted { op, error };
+                (
+                    ProtocolPhase::Abort,
+                    reply,
+                    JournalRecord::AbortDone { key },
+                )
+            }
+            JournalRecord::ReleaseIntent { weight, hops, .. } => {
+                apply_release(&mut self.tables, *weight, hops);
+                let reply = FromShard::Released { op };
+                (
+                    ProtocolPhase::Release,
+                    reply,
+                    JournalRecord::ReleaseDone { key },
+                )
+            }
+            JournalRecord::RepairIntent { seed, .. } => {
+                let damage = corrupt_tables_keyed(&mut self.tables, *seed);
+                let summary = repair_tables_keyed(&mut self.tables, *seed, &mut self.rec);
+                let reply = FromShard::Repaired {
+                    op,
+                    damage,
+                    summary,
+                };
+                (
+                    ProtocolPhase::Repair,
+                    reply,
+                    JournalRecord::RepairDone { key },
+                )
+            }
+            _ => return None,
+        };
+        self.cache.insert((key, phase.code()), reply.clone());
+        Some((reply, done))
+    }
+
+    /// A scripted crash: discard the volatile state and run the
+    /// supervised restart, which rebuilds the partition and the reply
+    /// cache by replaying the journal against a fresh empty partition.
+    /// Completed intent/done pairs are re-applied in order; the
+    /// dangling tail intent (the transaction the crash interrupted) is
+    /// rolled forward and closed in the journal. Every table mutation
+    /// is deterministic, so the rebuilt partition is byte-identical to
+    /// the crash-free one. The pending reply is lost with the shard
+    /// (always `None`): the engine's deterministic timeout retries.
+    fn crash_restart(&mut self, base: &PortTables) -> Option<FromShard> {
+        use iba_obs::Recorder;
+        let lane = self.id as u8;
+        self.rec.serve_crash(lane);
+        self.tables = base.empty_like();
+        self.cache.clear();
+        let records: Vec<JournalRecord> = self.journal.records().to_vec();
+        let mut open: Option<&JournalRecord> = None;
+        for r in &records {
+            match r {
+                JournalRecord::Voted { key, votes } => {
+                    let reply = FromShard::Voted {
+                        op: key.1 as usize,
+                        votes: votes.clone(),
+                    };
+                    self.cache.insert((*key, ProtocolPhase::Vote.code()), reply);
                 }
-                Some(CrashPoint::MidBatch) => {
-                    // Probe the first hop, then go down mid-batch.
-                    if let Some(&(i, k)) = hops.first() {
-                        rec.request_stage(op as u32, request_stage::VOTE, lane, i as u8);
-                        let _ = vol
-                            .tables
-                            .probe_admit(k, spec.sl, spec.distance, spec.weight);
+                _ if r.is_done() => {
+                    if let Some(intent) = open.take() {
+                        let _ = self.apply(intent, false);
                     }
-                    crash_restart(shard, base, vol, journal, rec);
-                    return;
                 }
-                _ => {}
+                _ => open = Some(r),
             }
-            let votes: Vec<HopVote> = hops
-                .iter()
-                .map(|&(i, k)| {
-                    rec.request_stage(op as u32, request_stage::VOTE, lane, i as u8);
-                    (
-                        i,
-                        vol.tables
-                            .probe_admit(k, spec.sl, spec.distance, spec.weight),
-                    )
-                })
-                .collect();
-            journal.append(JournalRecord::Voted {
-                key,
-                votes: votes.clone(),
-            });
-            if matches!(env.crash, Some(CrashPoint::BeforeReply)) {
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            vol.cache
-                .insert((key, phase.code()), CachedReply::Voted(votes.clone()));
-            let _ = tx.send(FromShard::Voted {
-                op,
-                from: shard,
-                votes,
-            });
         }
-        ToShard::Commit { op, spec, hops } => {
-            // Write-ahead: the intent is durable before any mutation,
-            // so every crash below rolls forward to a completed
-            // commit on restart.
-            journal.append(JournalRecord::CommitIntent {
-                key,
-                spec,
-                hops: hops.clone(),
-            });
-            match env.crash {
-                Some(CrashPoint::BeforeAct) => {
-                    crash_restart(shard, base, vol, journal, rec);
-                    return;
-                }
-                Some(CrashPoint::MidBatch) => {
-                    // First hop reserved, rest of the batch lost with
-                    // the worker — the half-committed transaction.
-                    let _ = apply_commit(&mut vol.tables, op, spec, &hops[..1], rec, lane, true);
-                    crash_restart(shard, base, vol, journal, rec);
-                    return;
-                }
-                _ => {}
-            }
-            let done = apply_commit(&mut vol.tables, op, spec, &hops, rec, lane, true);
-            // The conflict gate guarantees nothing touched these
-            // tables since the vote, so every voted-yes hop commits.
-            assert!(
-                done.len() == hops.len(),
-                "vote/commit divergence on shard {shard}"
-            );
-            journal.append(JournalRecord::CommitDone { key });
-            if matches!(env.crash, Some(CrashPoint::BeforeReply)) {
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            vol.cache
-                .insert((key, phase.code()), CachedReply::Committed(done.clone()));
-            let _ = tx.send(FromShard::Committed {
-                op,
-                from: shard,
-                hops: done,
-            });
+        // Roll the interrupted transaction forward and close it.
+        if let Some((_, done)) = open.and_then(|intent| self.apply(intent, false)) {
+            self.journal.append(done);
         }
-        ToShard::Abort {
-            op,
-            spec,
-            hops,
-            fail_at,
-        } => {
-            journal.append(JournalRecord::AbortIntent {
-                key,
-                spec,
-                hops: hops.clone(),
-                fail_at,
-            });
-            rec.request_stage(op as u32, request_stage::ABORT, lane, fail_at as u8);
-            if matches!(
-                env.crash,
-                Some(CrashPoint::BeforeAct | CrashPoint::MidBatch)
-            ) {
-                // Both points land inside the rollback replay; the
-                // journal rolls the whole abort forward on restart.
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            let error = apply_abort(
-                &mut vol.tables,
-                spec,
-                &hops,
-                fail_at,
-                rec,
-                lane,
-                shard,
-                true,
-            );
-            journal.append(JournalRecord::AbortDone { key });
-            if matches!(env.crash, Some(CrashPoint::BeforeReply)) {
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            vol.cache
-                .insert((key, phase.code()), CachedReply::Aborted(error));
-            let _ = tx.send(FromShard::Aborted {
-                op,
-                from: shard,
-                error,
-            });
-        }
-        ToShard::Release { op, weight, hops } => {
-            journal.append(JournalRecord::ReleaseIntent {
-                key,
-                weight,
-                hops: hops.clone(),
-            });
-            match env.crash {
-                Some(CrashPoint::BeforeAct) => {
-                    crash_restart(shard, base, vol, journal, rec);
-                    return;
-                }
-                Some(CrashPoint::MidBatch) => {
-                    // Release the last hop (descending order starts
-                    // there), then go down.
-                    apply_release(
-                        &mut vol.tables,
-                        weight,
-                        &hops[hops.len().saturating_sub(1)..],
-                    );
-                    crash_restart(shard, base, vol, journal, rec);
-                    return;
-                }
-                _ => {}
-            }
-            apply_release(&mut vol.tables, weight, &hops);
-            journal.append(JournalRecord::ReleaseDone { key });
-            if matches!(env.crash, Some(CrashPoint::BeforeReply)) {
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            vol.cache.insert((key, phase.code()), CachedReply::Released);
-            let _ = tx.send(FromShard::Released { op, from: shard });
-        }
-        ToShard::Repair { op, seed } => {
-            journal.append(JournalRecord::RepairIntent { key, seed });
-            if matches!(
-                env.crash,
-                Some(CrashPoint::BeforeAct | CrashPoint::MidBatch)
-            ) {
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            let (damage, summary) = apply_repair(&mut vol.tables, seed, rec);
-            journal.append(JournalRecord::RepairDone { key });
-            if matches!(env.crash, Some(CrashPoint::BeforeReply)) {
-                crash_restart(shard, base, vol, journal, rec);
-                return;
-            }
-            vol.cache.insert(
-                (key, phase.code()),
-                CachedReply::Repaired { damage, summary },
-            );
-            let _ = tx.send(FromShard::Repaired {
-                op,
-                from: shard,
-                damage,
-                summary,
-            });
-        }
-        ToShard::Finish => {}
-    }
-}
-
-/// The shard worker: exclusively owns one partition of the port
-/// tables and executes the coordinator's protocol messages in arrival
-/// order. It never blocks on the (unbounded) reply channel, so the
-/// service cannot deadlock. Scripted crashes (see [`ServeFaultPlan`])
-/// destroy its volatile state; the write-ahead journal brings the
-/// partition back.
-fn shard_worker(
-    shard: usize,
-    base: &PortTables,
-    rx: &mpsc::Receiver<Envelope>,
-    tx: &mpsc::Sender<FromShard>,
-    journal_enabled: bool,
-) {
-    let mut rec = iba_obs::ObsRecorder::with_tracer(WORKER_TRACE_CAP);
-    let mut journal = IntentJournal::new(journal_enabled);
-    let mut vol = ShardVolatile {
-        tables: base.empty_like(),
-        cache: BTreeMap::new(),
-    };
-    while let Ok(env) = rx.recv() {
-        if matches!(env.msg, ToShard::Finish) {
-            let tables = std::mem::replace(&mut vol.tables, base.empty_like());
-            let _ = tx.send(FromShard::Finished {
-                shard,
-                tables: Box::new(tables),
-                rec: Box::new(std::mem::replace(&mut rec, iba_obs::ObsRecorder::new())),
-                journal: Box::new(std::mem::take(&mut journal)),
-            });
-            return;
-        }
-        handle_message(shard, base, env, &mut vol, &mut journal, &mut rec, tx);
+        self.rec
+            .serve_journal_replay(lane, self.journal.len() as u64);
+        None
     }
 }
 
@@ -1391,6 +1190,14 @@ enum Dispatch {
     Repair { seed: u64 },
 }
 
+/// The output port a hop reservation sits on.
+fn hop_key(h: &HopReservation) -> PortKey {
+    PortKey {
+        node: h.node,
+        port: h.port,
+    }
+}
+
 /// Shards of a hop list, ascending and deduplicated.
 fn participants_of(keys: &[PortKey], shards: usize) -> Vec<usize> {
     let mut out: Vec<usize> = keys.iter().map(|&k| shard_of(k, shards)).collect();
@@ -1399,79 +1206,77 @@ fn participants_of(keys: &[PortKey], shards: usize) -> Vec<usize> {
     out
 }
 
-/// The coordinator-side fault engine: consumes the plan's scheduled
-/// faults at message send/receive sites, meters the deterministic
-/// timeouts that stand in for wall-clock expiry, and dedupes the
-/// duplicate replies its own duplicate deliveries produce.
+/// The `(path index, item)` pairs of `items` whose port shard `s` owns.
+fn owned_by<T: Copy>(
+    items: &[T],
+    key: impl Fn(&T) -> PortKey,
+    shards: usize,
+    s: usize,
+) -> Vec<(usize, T)> {
+    items
+        .iter()
+        .enumerate()
+        .filter(|&(_, t)| shard_of(key(t), shards) == s)
+        .map(|(i, &t)| (i, t))
+        .collect()
+}
+
+/// The in-process network plus its fault engine. It delivers every
+/// message by stepping the addressed [`Shard`] directly and queues the
+/// reply for the coordinator, consuming the plan's scheduled faults on
+/// the way and metering the deterministic timeouts that stand in for
+/// wall-clock expiry.
 ///
 /// Faults target the **lowest** participating shard of their op (a
 /// pure function of the trace), so the set of consumed faults — and
 /// with it every count in [`FaultStats`] — is identical at any shard
 /// count.
-struct FaultEngine {
+struct FaultEngine<'a> {
+    base: &'a PortTables,
+    shards: Vec<Shard>,
+    /// Replies not yet consumed by the coordinator, in delivery order.
+    replies: VecDeque<FromShard>,
     faults: Vec<ServeFault>,
     backoff: Backoff,
     /// Retry attempt counter per op (drives the backoff exponent).
     attempts: BTreeMap<usize, u32>,
-    /// Pending reply-loss resends: `(op, phase code)` → the message to
-    /// re-send to the target shard once its first reply is swallowed.
-    resend: BTreeMap<(usize, u8), (usize, ToShard)>,
-    /// Outstanding duplicate deliveries: `(op, phase code, shard)` →
-    /// surplus replies still expected (and to be dropped).
-    surplus: BTreeMap<(usize, u8, usize), u32>,
-    /// Keys of `surplus` whose first reply already advanced the state
-    /// machine — later copies are duplicates.
-    applied: BTreeSet<(usize, u8, usize)>,
     stats: FaultStats,
     /// Idempotency-key epoch, bumped by every finalized repair drill.
     epoch: u32,
 }
 
-impl FaultEngine {
-    fn new(plan: &ServeFaultPlan) -> Self {
+impl<'a> FaultEngine<'a> {
+    fn new(plan: &ServeFaultPlan, base: &'a PortTables, shards: usize, journal: bool) -> Self {
         FaultEngine {
+            base,
+            shards: (0..shards).map(|s| Shard::new(s, base, journal)).collect(),
+            replies: VecDeque::new(),
             faults: plan.faults.clone(),
             backoff: Backoff::new(plan.seed ^ SERVE_FAULT_SEED, RetryPolicy::default()),
             attempts: BTreeMap::new(),
-            resend: BTreeMap::new(),
-            surplus: BTreeMap::new(),
-            applied: BTreeSet::new(),
             stats: FaultStats::default(),
             epoch: 0,
         }
     }
 
-    /// Consumes a scheduled send-side fault (anything but reply loss)
-    /// for this op and phase.
-    fn take_send_fault(&mut self, op: u32, phase: ProtocolPhase) -> Option<ServeFaultKind> {
-        let idx = self.faults.iter().position(|f| {
-            f.op == op && f.phase == phase && !matches!(f.kind, ServeFaultKind::ReplyLoss)
-        })?;
-        Some(self.faults.swap_remove(idx).kind)
-    }
-
-    fn has_reply_fault(&self, op: u32, phase: ProtocolPhase) -> bool {
-        self.faults
+    /// Consumes the scheduled fault for this op and phase: a crash,
+    /// loss or delay first, a reply loss only when none of those is
+    /// scheduled.
+    fn take_fault(&mut self, op: u32, phase: ProtocolPhase) -> Option<ServeFaultKind> {
+        let scheduled = |f: &ServeFault, reply_loss: bool| {
+            f.op == op && f.phase == phase && (f.kind == ServeFaultKind::ReplyLoss) == reply_loss
+        };
+        let idx = self
+            .faults
             .iter()
-            .any(|f| f.op == op && f.phase == phase && matches!(f.kind, ServeFaultKind::ReplyLoss))
-    }
-
-    fn take_reply_fault(&mut self, op: u32, phase: ProtocolPhase) -> bool {
-        let idx = self.faults.iter().position(|f| {
-            f.op == op && f.phase == phase && matches!(f.kind, ServeFaultKind::ReplyLoss)
-        });
-        match idx {
-            Some(i) => {
-                self.faults.swap_remove(i);
-                true
-            }
-            None => false,
-        }
+            .position(|f| scheduled(f, false))
+            .or_else(|| self.faults.iter().position(|f| scheduled(f, true)))?;
+        Some(self.faults.swap_remove(idx).kind)
     }
 
     /// A deterministic timeout expiry: draws the next backoff delay
     /// (advancing the seeded jitter stream) and meters it. The retry
-    /// the caller sends right after models the post-timeout re-send.
+    /// the caller delivers right after models the post-timeout re-send.
     fn timeout(&mut self, shard: usize, op: usize, rec: &mut iba_obs::ObsRecorder) {
         use iba_obs::Recorder;
         let attempt = self.attempts.entry(op).or_insert(0);
@@ -1481,125 +1286,100 @@ impl FaultEngine {
         rec.serve_timeout(shard as u8, delay);
     }
 
-    /// Sends one protocol message through the fault layer. `is_target`
-    /// marks the op's designated fault-target shard (the lowest
-    /// participant); every other shard always gets a clean first
-    /// delivery.
+    /// Delivers one message to `shard`. `is_target` marks the op's
+    /// designated fault-target shard (the lowest participant); every
+    /// other shard always gets a clean delivery.
     fn send(
         &mut self,
-        to_shard: &[mpsc::SyncSender<Envelope>],
         shard: usize,
         is_target: bool,
-        op: usize,
         msg: ToShard,
         rec: &mut iba_obs::ObsRecorder,
     ) {
-        let Some(phase) = msg.phase() else {
-            let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-            return;
+        let (op, phase) = msg.op_phase();
+        let fault = if is_target {
+            self.take_fault(op as u32, phase)
+        } else {
+            None
         };
-        if is_target {
-            if let Some(kind) = self.take_send_fault(op as u32, phase) {
-                match kind {
-                    ServeFaultKind::Crash(point) => {
-                        // Scripted crash rides the envelope; the worker
-                        // goes down without replying, the timeout fires
-                        // and the clean retry lands on the restarted
-                        // worker (idempotency cache absorbs it if the
-                        // transaction rolled forward).
-                        self.stats.crashes += 1;
-                        let _ = to_shard[shard].send(Envelope {
-                            epoch: self.epoch,
-                            crash: Some(point),
-                            msg: msg.clone(),
-                        });
-                        self.timeout(shard, op, rec);
-                        let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-                    }
-                    ServeFaultKind::MsgLoss => {
-                        // First delivery lost in flight: only the
-                        // post-timeout retry reaches the worker.
-                        self.stats.msg_losses += 1;
-                        self.timeout(shard, op, rec);
-                        let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-                    }
-                    ServeFaultKind::MsgDelay => {
-                        // Delayed past the timeout: the original AND
-                        // the retry both arrive. The worker's cache
-                        // answers the duplicate; the surplus entry
-                        // makes the coordinator drop the extra reply.
-                        self.stats.msg_delays += 1;
-                        let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg.clone()));
-                        self.timeout(shard, op, rec);
-                        let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-                        *self.surplus.entry((op, phase.code(), shard)).or_insert(0) += 1;
-                    }
-                    ServeFaultKind::ReplyLoss => {
-                        // Filtered out by take_send_fault; keep the
-                        // message flowing if it ever slipped through.
-                        let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-                    }
-                }
-                return;
+        let reply = match fault {
+            None => self.deliver(shard, None, msg),
+            Some(ServeFaultKind::Crash(point)) => {
+                // The shard goes down without replying, the timeout
+                // fires and the clean retry lands on the restarted
+                // shard (its cache absorbs it if the transaction
+                // rolled forward).
+                self.stats.crashes += 1;
+                let _ = self.deliver(shard, Some(point), msg.clone());
+                self.timeout(shard, op, rec);
+                self.deliver(shard, None, msg)
             }
-            if self.has_reply_fault(op as u32, phase) {
-                // Reply loss is consumed at receive time; remember the
-                // message so the post-timeout retry can be re-sent.
-                self.resend.insert((op, phase.code()), (shard, msg.clone()));
+            Some(ServeFaultKind::MsgLoss) => {
+                // First delivery lost in flight: only the post-timeout
+                // retry reaches the shard.
+                self.stats.msg_losses += 1;
+                self.timeout(shard, op, rec);
+                self.deliver(shard, None, msg)
             }
-        }
-        let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-    }
-
-    /// Receive-side fault layer. Returns `true` when the reply must
-    /// not reach the state machines: either the scheduled reply loss
-    /// swallowed it (the timeout fires and the retry goes out), or it
-    /// is the surplus copy of an already-applied duplicate delivery.
-    fn intercept(
-        &mut self,
-        reply: &FromShard,
-        to_shard: &[mpsc::SyncSender<Envelope>],
-        rec: &mut iba_obs::ObsRecorder,
-    ) -> bool {
-        let (op, phase, from) = match reply {
-            FromShard::Voted { op, from, .. } => (*op, ProtocolPhase::Vote, *from),
-            FromShard::Committed { op, from, .. } => (*op, ProtocolPhase::Commit, *from),
-            FromShard::Aborted { op, from, .. } => (*op, ProtocolPhase::Abort, *from),
-            FromShard::Released { op, from } => (*op, ProtocolPhase::Release, *from),
-            FromShard::Repaired { op, from, .. } => (*op, ProtocolPhase::Repair, *from),
-            FromShard::Finished { .. } => return false,
-        };
-        let pkey = (op, phase.code());
-        if self.resend.get(&pkey).is_some_and(|&(s, _)| s == from)
-            && self.take_reply_fault(op as u32, phase)
-        {
-            if let Some((shard, msg)) = self.resend.remove(&pkey) {
+            Some(ServeFaultKind::MsgDelay) => {
+                // Delayed past the timeout: the original AND the retry
+                // both arrive. The cache answers the duplicate, whose
+                // reply the coordinator drops.
+                self.stats.msg_delays += 1;
+                let first = self.deliver(shard, None, msg.clone());
+                self.timeout(shard, op, rec);
+                let _ = self.deliver(shard, None, msg);
+                first
+            }
+            Some(ServeFaultKind::ReplyLoss) => {
+                // The reply is lost: the timeout fires and the retry
+                // is answered from the cache.
+                let _ = self.deliver(shard, None, msg.clone());
                 self.stats.reply_losses += 1;
                 self.timeout(shard, op, rec);
-                let _ = to_shard[shard].send(Envelope::clean(self.epoch, msg));
-                return true;
+                self.deliver(shard, None, msg)
             }
+        };
+        self.replies.extend(reply);
+    }
+
+    /// Steps `shard` with one delivery of `msg`.
+    fn deliver(
+        &mut self,
+        shard: usize,
+        crash: Option<CrashPoint>,
+        msg: ToShard,
+    ) -> Option<FromShard> {
+        let env = Envelope {
+            epoch: self.epoch,
+            crash,
+            msg,
+        };
+        self.shards[shard].step(self.base, env)
+    }
+
+    /// Sends one message per participant, each carrying the hops of
+    /// `path` that shard owns.
+    fn send_owned<T: Copy>(
+        &mut self,
+        participants: &[usize],
+        path: &[T],
+        key: impl Fn(&T) -> PortKey,
+        rec: &mut iba_obs::ObsRecorder,
+        msg: impl Fn(Vec<(usize, T)>) -> ToShard,
+    ) {
+        let target = participants.first().copied().unwrap_or(0);
+        for &s in participants {
+            let hops = owned_by(path, &key, self.shards.len(), s);
+            self.send(s, s == target, msg(hops), rec);
         }
-        let skey = (op, phase.code(), from);
-        if let Some(n) = self.surplus.get_mut(&skey) {
-            if self.applied.contains(&skey) {
-                *n -= 1;
-                if *n == 0 {
-                    self.surplus.remove(&skey);
-                    self.applied.remove(&skey);
-                }
-                return true;
-            }
-            self.applied.insert(skey);
-        }
-        false
     }
 }
 
 /// Runs a trace through the sharded service and returns the report.
 ///
 /// `planner` supplies the topology, routing, SL configuration and
-/// table template; its own tables are never touched. Worker metrics
+/// table template; its own tables are never touched. Shard metrics
 /// (allocator probes, recovery counters, `serve_shard_*`) merge into
 /// `rec` alongside the coordinator's admission counters when the run
 /// finishes.
@@ -1640,332 +1420,260 @@ pub fn run_trace_faulted(
 ) -> ServeReport {
     use iba_obs::{request_stage, Recorder};
     let shards = shards.max(1);
+    // A zero-capacity queue could never dispatch anything.
+    let capacity = opts.queue_capacity.max(1);
     let base = planner.port_tables();
-    let mut eng = FaultEngine::new(plan);
-    // lint: allow(no-thread-spawn) -- the shard workers ARE the service: each exclusively owns one table partition, and the coordinator's strict in-order dispatch keeps every observable byte-identical at any shard count (proven by tests/service_equivalence.rs).
-    std::thread::scope(|scope| {
-        // lint: allow(no-unbounded-channel) -- the one shared reply channel: workers never block sending on it (the deadlock-freedom argument in the module docs), and its population is bounded by the coordinator's in-flight window, so a bounded channel would only add a capacity to tune without adding backpressure.
-        let (reply_tx, reply_rx) = mpsc::channel::<FromShard>();
-        let mut to_shard: Vec<mpsc::SyncSender<Envelope>> = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (tx, rx) = mpsc::sync_channel::<Envelope>(8);
-            to_shard.push(tx);
-            let reply = reply_tx.clone();
-            let journal_enabled = opts.journal;
-            scope.spawn(move || shard_worker(s, base, &rx, &reply, journal_enabled));
-        }
-        drop(reply_tx);
+    let mut eng = FaultEngine::new(plan, base, shards, opts.journal);
 
-        let n = ops.len();
-        let mut outcomes: Vec<TraceOutcome> = Vec::with_capacity(n);
-        let mut pending: BTreeMap<usize, OpState> = BTreeMap::new();
-        let mut dispatched_at: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut claims: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut claimed = vec![false; shards];
-        let mut ids: BTreeMap<u32, LiveConn> = BTreeMap::new();
-        // Trace indices marked for a rung-1 degraded install when the
-        // bounded queue forced them to wait (see ServeOptions).
-        let mut degrade: BTreeSet<usize> = BTreeSet::new();
-        let (mut accepted, mut rejected, mut released) = (0u64, 0u64, 0u64);
-        let (mut next, mut dispatch) = (0usize, 0usize); // finalize / dispatch cursors
+    let n = ops.len();
+    let mut outcomes: Vec<TraceOutcome> = Vec::with_capacity(n);
+    let mut pending: BTreeMap<usize, OpState> = BTreeMap::new();
+    let mut dispatched_at: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut claims: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut claimed = vec![false; shards];
+    let mut ids: BTreeMap<u32, LiveConn> = BTreeMap::new();
+    // Trace indices marked for a rung-1 degraded install when the
+    // bounded queue forced them to wait (see ServeOptions).
+    let mut degrade: BTreeSet<usize> = BTreeSet::new();
+    let (mut accepted, mut rejected, mut released) = (0u64, 0u64, 0u64);
+    let (mut next, mut dispatch) = (0usize, 0usize); // finalize / dispatch cursors
 
-        while next < n {
-            // Dispatch strictly in trace order while the head of the
-            // undispatched suffix is eligible. Stopping at the first
-            // ineligible operation (instead of skipping it) is what
-            // keeps every per-shard message stream a pure function of
-            // the trace.
-            while dispatch < n {
-                let in_flight = dispatch - next;
-                if in_flight >= opts.queue_capacity {
-                    // The bounded admission queue is full. Without the
-                    // ladder this is pure backpressure (wait for the
-                    // pipeline to drain); with it, the degradation
-                    // ladder acts: rung 0 sheds the lowest SLs
-                    // outright, rung 1 marks the rest for a degraded
-                    // (looser-distance) install once a slot frees.
-                    if opts.shed_ladder {
-                        match &ops[dispatch] {
-                            TraceOp::Admit(req) if req.sl.raw() < opts.shed_sl_floor => {
-                                rec.serve_shed(0);
-                                eng.stats.shed[0] += 1;
-                                rec.serve_queue_depth(in_flight as u64);
-                                rec.request_stage(
-                                    dispatch as u32,
-                                    request_stage::DISPATCH,
-                                    0,
-                                    request_stage::NO_PATH,
-                                );
-                                dispatched_at.insert(dispatch, next);
-                                pending.insert(
-                                    dispatch,
-                                    OpState::Resolved(Resolution::Rejected(
-                                        RejectReason::Overloaded,
-                                    )),
-                                );
-                                dispatch += 1;
-                                continue;
-                            }
-                            TraceOp::Admit(_) => {
-                                degrade.insert(dispatch);
-                                break;
-                            }
-                            _ => break,
-                        }
-                    }
-                    break;
-                }
-                let Some(action) = plan_dispatch(
-                    &ops[dispatch],
-                    planner,
-                    shards,
-                    in_flight,
-                    &claimed,
-                    &mut ids,
-                ) else {
-                    break;
-                };
-                rec.serve_queue_depth(in_flight as u64);
-                rec.request_stage(
-                    dispatch as u32,
-                    request_stage::DISPATCH,
-                    0,
-                    request_stage::NO_PATH,
-                );
-                dispatched_at.insert(dispatch, next);
-                let op = dispatch;
-                match action {
-                    Dispatch::Local(res) => {
-                        pending.insert(op, OpState::Resolved(res));
-                    }
-                    Dispatch::Admit {
-                        rid,
-                        mut spec,
-                        path,
-                        participants,
-                    } => {
-                        if degrade.remove(&op) {
-                            // Rung 1: the queue forced this admission
-                            // to wait; install it at one looser
-                            // distance step so it costs less table
-                            // bandwidth.
-                            if let Some(looser) = spec.distance.looser() {
-                                rec.serve_shed(1);
-                                eng.stats.shed[1] += 1;
-                                spec.distance = looser;
-                            }
-                        }
-                        let target = participants.first().copied().unwrap_or(0);
-                        for &s in &participants {
-                            claimed[s] = true;
-                            let hops: Vec<(usize, PortKey)> = path
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, k)| shard_of(*k, shards) == s)
-                                .map(|(i, &k)| (i, k))
-                                .collect();
-                            eng.send(
-                                &to_shard,
-                                s,
-                                s == target,
-                                op,
-                                ToShard::Vote { op, spec, hops },
-                                rec,
+    while next < n {
+        // Dispatch strictly in trace order while the head of the
+        // undispatched suffix is eligible. Stopping at the first
+        // ineligible operation (instead of skipping it) is what keeps
+        // every per-shard message stream a pure function of the trace.
+        while dispatch < n {
+            let in_flight = dispatch - next;
+            if in_flight >= capacity {
+                // The bounded admission queue is full. Without the
+                // ladder this is pure backpressure (wait for the
+                // pipeline to drain); with it, the degradation ladder
+                // acts: rung 0 sheds the lowest SLs outright, rung 1
+                // marks the rest for a degraded (looser-distance)
+                // install once a slot frees.
+                if opts.shed_ladder {
+                    match &ops[dispatch] {
+                        TraceOp::Admit(req) if req.sl.raw() < opts.shed_sl_floor => {
+                            rec.serve_shed(0);
+                            eng.stats.shed[0] += 1;
+                            rec.serve_queue_depth(in_flight as u64);
+                            rec.request_stage(
+                                dispatch as u32,
+                                request_stage::DISPATCH,
+                                0,
+                                request_stage::NO_PATH,
                             );
-                        }
-                        claims.insert(op, participants.clone());
-                        let waiting = participants.len();
-                        pending.insert(
-                            op,
-                            OpState::Voting {
-                                rid,
-                                spec,
-                                path,
-                                participants,
-                                waiting,
-                                votes: Vec::new(),
-                            },
-                        );
-                    }
-                    Dispatch::Teardown {
-                        weight,
-                        hops,
-                        participants,
-                    } => {
-                        let target = participants.first().copied().unwrap_or(0);
-                        for &s in &participants {
-                            claimed[s] = true;
-                            let mine: Vec<(usize, HopReservation)> = hops
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, h)| {
-                                    shard_of(
-                                        PortKey {
-                                            node: h.node,
-                                            port: h.port,
-                                        },
-                                        shards,
-                                    ) == s
-                                })
-                                .map(|(i, &h)| (i, h))
-                                .collect();
-                            eng.send(
-                                &to_shard,
-                                s,
-                                s == target,
-                                op,
-                                ToShard::Release {
-                                    op,
-                                    weight,
-                                    hops: mine,
-                                },
-                                rec,
+                            dispatched_at.insert(dispatch, next);
+                            pending.insert(
+                                dispatch,
+                                OpState::Resolved(Resolution::Rejected(RejectReason::Overloaded)),
                             );
+                            dispatch += 1;
+                            continue;
                         }
-                        let waiting = participants.len();
-                        claims.insert(op, participants);
-                        pending.insert(op, OpState::Releasing { waiting });
-                    }
-                    Dispatch::Repair { seed } => {
-                        for (s, claim) in claimed.iter_mut().enumerate().take(shards) {
-                            *claim = true;
-                            eng.send(&to_shard, s, s == 0, op, ToShard::Repair { op, seed }, rec);
+                        TraceOp::Admit(_) => {
+                            degrade.insert(dispatch);
+                            break;
                         }
-                        claims.insert(op, (0..shards).collect());
-                        pending.insert(
-                            op,
-                            OpState::Repairing {
-                                waiting: shards,
-                                damage: 0,
-                                summary: RecoverySummary::default(),
-                            },
-                        );
+                        _ => break,
                     }
                 }
-                dispatch += 1;
+                break;
             }
-
-            // Wait for the oldest in-flight operation specifically;
-            // replies for younger operations advance their state
-            // machines as they arrive (that is the pipelining).
-            while !matches!(pending.get(&next), Some(OpState::Resolved(_))) {
-                let Ok(reply) = reply_rx.recv() else {
-                    // A worker can only disappear by panicking; the
-                    // scope join below re-raises it.
-                    return drain_report(
-                        planner, outcomes, ids, accepted, rejected, released, eng.stats,
+            let Some(action) = plan_dispatch(
+                &ops[dispatch],
+                planner,
+                shards,
+                in_flight,
+                &claimed,
+                &mut ids,
+            ) else {
+                break;
+            };
+            rec.serve_queue_depth(in_flight as u64);
+            rec.request_stage(
+                dispatch as u32,
+                request_stage::DISPATCH,
+                0,
+                request_stage::NO_PATH,
+            );
+            dispatched_at.insert(dispatch, next);
+            let op = dispatch;
+            match action {
+                Dispatch::Local(res) => {
+                    pending.insert(op, OpState::Resolved(res));
+                }
+                Dispatch::Admit {
+                    rid,
+                    mut spec,
+                    path,
+                    participants,
+                } => {
+                    if degrade.remove(&op) {
+                        // Rung 1: the queue forced this admission to
+                        // wait; install it at one looser distance step
+                        // so it costs less table bandwidth.
+                        if let Some(looser) = spec.distance.looser() {
+                            rec.serve_shed(1);
+                            eng.stats.shed[1] += 1;
+                            spec.distance = looser;
+                        }
+                    }
+                    for &s in &participants {
+                        claimed[s] = true;
+                    }
+                    eng.send_owned(
+                        &participants,
+                        &path,
+                        |&k| k,
+                        rec,
+                        |hops| ToShard::Vote { op, spec, hops },
                     );
-                };
-                if eng.intercept(&reply, &to_shard, rec) {
-                    continue;
+                    claims.insert(op, participants.clone());
+                    let waiting = participants.len();
+                    pending.insert(
+                        op,
+                        OpState::Voting {
+                            rid,
+                            spec,
+                            path,
+                            participants,
+                            waiting,
+                            votes: Vec::new(),
+                        },
+                    );
                 }
-                apply_reply(reply, &mut pending, &to_shard, &mut eng, rec);
-            }
-
-            // Finalize in trace order.
-            if let Some(OpState::Resolved(res)) = pending.remove(&next) {
-                for s in claims.remove(&next).unwrap_or_default() {
-                    claimed[s] = false;
+                Dispatch::Teardown {
+                    weight,
+                    hops,
+                    participants,
+                } => {
+                    for &s in &participants {
+                        claimed[s] = true;
+                    }
+                    eng.send_owned(&participants, &hops, hop_key, rec, |hops| {
+                        ToShard::Release { op, weight, hops }
+                    });
+                    let waiting = participants.len();
+                    claims.insert(op, participants);
+                    pending.insert(op, OpState::Releasing { waiting });
                 }
-                let start = dispatched_at.remove(&next).unwrap_or(next);
-                rec.serve_batch_latency((next - start) as u64);
-                outcomes.push(match res {
-                    Resolution::Admitted {
-                        rid,
-                        sl,
-                        weight,
-                        hops,
-                    } => {
-                        accepted += 1;
-                        rec.cac_admit(sl);
-                        ids.insert(rid, LiveConn { rid, weight, hops });
-                        TraceOutcome::Admitted { rid }
+                Dispatch::Repair { seed } => {
+                    claimed.fill(true);
+                    for s in 0..shards {
+                        eng.send(s, s == 0, ToShard::Repair { op, seed }, rec);
                     }
-                    Resolution::Rejected(reason) => {
-                        rejected += 1;
-                        rec.cac_reject(reason.kind());
-                        TraceOutcome::Rejected(reason)
-                    }
-                    Resolution::TornDown(torn) => {
-                        if torn {
-                            released += 1;
-                            rec.cac_release();
-                        }
-                        TraceOutcome::TornDown(torn)
-                    }
-                    Resolution::Repaired { damage, summary } => {
-                        // Repair invalidates the live handles (see
-                        // TraceOp::Repair) and with them every
-                        // outstanding idempotency key: bump the epoch.
-                        ids.clear();
-                        eng.epoch = eng.epoch.wrapping_add(1);
-                        TraceOutcome::Repaired { damage, summary }
-                    }
-                });
-                rec.request_stage(
-                    next as u32,
-                    request_stage::FINALIZE,
-                    0,
-                    request_stage::NO_PATH,
-                );
-                // Drain-side queue sample: depth after this operation
-                // left the pipeline (the dispatch-side twin is above).
-                rec.serve_queue_depth((dispatch - next - 1) as u64);
-                // One logical tick per finalized operation — the clock
-                // the timeline aggregator windows over; the sequential
-                // reference advances the same clock per applied op.
-                rec.tick((next + 1) as u64);
+                    claims.insert(op, (0..shards).collect());
+                    pending.insert(
+                        op,
+                        OpState::Repairing {
+                            waiting: shards,
+                            damage: 0,
+                            summary: RecoverySummary::default(),
+                        },
+                    );
+                }
             }
-            next += 1;
+            dispatch += 1;
         }
 
-        // Collect every shard's partition, recorder and journal.
-        for tx in &to_shard {
-            let _ = tx.send(Envelope::clean(eng.epoch, ToShard::Finish));
-        }
-        let mut parts: Vec<Option<PortTables>> = (0..shards).map(|_| None).collect();
-        let mut shard_requests: Vec<Vec<(u64, iba_obs::TraceEvent)>> = vec![Vec::new(); shards];
-        let mut journals: Vec<IntentJournal> = vec![IntentJournal::new(false); shards];
-        let mut seen = 0;
-        while seen < shards {
-            let Ok(reply) = reply_rx.recv() else { break };
-            if let FromShard::Finished {
-                shard,
-                tables,
-                rec: worker_rec,
-                journal,
-            } = reply
-            {
-                parts[shard] = Some(*tables);
-                shard_requests[shard] = drain_request_records(&worker_rec);
-                rec.merge(&worker_rec);
-                journals[shard] = *journal;
-                seen += 1;
+        // Every delivery answers at once, so the oldest operation's
+        // replies are already queued; replies for younger operations
+        // ahead of them advance their state machines on the way (that
+        // is the pipelining).
+        while !matches!(pending.get(&next), Some(OpState::Resolved(_))) {
+            let reply = eng.replies.pop_front();
+            assert!(
+                reply.is_some(),
+                "operation {next} stalled with no reply left to deliver"
+            );
+            if let Some(reply) = reply {
+                apply_reply(reply, &mut pending, &mut eng, rec);
             }
         }
-        let mut tables = base.empty_like();
-        for t in parts.into_iter().flatten() {
-            tables.absorb(t);
+
+        // Finalize in trace order.
+        if let Some(OpState::Resolved(res)) = pending.remove(&next) {
+            for s in claims.remove(&next).unwrap_or_default() {
+                claimed[s] = false;
+            }
+            let start = dispatched_at.remove(&next).unwrap_or(next);
+            rec.serve_batch_latency((next - start) as u64);
+            outcomes.push(match res {
+                Resolution::Admitted {
+                    rid,
+                    sl,
+                    weight,
+                    hops,
+                } => {
+                    accepted += 1;
+                    rec.cac_admit(sl);
+                    ids.insert(rid, LiveConn { rid, weight, hops });
+                    TraceOutcome::Admitted { rid }
+                }
+                Resolution::Rejected(reason) => {
+                    rejected += 1;
+                    rec.cac_reject(reason.kind());
+                    TraceOutcome::Rejected(reason)
+                }
+                Resolution::TornDown(torn) => {
+                    if torn {
+                        released += 1;
+                        rec.cac_release();
+                    }
+                    TraceOutcome::TornDown(torn)
+                }
+                Resolution::Repaired { damage, summary } => {
+                    // Repair invalidates the live handles (see
+                    // TraceOp::Repair) and with them every outstanding
+                    // idempotency key: bump the epoch.
+                    ids.clear();
+                    eng.epoch = eng.epoch.wrapping_add(1);
+                    TraceOutcome::Repaired { damage, summary }
+                }
+            });
+            rec.request_stage(
+                next as u32,
+                request_stage::FINALIZE,
+                0,
+                request_stage::NO_PATH,
+            );
+            // Drain-side queue sample: depth after this operation left
+            // the pipeline (the dispatch-side twin is above).
+            rec.serve_queue_depth((dispatch - next - 1) as u64);
+            // One logical tick per finalized operation — the clock the
+            // timeline aggregator windows over; the sequential
+            // reference advances the same clock per applied op.
+            rec.tick((next + 1) as u64);
         }
-        // Coordinator records first, then each shard's in shard order —
-        // a deterministic concatenation regardless of reply arrival
-        // order (the reassembler orders causally, not by position).
-        let mut request_records = drain_request_records(rec);
-        for sr in shard_requests {
-            request_records.extend(sr);
-        }
-        ServeReport {
-            outcomes,
-            tables,
-            accepted,
-            rejected,
-            released,
-            live: ids.into_values().collect(),
-            request_records,
-            journals,
-            fault_stats: eng.stats,
-        }
-    })
+        next += 1;
+    }
+
+    // Reassemble the partitions and merge each shard's recorder after
+    // the last tick, in shard order. Coordinator records come first,
+    // then each shard's in shard order (the reassembler orders
+    // causally, not by position).
+    let mut tables = base.empty_like();
+    let mut request_records = drain_request_records(rec);
+    let mut journals = Vec::with_capacity(shards);
+    for shard in eng.shards {
+        tables.absorb(shard.tables);
+        request_records.extend(drain_request_records(&shard.rec));
+        rec.merge(&shard.rec);
+        journals.push(shard.journal);
+    }
+    ServeReport {
+        outcomes,
+        tables,
+        accepted,
+        rejected,
+        released,
+        live: ids.into_values().collect(),
+        request_records,
+        journals,
+        fault_stats: eng.stats,
+    }
 }
 
 /// Decides whether the next trace operation can be dispatched now and,
@@ -2009,14 +1717,7 @@ fn plan_dispatch(
             match ids.remove(rid) {
                 None => Some(Dispatch::Local(Resolution::TornDown(false))),
                 Some(conn) => {
-                    let keys: Vec<PortKey> = conn
-                        .hops
-                        .iter()
-                        .map(|h| PortKey {
-                            node: h.node,
-                            port: h.port,
-                        })
-                        .collect();
+                    let keys: Vec<PortKey> = conn.hops.iter().map(hop_key).collect();
                     Some(Dispatch::Teardown {
                         weight: conn.weight,
                         hops: conn.hops,
@@ -2039,12 +1740,11 @@ fn plan_dispatch(
 fn apply_reply(
     reply: FromShard,
     pending: &mut BTreeMap<usize, OpState>,
-    to_shard: &[mpsc::SyncSender<Envelope>],
-    eng: &mut FaultEngine,
+    eng: &mut FaultEngine<'_>,
     rec: &mut iba_obs::ObsRecorder,
 ) {
     match reply {
-        FromShard::Voted { op, votes: got, .. } => {
+        FromShard::Voted { op, votes: got } => {
             let Some(OpState::Voting {
                 rid,
                 spec,
@@ -2067,77 +1767,51 @@ fn apply_reply(
                 .map(|&(i, _)| i)
                 .min();
             let (rid, spec) = (*rid, *spec);
-            let target = participants.first().copied().unwrap_or(0);
-            let participants = participants.clone();
+            let participants = std::mem::take(participants);
             let path = std::mem::take(path);
-            match fail_at {
+            let waiting = participants.len();
+            let state = match fail_at {
                 None => {
                     // Unanimous yes: commit everywhere.
-                    let waiting = participants.len();
-                    for &s in &participants {
-                        let hops: Vec<(usize, PortKey)> = path
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, k)| shard_of(*k, to_shard.len()) == s)
-                            .map(|(i, &k)| (i, k))
-                            .collect();
-                        eng.send(
-                            to_shard,
-                            s,
-                            s == target,
-                            op,
-                            ToShard::Commit { op, spec, hops },
-                            rec,
-                        );
-                    }
-                    pending.insert(
-                        op,
-                        OpState::Committing {
-                            rid,
-                            spec,
-                            waiting,
-                            hops: Vec::new(),
-                        },
+                    eng.send_owned(
+                        &participants,
+                        &path,
+                        |&k| k,
+                        rec,
+                        |hops| ToShard::Commit { op, spec, hops },
                     );
+                    OpState::Committing {
+                        rid,
+                        spec,
+                        waiting,
+                        hops: Vec::new(),
+                    }
                 }
-                Some(k) => {
+                Some(fail_at) => {
                     // First failing hop wins; every participant replays
                     // its slice of the sequential rollback.
-                    let fail_key = path[k];
-                    let waiting = participants.len();
-                    for &s in &participants {
-                        let hops: Vec<(usize, PortKey)> = path
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, key)| shard_of(*key, to_shard.len()) == s)
-                            .map(|(i, &key)| (i, key))
-                            .collect();
-                        eng.send(
-                            to_shard,
-                            s,
-                            s == target,
+                    eng.send_owned(
+                        &participants,
+                        &path,
+                        |&k| k,
+                        rec,
+                        |hops| ToShard::Abort {
                             op,
-                            ToShard::Abort {
-                                op,
-                                spec,
-                                hops,
-                                fail_at: k,
-                            },
-                            rec,
-                        );
-                    }
-                    pending.insert(
-                        op,
-                        OpState::Aborting {
-                            fail_key,
-                            waiting,
-                            error: None,
+                            spec,
+                            hops,
+                            fail_at,
                         },
                     );
+                    OpState::Aborting {
+                        fail_key: path[fail_at],
+                        waiting,
+                        error: None,
+                    }
                 }
-            }
+            };
+            pending.insert(op, state);
         }
-        FromShard::Committed { op, hops: got, .. } => {
+        FromShard::Committed { op, hops: got } => {
             let Some(OpState::Committing {
                 rid,
                 spec,
@@ -2161,7 +1835,7 @@ fn apply_reply(
             };
             pending.insert(op, OpState::Resolved(res));
         }
-        FromShard::Aborted { op, error: got, .. } => {
+        FromShard::Aborted { op, error: got } => {
             let Some(OpState::Aborting {
                 fail_key,
                 waiting,
@@ -2180,7 +1854,7 @@ fn apply_reply(
             let res = Resolution::Rejected(reject_for(*error, *fail_key));
             pending.insert(op, OpState::Resolved(res));
         }
-        FromShard::Released { op, .. } => {
+        FromShard::Released { op } => {
             let Some(OpState::Releasing { waiting }) = pending.get_mut(&op) else {
                 return;
             };
@@ -2193,7 +1867,6 @@ fn apply_reply(
             op,
             damage: got_damage,
             summary: got,
-            ..
         } => {
             let Some(OpState::Repairing {
                 waiting,
@@ -2218,31 +1891,6 @@ fn apply_reply(
                 pending.insert(op, OpState::Resolved(res));
             }
         }
-        FromShard::Finished { .. } => {}
-    }
-}
-
-/// Fallback report when a worker disappeared mid-trace (its panic is
-/// re-raised by the thread scope as soon as this returns).
-fn drain_report(
-    planner: &QosManager,
-    outcomes: Vec<TraceOutcome>,
-    ids: BTreeMap<u32, LiveConn>,
-    accepted: u64,
-    rejected: u64,
-    released: u64,
-    fault_stats: FaultStats,
-) -> ServeReport {
-    ServeReport {
-        outcomes,
-        tables: planner.port_tables().empty_like(),
-        accepted,
-        rejected,
-        released,
-        live: ids.into_values().collect(),
-        request_records: Vec::new(),
-        journals: Vec::new(),
-        fault_stats,
     }
 }
 
@@ -2447,8 +2095,10 @@ mod tests {
 
     #[test]
     fn crash_at_every_protocol_step_converges_with_journal() {
-        // One deterministic crash per (phase, crash point) pair against
-        // the same trace: the journal must absorb each of them.
+        // One deterministic fault per (phase, kind) pair on every
+        // operation of the same trace, at 1, 2 and 8 shards: the
+        // journal must absorb each crash point, and the timeouts plus
+        // the reply cache each lost, delayed or unanswered delivery.
         let cfg = TraceConfig::new(16, 3, 64);
         let ops = generate_trace(&cfg);
         let mut seq_mgr = planner(0);
@@ -2462,40 +2112,52 @@ mod tests {
             ProtocolPhase::Release,
             ProtocolPhase::Repair,
         ];
-        let points = [
-            CrashPoint::BeforeAct,
-            CrashPoint::MidBatch,
-            CrashPoint::BeforeReply,
+        let kinds = [
+            ServeFaultKind::Crash(CrashPoint::BeforeAct),
+            ServeFaultKind::Crash(CrashPoint::MidBatch),
+            ServeFaultKind::Crash(CrashPoint::BeforeReply),
+            ServeFaultKind::MsgLoss,
+            ServeFaultKind::MsgDelay,
+            ServeFaultKind::ReplyLoss,
         ];
-        for phase in phases {
-            for point in points {
-                let faults = ops
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| ServeFault {
-                        op: i as u32,
-                        phase,
-                        kind: ServeFaultKind::Crash(point),
-                    })
-                    .collect();
-                let plan = ServeFaultPlan { seed: 0, faults };
-                let p = planner(0);
-                let mut rec = iba_obs::ObsRecorder::new();
-                let report =
-                    run_trace_faulted(&p, &ops, 2, &plan, &ServeOptions::default(), &mut rec);
-                assert_eq!(
-                    report.outcomes, seq,
-                    "outcomes diverge crashing at {phase:?}/{point:?}"
-                );
-                assert_eq!(
-                    format!("{:?}", report.tables),
-                    seq_tables,
-                    "tables diverge crashing at {phase:?}/{point:?}"
-                );
-                assert!(
-                    report.fault_stats.crashes > 0,
-                    "no crash consumed at {phase:?}/{point:?}"
-                );
+        for shards in [1usize, 2, 8] {
+            for phase in phases {
+                for kind in kinds {
+                    let faults = (0..ops.len())
+                        .map(|i| ServeFault {
+                            op: i as u32,
+                            phase,
+                            kind,
+                        })
+                        .collect();
+                    let plan = ServeFaultPlan { seed: 0, faults };
+                    let p = planner(0);
+                    let mut rec = iba_obs::ObsRecorder::new();
+                    let report = run_trace_faulted(
+                        &p,
+                        &ops,
+                        shards,
+                        &plan,
+                        &ServeOptions::default(),
+                        &mut rec,
+                    );
+                    let at = format!("{phase:?}/{kind:?} at {shards} shards");
+                    assert_eq!(report.outcomes, seq, "outcomes diverge: {at}");
+                    assert_eq!(
+                        format!("{:?}", report.tables),
+                        seq_tables,
+                        "tables diverge: {at}"
+                    );
+                    let f = report.fault_stats;
+                    let consumed = match kind {
+                        ServeFaultKind::Crash(_) => f.crashes,
+                        ServeFaultKind::MsgLoss => f.msg_losses,
+                        ServeFaultKind::MsgDelay => f.msg_delays,
+                        ServeFaultKind::ReplyLoss => f.reply_losses,
+                    };
+                    assert!(consumed > 0, "no fault consumed: {at}");
+                    assert_eq!(f.timeouts, consumed, "one timeout per fault: {at}");
+                }
             }
         }
     }
@@ -2572,6 +2234,29 @@ mod tests {
             format!("{:?}", report.tables),
             format!("{:?}", report2.tables)
         );
+    }
+
+    #[test]
+    fn zero_queue_capacity_runs_like_capacity_one() {
+        // A zero bound would never dispatch anything; it is clamped to
+        // one, like the shard count, so the run terminates with the
+        // outcomes a one-slot queue produces.
+        let cfg = TraceConfig::new(16, 9, 64);
+        let ops = generate_trace(&cfg);
+        let plan = ServeFaultPlan::generate(9, &ops, 30);
+        let run = |queue_capacity: usize| {
+            let opts = ServeOptions {
+                queue_capacity,
+                ..ServeOptions::default()
+            };
+            let mut rec = iba_obs::ObsRecorder::new();
+            run_trace_faulted(&planner(0), &ops, 2, &plan, &opts, &mut rec)
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.outcomes.len(), ops.len());
+        assert_eq!(zero.outcomes, one.outcomes);
+        assert_eq!(zero.fault_stats, one.fault_stats);
+        assert_eq!(format!("{:?}", zero.tables), format!("{:?}", one.tables));
     }
 
     #[test]

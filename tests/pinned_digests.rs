@@ -17,11 +17,22 @@
 //!   table slot or one id changes them. The constants were recorded
 //!   with the probe-based defragmentation planner and a linear
 //!   smallest-free connection-id scan.
+//! * Admission-service digests: one seeded trace run through the
+//!   sharded service under a seeded control-plane fault plan (crashes,
+//!   message loss and delay, reply loss) at 1, 2 and 8 shards. Each
+//!   digest covers the whole `ServeReport` (outcomes, tables, live set,
+//!   journals, request records, fault counts) and the full merged
+//!   metrics registry, `serve_*` included. A change to the protocol,
+//!   its delivery order, the journal or the fault engine that moves one
+//!   record changes them. The constants were recorded with shard
+//!   workers on threads joined by channels.
 //!
 //! Never regenerate the constants to make a change pass.
 
+use infiniband_qos::harness::{fnv64, Fnv64};
 use infiniband_qos::prelude::*;
-use infiniband_qos::qos::{ChurnEvent, ChurnRunner, PortTables};
+use infiniband_qos::qos::service::{generate_trace, run_trace_faulted, TraceConfig};
+use infiniband_qos::qos::{ChurnEvent, ChurnRunner, PortTables, ServeFaultPlan, ServeOptions};
 use infiniband_qos::sim::{DeliveryRecord, FaultAction, FaultPlan, Observer};
 use infiniband_qos::topo::PortPeer;
 use infiniband_qos::traffic::hotspot::permutation_flows;
@@ -41,12 +52,13 @@ const FILL: (u64, u64, usize, usize) =
 /// admitted, rejected, departed)`.
 const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b7_e55a, 53, 97, 48);
 
-/// FNV-1a over a byte string.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+/// Faulted admission-service run: `(shards, report digest, metrics
+/// digest)`.
+const SERVE_FAULTED: [(usize, u64, u64); 3] = [
+    (1, 0x88ca_7aad_03f0_c53e, 0x0922_8f7c_5a06_bbe3),
+    (2, 0x41cf_aec1_2564_cae0, 0xc0aa_6345_4dc2_9002),
+    (8, 0xea3a_c1ca_0aca_b979, 0x22d9_6e73_8515_1705),
+];
 
 /// Digest of every table's slots, occupancy and sequence records.
 fn tables_digest(tables: &PortTables) -> u64 {
@@ -54,7 +66,7 @@ fn tables_digest(tables: &PortTables) -> u64 {
 }
 
 struct Digest {
-    hash: u64,
+    hash: Fnv64,
     count: u64,
 }
 
@@ -70,7 +82,7 @@ impl Observer for Digest {
             rec.created,
             rec.delivered,
         ] {
-            self.hash = (self.hash ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            self.hash.word(v);
         }
         self.count += 1;
     }
@@ -183,11 +195,11 @@ fn run(claiming: bool, faulted: bool) -> (u64, u64) {
         fabric.apply_fault_plan(&fault_plan(frame.manager.topology()));
     }
     let mut digest = Digest {
-        hash: 0xcbf2_9ce4_8422_2325,
+        hash: Fnv64::default(),
         count: 0,
     };
     fabric.run_until(HORIZON, &mut digest);
-    (digest.hash, digest.count)
+    (digest.hash.finish(), digest.count)
 }
 
 #[test]
@@ -315,4 +327,56 @@ fn churn_tables_and_outcomes_are_pinned() {
         "churn: got ({:#018x}, {:#018x}, {}, {}, {})",
         got.0, got.1, got.2, got.3, got.4
     );
+}
+
+/// One seeded trace (repair drills included) through the sharded
+/// service under `ServeFaultPlan::generate(seed, ops, 30)`: digests of
+/// the debug rendering of the whole report and of the merged registry.
+fn serve_faulted(shards: usize) -> (u64, u64) {
+    let seed = 3;
+    let topo = generate(IrregularConfig::with_switches(4, seed));
+    let hosts = topo.num_hosts() as u16;
+    let planner = QosManager::new(
+        topo.clone(),
+        compute_routing(&topo),
+        SlTable::paper_table1(),
+    );
+    let ops = generate_trace(&TraceConfig::new(hosts, seed, 128));
+    let plan = ServeFaultPlan::generate(seed, &ops, 30);
+    let mut rec = iba_obs::ObsRecorder::with_tracer(1 << 16);
+    let report = run_trace_faulted(
+        &planner,
+        &ops,
+        shards,
+        &plan,
+        &ServeOptions::default(),
+        &mut rec,
+    );
+    assert!(
+        report.fault_stats.crashes > 0
+            && report.fault_stats.msg_losses > 0
+            && report.fault_stats.msg_delays > 0
+            && report.fault_stats.reply_losses > 0,
+        "plan must exercise every fault kind: {:?}",
+        report.fault_stats
+    );
+    assert!(!report.request_records.is_empty());
+    (
+        fnv64(format!("{report:?}").as_bytes()),
+        fnv64(format!("{:?}", rec.metrics).as_bytes()),
+    )
+}
+
+#[test]
+fn faulted_service_report_and_metrics_are_pinned() {
+    for (shards, report, metrics) in SERVE_FAULTED {
+        let got = serve_faulted(shards);
+        assert_eq!(
+            got,
+            (report, metrics),
+            "{shards} shards: got ({:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
 }

@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 
 use iba_bench::microbench::{black_box, Harness, Summary};
+use iba_core::rng::SplitMix64;
 use iba_core::{
     AllocatorKind, ArbEntry, CompiledVlArb, Distance, ServiceLevel, VirtualLane, VlArbConfig,
     VlArbEngine,
@@ -117,8 +118,8 @@ fn bench_sim(h: &mut Harness) {
         f.run_until(256 * 64, &mut iba_sim::NullObserver);
         f.summarize().delivered_packets
     });
-    // The calendar queue under the fabric's access pattern: monotone
-    // time, a small burst of pushes per pop.
+    // The event queue under the fabric's access pattern: monotone
+    // time, a small burst of pushes per pop, from an empty queue.
     h.bench("sim/event_queue_push_pop", || {
         let mut q = EventQueue::new();
         let mut now = 0u64;
@@ -135,6 +136,31 @@ fn bench_sim(h: &mut Harness) {
             popped += 1;
         }
         black_box(popped)
+    });
+    // One hold (a pop and the push it triggers) at the paper-scale run's
+    // depth and event mix: 9,900 CBR sources, each rescheduling its
+    // Generate one interarrival time (2k to 639k cycles) later, and 110
+    // busy output ports, each rescheduling its Complete one 256-byte
+    // packet time later. That is ~10k pending events, mostly far ahead,
+    // and ~0.5 events per cycle, most of them Complete, as in the
+    // traced `paper_mtu256` run.
+    let mut rng = SplitMix64::seed_from_u64(16);
+    let intervals: Vec<u64> = (0..9_900).map(|_| rng.gen_range(2_000..639_000)).collect();
+    let mut q = EventQueue::new();
+    for (flow, &iat) in intervals.iter().enumerate() {
+        q.push(rng.gen_range(0..iat), Event::Generate { flow: flow as u32 });
+    }
+    for node in 0..110 {
+        q.push(rng.gen_range(0..256), Event::Complete { node, port: 0 });
+    }
+    h.bench("sim/event_queue_hold_10k", || {
+        let (now, event) = q.pop().expect("every hold pushes back what it pops");
+        let next = match event {
+            Event::Generate { flow } => now + intervals[flow as usize],
+            _ => now + 256,
+        };
+        q.push(next, black_box(event));
+        now
     });
 }
 

@@ -379,7 +379,7 @@ pub struct Metrics {
     pub arb_queue_depth: Histogram,
     /// `sim_events_total`: events processed by the fabric event loop.
     pub sim_events: Counter,
-    /// `sim_event_queue_depth`: pending events in the calendar queue,
+    /// `sim_event_queue_depth`: pending events in the event queue,
     /// observed after each pop.
     pub sim_event_queue_depth: Histogram,
     /// `schedule_compile_total`: arbitration tables compiled into grant

@@ -148,7 +148,7 @@ pub trait Recorder {
     #[inline]
     fn arb_queue_depth(&mut self, _packets: u64) {}
 
-    /// One event popped from the simulator's calendar queue;
+    /// One event popped from the simulator's event queue;
     /// `pending` is the number of events still queued after the pop.
     #[inline]
     fn sim_event(&mut self, _pending: u64) {}

@@ -1,31 +1,34 @@
-//! Deterministic discrete-event queue: a bucketed **calendar queue**.
+//! Deterministic discrete-event queue: a two-level hierarchical timing
+//! wheel (Varghese & Lauck) with a `BinaryHeap` overflow tier.
 //!
-//! The fabric's event loop pops tens of millions of events per run, and
-//! the previous `BinaryHeap` paid an `O(log n)` chain of `(time, seq)`
-//! comparisons (plus sift-up/sift-down moves) on every operation. A
-//! calendar queue exploits the workload's structure instead: event
-//! times advance monotonically and cluster within a few packet
-//! durations of *now*, so hashing events into time-bucketed "days"
-//! makes both `push` and `pop` amortized `O(1)`.
+//! Time is cut into 1,024-cycle *blocks*. The **near** level has 1,024
+//! one-cycle slots covering the current block; the **far** level has
+//! 1,024 block slots covering the next 1,023 blocks (about 1M cycles,
+//! past the paper's slowest CBR interarrival time of 638,967 cycles);
+//! the **overflow** heap holds anything later, so an event one window
+//! ahead never aliases the current block's (empty) far slot. Each slot
+//! is an intrusive FIFO list over one node slab with a free list; each
+//! level keeps an occupancy bitmap. When the near level drains, the
+//! wheel *enters* the next occupied block: it cascades that block's far
+//! slot into near slots, then migrates the overflow entries the extended
+//! far window covers. Once the slab and the heap reach their high-water
+//! marks, the queue allocates nothing.
 //!
-//! Layout: `1 << bucket_bits` buckets, each `1 << width_shift` cycles
-//! wide (a power of two, so the bucket of a timestamp is a shift and a
-//! mask — no division). An event at time `t` lives in virtual bucket
-//! `t >> width_shift`, mapped onto the ring by the bucket mask. Each
-//! bucket keeps its entries sorted descending by `(time, seq)` so the
-//! earliest entry is a `Vec::pop` from the end; with the width sized
-//! near the mean event gap, buckets hold only a handful of entries and
-//! the insertion memmove is tiny. The queue resizes (and re-calibrates
-//! the width from the live event span) when the population outgrows the
-//! ring.
-//!
-//! **Determinism is untouched by the layout.** Pop order is the total
-//! order on `(time, seq)` — exactly the old heap's order: earliest time
-//! first, FIFO within a cycle. The bucket geometry only changes *how*
-//! that minimum is found, never *which* entry is the minimum, so
-//! replacing the heap is invisible to every simulation.
+//! **Determinism.** Pop order is exactly `(time, seq)`, as from a
+//! `BinaryHeap<(time, seq)>`. A near slot holds one cycle, so only the
+//! order inside a slot needs an argument. It is push order because a
+//! push appends to its slot's tail; a cascade moves a far slot into near
+//! slots in list order before any push can reach them; overflow entries
+//! migrate, in heap order, the moment the far window extends over their
+//! block, before any later push can reach those slots; and
+//! [`EventQueue::pop_at_most`] never enters a block that starts after
+//! `t_end`, so a caller that clamps later pushes to `t_end` (the fabric's
+//! `run_until`, `add_flow` and `schedule_fault`) never pushes behind the
+//! wheel. A push earlier than the last popped time panics.
 
 use crate::time::Cycles;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An event kind processed by the fabric loop.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -37,8 +40,7 @@ pub enum Event {
     },
     /// A transfer on an output port completes.
     Complete {
-        /// Node owning the output port (encoded; see
-        /// [`crate::fabric::NodeId`]).
+        /// Node owning the output port (encoded, see [`crate::fabric::NodeId`]).
         node: u32,
         /// Output port number.
         port: u8,
@@ -50,89 +52,106 @@ pub enum Event {
     },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Entry {
+/// log2 of the slots per level, and of the cycles per block.
+const BITS: u32 = 10;
+const SLOTS: usize = 1 << BITS;
+const MASK: u64 = SLOTS as u64 - 1;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A pending event; `next` links its slot list (or the free list).
+#[derive(Clone, Copy)]
+struct Node {
     time: Cycles,
-    seq: u64,
+    next: u32,
     event: Event,
 }
 
-impl Entry {
+/// One wheel level: the `[head, tail]` of 1,024 slot lists, valid while
+/// the slot's bit is set in `words` (`summary` bit `w`: `words[w] != 0`).
+struct Level {
+    ends: Box<[[u32; 2]; SLOTS]>,
+    words: [u64; SLOTS / 64],
+    summary: u64,
+}
+
+impl Level {
+    fn new() -> Self {
+        Level {
+            ends: Box::new([[NIL; 2]; SLOTS]),
+            words: [0; SLOTS / 64],
+            summary: 0,
+        }
+    }
+
     #[inline]
-    fn key(&self) -> (Cycles, u64) {
-        (self.time, self.seq)
+    fn occupied(&self, slot: usize) -> bool {
+        self.words[slot / 64] & 1 << (slot % 64) != 0
+    }
+
+    /// Appends node `i` to the tail of `slot`.
+    #[inline]
+    fn append(&mut self, nodes: &mut [Node], slot: usize, i: u32) {
+        nodes[i as usize].next = NIL;
+        if self.occupied(slot) {
+            nodes[self.ends[slot][1] as usize].next = i;
+        } else {
+            self.words[slot / 64] |= 1 << (slot % 64);
+            self.summary |= 1 << (slot / 64);
+            self.ends[slot][0] = i;
+        }
+        self.ends[slot][1] = i;
+    }
+
+    /// Unlinks and returns the head node of the occupied `slot`.
+    #[inline]
+    fn unlink(&mut self, nodes: &[Node], slot: usize) -> u32 {
+        let i = self.ends[slot][0];
+        self.ends[slot][0] = nodes[i as usize].next;
+        if self.ends[slot][0] == NIL {
+            let word = &mut self.words[slot / 64];
+            *word &= !(1 << (slot % 64));
+            self.summary &= !(u64::from(*word == 0) << (slot / 64));
+        }
+        i
+    }
+
+    /// The first occupied slot at or after `from`, wrapping around.
+    #[inline]
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let (w, bits) = (from / 64, self.words[from / 64] & u64::MAX << (from % 64));
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        // Later words first, then wrap to the lowest occupied word.
+        let later = self.summary & u64::MAX << w << 1;
+        let w = (if later != 0 { later } else { self.summary }).trailing_zeros() as usize;
+        (w < 64).then(|| w * 64 + self.words[w].trailing_zeros() as usize)
     }
 }
 
-/// Capacity of the sorted near lane. Small fabrics keep only a handful
-/// of events in flight; a contiguous sorted vector serves them in a few
-/// nanoseconds per op, while the calendar ring pays ~10x in pointer
-/// chasing and day-walk branches. 32 entries keeps the insertion
-/// memmove within a cache line or two.
-const NEAR_CAP: usize = 32;
-
-/// Initial ring size (`1 << INITIAL_BUCKET_BITS` buckets).
-const INITIAL_BUCKET_BITS: u32 = 8;
-
-/// Initial bucket width: 256 cycles, one small-MTU packet duration —
-/// the natural event gap of the simulated fabrics.
-const INITIAL_WIDTH_SHIFT: u32 = 8;
-
-/// Ring size ceiling (a million buckets is far beyond any fabric here).
-const MAX_BUCKET_BITS: u32 = 20;
-
-/// Grow when the population exceeds `buckets * GROW_FACTOR`.
-const GROW_FACTOR: usize = 2;
-
 /// A time-ordered event queue with FIFO tie-breaking (two events at the
-/// same cycle fire in insertion order), which makes runs reproducible.
+/// same cycle fire in push order), which makes runs reproducible.
 pub struct EventQueue {
-    /// Fast lane for small populations: a contiguous vector sorted
-    /// **ascending** by `(time, seq)` whose live region is
-    /// `near[near_head..]`. The earliest entry sits at `near_head`, so a
-    /// pop is a cursor bump; the steady-state push — a newest-key
-    /// append — is a plain `Vec::push`. The stale prefix is reclaimed
-    /// in bulk (on drain-empty, or by an amortized compaction once it
-    /// reaches `NEAR_CAP`), keeping every hot operation a contiguous
-    /// array access with no ring arithmetic. A push lands here while
-    /// the live region has room; overflow goes to the calendar ring,
-    /// and `pop` takes whichever side holds the global `(time, seq)`
-    /// minimum — the total order is unchanged.
-    near: Vec<Entry>,
-    /// Index of the earliest live entry in `near`.
-    near_head: usize,
-    /// Ring of buckets, each sorted **descending** by `(time, seq)` —
-    /// the bucket's earliest entry is its last element. Allocated
-    /// lazily on the first push past the near lane, so small fabrics
-    /// never pay for the ring at all.
-    buckets: Vec<Vec<Entry>>,
-    /// `buckets.len() - 1`; the ring size is a power of two.
-    bucket_mask: u64,
-    /// Bucket width in cycles is `1 << width_shift`.
-    width_shift: u32,
-    /// Virtual bucket (`time >> width_shift`) the search cursor is on;
-    /// never ahead of the earliest pending event.
-    cursor_vb: u64,
-    /// Memoized earliest entry: `(time, ring index)`. Invalidated by
-    /// pops and by pushes that beat it.
-    next_cache: Option<(Cycles, usize)>,
-    len: usize,
+    nodes: Vec<Node>,
+    /// Head of the free list through recycled `nodes`.
+    free: u32,
+    near: Level,
+    far: Level,
+    /// Events at least 1,024 blocks past the current one.
+    overflow: BinaryHeap<Reverse<(Cycles, u64, Event)>>,
+    /// Current block: the near level covers `block << BITS` onwards.
+    block: u64,
+    /// Earliest time a push may carry.
+    clock: Cycles,
+    /// Push counter; orders same-time overflow entries.
     seq: u64,
+    len: usize,
 }
 
 impl Default for EventQueue {
     fn default() -> Self {
-        EventQueue {
-            near: Vec::with_capacity(2 * NEAR_CAP),
-            near_head: 0,
-            buckets: Vec::new(),
-            bucket_mask: (1 << INITIAL_BUCKET_BITS) - 1,
-            width_shift: INITIAL_WIDTH_SHIFT,
-            cursor_vb: 0,
-            next_cache: None,
-            len: 0,
-            seq: 0,
-        }
+        Self::new()
     }
 }
 
@@ -140,58 +159,30 @@ impl EventQueue {
     /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        EventQueue {
+            nodes: Vec::with_capacity(64),
+            free: NIL,
+            near: Level::new(),
+            far: Level::new(),
+            overflow: BinaryHeap::new(),
+            block: 0,
+            clock: 0,
+            seq: 0,
+            len: 0,
+        }
     }
 
-    /// Schedules `event` at `time`.
+    /// Schedules `event` at `time`; panics if `time` is before the last
+    /// popped time or the block a bounded pop entered (at most `t_end`).
     #[inline]
     pub fn push(&mut self, time: Cycles, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        let e = Entry { time, seq, event };
+        assert!(time >= self.clock, "push at {time} behind the queue clock");
         self.len += 1;
-        // New events usually carry the latest time: a plain append at
-        // the back of a near lane with room. Everything else —
-        // out-of-order pushes, lane compaction, calendar overflow — is
-        // kept out of line so this path stays a compare and a store.
-        if self.near.len() - self.near_head < NEAR_CAP
-            && self.near.len() < 2 * NEAR_CAP
-            && self.near.last().is_none_or(|b| b.key() < e.key())
-        {
-            self.near.push(e);
-            return;
-        }
-        self.push_slow(e);
-    }
-
-    /// Out-of-line remainder of [`push`](Self::push): out-of-order near
-    /// inserts, stale-prefix compaction, and calendar overflow.
-    #[cold]
-    fn push_slow(&mut self, e: Entry) {
-        if self.near.len() - self.near_head < NEAR_CAP {
-            // Reclaim the stale prefix once the vector reaches twice
-            // the lane size: at least NEAR_CAP pops funded the
-            // <= NEAR_CAP-entry move, so the compaction is amortized
-            // O(1) and the footprint stays bounded at 2 * NEAR_CAP.
-            if self.near.len() >= 2 * NEAR_CAP {
-                self.near.drain(..self.near_head);
-                self.near_head = 0;
-            }
-            // Out-of-order push (or post-compaction append):
-            // binary-search the slot within the live region.
-            if self.near.last().is_none_or(|b| b.key() < e.key()) {
-                self.near.push(e);
-            } else {
-                let pos = self.near[self.near_head..].partition_point(|x| x.key() < e.key());
-                self.near.insert(self.near_head + pos, e);
-            }
-            return;
-        }
-        self.insert(e);
-        if self.len - (self.near.len() - self.near_head) > self.buckets.len() * GROW_FACTOR
-            && self.buckets.len() < (1 << MAX_BUCKET_BITS)
-        {
-            self.rebuild(self.buckets.len().trailing_zeros() + 1);
+        self.seq += 1;
+        if (time >> BITS) - self.block >= SLOTS as u64 {
+            self.overflow.push(Reverse((time, self.seq, event)));
+        } else {
+            self.link(time, event);
         }
     }
 
@@ -201,113 +192,96 @@ impl EventQueue {
         self.pop_at_most(Cycles::MAX)
     }
 
-    /// Removes the earliest event if its time is `<= t_end`; a bounded
-    /// pop that fuses the event loop's peek-then-pop pair into one
-    /// queue operation (one ordering decision instead of two).
+    /// Removes the earliest event if its time is `<= t_end`; never enters
+    /// a block that starts after `t_end`.
     #[inline]
     pub fn pop_at_most(&mut self, t_end: Cycles) -> Option<(Cycles, Event)> {
-        // Fast path: everything lives in the near lane.
-        if self.len == self.near.len() - self.near_head {
-            let e = *self.near.get(self.near_head)?;
-            if e.time > t_end {
-                return None;
-            }
-            self.near_pop_front();
-            self.len -= 1;
-            return Some((e.time, e.event));
-        }
-        self.pop_both(t_end)
-    }
-
-    /// Out-of-line remainder of [`pop_at_most`](Self::pop_at_most) for
-    /// when the calendar ring holds events: the global minimum is
-    /// whichever side's minimum has the smaller `(time, seq)` key.
-    #[cold]
-    fn pop_both(&mut self, t_end: Cycles) -> Option<(Cycles, Event)> {
-        let calendar = self.find_next();
-        match (self.near.get(self.near_head).copied(), calendar) {
-            (Some(n), Some((ct, idx))) => {
-                let ck = self.buckets[idx]
-                    .last()
-                    .map_or((Cycles::MAX, u64::MAX), Entry::key);
-                if n.key() < ck {
-                    if n.time > t_end {
-                        return None;
-                    }
-                    self.near_pop_front();
-                    self.len -= 1;
-                    Some((n.time, n.event))
-                } else if ct > t_end {
-                    None
-                } else {
-                    self.pop_calendar()
-                }
-            }
-            (Some(n), None) => {
-                if n.time > t_end {
+        loop {
+            if let Some(slot) = self.near.first_from(0) {
+                let time = self.block << BITS | slot as u64;
+                if time > t_end {
                     return None;
                 }
-                self.near_pop_front();
+                let i = self.near.unlink(&self.nodes, slot);
+                self.nodes[i as usize].next = self.free;
+                self.free = i;
                 self.len -= 1;
-                Some((n.time, n.event))
+                self.clock = time;
+                return Some((time, self.nodes[i as usize].event));
             }
-            (None, Some((ct, _))) => {
-                if ct > t_end {
-                    None
-                } else {
-                    self.pop_calendar()
-                }
+            let block = match self.far.first_from(((self.block + 1) & MASK) as usize) {
+                Some(slot) => self.block + ((slot as u64).wrapping_sub(self.block) & MASK),
+                None => self.overflow.peek()?.0 .0 >> BITS,
+            };
+            if block << BITS > t_end {
+                return None;
             }
-            (None, None) => None,
+            self.enter(block);
         }
     }
 
-    /// Drops the near lane's earliest live entry, resetting the lane's
-    /// storage when it drains empty.
+    /// Makes `block` current (the near level is empty): cascades its far
+    /// slot into near slots, then migrates overflow entries in heap order.
+    #[inline(never)]
+    fn enter(&mut self, block: u64) {
+        self.block = block;
+        self.clock = block << BITS;
+        let slot = (block & MASK) as usize;
+        while self.far.occupied(slot) {
+            let i = self.far.unlink(&self.nodes, slot);
+            let near_slot = (self.nodes[i as usize].time & MASK) as usize;
+            self.near.append(&mut self.nodes, near_slot, i);
+        }
+        while let Some(&Reverse((time, _, event))) = self.overflow.peek() {
+            if (time >> BITS) - block >= SLOTS as u64 {
+                break;
+            }
+            self.overflow.pop();
+            self.link(time, event);
+        }
+    }
+
+    /// Stores `event` in a (recycled, when possible) slab node and
+    /// appends it to its near or far slot.
     #[inline]
-    fn near_pop_front(&mut self) {
-        self.near_head += 1;
-        if self.near_head == self.near.len() {
-            self.near.clear();
-            self.near_head = 0;
-        }
-    }
-
-    /// Removes the earliest calendar entry (`find_next` already
-    /// located it).
-    fn pop_calendar(&mut self) -> Option<(Cycles, Event)> {
-        let (_, idx) = self.find_next()?;
-        // find_next returned this bucket precisely because its tail is
-        // the calendar minimum.
-        let e = self.buckets[idx].pop()?;
-        self.len -= 1;
-        // If the bucket's new tail belongs to the same day it is still
-        // the calendar minimum (the popped entry was the minimum, so no
-        // earlier day has entries, and a whole day maps to one bucket):
-        // keeping the memo warm makes consecutive same-day pops O(1)
-        // instead of re-walking the ring.
-        self.next_cache = match self.buckets[idx].last() {
-            Some(n) if n.time >> self.width_shift == e.time >> self.width_shift => {
-                Some((n.time, idx))
-            }
-            _ => None,
+    fn link(&mut self, time: Cycles, event: Event) {
+        let node = Node {
+            time,
+            next: NIL,
+            event,
         };
-        Some((e.time, e.event))
+        let i = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+            i => {
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        let (level, slot) = match time >> BITS == self.block {
+            true => (&mut self.near, time & MASK),
+            false => (&mut self.far, (time >> BITS) & MASK),
+        };
+        level.append(&mut self.nodes, slot as usize, i);
     }
 
     /// Time of the next event without removing it.
-    #[inline]
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<Cycles> {
-        if self.len == self.near.len() - self.near_head {
-            return self.near.get(self.near_head).map(|e| e.time);
+    pub fn peek_time(&self) -> Option<Cycles> {
+        if let Some(slot) = self.near.first_from(0) {
+            return Some(self.block << BITS | slot as u64);
         }
-        let near = self.near.get(self.near_head).map(|e| e.time);
-        let cal = self.find_next().map(|(t, _)| t);
-        match (near, cal) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let Some(slot) = self.far.first_from(((self.block + 1) & MASK) as usize) else {
+            return self.overflow.peek().map(|e| e.0 .0);
+        };
+        // A far slot spans a block: take the minimum over its list.
+        let next = |&i: &u32| Some(self.nodes[i as usize].next).filter(|&n| n != NIL);
+        std::iter::successors(Some(self.far.ends[slot][0]), next)
+            .map(|i| self.nodes[i as usize].time)
+            .min()
     }
 
     /// Number of pending events.
@@ -321,113 +295,23 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    #[inline]
-    fn ring_index(&self, vb: u64) -> usize {
-        (vb & self.bucket_mask) as usize
-    }
-
-    fn insert(&mut self, e: Entry) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![Vec::new(); 1 << INITIAL_BUCKET_BITS];
-        }
-        let vb = e.time >> self.width_shift;
-        // A push that beats the cached minimum becomes the minimum
-        // (equal times keep FIFO order: the cached entry has the lower
-        // seq and wins, so only a strictly earlier time displaces it).
-        match self.next_cache {
-            Some((t, _)) if e.time < t => {
-                self.cursor_vb = vb;
-                self.next_cache = Some((e.time, self.ring_index(vb)));
-            }
-            // No memoized minimum: an insert behind the cursor (legal
-            // for out-of-order pushes) must pull the cursor back, or
-            // the day scan would start past the true minimum. When a
-            // minimum IS cached, `e.time >= t` implies `vb >= cursor`.
-            None if vb < self.cursor_vb => self.cursor_vb = vb,
-            _ => {}
-        }
-        let idx = self.ring_index(vb);
-        let bucket = &mut self.buckets[idx];
-        // Descending order: binary-search the insertion point. New
-        // events usually carry the newest time for their bucket, so
-        // this lands near the front of a short vector.
-        let pos = bucket.partition_point(|x| x.key() > e.key());
-        bucket.insert(pos, e);
-    }
-
-    /// Locates the earliest entry: `(time, ring index)`.
-    ///
-    /// Walks day-by-day from the cursor (amortized O(1): the cursor
-    /// only moves forward with simulated time); if one full lap finds
-    /// nothing — the pending events are all far in the future — falls
-    /// back to a direct scan over the ring and jumps the cursor there.
-    fn find_next(&mut self) -> Option<(Cycles, usize)> {
-        if self.len == self.near.len() - self.near_head {
-            // The calendar side is empty (`len` counts both lanes).
-            return None;
-        }
-        if let Some((t, idx)) = self.next_cache {
-            return Some((t, idx));
-        }
-        let n = self.bucket_mask + 1;
-        for step in 0..n {
-            let vb = self.cursor_vb + step;
-            let idx = self.ring_index(vb);
-            if let Some(e) = self.buckets[idx].last() {
-                // Only entries belonging to this very day count; the
-                // bucket's tail may be an event a whole lap ahead.
-                if e.time >> self.width_shift == vb {
-                    self.cursor_vb = vb;
-                    self.next_cache = Some((e.time, idx));
-                    return Some((e.time, idx));
-                }
-            }
-        }
-        // Sparse tail: scan every bucket for the global minimum.
-        let mut best: Option<(Cycles, u64, usize)> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            if let Some(e) = bucket.last() {
-                if best.is_none_or(|(t, s, _)| e.key() < (t, s)) {
-                    best = Some((e.time, e.seq, idx));
-                }
-            }
-        }
-        let (t, _, idx) = best?;
-        self.cursor_vb = t >> self.width_shift;
-        self.next_cache = Some((t, idx));
-        Some((t, idx))
-    }
-
-    /// Re-hashes every entry into a ring of `1 << bits` buckets, with
-    /// the bucket width re-calibrated to the mean gap of the live
-    /// population (clamped to a power of two via its bit length).
-    fn rebuild(&mut self, bits: u32) {
-        let entries: Vec<Entry> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        if let (Some(min_t), Some(max_t)) = (
-            entries.iter().map(|e| e.time).min(),
-            entries.iter().map(|e| e.time).max(),
-        ) {
-            let mean_gap = ((max_t - min_t) / entries.len() as u64).max(1);
-            // floor(log2(mean_gap)), clamped to a sane range.
-            self.width_shift = (63 - mean_gap.leading_zeros()).clamp(2, 24);
-            self.cursor_vb = min_t >> self.width_shift;
-        }
-        self.buckets = vec![Vec::new(); 1 << bits];
-        self.bucket_mask = (1u64 << bits) - 1;
-        self.next_cache = None;
-        for e in entries {
-            self.insert(e);
-        }
-    }
 }
-
-/// Convenience alias used by tests.
-pub type Timestamped = (Cycles, Event);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The flow ids of `q`'s events, popped to exhaustion, with times.
+    fn drain(q: &mut EventQueue) -> Vec<(Cycles, u32)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| match e {
+                Event::Generate { flow } => (t, flow),
+                other => unreachable!("unexpected {other:?}"),
+            })
+            .collect()
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -445,12 +329,7 @@ mod tests {
         for flow in 0..10u32 {
             q.push(5, Event::Generate { flow });
         }
-        let flows: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Generate { flow } => flow,
-                _ => unreachable!(),
-            })
-            .collect();
+        let flows: Vec<u32> = drain(&mut q).into_iter().map(|(_, f)| f).collect();
         assert_eq!(flows, (0..10).collect::<Vec<_>>());
     }
 
@@ -463,22 +342,28 @@ mod tests {
         assert!(!q.is_empty());
         q.pop().unwrap();
         assert!(q.is_empty());
+        // Far and overflow tiers: the peek is the minimum over a far
+        // slot's list, not its head.
+        q.push(5_000, Event::Generate { flow: 0 });
+        q.push(4_200, Event::Generate { flow: 1 });
+        assert_eq!(q.peek_time(), Some(4_200));
+        let mut q = EventQueue::new();
+        q.push(50_000_000, Event::Generate { flow: 0 });
+        assert_eq!(q.peek_time(), Some(50_000_000));
     }
 
     #[test]
     fn far_future_events_survive_ring_wraparound() {
         let mut q = EventQueue::new();
-        // Default geometry: 256 buckets x 256 cycles = one 65536-cycle
-        // lap. These events straddle several laps.
+        // Near, far and overflow tiers, with slot indexes that wrap
+        // around both 1,024-slot rings.
         q.push(5, Event::Generate { flow: 0 });
         q.push(70_000, Event::Generate { flow: 1 });
         q.push(1_000_000, Event::Generate { flow: 2 });
         q.push(70_001, Event::Generate { flow: 3 });
-        let order: Vec<(Cycles, Event)> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            order.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            vec![5, 70_000, 70_001, 1_000_000]
-        );
+        q.push(5_000_000, Event::Generate { flow: 4 });
+        let order: Vec<Cycles> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, vec![5, 70_000, 70_001, 1_000_000, 5_000_000]);
     }
 
     #[test]
@@ -495,41 +380,154 @@ mod tests {
     }
 
     #[test]
-    fn resize_preserves_order_and_fifo() {
-        // Push far past the grow threshold (512 events for the initial
-        // 256-bucket ring) with clustered and duplicate times.
+    fn clustered_duplicates_preserve_order_and_fifo() {
+        // Thousands of clustered and duplicate times spanning several
+        // blocks: order by time, FIFO among equal times.
         let mut q = EventQueue::new();
-        let mut expect: Vec<(Cycles, u64)> = Vec::new();
+        let mut expect: Vec<(Cycles, u32)> = Vec::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for i in 0..4096u64 {
+        for i in 0..4096u32 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let t = state % 10_000;
-            q.push(t, Event::Generate { flow: i as u32 });
+            let t = (state >> 33) % 10_000;
+            q.push(t, Event::Generate { flow: i });
             expect.push((t, i));
         }
         expect.sort();
-        let got: Vec<(Cycles, u32)> = std::iter::from_fn(|| q.pop())
-            .map(|(t, e)| match e {
-                Event::Generate { flow } => (t, flow),
-                _ => unreachable!(),
-            })
+        assert_eq!(drain(&mut q), expect);
+    }
+
+    #[test]
+    fn block_edges_pop_in_order() {
+        let mut q = EventQueue::new();
+        let times = [1023, 1024, 2047, 2048, 0, 1_048_575, 1_048_576, 3071];
+        for (flow, &t) in times.iter().enumerate() {
+            q.push(t, Event::Generate { flow: flow as u32 });
+        }
+        let mut want: Vec<(Cycles, u32)> = times
+            .iter()
+            .enumerate()
+            .map(|(f, &t)| (t, f as u32))
             .collect();
-        assert_eq!(got.len(), expect.len());
-        for ((t, seq), (gt, gflow)) in expect.iter().zip(got.iter()) {
-            assert_eq!(t, gt);
-            assert_eq!(*seq as u32, *gflow, "FIFO broken at t={t}");
+        want.sort();
+        assert_eq!(drain(&mut q), want);
+        // After a pop at block 0's last cycle, a push at that cycle
+        // (near) still precedes one at block 1's first cycle (far).
+        let mut q = EventQueue::new();
+        q.push(1023, Event::Generate { flow: 0 });
+        assert_eq!(q.pop(), Some((1023, Event::Generate { flow: 0 })));
+        q.push(1024, Event::Generate { flow: 1 });
+        q.push(1023, Event::Generate { flow: 2 });
+        assert_eq!(drain(&mut q), vec![(1023, 2), (1024, 1)]);
+    }
+
+    #[test]
+    fn one_window_ahead_goes_to_overflow_without_aliasing() {
+        // Current block 5; block 5 + 1024 maps to the same far slot as
+        // block 5 itself and must wait in the overflow tier, not pop
+        // with the current block.
+        let base = 5 << BITS;
+        let window = (SLOTS as u64) << BITS;
+        let mut q = EventQueue::new();
+        q.push(base, Event::Generate { flow: 0 });
+        assert_eq!(q.pop(), Some((base, Event::Generate { flow: 0 })));
+        q.push(base + window, Event::Generate { flow: 1 });
+        q.push(base + 7, Event::Generate { flow: 2 });
+        q.push(base + window - 1, Event::Generate { flow: 3 });
+        assert_eq!(q.overflow.len(), 1);
+        assert_eq!(
+            drain(&mut q),
+            vec![(base + 7, 2), (base + window - 1, 3), (base + window, 1)]
+        );
+    }
+
+    #[test]
+    fn same_time_fifo_across_overflow_and_far_tiers() {
+        // A is pushed while its time lies beyond the far window, B for
+        // the same time once the window has reached it: A has the
+        // smaller seq and must pop first. Once with A's block mid-window
+        // and once at the window's far edge, 1,023 blocks past the block
+        // the wheel entered.
+        for (t, before) in [(3 << 20, (3 << 20) - 500_000), (1024 << BITS, 1 << BITS)] {
+            let mut q = EventQueue::new();
+            q.push(t, Event::Generate { flow: 0 }); // A: overflow
+            q.push(before, Event::Generate { flow: 1 });
+            assert_eq!(q.pop(), Some((before, Event::Generate { flow: 1 })));
+            q.push(t, Event::Generate { flow: 2 }); // B: far
+            q.push(t, Event::Generate { flow: 3 });
+            assert_eq!(drain(&mut q), vec![(t, 0), (t, 2), (t, 3)]);
         }
     }
 
     #[test]
+    fn bounded_pop_then_push_at_t_end() {
+        let mut q = EventQueue::new();
+        q.push(10_000, Event::Generate { flow: 0 });
+        q.push(9_000_000, Event::Generate { flow: 1 });
+        // Bounds before the event's block and inside it (which enters
+        // the block): neither may pop, both keep `t_end` pushable.
+        for t_end in [5_000, 9_999] {
+            assert_eq!(q.pop_at_most(t_end), None);
+        }
+        q.push(9_999, Event::Generate { flow: 2 });
+        assert_eq!(
+            q.pop_at_most(10_000),
+            Some((9_999, Event::Generate { flow: 2 }))
+        );
+        assert_eq!(
+            q.pop_at_most(10_000),
+            Some((10_000, Event::Generate { flow: 0 }))
+        );
+        assert_eq!(q.pop_at_most(8_000_000), None);
+        q.push(8_000_000, Event::Generate { flow: 3 });
+        q.push(8_000_000, Event::Generate { flow: 4 });
+        assert_eq!(
+            drain(&mut q),
+            vec![(8_000_000, 3), (8_000_000, 4), (9_000_000, 1)]
+        );
+    }
+
+    #[test]
+    fn a_pending_event_costs_one_24_byte_node() {
+        assert_eq!(std::mem::size_of::<Node>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the queue clock")]
+    fn push_behind_the_clock_panics() {
+        let mut q = EventQueue::new();
+        q.push(500, Event::Generate { flow: 0 });
+        q.pop();
+        q.push(499, Event::Generate { flow: 1 });
+    }
+
+    /// Pops `q` and the reference heap in lockstep, asserting they agree.
+    fn pop_both(
+        q: &mut EventQueue,
+        h: &mut BinaryHeap<Reverse<(Cycles, u64, u32)>>,
+        t_end: Cycles,
+        op: u64,
+    ) -> Option<Cycles> {
+        let want = match h.peek() {
+            Some(&Reverse((t, _, f))) if t <= t_end => {
+                h.pop();
+                Some((t, Event::Generate { flow: f }))
+            }
+            _ => None,
+        };
+        let got = q.pop_at_most(t_end);
+        assert_eq!(got, want, "diverged at op {op}");
+        assert_eq!(q.len(), h.len(), "length diverged at op {op}");
+        got.map(|(t, _)| t)
+    }
+
+    #[test]
     fn matches_reference_heap_on_random_workload() {
-        // Differential check against a BinaryHeap with the same
-        // (time, seq) order, under a mixed push/pop pattern that mimics
-        // the simulator (times never before the last popped time).
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+        // Seeded 1M-op differential against a BinaryHeap with the same
+        // (time, seq) order, with the fabric's look-ahead mix: packet
+        // times, CBR interarrival times of up to 640k cycles and gaps
+        // past the far window, plus bounded pops (run_until's clamp).
         let mut q = EventQueue::new();
         let mut h: BinaryHeap<Reverse<(Cycles, u64, u32)>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -541,34 +539,39 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for round in 0..20_000u32 {
-            let burst = rand() % 4;
-            for _ in 0..burst {
-                let t = now + rand() % 5000;
-                q.push(t, Event::Generate { flow: round });
-                h.push(Reverse((t, seq, round)));
-                seq += 1;
-            }
-            if rand() % 3 != 0 {
-                let got = q.pop();
-                let want = h.pop();
-                match (got, want) {
-                    (None, None) => {}
-                    (Some((t, Event::Generate { flow })), Some(Reverse((wt, _, wf)))) => {
-                        assert_eq!((t, flow), (wt, wf), "diverged at round {round}");
+        for op in 0..1_000_000u64 {
+            let r = rand();
+            match r % 16 {
+                0..=6 => {
+                    let ahead = match (r >> 8) % 8 {
+                        0..=3 => (r >> 16) % 4_096,
+                        4..=6 => (r >> 16) % 640_000,
+                        _ => 1_000_000 + (r >> 16) % 3_000_000,
+                    };
+                    // Half the pushes land on a coarse grid, so
+                    // same-time ties across tiers are common.
+                    let t = match (r >> 40) & 1 {
+                        0 => now + ahead,
+                        _ => (now + ahead).next_multiple_of(1 << 12),
+                    };
+                    q.push(t, Event::Generate { flow: op as u32 });
+                    h.push(Reverse((t, seq, op as u32)));
+                    seq += 1;
+                }
+                7 => {
+                    // A bounded pop that may stop short; the caller's
+                    // clock then advances to t_end, as in run_until.
+                    let t_end = now + (r >> 8) % 2_000_000;
+                    now = pop_both(&mut q, &mut h, t_end, op).unwrap_or(t_end);
+                }
+                _ => {
+                    if let Some(t) = pop_both(&mut q, &mut h, Cycles::MAX, op) {
                         now = t;
                     }
-                    other => panic!("diverged at round {round}: {other:?}"),
                 }
             }
         }
-        while let Some(Reverse((wt, _, wf))) = h.pop() {
-            let (t, e) = q.pop().expect("calendar queue ran dry early");
-            let Event::Generate { flow } = e else {
-                unreachable!()
-            };
-            assert_eq!((t, flow), (wt, wf));
-        }
-        assert!(q.pop().is_none());
+        while pop_both(&mut q, &mut h, Cycles::MAX, u64::MAX).is_some() {}
+        assert!(q.is_empty());
     }
 }

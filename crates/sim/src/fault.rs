@@ -5,7 +5,7 @@
 //! degradation, link flaps, VL blackouts, credit stalls and VLArb
 //! table corruption — applied to a [`crate::fabric::Fabric`] via
 //! [`crate::fabric::Fabric::apply_fault_plan`]. Each action is pushed
-//! onto the **same calendar queue** as every other simulation event, so
+//! onto the **same event queue** as every other simulation event, so
 //! a faulted run keeps the exact `(time, seq)` total order of the
 //! healthy one: runs are byte-identical for a given plan seed at any
 //! worker-thread count (each fabric is single-threaded; sweeps

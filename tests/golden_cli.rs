@@ -5,7 +5,7 @@
 //! `tests/golden/`. Any change to metric names, table layout, or — more
 //! importantly — the simulation results themselves shows up here as a
 //! diff, which keeps the deterministic-engine guarantee honest: the
-//! calendar event queue, the packet pool, and the harness refactors must
+//! timing-wheel event queue, the packet pool, and the harness refactors must
 //! all reproduce the exact pre-refactor event order.
 //!
 //! To regenerate after an *intentional* output change:

@@ -4,7 +4,7 @@
 //! runs are sharded over threads, but the merge is order-independent
 //! (results re-sorted by run id, metrics merged commutatively). These
 //! tests pin that promise at the workspace level, on top of the pooled
-//! packet buffers and the calendar event queue — the two hot-path
+//! packet buffers and the timing-wheel event queue — the two hot-path
 //! structures whose internal layout must never leak into results.
 
 use infiniband_qos::harness::{
@@ -93,7 +93,7 @@ fn iba_threads_env_var_is_honoured_and_preserves_results() {
 }
 
 /// Instrumentation must be a pure observer: a recorded run (per-event
-/// metric hooks active through the calendar queue and packet pool)
+/// metric hooks active through the event queue and packet pool)
 /// delivers the same packets in the same order as a plain run — the
 /// FNV-1a delivery digest is the witness.
 #[test]

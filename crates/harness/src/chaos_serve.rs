@@ -2,7 +2,7 @@
 //! through the sharded admission service **under a control-plane fault
 //! calendar** — shard crashes, vote-message loss/delay, reply loss —
 //! and differentially audits the survivor against both the sequential
-//! [`QosManager`] reference and an unfaulted sharded run.
+//! [`QosManager`](iba_qos::QosManager) reference and an unfaulted sharded run.
 //!
 //! Three oracles gate the verdict:
 //!

@@ -139,7 +139,8 @@ pub trait Recorder {
 
     /// A head packet on `vl` was routed to the arbitrating output but
     /// blocked by missing downstream credit (head-of-line stall
-    /// observation; counted per arbitration pass, not per packet).
+    /// observation; counted per examination of a head whose
+    /// eligibility may have changed, not per packet or per pass).
     #[inline]
     fn arb_hol_stall(&mut self, _vl: u8) {}
 
@@ -172,8 +173,9 @@ pub trait Recorder {
     #[inline]
     fn fault_injected(&mut self, _code: u8, _port: u16, _detail: u32) {}
 
-    /// An arbitration candidate on `vl` was suppressed by an active
-    /// fault (link down, VL blackout or frozen credits).
+    /// A head packet on `vl` was withheld from arbitration by an active
+    /// fault (VL blackout or frozen credits); counted per examination,
+    /// like [`Recorder::arb_hol_stall`].
     #[inline]
     fn fault_blocked(&mut self, _vl: u8) {}
 

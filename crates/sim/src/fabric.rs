@@ -55,16 +55,22 @@ struct SwitchNode {
     /// `routed_inputs[out]` has bit `q` set iff `routed[out * n + q]`
     /// is non-zero: the inputs an output's candidate scan visits.
     routed_inputs: Vec<u64>,
+    /// Bit `q` set iff the crossbar is draining input `q`.
+    busy_in: u64,
+    /// Bit `out` set iff output `out` cannot start a transfer: it is
+    /// mid-transfer, unwired or down.
+    closed_out: u64,
 }
 
 impl SwitchNode {
     /// Indexes the new head packet of lane `vl` at input `q`, routed to
-    /// output `out`.
+    /// output `out`, and marks input `q` for that output's next pass.
     #[inline]
     fn index_head(&mut self, q: usize, vl: usize, out: usize) {
         let n = self.inputs.len();
         self.routed[out * n + q] |= 1 << vl;
         self.routed_inputs[out] |= 1 << q;
+        self.outputs[out].dirty_inputs |= 1 << q;
     }
 
     /// Drops the head packet of lane `vl` at input `q`, routed to
@@ -78,6 +84,28 @@ impl SwitchNode {
             self.routed_inputs[out] &= !(1 << q);
         }
     }
+
+    /// Recomputes bit `out` of `closed_out` from the port's state.
+    #[inline]
+    fn refresh_closed(&mut self, out: usize) {
+        let o = &self.outputs[out];
+        if o.busy() || o.peer == Peer::None || o.fault.down {
+            self.closed_out |= 1 << out;
+        } else {
+            self.closed_out &= !(1 << out);
+        }
+    }
+}
+
+/// The candidate head packet per VL of one arbitration pass, in
+/// struct-of-arrays form: bit `v` of `mask` set iff VL `v` has a
+/// candidate, with its source input (switch outputs only) and size in
+/// the parallel arrays.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+struct Candidates {
+    mask: u16,
+    src: [u8; 16],
+    bytes: [u64; 16],
 }
 
 struct HostNode {
@@ -203,12 +231,18 @@ impl Fabric {
                         OutputPort::new(proto.clone(), Credits::full(cap), peer)
                     })
                     .collect();
-                SwitchNode {
+                let mut node = SwitchNode {
                     inputs,
                     outputs,
                     routed: vec![0; n * n],
                     routed_inputs: vec![0; n],
+                    busy_in: 0,
+                    closed_out: 0,
+                };
+                for p in 0..n {
+                    node.refresh_closed(p);
                 }
+                node
             })
             .collect();
 
@@ -662,6 +696,7 @@ impl Fabric {
             h.injected_bytes += u64::from(packet.bytes);
             h.injected_packets += 1;
             h.queues.push(pool, vl, packet);
+            h.out.dirty_lanes |= 1 << vl;
         }
         if !stopped {
             self.queue
@@ -679,8 +714,11 @@ impl Fabric {
     ) {
         let (inflight, peer) = match node {
             NodeId::Switch(s) => {
-                let out = &mut self.switches[s as usize].outputs[port as usize];
-                (out.inflight.take(), out.peer)
+                let sw = &mut self.switches[s as usize];
+                let out = &mut sw.outputs[port as usize];
+                let taken = (out.inflight.take(), out.peer);
+                sw.refresh_closed(port as usize);
+                taken
             }
             NodeId::Host(h) => {
                 let out = &mut self.hosts[h as usize].out;
@@ -693,9 +731,10 @@ impl Fabric {
         );
         let Some(inflight) = inflight else { return };
 
-        // Free the crossbar input the packet came from.
+        // Free the crossbar input the packet came from. Every output
+        // whose previous pass saw it busy now counts it as dirty.
         if let (NodeId::Switch(s), Some(q)) = (node, inflight.src_input) {
-            self.switches[s as usize].inputs[q as usize].busy = false;
+            self.switches[s as usize].busy_in &= !(1 << q);
         }
 
         // Hand the packet to the link's far end.
@@ -718,12 +757,10 @@ impl Fabric {
                 // Hosts consume instantly: return the buffer credit.
                 match node {
                     NodeId::Switch(s) => self.switches[s as usize].outputs[port as usize]
-                        .credits
-                        .restore(inflight.vl as usize, u64::from(p.bytes)),
+                        .restore_credit(inflight.vl as usize, u64::from(p.bytes)),
                     NodeId::Host(h2) => self.hosts[h2 as usize]
                         .out
-                        .credits
-                        .restore(inflight.vl as usize, u64::from(p.bytes)),
+                        .restore_credit(inflight.vl as usize, u64::from(p.bytes)),
                 }
             }
             Peer::SwitchIn {
@@ -740,7 +777,8 @@ impl Fabric {
                     input.vls.push(pool, vl, inflight.packet);
                     // A packet that became its lane's head carries the
                     // lane's cached route from here on, and enters the
-                    // routed-head index under that route.
+                    // routed-head index (and its output's dirty set)
+                    // under that route.
                     if input.vls.len(vl) == 1 {
                         input.head_route[vl] = onward;
                         node.index_head(in_port as usize, vl, onward as usize);
@@ -795,7 +833,7 @@ impl Fabric {
             let Some(out) = self.output_port_mut(node, port) else {
                 return;
             };
-            match action {
+            let detail = match action {
                 FaultAction::DegradeLink { shift, .. } => {
                     out.fault.rate_shift = shift;
                     u32::from(shift)
@@ -826,8 +864,16 @@ impl Fabric {
                 FaultAction::ServeCrash { .. }
                 | FaultAction::ServeVoteLoss { .. }
                 | FaultAction::ServeReplyLoss { .. } => 0,
-            }
+            };
+            // Any fault action may change which heads are eligible:
+            // the port's next pass is a full one.
+            out.dirty_inputs = !0;
+            out.dirty_lanes = !0;
+            detail
         };
+        if let NodeId::Switch(s) = node {
+            self.switches[s as usize].refresh_closed(port as usize);
+        }
         if recompiled {
             self.schedule_invalidations += 1;
             self.schedule_compiles += 1;
@@ -845,10 +891,6 @@ impl Fabric {
     // ------------------------------------------------------------------
 
     /// Attempts to start a transfer on an idle output port.
-    ///
-    /// The busy/down test is inlined here so the overwhelmingly common
-    /// outcome — the kicked port is mid-transfer — costs a couple of
-    /// loads at the call site instead of a call into the scan bodies.
     fn kick<R: Recorder>(&mut self, node: NodeId, port: u8, rec: &mut R) {
         match node {
             NodeId::Switch(s) => self.kick_switch_output(s as usize, port as usize, rec),
@@ -885,124 +927,158 @@ impl Fabric {
     /// Grants the next transfer on idle switch output `port`, if any
     /// input holds an eligible head packet for it.
     ///
-    /// The candidate scan reads the switch's routed-head index: it
-    /// visits only the inputs with a head packet routed to `port`, in
-    /// round-robin order from `next_input`, and at each only the lanes
-    /// so routed. A lane routed elsewhere can neither become a
-    /// candidate nor fire a hook here, so the candidates, the
-    /// `fault_blocked` / `arb_hol_stall` hooks and the grant are those
-    /// of a scan over every input and occupied lane in the same order.
+    /// A pass scans only the heads in the port's dirty set (see
+    /// [`Fabric::switch_candidates`]); every eligible head lies there,
+    /// so the candidates and the grant are those of a full scan. The
+    /// dirty inputs are the marked ones plus those freed since the
+    /// previous pass: busy in the port's `busy_seen` snapshot, idle in
+    /// `busy_in` now. After the pass the set shrinks to the lanes that
+    /// have a candidate: the pass skipped their later heads, and any
+    /// other head it examined stays ineligible until a marked state
+    /// change. With `priority_input_claiming`, eligibility depends on
+    /// other outputs' credits and tables, so every pass is a full one.
     fn kick_switch_output<R: Recorder>(&mut self, s: usize, port: usize, rec: &mut R) {
-        let protect_inputs = self.config.priority_input_claiming;
-        loop {
-            // Busy/unwired/down ports exit before any candidate state
-            // is set up — most kicks land on a busy port.
-            {
-                let out = &self.switches[s].outputs[port];
-                if out.busy() || out.peer == Peer::None || out.fault.down {
-                    return;
-                }
-            }
-            // Candidate head packet per VL, struct-of-arrays: bit `v` of
-            // `cand_mask` set iff VL v has a candidate, with its source
-            // input and size in the parallel arrays.
-            let mut cand_mask: u16 = 0;
-            let mut cand_src = [0u8; 16];
-            let mut cand_bytes = [0u64; 16];
-            {
-                let node = &self.switches[s];
-                let out = &node.outputs[port];
-                let fault = out.fault;
-                let my_high = out.arb.high_vl_mask();
-                let n_in = node.inputs.len();
-                let routed = &node.routed[port * n_in..(port + 1) * n_in];
-                let inputs = node.routed_inputs[port];
-                // Round-robin from `next_input`: the inputs at or above
-                // it ascending, then the wrap below it. `next_input <
-                // n_in <= 64`, so the shift is in range.
-                let upper = !0u64 << out.next_input;
-                for mut set in [inputs & upper, inputs & !upper] {
-                    while set != 0 {
-                        let q = set.trailing_zeros() as usize;
-                        set &= set - 1;
-                        let input = &node.inputs[q];
-                        if input.busy {
-                            continue;
-                        }
-                        // Lanes whose head routes here and that have no
-                        // candidate yet, ascending. The cached head size
-                        // answers the whole scan from port-local arrays —
-                        // no packet pool or routing table access here.
-                        let mut pend = routed[q] & !cand_mask;
-                        if pend == 0 {
-                            continue;
-                        }
-                        // Extension: inputs with pending high-priority
-                        // work for other outputs are reserved for that
-                        // work — this output may still take its *own*
-                        // high-table VLs from them, but not low-priority
-                        // packets.
-                        let protected =
-                            protect_inputs && self.input_has_foreign_high_work(s, q, port);
-                        while pend != 0 {
-                            let vl = pend.trailing_zeros() as usize;
-                            pend &= pend - 1;
-                            if protected && vl != 15 && my_high & (1 << vl) == 0 {
-                                continue;
-                            }
-                            if fault.blackout_mask & (1 << vl) != 0
-                                || fault.stall_mask & (1 << vl) != 0
-                            {
-                                // Injected VL blackout / credit stall:
-                                // the head packet is routed here but the
-                                // fault layer withholds it from the
-                                // arbiter.
-                                rec.fault_blocked(vl as u8);
-                                continue;
-                            }
-                            let bytes = u64::from(input.vls.head_bytes(vl));
-                            if !out.credits.can_send(vl, bytes) {
-                                // Head packet routed here but blocked on
-                                // downstream credit: a head-of-line
-                                // stall.
-                                rec.arb_hol_stall(vl as u8);
-                                continue;
-                            }
-                            cand_mask |= 1 << vl;
-                            cand_src[vl] = q as u8;
-                            cand_bytes[vl] = bytes;
-                        }
-                    }
-                }
-            }
-
-            // VL15 bypasses arbitration entirely.
-            let grant = if cand_mask & (1 << 15) != 0 {
-                Some((15u8, cand_src[15], cand_bytes[15] as u32, None, false))
-            } else {
-                let out = &mut self.switches[s].outputs[port];
-                out.arb.select(cand_mask, &cand_bytes).map(|g| {
-                    let vl = g.vl.index();
-                    (
-                        g.vl.raw(),
-                        cand_src[vl],
-                        cand_bytes[vl] as u32,
-                        Some(g.served_by),
-                        g.exhausted,
-                    )
-                })
-            };
-
-            let Some((vl, q, bytes, served, exhausted)) = grant else {
-                return;
-            };
-            if exhausted {
-                rec.arb_weight_exhausted(vl);
-            }
-            rec.arb_queue_depth(self.switches[s].inputs[q as usize].vls.len(vl as usize) as u64);
-            self.start_switch_transfer(s, port, q as usize, vl, bytes, served, rec);
-            // The port is now busy; the loop exits on the next pass.
+        // Busy, unwired and down ports exit on one bit test — most
+        // kicks land on a busy port.
+        if self.switches[s].closed_out & (1 << port) != 0 {
+            return;
         }
+        let busy_in = self.switches[s].busy_in;
+        let (dirty_inputs, dirty_lanes) = if self.config.priority_input_claiming {
+            (!0, !0)
+        } else {
+            let out = &self.switches[s].outputs[port];
+            (
+                out.dirty_inputs | (out.busy_seen & !busy_in),
+                out.dirty_lanes,
+            )
+        };
+        let cand = self.switch_candidates(s, port, dirty_inputs, dirty_lanes, rec);
+        #[cfg(debug_assertions)]
+        if dirty_inputs != !0 || dirty_lanes != !0 {
+            let full = self.switch_candidates(s, port, !0, !0, &mut NullRecorder);
+            assert_eq!(
+                cand, full,
+                "switch {s} output {port} at {}: a restricted pass (inputs {dirty_inputs:#x}, \
+                 lanes {dirty_lanes:#x}) missed an eligible head",
+                self.now
+            );
+        }
+        let out = &mut self.switches[s].outputs[port];
+        out.dirty_inputs = 0;
+        out.dirty_lanes = cand.mask;
+        out.busy_seen = busy_in;
+        if cand.mask == 0 {
+            return;
+        }
+
+        // VL15 bypasses arbitration entirely.
+        let grant = if cand.mask & (1 << 15) != 0 {
+            Some((15u8, None, false))
+        } else {
+            out.arb
+                .select(cand.mask, &cand.bytes)
+                .map(|g| (g.vl.raw(), Some(g.served_by), g.exhausted))
+        };
+        let Some((vl, served, exhausted)) = grant else {
+            return;
+        };
+        if exhausted {
+            rec.arb_weight_exhausted(vl);
+        }
+        let q = cand.src[vl as usize] as usize;
+        let bytes = cand.bytes[vl as usize] as u32;
+        rec.arb_queue_depth(self.switches[s].inputs[q].vls.len(vl as usize) as u64);
+        self.start_switch_transfer(s, port, q, vl, bytes, served, rec);
+    }
+
+    /// The candidate head per VL for switch output `port`, scanning
+    /// the heads of the dirty set: every lane of the inputs in
+    /// `dirty_inputs`, and the lanes in `dirty_lanes` of every input.
+    ///
+    /// The scan reads the switch's routed-head index: it visits only
+    /// the idle inputs with a head packet routed to `port`, in
+    /// round-robin order from `next_input`, and at each only the lanes
+    /// so routed, ascending. A lane's candidate is its first eligible
+    /// head in that order; a head outside the dirty set is not
+    /// eligible, so the candidates equal a full scan's. The
+    /// `fault_blocked` / `arb_hol_stall` hooks fire once per examined
+    /// head.
+    #[inline]
+    fn switch_candidates<R: Recorder>(
+        &self,
+        s: usize,
+        port: usize,
+        dirty_inputs: u64,
+        dirty_lanes: u16,
+        rec: &mut R,
+    ) -> Candidates {
+        let mut cand = Candidates::default();
+        let claiming = self.config.priority_input_claiming;
+        let node = &self.switches[s];
+        let out = &node.outputs[port];
+        let fault = out.fault;
+        let my_high = if claiming { out.arb.high_vl_mask() } else { 0 };
+        let n_in = node.inputs.len();
+        let routed = &node.routed[port * n_in..(port + 1) * n_in];
+        let mut inputs = node.routed_inputs[port] & !node.busy_in;
+        if dirty_lanes == 0 {
+            inputs &= dirty_inputs;
+        }
+        // Round-robin from `next_input`: the inputs at or above it
+        // ascending, then the wrap below it. `next_input < n_in <= 64`,
+        // so the shift is in range.
+        let upper = !0u64 << out.next_input;
+        for mut set in [inputs & upper, inputs & !upper] {
+            while set != 0 {
+                let q = set.trailing_zeros() as usize;
+                set &= set - 1;
+                // Dirty lanes routed here that have no candidate yet;
+                // every such lane of a dirty input. The cached head size
+                // answers the whole scan from port-local arrays — no
+                // packet pool or routing table access here.
+                let lanes = if dirty_inputs & (1 << q) != 0 {
+                    !0
+                } else {
+                    dirty_lanes
+                };
+                let mut pend = routed[q] & lanes & !cand.mask;
+                if pend == 0 {
+                    continue;
+                }
+                let input = &node.inputs[q];
+                // Extension: inputs with pending high-priority work for
+                // other outputs are reserved for that work — this output
+                // may still take its *own* high-table VLs from them, but
+                // not low-priority packets.
+                let protected = claiming && self.input_has_foreign_high_work(s, q, port);
+                while pend != 0 {
+                    let vl = pend.trailing_zeros() as usize;
+                    pend &= pend - 1;
+                    if protected && vl != 15 && my_high & (1 << vl) == 0 {
+                        continue;
+                    }
+                    if fault.blackout_mask & (1 << vl) != 0 || fault.stall_mask & (1 << vl) != 0 {
+                        // Injected VL blackout / credit stall: the head
+                        // packet is routed here but the fault layer
+                        // withholds it from the arbiter.
+                        rec.fault_blocked(vl as u8);
+                        continue;
+                    }
+                    let bytes = u64::from(input.vls.head_bytes(vl));
+                    if !out.credits.can_send(vl, bytes) {
+                        // Head packet routed here but blocked on
+                        // downstream credit: a head-of-line stall.
+                        rec.arb_hol_stall(vl as u8);
+                        continue;
+                    }
+                    cand.mask |= 1 << vl;
+                    cand.src[vl] = q as u8;
+                    cand.bytes[vl] = bytes;
+                }
+            }
+        }
+        cand
     }
 
     #[allow(clippy::too_many_arguments)] // internal hot-path plumbing; a struct would just rename the args
@@ -1031,7 +1107,7 @@ impl Fabric {
             packet.bytes
         );
         let node = &mut self.switches[s];
-        node.inputs[q].busy = true;
+        node.busy_in |= 1 << q;
         // The popped head leaves the index; a promoted head gets the
         // lane's cached route and enters the index under it.
         node.unindex_head(q, vl as usize, port);
@@ -1046,22 +1122,22 @@ impl Fabric {
         match upstream {
             PortPeer::Switch { switch, port: up } => {
                 self.switches[switch.index()].outputs[up as usize]
-                    .credits
-                    .restore(vl as usize, u64::from(bytes));
+                    .restore_credit(vl as usize, u64::from(bytes));
                 self.kick(NodeId::Switch(switch.0), up, rec);
             }
             PortPeer::Host(h) => {
                 self.hosts[h.index()]
                     .out
-                    .credits
-                    .restore(vl as usize, u64::from(bytes));
+                    .restore_credit(vl as usize, u64::from(bytes));
                 self.kick(NodeId::Host(h.0), 0, rec);
             }
             PortPeer::Free => unreachable!("packet arrived on an unwired port"),
         }
 
         let bpc = self.config.link_bytes_per_cycle;
-        let out = &mut self.switches[s].outputs[port];
+        let node = &mut self.switches[s];
+        node.closed_out |= 1 << port;
+        let out = &mut node.outputs[port];
         // An injected rate degradation stretches the transfer.
         let duration =
             cycles_for_bytes(u64::from(bytes), bpc) << u32::from(out.fault.rate_shift.min(20));
@@ -1089,51 +1165,49 @@ impl Fabric {
         );
     }
 
+    /// Grants the next transfer on host `h`'s idle uplink, scanning only
+    /// the heads of the port's dirty lanes (the switch outputs' lane
+    /// set, without inputs).
     fn kick_host_output<R: Recorder>(&mut self, h: usize, rec: &mut R) {
-        // Busy/down uplinks exit before any candidate state is set up —
-        // most kicks land on a busy port.
-        {
+        // Busy/down uplinks and uplinks with no changed head exit before
+        // any candidate state is set up — most kicks land on a busy port.
+        let dirty_lanes = {
             let host = &self.hosts[h];
-            if host.out.busy() || host.out.fault.down || host.queues.occupied() == 0 {
+            if host.out.busy() || host.out.fault.down {
                 return;
             }
+            host.out.dirty_lanes & host.queues.occupied()
+        };
+        if dirty_lanes == 0 {
+            return;
         }
-        let mut cand_mask: u16 = 0;
-        let mut cand_bytes = [0u64; 16];
+        let cand = self.host_candidates(h, dirty_lanes, rec);
+        #[cfg(debug_assertions)]
         {
-            let host = &self.hosts[h];
-            let fault = host.out.fault;
-            let mut pend = host.queues.occupied();
-            while pend != 0 {
-                let vl = pend.trailing_zeros() as usize;
-                pend &= pend - 1;
-                let bytes = u64::from(host.queues.head_bytes(vl));
-                if fault.blackout_mask & (1 << vl) != 0 || fault.stall_mask & (1 << vl) != 0 {
-                    rec.fault_blocked(vl as u8);
-                } else if host.out.credits.can_send(vl, bytes) {
-                    cand_mask |= 1 << vl;
-                    cand_bytes[vl] = bytes;
-                } else {
-                    rec.arb_hol_stall(vl as u8);
-                }
-            }
+            let full = self.host_candidates(h, !0, &mut NullRecorder);
+            assert_eq!(
+                cand, full,
+                "host {h} at {}: a restricted pass (lanes {dirty_lanes:#x}) missed an eligible head",
+                self.now
+            );
+        }
+        let out = &mut self.hosts[h].out;
+        out.dirty_lanes = cand.mask;
+        if cand.mask == 0 {
+            return;
         }
 
-        let grant = if cand_mask & (1 << 15) != 0 {
-            Some((15u8, cand_bytes[15] as u32, None, false))
+        let grant = if cand.mask & (1 << 15) != 0 {
+            Some((15u8, cand.bytes[15] as u32, None, false))
         } else {
-            self.hosts[h]
-                .out
-                .arb
-                .select(cand_mask, &cand_bytes)
-                .map(|g| {
-                    (
-                        g.vl.raw(),
-                        cand_bytes[g.vl.index()] as u32,
-                        Some(g.served_by),
-                        g.exhausted,
-                    )
-                })
+            out.arb.select(cand.mask, &cand.bytes).map(|g| {
+                (
+                    g.vl.raw(),
+                    cand.bytes[g.vl.index()] as u32,
+                    Some(g.served_by),
+                    g.exhausted,
+                )
+            })
         };
 
         let Some((vl, bytes, served, exhausted)) = grant else {
@@ -1170,6 +1244,30 @@ impl Fabric {
                 port: 0,
             },
         );
+    }
+
+    /// The candidate head per VL of host `h`'s uplink over the occupied
+    /// lanes in `dirty_lanes`; the hooks fire once per examined head.
+    #[inline]
+    fn host_candidates<R: Recorder>(&self, h: usize, dirty_lanes: u16, rec: &mut R) -> Candidates {
+        let mut cand = Candidates::default();
+        let host = &self.hosts[h];
+        let fault = host.out.fault;
+        let mut pend = host.queues.occupied() & dirty_lanes;
+        while pend != 0 {
+            let vl = pend.trailing_zeros() as usize;
+            pend &= pend - 1;
+            let bytes = u64::from(host.queues.head_bytes(vl));
+            if fault.blackout_mask & (1 << vl) != 0 || fault.stall_mask & (1 << vl) != 0 {
+                rec.fault_blocked(vl as u8);
+            } else if host.out.credits.can_send(vl, bytes) {
+                cand.mask |= 1 << vl;
+                cand.bytes[vl] = bytes;
+            } else {
+                rec.arb_hol_stall(vl as u8);
+            }
+        }
+        cand
     }
 
     fn account<R: Recorder>(
@@ -1662,14 +1760,35 @@ mod tests {
     }
 
     /// Recomputes every switch's routed-head index from the lanes'
-    /// occupancy and cached head routes, checks each cached route
-    /// against the routing table, and asserts the incremental index
-    /// equals the recomputed one.
+    /// occupancy and cached head routes, and its crossbar masks from
+    /// the output ports, checks each cached route against the routing
+    /// table, and asserts the incremental state equals the recomputed
+    /// one.
     fn assert_route_index_consistent(f: &Fabric) {
         for (s, node) in f.switches.iter().enumerate() {
             let n = node.inputs.len();
             let mut routed = vec![0u16; n * n];
             let mut inputs = vec![0u64; n];
+            let (mut busy_in, mut closed_out) = (0u64, 0u64);
+            for (p, out) in node.outputs.iter().enumerate() {
+                if let Some(q) = out.inflight.as_ref().and_then(|i| i.src_input) {
+                    assert_eq!(busy_in & (1 << q), 0, "switch {s}: input {q} drained twice");
+                    busy_in |= 1 << q;
+                }
+                if out.busy() || out.peer == Peer::None || out.fault.down {
+                    closed_out |= 1 << p;
+                }
+            }
+            assert_eq!(
+                node.busy_in, busy_in,
+                "switch {s}: busy inputs at {}",
+                f.now
+            );
+            assert_eq!(
+                node.closed_out, closed_out,
+                "switch {s}: closed outputs at {}",
+                f.now
+            );
             for (q, input) in node.inputs.iter().enumerate() {
                 let mut pend = input.vls.occupied();
                 while pend != 0 {
@@ -1701,12 +1820,13 @@ mod tests {
     /// A seeded 4-switch fabric under heavy random load, with a
     /// high-priority table on every port so input claiming has work to
     /// protect, and SL15 management traffic beside the data lanes.
-    fn seeded_fabric(seed: u64, claiming: bool) -> Fabric {
+    fn seeded_fabric(seed: u64, claiming: bool, vl_buffer_packets: u32) -> Fabric {
         let topo = iba_topo::irregular::generate(iba_topo::IrregularConfig::with_switches(4, seed));
         let routing = updown::compute(&topo);
         let hosts = topo.num_hosts() as u16;
         let mut config = SimConfig::paper_default(256);
         config.priority_input_claiming = claiming;
+        config.vl_buffer_packets = vl_buffer_packets;
         let mut f = Fabric::new(topo, routing, config);
         let high = [(1u8, 8u8), (3, 4), (5, 2)]
             .into_iter()
@@ -1797,12 +1917,19 @@ mod tests {
         plan
     }
 
+    /// Every slice boundary recomputes the index and crossbar masks; in
+    /// debug builds every restricted arbitration pass is also re-run as
+    /// a full pass and must find the same candidates. One-packet
+    /// buffers put the most heads behind credit.
     #[test]
     fn routed_head_index_matches_a_recomputation() {
-        for seed in 0..6u64 {
+        let runs = (0..6u64)
+            .map(|seed| (seed, 4))
+            .chain((6..12u64).map(|seed| (seed, 1)));
+        for (seed, vl_buffer_packets) in runs {
             for claiming in [false, true] {
                 for faulted in [false, true] {
-                    let mut f = seeded_fabric(seed, claiming);
+                    let mut f = seeded_fabric(seed, claiming, vl_buffer_packets);
                     if faulted {
                         let plan = index_fault_plan(&f);
                         f.apply_fault_plan(&plan);

@@ -81,6 +81,20 @@ pub struct OutputPort {
     pub next_input: u8,
     /// Injected fault state (healthy by default).
     pub fault: FaultState,
+    /// Inputs whose head packets may have changed eligibility for this
+    /// port since its previous arbitration pass (switch outputs only).
+    /// With the inputs freed since that pass (busy in `busy_seen`, idle
+    /// now) they are the dirty inputs: the next pass scans every lane
+    /// of them.
+    pub dirty_inputs: u64,
+    /// Lanes whose head packets may have changed eligibility since the
+    /// previous pass: the next pass scans these lanes of every input.
+    /// Every eligible head of the port lies in the dirty inputs or the
+    /// dirty lanes.
+    pub dirty_lanes: u16,
+    /// The switch's busy inputs at this port's previous pass (switch
+    /// outputs only).
+    pub busy_seen: u64,
     /// Counters.
     pub stats: PortStats,
 }
@@ -96,8 +110,19 @@ impl OutputPort {
             inflight: None,
             next_input: 0,
             fault: FaultState::default(),
+            dirty_inputs: !0,
+            dirty_lanes: !0,
+            busy_seen: 0,
             stats: PortStats::default(),
         }
+    }
+
+    /// Returns `bytes` of downstream credit on lane `vl`. A head on
+    /// that lane may fit now, so the lane is marked for the next pass.
+    #[inline]
+    pub fn restore_credit(&mut self, vl: usize, bytes: u64) {
+        self.credits.restore(vl, bytes);
+        self.dirty_lanes |= 1 << vl;
     }
 
     /// Is the link currently transmitting?
@@ -107,9 +132,10 @@ impl OutputPort {
     }
 }
 
-/// Input side of a switch port: 16 VL buffers plus the crossbar busy
-/// flag ("only a VL of each input port can be transmitting at the same
-/// time").
+/// Input side of a switch port: 16 VL buffers. Whether the crossbar
+/// is draining the port ("only a VL of each input port can be
+/// transmitting at the same time") is a bit of the switch's `busy_in`
+/// mask.
 #[derive(Debug)]
 pub struct InputPort {
     /// Receive buffers, one per VL, in struct-of-arrays layout with an
@@ -121,8 +147,6 @@ pub struct InputPort {
     /// push/pop that changes a lane's head and the candidate scan never
     /// touches the routing table or the packet pool.
     pub head_route: [u8; 16],
-    /// Whether the crossbar is currently draining this port.
-    pub busy: bool,
 }
 
 impl InputPort {
@@ -132,7 +156,6 @@ impl InputPort {
         InputPort {
             vls: VlQueueSet::new(capacity),
             head_route: [0; 16],
-            busy: false,
         }
     }
 
@@ -159,9 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn input_port_starts_idle_and_empty() {
+    fn input_port_starts_empty() {
         let p = InputPort::new(1024);
-        assert!(!p.busy);
         assert_eq!(p.buffered(), 0);
         assert_eq!(p.vls.occupied(), 0);
     }

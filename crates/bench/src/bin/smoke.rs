@@ -64,6 +64,25 @@ fn bench_alloc(h: &mut Harness) {
             }
             found
         });
+        // The failing select: one free slot left (the policy's own
+        // layout), so no E-set is free at d <= 32 and every distance
+        // but 64 fails — the case that costs a probe walk all `d`
+        // candidates.
+        let mut occ = 0u64;
+        for _ in 1..64 {
+            if let Some(e) = kind.select(occ, Distance::D64) {
+                occ |= e.mask();
+            }
+        }
+        h.bench(&format!("alloc/select_full/{}", kind.name()), || {
+            let mut found = 0u32;
+            for d in Distance::ALL {
+                if kind.select(black_box(occ), d).is_some() {
+                    found += 1;
+                }
+            }
+            found
+        });
     }
     // Full admit/release round-trip through the table layer.
     h.bench("alloc/admit_release_roundtrip", || {

@@ -205,13 +205,12 @@ pub(crate) mod tests {
     /// in canonical order, takes the first free set the bit-reversal
     /// allocator finds.
     pub(crate) fn probe_plan(live: &[(SequenceId, ESet)]) -> Option<Vec<Relocation>> {
-        use crate::alloc::{BitReversalAllocator, SequenceAllocator};
         let mut order: Vec<&(SequenceId, ESet)> = live.iter().collect();
         order.sort_by_key(|(id, e)| (e.distance().slots(), e.offset(), *id));
         let mut occupancy = 0u64;
         let mut plan = Vec::with_capacity(live.len());
         for (id, from) in order {
-            let to = BitReversalAllocator.select(occupancy, from.distance())?;
+            let to = crate::AllocatorKind::BitReversal.select(occupancy, from.distance())?;
             occupancy |= to.mask();
             plan.push(Relocation {
                 sequence: *id,

@@ -46,7 +46,7 @@ pub mod table;
 pub mod vlarb;
 pub mod weight;
 
-pub use alloc::{AllocatorKind, BitReversalAllocator, FirstFitAllocator, SequenceAllocator};
+pub use alloc::AllocatorKind;
 pub use defrag::{is_canonical, Relocation};
 pub use distance::{effective_request, entries_needed, Distance};
 pub use entry::{TableSlot, VirtualLane, MAX_DATA_VLS, TABLE_ENTRIES};

@@ -255,13 +255,13 @@ mod tests {
     #[test]
     fn alloc_matches_production_probe_order() {
         // At size 64 the model must agree with the production allocator.
-        use crate::alloc::{BitReversalAllocator, SequenceAllocator};
+        use crate::alloc::AllocatorKind;
         use crate::distance::Distance;
         let t = MiniTable::new(64);
         let mut occ = 0u64;
         for d in [Distance::D64, Distance::D8, Distance::D2, Distance::D16] {
             let model = t.alloc(occ, d.slots() as u32).unwrap();
-            let prod = BitReversalAllocator.select(occ, d).unwrap();
+            let prod = AllocatorKind::BitReversal.select(occ, d).unwrap();
             assert_eq!(u32::from(model.1), prod.offset() as u32, "{d}");
             occ |= t.mask(model);
         }

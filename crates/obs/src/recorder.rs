@@ -124,6 +124,17 @@ pub trait Recorder {
     #[inline]
     fn alloc_probe(&mut self, _rejected: bool) {}
 
+    /// `probes` allocator probes of one select, the first `rejected` of
+    /// them on busy sets: the allocator reports a whole walk's probes
+    /// at once. Defaults to that many [`Recorder::alloc_probe`] calls,
+    /// rejections first, the order the walk made them in.
+    #[inline]
+    fn alloc_probes(&mut self, probes: u32, rejected: u32) {
+        for k in 0..probes {
+            self.alloc_probe(k < rejected);
+        }
+    }
+
     /// One allocator select finished after `depth` probes; `found`
     /// reports whether a free set was returned.
     #[inline]
@@ -409,6 +420,12 @@ impl Recorder for ObsRecorder {
         }
     }
 
+    #[inline]
+    fn alloc_probes(&mut self, probes: u32, rejected: u32) {
+        self.metrics.alloc_probe.add(u64::from(probes));
+        self.metrics.alloc_probe_rejected.add(u64::from(rejected));
+    }
+
     fn alloc_select(&mut self, depth: u32, found: bool) {
         if found {
             self.metrics.alloc_probe_depth.observe(u64::from(depth));
@@ -625,6 +642,36 @@ mod tests {
         r.cac_reject(RejectKind::CapacityExceeded);
         // Nothing to assert — the point is it compiles to nothing and
         // panics never.
+    }
+
+    #[test]
+    fn bulk_probes_equal_single_probes() {
+        /// Overrides only `alloc_probe`, so `alloc_probes` takes the
+        /// default loop.
+        #[derive(Default)]
+        struct Singles(Vec<bool>);
+        impl Recorder for Singles {
+            fn alloc_probe(&mut self, rejected: bool) {
+                self.0.push(rejected);
+            }
+        }
+        let mut singles = Singles::default();
+        singles.alloc_probes(5, 4);
+        assert_eq!(singles.0, [true, true, true, true, false]);
+
+        let (mut bulk, mut single) = (ObsRecorder::new(), ObsRecorder::new());
+        for (probes, rejected) in [(5, 4), (64, 64), (1, 0)] {
+            bulk.alloc_probes(probes, rejected);
+            for k in 0..probes {
+                single.alloc_probe(k < rejected);
+            }
+        }
+        assert_eq!(bulk.metrics.alloc_probe, single.metrics.alloc_probe);
+        assert_eq!(bulk.metrics.alloc_probe.get(), 70);
+        assert_eq!(
+            bulk.metrics.alloc_probe_rejected,
+            single.metrics.alloc_probe_rejected
+        );
     }
 
     #[test]

@@ -10,13 +10,13 @@ use iba_core::{
     Weight, MAX_TABLE_WEIGHT,
 };
 use iba_sim::NodeId;
-use std::collections::BTreeMap;
 
 /// Identifies one output port in the fabric.
 ///
 /// Ordered `(node, port)` with [`NodeId`]'s canonical order (switches
-/// before hosts): the registry is a `BTreeMap`, so everything that
-/// iterates tables — audits, recovery, reports — sees this order.
+/// before hosts): the registry keeps its tables in this order, so
+/// everything that iterates tables — audits, recovery, reports — sees
+/// it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortKey {
     /// Owning node.
@@ -122,13 +122,81 @@ impl std::fmt::Display for ReleaseError {
 
 impl std::error::Error for ReleaseError {}
 
+/// Marks an untouched port in a [`PortIndex`].
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Where each touched table sits in [`PortTables`]' entries: one dense
+/// array per node kind, read at `id * stride + port`, where `stride`
+/// is one past the highest touched port of that kind. It holds
+/// `(highest touched id + 1) * stride` positions, about one per port
+/// for a fabric's dense ids. Rebuilt whenever a first touch shifts the
+/// entries' positions.
+#[derive(Clone, Default)]
+struct PortIndex {
+    stride: usize,
+    position: Vec<u32>,
+}
+
+impl PortIndex {
+    fn get(&self, id: u16, port: u8) -> Option<usize> {
+        let port = usize::from(port);
+        if port >= self.stride {
+            return None;
+        }
+        let p = *self.position.get(usize::from(id) * self.stride + port)?;
+        (p != UNTOUCHED).then_some(p as usize)
+    }
+
+    /// Indexes the `(id, port, position)` triples of one node kind.
+    fn build(keys: impl Iterator<Item = (u16, u8, usize)> + Clone) -> Self {
+        let stride = keys.clone().map(|(_, p, _)| usize::from(p) + 1).max();
+        let ids = keys.clone().map(|(i, _, _)| usize::from(i) + 1).max();
+        let (Some(stride), Some(ids)) = (stride, ids) else {
+            return PortIndex::default();
+        };
+        let mut position = vec![UNTOUCHED; ids * stride];
+        for (id, port, p) in keys {
+            position[usize::from(id) * stride + usize::from(port)] = p as u32;
+        }
+        PortIndex { stride, position }
+    }
+}
+
 /// The registry of high-priority tables, one per output port, created
 /// lazily with a shared configuration.
-#[derive(Clone, Debug)]
+///
+/// Tables live in one vector in canonical [`PortKey`] order, so
+/// [`PortTables::tables`] is a contiguous walk, and a dense index per
+/// node kind finds a port's table in one read.
+#[derive(Clone)]
 pub struct PortTables {
-    tables: BTreeMap<PortKey, HighPriorityTable>,
+    /// Every touched table, sorted by key.
+    entries: Vec<(PortKey, HighPriorityTable)>,
+    switches: PortIndex,
+    hosts: PortIndex,
     allocator: AllocatorKind,
     capacity_limit: Weight,
+}
+
+/// Prints what the registry printed when it was a
+/// `BTreeMap<PortKey, HighPriorityTable>`: the table digests hash this
+/// string.
+impl std::fmt::Debug for PortTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Tables<'a>(&'a [(PortKey, HighPriorityTable)]);
+        impl std::fmt::Debug for Tables<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(k, t)| (k, t)))
+                    .finish()
+            }
+        }
+        f.debug_struct("PortTables")
+            .field("tables", &Tables(&self.entries))
+            .field("allocator", &self.allocator)
+            .field("capacity_limit", &self.capacity_limit)
+            .finish()
+    }
 }
 
 impl PortTables {
@@ -144,7 +212,9 @@ impl PortTables {
     pub fn with_allocator(allocator: AllocatorKind, qos_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&qos_fraction));
         PortTables {
-            tables: BTreeMap::new(),
+            entries: Vec::new(),
+            switches: PortIndex::default(),
+            hosts: PortIndex::default(),
             allocator,
             capacity_limit: (qos_fraction * f64::from(MAX_TABLE_WEIGHT)) as Weight,
         }
@@ -156,25 +226,60 @@ impl PortTables {
         self.capacity_limit
     }
 
+    /// Position of `key`'s table in `entries`, if it was ever touched.
+    fn position(&self, key: PortKey) -> Option<usize> {
+        match key.node {
+            NodeId::Switch(s) => self.switches.get(s, key.port),
+            NodeId::Host(h) => self.hosts.get(h, key.port),
+        }
+    }
+
+    /// Re-indexes every entry after the positions shifted.
+    fn reindex(&mut self) {
+        let keys = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(p, (k, _))| (k.node, k.port, p));
+        self.switches = PortIndex::build(keys.clone().filter_map(|(n, port, p)| match n {
+            NodeId::Switch(s) => Some((s, port, p)),
+            NodeId::Host(_) => None,
+        }));
+        self.hosts = PortIndex::build(keys.filter_map(|(n, port, p)| match n {
+            NodeId::Host(h) => Some((h, port, p)),
+            NodeId::Switch(_) => None,
+        }));
+    }
+
+    /// A fresh table with the registry's configuration.
+    fn fresh_table(&self) -> HighPriorityTable {
+        let mut t = HighPriorityTable::with_allocator(self.allocator);
+        t.set_capacity_limit(self.capacity_limit);
+        t
+    }
+
     fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
-        let allocator = self.allocator;
-        let limit = self.capacity_limit;
-        self.tables.entry(key).or_insert_with(|| {
-            let mut t = HighPriorityTable::with_allocator(allocator);
-            t.set_capacity_limit(limit);
-            t
-        })
+        let p = match self.position(key) {
+            Some(p) => p,
+            None => {
+                let p = self.entries.partition_point(|(k, _)| *k < key);
+                self.entries.insert(p, (key, self.fresh_table()));
+                self.reindex();
+                p
+            }
+        };
+        &mut self.entries[p].1
     }
 
     /// Read access to a port's table (if any reservation ever touched it).
     #[must_use]
     pub fn table(&self, key: PortKey) -> Option<&HighPriorityTable> {
-        self.tables.get(&key)
+        self.position(key).map(|p| &self.entries[p].1)
     }
 
-    /// All `(port, table)` pairs touched so far.
+    /// All `(port, table)` pairs touched so far, in canonical key order.
     pub fn tables(&self) -> impl Iterator<Item = (PortKey, &HighPriorityTable)> {
-        self.tables.iter().map(|(k, t)| (*k, t))
+        self.entries.iter().map(|(k, t)| (*k, t))
     }
 
     /// Attempts to reserve `(sl, vl, distance, weight)` at every port in
@@ -293,25 +398,25 @@ impl PortTables {
     }
 
     /// Port keys of every table touched so far, in canonical order
-    /// (switches before hosts, then node index, then port). The
-    /// registry is a `BTreeMap`, so this is simply its key order — no
-    /// re-sort, and no dependence on hasher behavior.
+    /// (switches before hosts, then node index, then port): the
+    /// entries' own order, with no re-sort.
     pub(crate) fn sorted_keys(&self) -> Vec<PortKey> {
-        self.tables.keys().copied().collect()
+        self.entries.iter().map(|(k, _)| *k).collect()
     }
 
     /// Mutable access to one touched table (recovery layer).
     pub(crate) fn get_table_mut(&mut self, key: PortKey) -> Option<&mut HighPriorityTable> {
-        self.tables.get_mut(&key)
+        self.position(key).map(|p| &mut self.entries[p].1)
     }
 
     /// An empty registry with this registry's configuration (allocator
     /// and capacity cap) — the shape a service shard starts from.
     pub(crate) fn empty_like(&self) -> PortTables {
-        PortTables {
-            tables: BTreeMap::new(),
-            allocator: self.allocator,
-            capacity_limit: self.capacity_limit,
+        Self {
+            entries: Vec::new(),
+            switches: PortIndex::default(),
+            hosts: PortIndex::default(),
+            ..*self
         }
     }
 
@@ -319,7 +424,17 @@ impl PortTables {
     /// be disjoint (shards own disjoint port sets); a collision keeps
     /// `other`'s table, which the sharded service never produces.
     pub(crate) fn absorb(&mut self, other: PortTables) {
-        self.tables.extend(other.tables);
+        self.entries.extend(other.entries);
+        // Stable: of two equal keys, `other`'s comes second.
+        self.entries.sort_by_key(|(k, _)| *k);
+        self.entries.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        self.reindex();
     }
 
     /// Non-mutating single-hop admission vote: exactly the error the
@@ -332,13 +447,9 @@ impl PortTables {
         distance: Distance,
         weight: Weight,
     ) -> Result<(), TableError> {
-        match self.tables.get(&key) {
+        match self.table(key) {
             Some(t) => t.check_admit(sl, distance, weight),
-            None => {
-                let mut t = HighPriorityTable::with_allocator(self.allocator);
-                t.set_capacity_limit(self.capacity_limit);
-                t.check_admit(sl, distance, weight)
-            }
+            None => self.fresh_table().check_admit(sl, distance, weight),
         }
     }
 
@@ -374,7 +485,7 @@ impl PortTables {
         let total: f64 = keys
             .iter()
             .map(|k| {
-                self.tables.get(k).map_or(0.0, |t| {
+                self.table(*k).map_or(0.0, |t| {
                     iba_core::bandwidth_for_weight(t.reserved_weight(), link_mbps)
                 })
             })
@@ -384,7 +495,7 @@ impl PortTables {
 
     /// Consistency check over every table (tests).
     pub fn check_all(&self) -> Result<(), String> {
-        for (k, t) in &self.tables {
+        for (k, t) in self.tables() {
             t.check_consistency()
                 .map_err(|e| format!("{:?} port {}: {e}", k.node, k.port))?;
         }
@@ -394,7 +505,7 @@ impl PortTables {
     /// Returns a sequence's info at a port, for assertions.
     #[must_use]
     pub fn sequence_info(&self, key: PortKey, id: SequenceId) -> Option<iba_core::SequenceInfo> {
-        self.tables.get(&key)?.sequence(id)
+        self.table(key)?.sequence(id)
     }
 }
 
@@ -551,6 +662,228 @@ mod tests {
         let mbps = pt.mean_reservation_mbps(&[key(0, 0), key(5, 5)], 2500.0);
         // One port at 1250 Mbps, one untouched: mean 625.
         assert!((mbps - 625.0).abs() < 1.0, "{mbps}");
+    }
+
+    /// The registry as it was before the dense index: a `BTreeMap`
+    /// whose derived `Debug` is what the table digests hashed.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        #[derive(Clone, Debug)]
+        pub struct PortTables {
+            pub tables: BTreeMap<PortKey, HighPriorityTable>,
+            pub allocator: AllocatorKind,
+            pub capacity_limit: Weight,
+        }
+
+        impl PortTables {
+            pub fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
+                let (allocator, limit) = (self.allocator, self.capacity_limit);
+                self.tables.entry(key).or_insert_with(|| {
+                    let mut t = HighPriorityTable::with_allocator(allocator);
+                    t.set_capacity_limit(limit);
+                    t
+                })
+            }
+
+            /// `admit_path` over the map: reserve hop by hop, roll back
+            /// on the first failure.
+            pub fn admit_path(
+                &mut self,
+                path: &[PortKey],
+                sl: ServiceLevel,
+                vl: VirtualLane,
+                distance: Distance,
+                weight: Weight,
+            ) -> Option<Vec<HopReservation>> {
+                let mut done = Vec::new();
+                for &key in path {
+                    match self.table_mut(key).admit(sl, vl, distance, weight) {
+                        Ok(adm) => done.push(HopReservation {
+                            node: key.node,
+                            port: key.port,
+                            sequence: adm.sequence,
+                        }),
+                        Err(_) => {
+                            self.release_path(&done, weight);
+                            return None;
+                        }
+                    }
+                }
+                Some(done)
+            }
+
+            pub fn release_path(&mut self, hops: &[HopReservation], weight: Weight) {
+                for hop in hops.iter().rev() {
+                    let key = PortKey {
+                        node: hop.node,
+                        port: hop.port,
+                    };
+                    let _ = self.table_mut(key).release(hop.sequence, weight);
+                }
+            }
+        }
+    }
+
+    /// Every lookup the registry must answer like the map: the ports the
+    /// walk touches, ports it never touches, port 0, the maximum port
+    /// and the highest host and switch ids.
+    fn probe_keys() -> Vec<PortKey> {
+        let mut keys = Vec::new();
+        for id in [0u16, 1, 2, 3, 4, 5, 9, 300, u16::MAX] {
+            for port in [0u8, 1, 2, 3, 7, u8::MAX] {
+                keys.push(key(id, port));
+                keys.push(PortKey {
+                    node: NodeId::Host(id),
+                    port,
+                });
+            }
+        }
+        keys
+    }
+
+    fn assert_same_registry(pt: &PortTables, reference: &reference::PortTables, step: usize) {
+        assert_eq!(format!("{pt:?}"), format!("{reference:?}"), "step {step}");
+        let want: Vec<PortKey> = reference.tables.keys().copied().collect();
+        assert_eq!(pt.tables().map(|(k, _)| k).collect::<Vec<_>>(), want);
+        assert_eq!(pt.sorted_keys(), want, "step {step}");
+        for k in probe_keys() {
+            assert_eq!(
+                pt.table(k).map(|t| format!("{t:?}")),
+                reference.tables.get(&k).map(|t| format!("{t:?}")),
+                "step {step}: {k:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn registry_matches_the_btreemap_reference_on_a_seeded_walk() {
+        use crate::recovery::RecoveryManager;
+        use iba_core::SplitMix64;
+
+        // Touched ports: a few switch ports and host uplinks, plus the
+        // maximum port of a switch and the highest host id.
+        let mut touchable: Vec<PortKey> = (0..5)
+            .flat_map(|s| (0..4).map(move |p| key(s, p)))
+            .collect();
+        touchable.extend((0..6).map(|h| PortKey {
+            node: NodeId::Host(h),
+            port: 0,
+        }));
+        touchable.push(key(9, u8::MAX));
+        touchable.push(PortKey {
+            node: NodeId::Host(u16::MAX),
+            port: 0,
+        });
+
+        let mut rng = SplitMix64::seed_from_u64(0x00DE_75E7);
+        let mut pt = PortTables::new(0.8);
+        let mut reference = reference::PortTables {
+            tables: std::collections::BTreeMap::new(),
+            allocator: AllocatorKind::BitReversal,
+            capacity_limit: pt.capacity_limit(),
+        };
+        let mut live: Vec<(Vec<HopReservation>, Weight)> = Vec::new();
+        // Admits, teardowns, repairs and round trips taken.
+        let mut taken = [0usize; 4];
+        assert_same_registry(&pt, &reference, 0);
+        for step in 1..=1500 {
+            match rng.gen_range(0u32..100) {
+                0..=59 => {
+                    taken[0] += 1;
+                    let hops = rng.gen_range(1usize..5);
+                    let mut path = Vec::with_capacity(hops);
+                    while path.len() < hops {
+                        let k = *rng.choose(&touchable).expect("non-empty");
+                        if !path.contains(&k) {
+                            path.push(k);
+                        }
+                    }
+                    let (s, d) = (rng.gen_range(0u8..10), *rng.choose(&Distance::ALL).unwrap());
+                    let w = rng.gen_range(1u32..400);
+                    let got = pt.admit_path(&path, sl(s), vl(s), d, w).ok();
+                    let want = reference.admit_path(&path, sl(s), vl(s), d, w);
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "step {step}");
+                    live.extend(got.map(|h| (h, w)));
+                }
+                60..=91 if !live.is_empty() => {
+                    taken[1] += 1;
+                    let (hops, w) = live.swap_remove(rng.gen_range(0..live.len()));
+                    let _ = pt.release_path(&hops, w);
+                    reference.release_path(&hops, w);
+                }
+                92..=95 => {
+                    taken[2] += 1;
+                    // Corrupt every touched table from one stream walked
+                    // in key order, then repair in key order.
+                    let seed = rng.next_u64();
+                    let (mut a, mut b) = (
+                        SplitMix64::seed_from_u64(seed),
+                        SplitMix64::seed_from_u64(seed),
+                    );
+                    for k in pt.sorted_keys() {
+                        pt.get_table_mut(k).unwrap().inject_corruption(&mut a);
+                    }
+                    for t in reference.tables.values_mut() {
+                        t.inject_corruption(&mut b);
+                    }
+                    assert_same_registry(&pt, &reference, step);
+                    let null = &mut iba_obs::NullRecorder;
+                    RecoveryManager::new(seed).repair_all(&mut pt, null);
+                    let mut recovery = RecoveryManager::new(seed);
+                    for t in reference.tables.values_mut() {
+                        recovery.repair_table(t, null);
+                    }
+                    // Repairs re-admit under fresh ids; start over.
+                    live.clear();
+                }
+                _ => {
+                    // Shard round trip: partition by stable code, then
+                    // reassemble in shard order.
+                    taken[3] += 1;
+                    let shards = rng.gen_range(1u64..5);
+                    let mut parts: Vec<PortTables> = (0..shards).map(|_| pt.empty_like()).collect();
+                    for (k, t) in pt.tables() {
+                        *parts[(k.stable_code() % shards) as usize].table_mut(k) = t.clone();
+                    }
+                    let mut merged = pt.empty_like();
+                    assert_same_registry(
+                        &merged,
+                        &reference::PortTables {
+                            tables: std::collections::BTreeMap::new(),
+                            ..reference.clone()
+                        },
+                        step,
+                    );
+                    for part in parts {
+                        merged.absorb(part);
+                    }
+                    pt = merged;
+                }
+            }
+            assert_same_registry(&pt, &reference, step);
+        }
+        assert_eq!(format!("{pt:#?}"), format!("{reference:#?}"));
+        assert!(pt.tables().count() > 20, "the walk touches most ports");
+        assert!(
+            taken.iter().all(|&n| n > 10),
+            "every operation ran: {taken:?}"
+        );
+    }
+
+    #[test]
+    fn absorb_keeps_the_absorbed_table_on_a_collision() {
+        let mut a = PortTables::new(0.8);
+        let mut b = a.empty_like();
+        a.admit_path(&[key(0, 1), key(2, 0)], sl(1), vl(1), Distance::D8, 10)
+            .unwrap();
+        b.admit_path(&[key(0, 1)], sl(2), vl(2), Distance::D4, 20)
+            .unwrap();
+        let want = format!("{:?}", b.table(key(0, 1)));
+        a.absorb(b);
+        assert_eq!(format!("{:?}", a.table(key(0, 1))), want);
+        assert_eq!(a.sorted_keys(), vec![key(0, 1), key(2, 0)]);
     }
 
     #[test]

@@ -412,9 +412,9 @@ fn measured_shares() -> Vec<VlShare> {
 
 /// CAC tier: sustained end-to-end admissions over a repair-free
 /// admit/teardown trace, through the sequential `QosManager`
-/// (`cac/sequential`) and through the sharded admission service at 1,
-/// 2 and 8 shards (`cac/serve/shards=K`), on the same segments, so the
-/// service's cost over the manager it must match is visible. Each row
+/// (`cac/sequential`) and through the journaled admission service
+/// (`cac/serve`), on the same segments, so the service's cost over the
+/// manager it must match is visible. Each row
 /// reports the per-admission cost (`ns_per_op`, i.e. `1e9 / ns`
 /// admissions per second sustained) with p50/p99 over the per-segment
 /// admit latencies. Every segment's service outcome vector is asserted
@@ -455,24 +455,25 @@ fn bench_cac() -> Vec<BenchRecord> {
 
     let mut reference: Vec<Vec<TraceOutcome>> = Vec::new();
     let mut records = Vec::new();
-    // `None` is the sequential manager, `Some(k)` the service at k shards.
-    for shards in [None, Some(1usize), Some(2), Some(8)] {
+    for served in [false, true] {
         let mut samples_ns: Vec<f64> = Vec::with_capacity(SEGMENTS);
         let mut admissions = 0u64;
         let mut wall_ns = 0f64;
         for (s, ops) in traces.iter().enumerate() {
             let (mut mgr, _) = build();
             let mut rec = ObsRecorder::new();
-            let (outcomes, ns) = match shards {
-                None => timed(&mut || apply_trace_sequential(&mut mgr, ops, &mut rec)),
-                Some(k) => timed(&mut || run_trace(&mgr, ops, k, &mut rec).outcomes),
+            let (outcomes, ns) = if served {
+                timed(&mut || run_trace(&mgr, ops, 1, &mut rec).outcomes)
+            } else {
+                timed(&mut || apply_trace_sequential(&mut mgr, ops, &mut rec))
             };
-            match shards {
-                None => reference.push(outcomes.clone()),
-                Some(k) => assert_eq!(
+            if served {
+                assert_eq!(
                     outcomes, reference[s],
-                    "serve outcomes diverge at {k} shards (segment {s})"
-                ),
+                    "serve outcomes diverge (segment {s})"
+                );
+            } else {
+                reference.push(outcomes.clone());
             }
             let accepted = outcomes
                 .iter()
@@ -485,10 +486,12 @@ fn bench_cac() -> Vec<BenchRecord> {
         samples_ns.sort_by(|a, b| a.total_cmp(b));
         let pct = |q: f64| samples_ns[((samples_ns.len() - 1) as f64 * q).round() as usize];
         let ns_per_op = wall_ns / admissions.max(1) as f64;
-        let name = match shards {
-            None => "cac/sequential".to_string(),
-            Some(k) => format!("cac/serve/shards={k}"),
-        };
+        let name = if served {
+            "cac/serve"
+        } else {
+            "cac/sequential"
+        }
+        .to_string();
         println!(
             "{name}: {admissions} admissions, {:.0} admissions/s sustained, p99 admit {:.0} ns",
             1e9 / ns_per_op,

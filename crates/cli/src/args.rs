@@ -19,9 +19,10 @@ COMMANDS:
     trace   instrumented run: decode the newest ring-buffer events
     audit   check the per-SL service guarantee against a live grant stream
     chaos   inject faults + table corruption, recover, re-audit guarantees
-    serve   drive the sharded admission service over a seeded trace
-    chaos-serve  drive the sharded admission service under a control-plane
-            fault calendar (crashes, message loss) and audit exactly-once
+    serve   drive the journaled admission service over a seeded trace
+    chaos-serve  drive the journaled admission service under a control-plane
+            fault calendar (crashes, request and reply loss) and audit
+            exactly-once
     timeline  windowed metric timeline over a seed sweep (TIMELINE.json)
     demo    step-by-step walkthrough of the table-filling algorithm
     help    show this text
@@ -36,12 +37,10 @@ OPTIONS:
     --threads <T>          (sweep) worker threads, 0 = IBA_THREADS/auto
     --allocator <A>        (audit/chaos) bit-reversal | first-fit | reverse-fit
     --rounds <R>           (chaos) corruption/repair rounds   [default: 3]
-    --shards <K>           (serve/chaos-serve) admission-service shards
-                           [default: 2]
     --requests <N>         (serve/chaos-serve) trace operations [default: 96]
-    --replay               (serve/chaos-serve) print the shard-invariant
-                           replay report
-    --no-journal           (chaos-serve) disable the per-shard write-ahead
+    --replay               (serve/chaos-serve) print the full replay
+                           report
+    --no-journal           (chaos-serve) disable the write-ahead
                            intent journal — the negative control; injected
                            crashes then lose reservations and the run FAILs
     --perfetto <FILE>      (audit/trace/sweep/serve) write a Perfetto/
@@ -53,7 +52,7 @@ OPTIONS:
     --json                 (timeline) emit the TIMELINE.json document
     --slo <SPEC>           (timeline/serve/audit/chaos) gate the run on a
                            declarative SLO spec, e.g.
-                           'p99(serve_batch_latency) <= 8; rate(cac_reject_total) == 0'
+                           'p99(alloc_probe_depth) <= 8; rate(cac_reject_total) == 0'
     --flight-dir <DIR>     (timeline/serve/audit/chaos) on an SLO breach
                            or FAIL verdict, dump a flight-recorder
                            bundle into DIR
@@ -65,12 +64,10 @@ OPTIONS:
 `audit` exits non-zero when any service-guarantee violation is observed.
 `chaos` exits non-zero when recovery leaves a violation (or an
 inconsistent table) behind; `--seeds` sizes its faulted fabric sweep.
-`serve` exits non-zero when the sharded service diverges from the
-sequential manager on any observable; its `--replay` report is
-byte-identical at any `--shards`.
+`serve` exits non-zero when the service diverges from the sequential
+manager on any observable.
 `chaos-serve` exits non-zero when the faulted service loses or
-duplicates a reservation or diverges from the sequential manager; its
-`--replay` report is byte-identical at any `--shards`.
+duplicates a reservation or diverges from the sequential manager.
 `timeline` runs `--seeds` seeded experiments and merges their windowed
 metric deltas; its TIMELINE.json is byte-identical at any `--threads`.
 A breached `--slo` also exits non-zero, with a machine-readable
@@ -96,10 +93,10 @@ pub enum Command {
     Audit,
     /// Fault injection + recovery with a post-repair guarantee audit.
     Chaos,
-    /// Sharded admission service differentially audited against the
+    /// Journaled admission service differentially audited against the
     /// sequential manager.
     Serve,
-    /// Sharded admission service under a control-plane fault calendar,
+    /// Journaled admission service under a control-plane fault calendar,
     /// audited for convergence and exactly-once semantics.
     ChaosServe,
     /// Windowed metric timeline over a seed sweep.
@@ -133,12 +130,9 @@ pub struct Args {
     pub allocator: AllocatorKind,
     /// `--rounds` (chaos): corruption/repair rounds.
     pub rounds: u32,
-    /// `--shards` (serve): admission-service shard count.
-    pub shards: usize,
     /// `--requests` (serve): trace operations to generate.
     pub requests: usize,
-    /// `--replay` (serve/chaos-serve): print the shard-invariant
-    /// replay report.
+    /// `--replay` (serve/chaos-serve): print the full replay report.
     pub replay: bool,
     /// `--no-journal` (chaos-serve): disable the write-ahead intent
     /// journal (the negative control).
@@ -177,7 +171,6 @@ impl Default for Args {
             threads: 0,
             allocator: AllocatorKind::BitReversal,
             rounds: 3,
-            shards: 2,
             requests: 96,
             replay: false,
             no_journal: false,
@@ -254,8 +247,8 @@ impl Args {
                 "--json" => args.json = true,
                 "--prom" => args.prom = true,
                 "--switches" | "--seed" | "--mtu" | "--steady-packets" | "--limit" | "--seeds"
-                | "--threads" | "--allocator" | "--rounds" | "--shards" | "--requests"
-                | "--perfetto" | "--window" | "--slo" | "--flight-dir" => {
+                | "--threads" | "--allocator" | "--rounds" | "--requests" | "--perfetto"
+                | "--window" | "--slo" | "--flight-dir" => {
                     let value = it
                         .next()
                         .ok_or_else(|| ParseError::MissingValue(flag.clone()))?;
@@ -277,7 +270,6 @@ impl Args {
                                 .ok_or_else(bad)?;
                         }
                         "--rounds" => args.rounds = value.parse().map_err(|_| bad())?,
-                        "--shards" => args.shards = value.parse().map_err(|_| bad())?,
                         "--requests" => args.requests = value.parse().map_err(|_| bad())?,
                         "--perfetto" => {
                             if value.is_empty() {
@@ -309,9 +301,6 @@ impl Args {
         }
         if args.seeds == 0 {
             return Err(ParseError::BadValue("--seeds".into(), "0".into()));
-        }
-        if args.shards == 0 {
-            return Err(ParseError::BadValue("--shards".into(), "0".into()));
         }
         if args.window == 0 {
             return Err(ParseError::BadValue("--window".into(), "0".into()));
@@ -465,21 +454,16 @@ mod tests {
     fn serve_flags_parse() {
         let a = Args::parse(&argv("serve")).unwrap();
         assert_eq!(a.command, Command::Serve);
-        assert_eq!(a.shards, 2);
         assert_eq!(a.requests, 96);
         assert!(!a.replay);
-        let a = Args::parse(&argv(
-            "serve --switches 4 --seed 3 --shards 8 --requests 40 --replay",
-        ))
-        .unwrap();
+        let a = Args::parse(&argv("serve --switches 4 --seed 3 --requests 40 --replay")).unwrap();
         assert_eq!(a.switches, 4);
         assert_eq!(a.seed, 3);
-        assert_eq!(a.shards, 8);
         assert_eq!(a.requests, 40);
         assert!(a.replay);
         assert!(matches!(
-            Args::parse(&argv("serve --shards 0")).unwrap_err(),
-            ParseError::BadValue(_, _)
+            Args::parse(&argv("serve --shards 2")).unwrap_err(),
+            ParseError::UnknownFlag(_)
         ));
         assert!(matches!(
             Args::parse(&argv("serve --requests banana")).unwrap_err(),
@@ -491,23 +475,17 @@ mod tests {
     fn chaos_serve_flags_parse() {
         let a = Args::parse(&argv("chaos-serve")).unwrap();
         assert_eq!(a.command, Command::ChaosServe);
-        assert_eq!(a.shards, 2);
         assert_eq!(a.requests, 96);
         assert!(!a.no_journal);
         let a = Args::parse(&argv(
-            "chaos-serve --switches 4 --seed 7 --shards 8 --requests 40 --replay --no-journal",
+            "chaos-serve --switches 4 --seed 7 --requests 40 --replay --no-journal",
         ))
         .unwrap();
         assert_eq!(a.switches, 4);
         assert_eq!(a.seed, 7);
-        assert_eq!(a.shards, 8);
         assert_eq!(a.requests, 40);
         assert!(a.replay);
         assert!(a.no_journal);
-        assert!(matches!(
-            Args::parse(&argv("chaos-serve --shards 0")).unwrap_err(),
-            ParseError::BadValue(_, _)
-        ));
     }
 
     #[test]

@@ -528,14 +528,13 @@ pub fn chaos(args: &Args) -> Result<String, String> {
 }
 
 /// `ibaqos serve` — drives a seeded admit/teardown/repair trace
-/// through the sharded admission service and differentially audits it
-/// against the sequential `QosManager` on outcomes, final tables and
-/// shard-invariant metrics. With `--replay` the full replay report is
-/// printed; it is byte-identical at any `--shards`, which CI verifies
-/// with `cmp`. Returns `Err` (non-zero process exit, machine-readable
-/// first stderr line) on any divergence or consistency failure.
+/// through the journaled admission service and differentially audits
+/// it against the sequential `QosManager` on outcomes, final tables and
+/// shared metrics. With `--replay` the full replay report is printed.
+/// Returns `Err` (non-zero process exit, machine-readable first stderr
+/// line) on any divergence or consistency failure.
 pub fn serve(args: &Args) -> Result<String, String> {
-    let cfg = iba_harness::ServeConfig::new(args.switches, args.seed, args.requests, args.shards);
+    let cfg = iba_harness::ServeConfig::new(args.switches, args.seed, args.requests);
     // `--slo`/`--flight-dir`/`--perfetto` need the windowed run: a
     // timeline keyed by finalized trace operations plus per-request
     // trace records for span reassembly and request tracks.
@@ -558,7 +557,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
     };
     if let Some(path) = &args.perfetto {
         // Request tracks: one pid-3 track per request id, the causal
-        // dispatch -> vote -> commit/abort -> finalize chain. The ring
+        // dispatch -> commit/abort -> finalize chain. The ring
         // tracer is skipped here — its Request records are the same
         // ones already drained into `request_records`.
         out.push_str(&write_perfetto(
@@ -579,7 +578,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
                 None => evaluate_slo(spec, &[(0, &outcome.recorder.metrics)])?,
             };
             // Stamp after the replay report above was rendered, so the
-            // shard-invariant report is not perturbed by the verdict.
+            // report is not perturbed by the verdict.
             report.stamp(&mut outcome.recorder.metrics);
             out.push('\n');
             out.push_str(&report.render());
@@ -622,17 +621,15 @@ pub fn serve(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `ibaqos chaos-serve` — drives the sharded admission service under a
-/// seeded control-plane fault calendar (shard crashes, vote-message
-/// loss/delay, reply loss) and audits the survivor for convergence to
-/// the sequential manager plus exactly-once reservation semantics. The
-/// `--replay` report is byte-identical at any `--shards`; CI checks 1,
-/// 2 and 8 with `cmp`. `--no-journal` is the negative control: the
-/// same calendar must then lose reservations and FAIL (machine-readable
+/// `ibaqos chaos-serve` — drives the journaled admission service under
+/// a seeded control-plane fault calendar (owner crashes, lost or
+/// duplicated requests, lost replies) and audits the survivor for
+/// convergence to the sequential manager plus exactly-once reservation
+/// semantics. `--no-journal` is the negative control: the same
+/// calendar must then lose reservations and FAIL (machine-readable
 /// `chaos-serve: verdict=FAIL` first line on stderr).
 pub fn chaos_serve(args: &Args) -> Result<String, String> {
-    let mut cfg =
-        iba_harness::ChaosServeConfig::new(args.switches, args.seed, args.requests, args.shards);
+    let mut cfg = iba_harness::ChaosServeConfig::new(args.switches, args.seed, args.requests);
     cfg.journal = !args.no_journal;
     let windowed = args.slo.is_some() || args.flight_dir.is_some() || args.perfetto.is_some();
     let mut outcome = iba_harness::run_chaos_serve(&cfg, windowed.then_some(args.window));
@@ -644,8 +641,8 @@ pub fn chaos_serve(args: &Args) -> Result<String, String> {
             "{}\n{}",
             outcome.summary_line(),
             format_args!(
-                "faults: crashes={} msg_losses={} msg_delays={} reply_losses={} timeouts={}",
-                f.crashes, f.msg_losses, f.msg_delays, f.reply_losses, f.timeouts,
+                "faults: crashes={} request_losses={} duplicates={} reply_losses={} timeouts={}",
+                f.crashes, f.request_losses, f.duplicates, f.reply_losses, f.timeouts,
             )
         )
     };
@@ -1052,7 +1049,6 @@ mod tests {
         a.switches = 4;
         a.seed = 3;
         a.requests = 48;
-        a.shards = 3;
         a.window = 16;
         a.slo = Some("rate(cac_admit_total) >= 1 burn 0.99".into());
         let ok = serve(&a).expect("admissions happen");
@@ -1078,7 +1074,6 @@ mod tests {
         a.switches = 4;
         a.seed = 3;
         a.requests = 24;
-        a.shards = 2;
         a.perfetto = Some(path.to_string_lossy().into_owned());
         let report = serve(&a).expect("serve passes");
         assert!(report.contains("perfetto timeline written"), "{report}");
@@ -1094,7 +1089,6 @@ mod tests {
         a.switches = 4;
         a.seed = 7;
         a.requests = 48;
-        a.shards = 2;
         let out = chaos_serve(&a).expect("faulted service converges with the journal on");
         assert!(out.starts_with("chaos-serve: verdict=PASS"), "{out}");
         assert!(out.contains("crashes="), "{out}");
@@ -1113,22 +1107,18 @@ mod tests {
     }
 
     #[test]
-    fn chaos_serve_replay_is_shard_invariant() {
-        let reports: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&shards| {
-                let mut a = args(crate::Command::ChaosServe);
-                a.switches = 4;
-                a.seed = 7;
-                a.requests = 48;
-                a.shards = shards;
-                a.replay = true;
-                chaos_serve(&a).expect("chaos-serve passes")
-            })
-            .collect();
-        assert_eq!(reports[0], reports[1], "1 vs 2 shards");
-        assert_eq!(reports[0], reports[2], "1 vs 8 shards");
-        assert!(reports[0].contains("verdict: PASS"), "{}", reports[0]);
+    fn chaos_serve_replay_is_deterministic() {
+        let replay = || {
+            let mut a = args(crate::Command::ChaosServe);
+            a.switches = 4;
+            a.seed = 7;
+            a.requests = 48;
+            a.replay = true;
+            chaos_serve(&a).expect("chaos-serve passes")
+        };
+        let report = replay();
+        assert_eq!(report, replay());
+        assert!(report.contains("verdict: PASS"), "{report}");
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!               [--perfetto FILE]                       service-guarantee audit
 //! ibaqos chaos  [--allocator A] [--mtu M] [--seed S]
 //!               [--rounds R] [--seeds N] [--threads T]  fault-injection + recovery
-//! ibaqos serve  [--switches N] [--seed S] [--shards K]
+//! ibaqos serve  [--switches N] [--seed S]
 //!               [--requests N] [--replay] [--window W]
 //!               [--slo SPEC] [--flight-dir DIR]
-//!               [--perfetto FILE]                       sharded admission service
+//!               [--perfetto FILE]                       journaled admission service
 //! ibaqos chaos-serve [serve options] [--no-journal]    admission service under
 //!                                                      control-plane faults
 //! ibaqos timeline [run options] [--seeds N] [--threads T]
@@ -39,13 +39,12 @@
 //! post-repair violation remains; on failure both `audit` and `chaos`
 //! print a machine-readable `verdict=FAIL` line first on stderr.
 //! `serve` drives a seeded admit/teardown/repair trace through the
-//! sharded admission service, differentially audits it against the
+//! journaled admission service, differentially audits it against the
 //! sequential manager, and exits non-zero on any divergence; its
-//! `--replay` report is byte-identical at any `--shards`, and its
 //! `--perfetto` export renders one causal track per request.
 //! `chaos-serve` replays the same trace under a seeded control-plane
-//! fault calendar — shard crashes, vote-message loss/delay,
-//! reply loss — and exits non-zero unless the write-ahead journal,
+//! fault calendar — owner crashes, lost or duplicated requests, lost
+//! replies — and exits non-zero unless the write-ahead journal,
 //! deterministic timeouts and idempotent retries make the faulted run
 //! converge to the sequential manager with zero lost and zero
 //! duplicated reservations; `--no-journal` is the negative control and

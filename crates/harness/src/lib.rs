@@ -37,6 +37,6 @@ pub use experiment::{
     run_measured_recorded, Experiment, Measured,
 };
 pub use fnv::{fnv64, Fnv64};
-pub use serve::{run_serve, timeline_invariant_lines, ServeConfig, ServeOutcome};
+pub use serve::{run_serve, timeline_shared_lines, ServeConfig, ServeOutcome};
 pub use sweep::{run_points, run_points_spanned, PointOutcome, SimPoint};
 pub use timeline::{run_timeline, TimelineConfig, TimelineOutcome};

@@ -31,7 +31,7 @@
 //! * [`timeline`] — the windowed [`timeline::Timeline`] aggregator:
 //!   delta-encoded per-window metrics keyed by absolute window index,
 //!   merged commutatively so `TIMELINE.json` is byte-identical at any
-//!   `IBA_THREADS`/shard count (driven by `ibaqos timeline`);
+//!   `IBA_THREADS` (driven by `ibaqos timeline`);
 //! * [`slo`] — a declarative SLO engine (`p99(..) <= N`,
 //!   `rate(..) == 0`, burn-rate accounting) evaluated deterministically
 //!   over timeline windows, gating `ibaqos serve`/`audit`/`chaos` via

@@ -264,15 +264,11 @@ pub const METRIC_NAMES: &[&str] = &[
     "recovery_backoff_cycles",
     "span_records_total",
     "span_dropped_total",
-    "serve_shard_admit_total",
-    "serve_shard_reject_total",
     "serve_shard_rollback_total",
     "serve_queue_depth",
-    "serve_batch_latency",
     "serve_crash_total",
     "serve_journal_replay_total",
     "serve_timeout_total",
-    "serve_shed_total",
     "timeline_window_total",
     "slo_eval_total",
     "slo_breach_total",
@@ -291,8 +287,6 @@ pub enum Dim {
     Reason(&'static str),
     /// An admission-service shard index (0..16).
     Shard(u8),
-    /// A load-shedding ladder rung (0 = shed, 1 = degraded install).
-    Rung(u8),
 }
 
 impl std::fmt::Display for Dim {
@@ -303,7 +297,6 @@ impl std::fmt::Display for Dim {
             Dim::Sl(s) => write!(f, "sl={s}"),
             Dim::Reason(r) => write!(f, "reason={r}"),
             Dim::Shard(s) => write!(f, "shard={s}"),
-            Dim::Rung(r) => write!(f, "rung={r}"),
         }
     }
 }
@@ -338,12 +331,11 @@ pub struct Sample {
 }
 
 /// Rejection-reason labels, in `cac_reject_total` snapshot order.
-pub const REJECT_REASONS: [&str; 5] = [
+pub const REJECT_REASONS: [&str; 4] = [
     "no_free_sequence",
     "capacity_exceeded",
     "request_too_large",
     "invalid",
-    "overloaded",
 ];
 
 /// The flat metrics registry: one field per contract metric.
@@ -392,7 +384,7 @@ pub struct Metrics {
     pub cac_admit: PerLane<Counter>,
     /// `cac_reject_total`: rejected requests, indexed like
     /// [`REJECT_REASONS`].
-    pub cac_reject: [Counter; 5],
+    pub cac_reject: [Counter; 4],
     /// `cac_release_total`: connection teardowns.
     pub cac_release: Counter,
     /// `harness_runs_total`: sweep points completed by the experiment
@@ -441,32 +433,23 @@ pub struct Metrics {
     /// `span_dropped_total`: span records overwritten because the span
     /// ring was full.
     pub span_dropped: Counter,
-    /// `serve_shard_admit_total`: hop reservations committed per
-    /// admission-service shard.
-    pub serve_shard_admit: PerLane<Counter>,
-    /// `serve_shard_reject_total`: admission votes denied per shard.
-    pub serve_shard_reject: PerLane<Counter>,
-    /// `serve_shard_rollback_total`: aborted multi-hop batches that
-    /// rolled reservations back, per shard.
+    /// `serve_shard_rollback_total`: admissions the admission service
+    /// rejected after reserving at least one hop (rolled back), on
+    /// lane 0.
     pub serve_shard_rollback: PerLane<Counter>,
-    /// `serve_queue_depth`: dispatched-but-unfinalized operations
-    /// observed by the service coordinator at each dispatch.
+    /// `serve_queue_depth`: in-flight operations of the admission
+    /// service. Nothing records it since the service serves one
+    /// operation at a time; it stays for readers of the registry.
     pub serve_queue_depth: Histogram,
-    /// `serve_batch_latency`: logical ticks (finalized operations)
-    /// between an operation's dispatch and its finalization.
-    pub serve_batch_latency: Histogram,
-    /// `serve_crash_total`: injected shard-worker crashes per shard
-    /// (each one forced a supervised restart).
-    pub serve_crash: PerLane<Counter>,
+    /// `serve_crash_total`: injected owner crashes of the admission
+    /// service (each one forced a journal replay).
+    pub serve_crash: Counter,
     /// `serve_journal_replay_total`: write-ahead journal records
-    /// replayed during supervised restarts, per shard.
-    pub serve_journal_replay: PerLane<Counter>,
-    /// `serve_timeout_total`: deterministic coordinator timeouts fired
-    /// (= protocol retries sent), per shard.
-    pub serve_timeout: PerLane<Counter>,
-    /// `serve_shed_total`: load-shedding ladder actions, indexed by
-    /// rung (0 = lowest-SL shed, 1 = degraded install).
-    pub serve_shed: [Counter; 2],
+    /// replayed during restarts.
+    pub serve_journal_replay: Counter,
+    /// `serve_timeout_total`: deterministic timeouts fired (= retries
+    /// sent).
+    pub serve_timeout: Counter,
     /// `timeline_window_total`: telemetry windows closed by a
     /// [`crate::timeline::Timeline`] aggregator.
     pub timeline_windows: Counter,
@@ -672,17 +655,6 @@ impl Metrics {
         }
         counter(&mut out, "span_records_total", Dim::None, self.span_records);
         counter(&mut out, "span_dropped_total", Dim::None, self.span_dropped);
-        for (i, c) in self.serve_shard_admit.0.iter().enumerate() {
-            counter(&mut out, "serve_shard_admit_total", Dim::Shard(i as u8), *c);
-        }
-        for (i, c) in self.serve_shard_reject.0.iter().enumerate() {
-            counter(
-                &mut out,
-                "serve_shard_reject_total",
-                Dim::Shard(i as u8),
-                *c,
-            );
-        }
         for (i, c) in self.serve_shard_rollback.0.iter().enumerate() {
             counter(
                 &mut out,
@@ -697,29 +669,19 @@ impl Metrics {
                 &self.serve_queue_depth,
             ));
         }
-        if self.serve_batch_latency.count() > 0 {
-            out.push(Self::hist_sample(
-                "serve_batch_latency",
-                &self.serve_batch_latency,
-            ));
-        }
-        for (i, c) in self.serve_crash.0.iter().enumerate() {
-            counter(&mut out, "serve_crash_total", Dim::Shard(i as u8), *c);
-        }
-        for (i, c) in self.serve_journal_replay.0.iter().enumerate() {
-            counter(
-                &mut out,
-                "serve_journal_replay_total",
-                Dim::Shard(i as u8),
-                *c,
-            );
-        }
-        for (i, c) in self.serve_timeout.0.iter().enumerate() {
-            counter(&mut out, "serve_timeout_total", Dim::Shard(i as u8), *c);
-        }
-        for (i, c) in self.serve_shed.iter().enumerate() {
-            counter(&mut out, "serve_shed_total", Dim::Rung(i as u8), *c);
-        }
+        counter(&mut out, "serve_crash_total", Dim::None, self.serve_crash);
+        counter(
+            &mut out,
+            "serve_journal_replay_total",
+            Dim::None,
+            self.serve_journal_replay,
+        );
+        counter(
+            &mut out,
+            "serve_timeout_total",
+            Dim::None,
+            self.serve_timeout,
+        );
         counter(
             &mut out,
             "timeline_window_total",
@@ -828,22 +790,6 @@ impl Metrics {
         self.span_records.merge(other.span_records);
         self.span_dropped.merge(other.span_dropped);
         for (a, b) in self
-            .serve_shard_admit
-            .0
-            .iter_mut()
-            .zip(other.serve_shard_admit.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
-            .serve_shard_reject
-            .0
-            .iter_mut()
-            .zip(other.serve_shard_reject.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
             .serve_shard_rollback
             .0
             .iter_mut()
@@ -852,34 +798,9 @@ impl Metrics {
             a.merge(*b);
         }
         self.serve_queue_depth.merge(&other.serve_queue_depth);
-        self.serve_batch_latency.merge(&other.serve_batch_latency);
-        for (a, b) in self
-            .serve_crash
-            .0
-            .iter_mut()
-            .zip(other.serve_crash.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
-            .serve_journal_replay
-            .0
-            .iter_mut()
-            .zip(other.serve_journal_replay.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
-            .serve_timeout
-            .0
-            .iter_mut()
-            .zip(other.serve_timeout.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self.serve_shed.iter_mut().zip(other.serve_shed.iter()) {
-            a.merge(*b);
-        }
+        self.serve_crash.merge(other.serve_crash);
+        self.serve_journal_replay.merge(other.serve_journal_replay);
+        self.serve_timeout.merge(other.serve_timeout);
         self.timeline_windows.merge(other.timeline_windows);
         self.slo_evals.merge(other.slo_evals);
         self.slo_breaches.merge(other.slo_breaches);
@@ -989,22 +910,6 @@ impl Metrics {
         sub_c(&mut self.span_records, earlier.span_records);
         sub_c(&mut self.span_dropped, earlier.span_dropped);
         for (a, b) in self
-            .serve_shard_admit
-            .0
-            .iter_mut()
-            .zip(earlier.serve_shard_admit.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        for (a, b) in self
-            .serve_shard_reject
-            .0
-            .iter_mut()
-            .zip(earlier.serve_shard_reject.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        for (a, b) in self
             .serve_shard_rollback
             .0
             .iter_mut()
@@ -1013,34 +918,9 @@ impl Metrics {
             sub_c(a, *b);
         }
         sub_h(&mut self.serve_queue_depth, &earlier.serve_queue_depth);
-        sub_h(&mut self.serve_batch_latency, &earlier.serve_batch_latency);
-        for (a, b) in self
-            .serve_crash
-            .0
-            .iter_mut()
-            .zip(earlier.serve_crash.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        for (a, b) in self
-            .serve_journal_replay
-            .0
-            .iter_mut()
-            .zip(earlier.serve_journal_replay.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        for (a, b) in self
-            .serve_timeout
-            .0
-            .iter_mut()
-            .zip(earlier.serve_timeout.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        for (a, b) in self.serve_shed.iter_mut().zip(earlier.serve_shed.iter()) {
-            sub_c(a, *b);
-        }
+        sub_c(&mut self.serve_crash, earlier.serve_crash);
+        sub_c(&mut self.serve_journal_replay, earlier.serve_journal_replay);
+        sub_c(&mut self.serve_timeout, earlier.serve_timeout);
         sub_c(&mut self.timeline_windows, earlier.timeline_windows);
         sub_c(&mut self.slo_evals, earlier.slo_evals);
         sub_c(&mut self.slo_breaches, earlier.slo_breaches);
@@ -1164,16 +1044,11 @@ mod tests {
         m.recovery_backoff_cycles.observe(128);
         m.span_records.add(2);
         m.span_dropped.incr();
-        m.serve_shard_admit.lane(0).incr();
-        m.serve_shard_reject.lane(1).incr();
         m.serve_shard_rollback.lane(0).incr();
         m.serve_queue_depth.observe(2);
-        m.serve_batch_latency.observe(1);
-        m.serve_crash.lane(0).incr();
-        m.serve_journal_replay.lane(0).add(5);
-        m.serve_timeout.lane(1).incr();
-        m.serve_shed[0].incr();
-        m.serve_shed[1].incr();
+        m.serve_crash.incr();
+        m.serve_journal_replay.add(5);
+        m.serve_timeout.incr();
         m.timeline_windows.incr();
         m.slo_evals.add(2);
         m.slo_breaches.incr();

@@ -144,8 +144,9 @@ pub fn perfetto_trace(spans: Option<&SpanRecorder>, sim: Option<&RingTracer>) ->
 /// source may be absent or empty; the result is always a well-formed
 /// trace with a `traceEvents` array. `requests` is a drained list of
 /// [`TraceEvent::Request`] records (other kinds are ignored), rendered
-/// as one track per request in causal order: worker and coordinator
-/// clocks are not comparable, so each track's timestamps are the
+/// as one track per request in causal order: records merged from
+/// different rings carry clocks that are not comparable, so each
+/// track's timestamps are the
 /// running maximum over the causally sorted stages — monotone per
 /// track by construction.
 #[must_use]

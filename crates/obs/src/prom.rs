@@ -75,7 +75,6 @@ fn label_set(dim: Dim, extra: &[(&str, &str)]) -> String {
         Dim::Sl(s) => labels.push(("sl".into(), s.to_string())),
         Dim::Reason(r) => labels.push(("reason".into(), r.to_string())),
         Dim::Shard(s) => labels.push(("shard".into(), s.to_string())),
-        Dim::Rung(r) => labels.push(("rung".into(), r.to_string())),
     }
     for (k, v) in extra {
         labels.push(((*k).to_string(), (*v).to_string()));
@@ -120,14 +119,14 @@ mod tests {
     #[test]
     fn histograms_expose_as_summaries() {
         let mut m = Metrics::new();
-        m.serve_batch_latency.observe(2);
-        m.serve_batch_latency.observe(9);
+        m.alloc_probe_depth.observe(2);
+        m.alloc_probe_depth.observe(9);
         let text = render_prom(&m);
-        assert!(text.contains("# TYPE serve_batch_latency summary\n"));
-        assert!(text.contains("serve_batch_latency{quantile=\"0.5\"} "));
-        assert!(text.contains("serve_batch_latency{quantile=\"0.99\"} "));
-        assert!(text.contains("serve_batch_latency_sum 11\n"));
-        assert!(text.contains("serve_batch_latency_count 2\n"));
+        assert!(text.contains("# TYPE alloc_probe_depth summary\n"));
+        assert!(text.contains("alloc_probe_depth{quantile=\"0.5\"} "));
+        assert!(text.contains("alloc_probe_depth{quantile=\"0.99\"} "));
+        assert!(text.contains("alloc_probe_depth_sum 11\n"));
+        assert!(text.contains("alloc_probe_depth_count 2\n"));
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub enum RejectKind {
     RequestTooLarge,
     /// Malformed request (zero weight, stale handle, ...).
     Invalid,
-    /// Shed by the admission service's load-shedding ladder (bounded
-    /// queue full, SL below the shedding floor).
-    Overloaded,
 }
 
 impl RejectKind {
@@ -83,7 +80,6 @@ impl RejectKind {
             RejectKind::CapacityExceeded => 1,
             RejectKind::RequestTooLarge => 2,
             RejectKind::Invalid => 3,
-            RejectKind::Overloaded => 4,
         }
     }
 
@@ -95,7 +91,6 @@ impl RejectKind {
             1 => Some(RejectKind::CapacityExceeded),
             2 => Some(RejectKind::RequestTooLarge),
             3 => Some(RejectKind::Invalid),
-            4 => Some(RejectKind::Overloaded),
             _ => None,
         }
     }
@@ -220,49 +215,25 @@ pub trait Recorder {
     #[inline]
     fn recovery_degraded(&mut self) {}
 
-    /// A shard of the admission service committed one hop reservation.
+    /// The admission service rejected an admission after reserving at
+    /// least one hop, and rolled the reservations back.
     #[inline]
-    fn serve_shard_admit(&mut self, _shard: u8) {}
+    fn serve_shard_rollback(&mut self) {}
 
-    /// A shard of the admission service denied an admission vote.
+    /// An injected crash destroyed the admission service owner's
+    /// volatile state (manager, reply cache); a journal replay follows.
     #[inline]
-    fn serve_shard_reject(&mut self, _shard: u8) {}
+    fn serve_crash(&mut self) {}
 
-    /// A shard rolled back already-committed hops of an aborted
-    /// multi-hop batch.
+    /// A restart of the admission service replayed `records`
+    /// write-ahead journal records.
     #[inline]
-    fn serve_shard_rollback(&mut self, _shard: u8) {}
+    fn serve_journal_replay(&mut self, _records: u64) {}
 
-    /// Dispatched-but-unfinalized operation count observed by the
-    /// admission-service coordinator at a dispatch.
+    /// A deterministic timeout expired after a backoff of `backoff`
+    /// cycles; a retry goes out.
     #[inline]
-    fn serve_queue_depth(&mut self, _depth: u64) {}
-
-    /// Logical ticks (finalized operations) between an operation's
-    /// dispatch and its finalization by the coordinator.
-    #[inline]
-    fn serve_batch_latency(&mut self, _ticks: u64) {}
-
-    /// An injected shard-worker crash destroyed `shard`'s volatile
-    /// state (tables, reply cache); a supervised restart follows.
-    #[inline]
-    fn serve_crash(&mut self, _shard: u8) {}
-
-    /// A supervised restart of `shard` replayed `records` write-ahead
-    /// journal records to rebuild its partition.
-    #[inline]
-    fn serve_journal_replay(&mut self, _shard: u8, _records: u64) {}
-
-    /// The coordinator's deterministic timeout for a message to
-    /// `shard` expired after a backoff of `backoff` cycles; a retry
-    /// goes out.
-    #[inline]
-    fn serve_timeout(&mut self, _shard: u8, _backoff: u64) {}
-
-    /// The admission queue was full and the load-shedding ladder acted
-    /// at `rung` (0 = lowest-SL shed, 1 = degraded install).
-    #[inline]
-    fn serve_shed(&mut self, _rung: u8) {}
+    fn serve_timeout(&mut self, _backoff: u64) {}
 
     /// One causal stage of an admission-service request: `rid` is the
     /// request id (the trace-op index), `stage` one of the
@@ -544,63 +515,34 @@ impl Recorder for ObsRecorder {
     }
 
     #[inline]
-    fn serve_shard_admit(&mut self, shard: u8) {
-        self.metrics.serve_shard_admit.lane(shard).incr();
+    fn serve_shard_rollback(&mut self) {
+        self.metrics.serve_shard_rollback.lane(0).incr();
     }
 
-    #[inline]
-    fn serve_shard_reject(&mut self, shard: u8) {
-        self.metrics.serve_shard_reject.lane(shard).incr();
-    }
-
-    #[inline]
-    fn serve_shard_rollback(&mut self, shard: u8) {
-        self.metrics.serve_shard_rollback.lane(shard).incr();
-    }
-
-    #[inline]
-    fn serve_queue_depth(&mut self, depth: u64) {
-        self.metrics.serve_queue_depth.observe(depth);
-    }
-
-    #[inline]
-    fn serve_batch_latency(&mut self, ticks: u64) {
-        self.metrics.serve_batch_latency.observe(ticks);
-    }
-
-    fn serve_crash(&mut self, shard: u8) {
-        self.metrics.serve_crash.lane(shard).incr();
+    fn serve_crash(&mut self) {
+        self.metrics.serve_crash.incr();
         self.trace(TraceEvent::Serve {
             code: crate::trace::serve_code::CRASH,
-            shard,
+            shard: 0,
             detail: 0,
         });
     }
 
-    fn serve_journal_replay(&mut self, shard: u8, records: u64) {
-        self.metrics.serve_journal_replay.lane(shard).add(records);
+    fn serve_journal_replay(&mut self, records: u64) {
+        self.metrics.serve_journal_replay.add(records);
         self.trace(TraceEvent::Serve {
             code: crate::trace::serve_code::JOURNAL_REPLAY,
-            shard,
+            shard: 0,
             detail: u32::try_from(records).unwrap_or(u32::MAX),
         });
     }
 
-    fn serve_timeout(&mut self, shard: u8, backoff: u64) {
-        self.metrics.serve_timeout.lane(shard).incr();
+    fn serve_timeout(&mut self, backoff: u64) {
+        self.metrics.serve_timeout.incr();
         self.trace(TraceEvent::Serve {
             code: crate::trace::serve_code::TIMEOUT,
-            shard,
-            detail: u32::try_from(backoff).unwrap_or(u32::MAX),
-        });
-    }
-
-    fn serve_shed(&mut self, rung: u8) {
-        self.metrics.serve_shed[usize::from(rung.min(1))].incr();
-        self.trace(TraceEvent::Serve {
-            code: crate::trace::serve_code::SHED,
             shard: 0,
-            detail: u32::from(rung),
+            detail: u32::try_from(backoff).unwrap_or(u32::MAX),
         });
     }
 
@@ -887,7 +829,6 @@ mod tests {
             RejectKind::CapacityExceeded,
             RejectKind::RequestTooLarge,
             RejectKind::Invalid,
-            RejectKind::Overloaded,
         ] {
             assert_eq!(RejectKind::from_code(k.index() as u16), Some(k));
         }

@@ -1,18 +1,14 @@
 //! Reassembles per-request causal traces from the ring tracer's
 //! [`TraceEvent::Request`] records.
 //!
-//! The admission-service coordinator stamps every trace operation
-//! with its request id (the operation's index in the trace) and emits
-//! `dispatch`/`finalize` records; shard workers emit
-//! `vote`/`commit`/`abort` records for the hops they own. Records
-//! from different rings carry timestamps from different clocks (the
-//! coordinator ticks on finalized operations, workers on dispatched
-//! ones), so the reassembler orders each request's records by the
-//! **causal key** `(stage, path, shard, time)` — the protocol
-//! guarantees stage codes are causally ordered (see
-//! [`crate::trace::request_stage`]) — rather than by timestamp
-//! interleaving, and the resulting span trees are deterministic at
-//! any shard count.
+//! The admission service stamps every trace operation with its
+//! request id (the operation's index in the trace) and emits
+//! `dispatch`, per-hop `commit` or `abort`, and `finalize` records.
+//! The reassembler orders each request's records by the **causal
+//! key** `(stage, path, shard, time)` — stage codes are causally
+//! ordered (see [`crate::trace::request_stage`]) — rather than by
+//! timestamp, so the span trees are deterministic even for records
+//! merged from several rings.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +21,8 @@ pub struct StageRecord {
     pub time: u64,
     /// Stage code (a [`request_stage`] constant).
     pub stage: u8,
-    /// The shard that observed the stage (coordinator records use 0).
+    /// The shard that observed the stage (0: the service has one
+    /// owner).
     pub shard: u8,
     /// Hop index within the request's path, or
     /// [`request_stage::NO_PATH`] for non-hop stages.
@@ -60,9 +57,9 @@ impl RequestSpan {
         }
     }
 
-    /// Renders the span tree as indented text: coordinator stages
-    /// (dispatch/finalize) at the first level, per-hop shard stages
-    /// nested under them.
+    /// Renders the span tree as indented text: request stages
+    /// (dispatch/finalize) at the first level, per-hop stages nested
+    /// under them.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = format!("request rid={} outcome={}\n", self.rid, self.outcome());

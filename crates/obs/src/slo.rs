@@ -3,7 +3,7 @@
 //! Specs are small text expressions, clauses separated by `;`:
 //!
 //! ```text
-//! p99(serve_batch_latency) <= 64
+//! p99(alloc_probe_depth) <= 64
 //! rate(audit_violations_total) == 0
 //! rate(cac_reject_total{reason=capacity_exceeded}) <= 5 burn 0.25
 //! ```
@@ -381,7 +381,7 @@ mod tests {
         let mut m = Metrics::new();
         m.sim_events.add(events);
         for &v in latency {
-            m.serve_batch_latency.observe(v);
+            m.alloc_probe_depth.observe(v);
         }
         m
     }
@@ -389,13 +389,13 @@ mod tests {
     #[test]
     fn parse_roundtrips_canonical_forms() {
         let spec = SloSpec::parse(
-            "p99(serve_batch_latency) <= 64; \
+            "p99(alloc_probe_depth) <= 64; \
              rate(cac_reject_total{reason=capacity_exceeded}) == 0; \
              rate(sim_events_total) >= 1 burn 0.5",
         )
         .expect("spec parses");
         assert_eq!(spec.clauses.len(), 3);
-        assert_eq!(spec.clauses[0].render(), "p99(serve_batch_latency) <= 64");
+        assert_eq!(spec.clauses[0].render(), "p99(alloc_probe_depth) <= 64");
         assert_eq!(
             spec.clauses[1].render(),
             "rate(cac_reject_total{reason=capacity_exceeded}) == 0"
@@ -416,11 +416,11 @@ mod tests {
         for bad in [
             "",
             " ; ;",
-            "p99 serve_batch_latency <= 3",
-            "max(serve_batch_latency) <= 3",
-            "p99(serve_batch_latency) < 3",
-            "p99(serve_batch_latency) <=",
-            "p99(serve_batch_latency) <= -3",
+            "p99 alloc_probe_depth <= 3",
+            "max(alloc_probe_depth) <= 3",
+            "p99(alloc_probe_depth) < 3",
+            "p99(alloc_probe_depth) <=",
+            "p99(alloc_probe_depth) <= -3",
             "p99() <= 3",
             "rate(x{reason}) == 0",
             "rate(x) == 0 burn 1.5",
@@ -453,7 +453,7 @@ mod tests {
         let w0 = window(0, &[2, 3, 3, 4]);
         let w1 = window(0, &[2, 900]);
         let windows = vec![(0u64, &w0), (1, &w1)];
-        let spec = SloSpec::parse("p99(serve_batch_latency) <= 64").unwrap();
+        let spec = SloSpec::parse("p99(alloc_probe_depth) <= 64").unwrap();
         let report = spec.evaluate(&windows);
         assert!(!report.pass);
         assert_eq!(report.outcomes[0].breaching, 1);
@@ -461,7 +461,7 @@ mod tests {
         // The bucketed p99 of [2, 900] is the 900 bucket's upper bound.
         assert_eq!(report.outcomes[0].worst_value, Some(1023));
         assert!(
-            SloSpec::parse("p50(serve_batch_latency) <= 4")
+            SloSpec::parse("p50(alloc_probe_depth) <= 4")
                 .unwrap()
                 .evaluate(&windows)
                 .pass

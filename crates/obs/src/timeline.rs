@@ -8,7 +8,7 @@
 //! histograms per-window observation sets, gauges keep their level
 //! reading. Windows are keyed by **absolute** window index
 //! (`tick / window_len`), so two timelines recorded independently —
-//! by different harness workers or different service shards — merge
+//! by different harness workers — merge
 //! window-wise with [`Metrics::merge`], which is commutative and
 //! associative. A merged timeline is therefore byte-identical no
 //! matter how many threads recorded it or in which order the pieces

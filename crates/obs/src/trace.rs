@@ -43,17 +43,18 @@ pub const KIND_ALLOC_SELECT: u8 = 8;
 /// `value` a sub-kind-specific detail (mask, rate shift, eviction
 /// count, backoff cycles).
 pub const KIND_FAULT: u8 = 9;
-/// Record kind: one causal stage of a sharded admission-service
-/// request (dispatch → vote → commit/abort → finalize). The `lane`
-/// byte carries a [`request_stage`] code, `aux` packs the shard (high
-/// byte) and path index (low byte; [`request_stage::NO_PATH`] when the
-/// stage has no hop), and `value` is the request id.
+/// Record kind: one causal stage of an admission-service request
+/// (dispatch → commit/abort → finalize). The `lane` byte carries a
+/// [`request_stage`] code, `aux` packs the shard (high byte, 0 since
+/// the service has one owner) and path index (low byte;
+/// [`request_stage::NO_PATH`] when the stage has no hop), and `value`
+/// is the request id.
 pub const KIND_REQUEST: u8 = 10;
-/// Record kind: a control-plane fault-tolerance action of the sharded
-/// admission service (crash, journal replay, timeout, shed). The
-/// `lane` byte carries the affected shard, `aux` a sub-kind from
-/// [`serve_code`] and `value` a sub-kind-specific detail (records
-/// replayed, backoff cycles, ladder rung).
+/// Record kind: a control-plane fault-tolerance action of the
+/// admission service (crash, journal replay, timeout). The `lane` byte
+/// carries the shard (0 since the service has one owner), `aux` a
+/// sub-kind from [`serve_code`] and `value` a sub-kind-specific detail
+/// (records replayed, backoff cycles).
 pub const KIND_SERVE: u8 = 11;
 
 /// Stage codes carried in the `lane` byte of a
@@ -61,15 +62,16 @@ pub const KIND_SERVE: u8 = 11;
 /// order within one request, so sorting records by `(rid, stage, path,
 /// shard)` reconstructs the span tree.
 pub mod request_stage {
-    /// The coordinator dispatched the operation (root of the span).
+    /// The service dispatched the operation (root of the span).
     pub const DISPATCH: u8 = 0;
-    /// A shard voted on its hops of the admission.
+    /// A vote on the admission's hops (decoded for older traces; the
+    /// single-owner service emits none).
     pub const VOTE: u8 = 1;
-    /// A shard committed one hop reservation.
+    /// One hop reservation committed.
     pub const COMMIT: u8 = 2;
-    /// A shard replayed/rolled back its hops of a failed admission.
+    /// A table rejected the admission and its hops rolled back.
     pub const ABORT: u8 = 3;
-    /// The coordinator finalized the operation (close of the span).
+    /// The service finalized the operation (close of the span).
     pub const FINALIZE: u8 = 4;
     /// Path-index placeholder for stages that concern no single hop.
     pub const NO_PATH: u8 = 0xFF;
@@ -91,17 +93,14 @@ pub mod request_stage {
 /// Sub-kind codes carried in the `aux` field of a
 /// [`TraceEvent::Serve`] record.
 pub mod serve_code {
-    /// An injected shard-worker crash (volatile state destroyed).
+    /// An injected owner crash (volatile state destroyed).
     pub const CRASH: u8 = 0;
-    /// A supervised restart replayed the write-ahead journal; `value`
+    /// A restart replayed the write-ahead journal; `value`
     /// is the number of records replayed.
     pub const JOURNAL_REPLAY: u8 = 1;
-    /// A coordinator timeout expired; `value` is the deterministic
+    /// A timeout expired; `value` is the deterministic
     /// backoff delay in cycles.
     pub const TIMEOUT: u8 = 2;
-    /// The load-shedding ladder acted; `value` is the rung (0 = shed,
-    /// 1 = degraded install).
-    pub const SHED: u8 = 3;
 
     /// Short label for reports; `"serve"` for unknown codes.
     #[must_use]
@@ -110,7 +109,6 @@ pub mod serve_code {
             CRASH => "crash",
             JOURNAL_REPLAY => "journal-replay",
             TIMEOUT => "timeout",
-            SHED => "shed",
             _ => "serve",
         }
     }
@@ -143,14 +141,14 @@ pub mod fault_code {
     pub const RECOVERY_RETRY: u8 = 10;
     /// Recovery escalated a re-install down the distance ladder.
     pub const RECOVERY_DEGRADED: u8 = 11;
-    /// A control-plane fault calendar crashed an admission-service
-    /// shard worker; `value` is the targeted trace-op index.
+    /// A control-plane fault calendar crashed the admission service's
+    /// owner; `value` is the targeted trace-op index.
     pub const SERVE_CRASH: u8 = 12;
-    /// A control-plane fault calendar lost/delayed a coordinator→shard
-    /// vote message; `value` is the targeted trace-op index.
-    pub const SERVE_VOTE_LOSS: u8 = 13;
-    /// A control-plane fault calendar lost a shard→coordinator reply;
-    /// `value` is the targeted trace-op index.
+    /// A control-plane fault calendar lost or duplicated a request to
+    /// the admission service; `value` is the targeted trace-op index.
+    pub const SERVE_REQUEST_LOSS: u8 = 13;
+    /// A control-plane fault calendar lost the admission service's
+    /// reply; `value` is the targeted trace-op index.
     pub const SERVE_REPLY_LOSS: u8 = 14;
 
     /// Short label for reports; `"fault"` for unknown codes.
@@ -168,7 +166,7 @@ pub mod fault_code {
             RECOVERY_RETRY => "recovery-retry",
             RECOVERY_DEGRADED => "recovery-degraded",
             SERVE_CRASH => "serve-crash",
-            SERVE_VOTE_LOSS => "serve-vote-loss",
+            SERVE_REQUEST_LOSS => "serve-request-loss",
             SERVE_REPLY_LOSS => "serve-reply-loss",
             _ => "fault",
         }
@@ -234,13 +232,14 @@ pub enum TraceEvent {
         /// Sub-kind-specific detail (mask, shift, evictions, cycles).
         detail: u32,
     },
-    /// One causal stage of a sharded admission-service request.
+    /// One causal stage of an admission-service request.
     Request {
         /// The request id (trace operation index).
         rid: u32,
         /// Stage code (one of the [`request_stage`] constants).
         stage: u8,
-        /// Shard that produced the record (coordinator stages use 0).
+        /// Shard that produced the record (0: the service has one
+        /// owner).
         shard: u8,
         /// Path (hop) index the stage concerns, or
         /// [`request_stage::NO_PATH`] when none.
@@ -250,10 +249,9 @@ pub enum TraceEvent {
     Serve {
         /// Sub-kind (one of the [`serve_code`] constants).
         code: u8,
-        /// Affected shard (0 for coordinator-level actions).
+        /// Affected shard (0: the service has one owner).
         shard: u8,
-        /// Sub-kind-specific detail (records replayed, backoff cycles,
-        /// ladder rung).
+        /// Sub-kind-specific detail (records replayed, backoff cycles).
         detail: u32,
     },
 }
@@ -579,11 +577,6 @@ mod tests {
                 shard: 2,
                 detail: 17,
             },
-            TraceEvent::Serve {
-                code: serve_code::SHED,
-                shard: 0,
-                detail: 1,
-            },
         ];
         for (i, ev) in events.iter().enumerate() {
             let t = 1000 + i as u64;
@@ -629,7 +622,7 @@ mod tests {
             fault_code::RECOVERY_RETRY,
             fault_code::RECOVERY_DEGRADED,
             fault_code::SERVE_CRASH,
-            fault_code::SERVE_VOTE_LOSS,
+            fault_code::SERVE_REQUEST_LOSS,
             fault_code::SERVE_REPLY_LOSS,
         ];
         let mut labels: Vec<&str> = codes.iter().map(|&c| fault_code::label(c)).collect();

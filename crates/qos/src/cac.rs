@@ -26,9 +26,8 @@ pub struct PortKey {
 }
 
 impl PortKey {
-    /// A stable 64-bit code for this port — independent of process,
-    /// hasher and shard count. Keys per-table RNG sub-streams and
-    /// assigns ports to admission-service shards.
+    /// A stable 64-bit code for this port — independent of process and
+    /// hasher. Keys the repair drill's per-table RNG sub-streams.
     #[must_use]
     pub fn stable_code(self) -> u64 {
         let (tag, idx) = match self.node {
@@ -50,9 +49,6 @@ pub enum RejectReason {
     RequestTooLarge,
     /// The request was malformed (zero weight or a stale sequence id).
     InvalidRequest,
-    /// Shed by the admission service's bounded-queue load-shedding
-    /// ladder before any table was consulted.
-    Overloaded,
 }
 
 impl RejectReason {
@@ -65,7 +61,6 @@ impl RejectReason {
             RejectReason::CapacityExceeded(_) => iba_obs::RejectKind::CapacityExceeded,
             RejectReason::RequestTooLarge => iba_obs::RejectKind::RequestTooLarge,
             RejectReason::InvalidRequest => iba_obs::RejectKind::Invalid,
-            RejectReason::Overloaded => iba_obs::RejectKind::Overloaded,
         }
     }
 }
@@ -81,7 +76,6 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::RequestTooLarge => f.write_str("request exceeds one sequence"),
             RejectReason::InvalidRequest => f.write_str("malformed admission request"),
-            RejectReason::Overloaded => f.write_str("admission queue overloaded"),
         }
     }
 }
@@ -409,72 +403,6 @@ impl PortTables {
         self.position(key).map(|p| &mut self.entries[p].1)
     }
 
-    /// An empty registry with this registry's configuration (allocator
-    /// and capacity cap) — the shape a service shard starts from.
-    pub(crate) fn empty_like(&self) -> PortTables {
-        Self {
-            entries: Vec::new(),
-            switches: PortIndex::default(),
-            hosts: PortIndex::default(),
-            ..*self
-        }
-    }
-
-    /// Moves every table of `other` into this registry. Key sets must
-    /// be disjoint (shards own disjoint port sets); a collision keeps
-    /// `other`'s table, which the sharded service never produces.
-    pub(crate) fn absorb(&mut self, other: PortTables) {
-        self.entries.extend(other.entries);
-        // Stable: of two equal keys, `other`'s comes second.
-        self.entries.sort_by_key(|(k, _)| *k);
-        self.entries.dedup_by(|later, earlier| {
-            let same = later.0 == earlier.0;
-            if same {
-                std::mem::swap(later, earlier);
-            }
-            same
-        });
-        self.reindex();
-    }
-
-    /// Non-mutating single-hop admission vote: exactly the error the
-    /// real admission at `key` would return, including for a port whose
-    /// table was never touched (checked against a fresh table).
-    pub(crate) fn probe_admit(
-        &self,
-        key: PortKey,
-        sl: ServiceLevel,
-        distance: Distance,
-        weight: Weight,
-    ) -> Result<(), TableError> {
-        match self.table(key) {
-            Some(t) => t.check_admit(sl, distance, weight),
-            None => self.fresh_table().check_admit(sl, distance, weight),
-        }
-    }
-
-    /// Single-hop admission (the sharded service's commit step): the
-    /// same table mutation `admit_path` performs at one hop, recorded
-    /// into `rec`.
-    pub(crate) fn admit_at(
-        &mut self,
-        key: PortKey,
-        sl: ServiceLevel,
-        vl: VirtualLane,
-        distance: Distance,
-        weight: Weight,
-        rec: &mut dyn iba_obs::Recorder,
-    ) -> Result<HopReservation, TableError> {
-        let adm = self
-            .table_mut(key)
-            .admit_observed(sl, vl, distance, weight, rec)?;
-        Ok(HopReservation {
-            node: key.node,
-            port: key.port,
-            sequence: adm.sequence,
-        })
-    }
-
     /// Mean reserved bandwidth (Mbps) over a set of ports, given the
     /// link capacity. Ports never touched count as zero.
     #[must_use]
@@ -785,8 +713,8 @@ mod tests {
             capacity_limit: pt.capacity_limit(),
         };
         let mut live: Vec<(Vec<HopReservation>, Weight)> = Vec::new();
-        // Admits, teardowns, repairs and round trips taken.
-        let mut taken = [0usize; 4];
+        // Admits, teardowns and repairs taken.
+        let mut taken = [0usize; 3];
         assert_same_registry(&pt, &reference, 0);
         for step in 1..=1500 {
             match rng.gen_range(0u32..100) {
@@ -813,7 +741,7 @@ mod tests {
                     let _ = pt.release_path(&hops, w);
                     reference.release_path(&hops, w);
                 }
-                92..=95 => {
+                _ => {
                     taken[2] += 1;
                     // Corrupt every touched table from one stream walked
                     // in key order, then repair in key order.
@@ -838,29 +766,6 @@ mod tests {
                     // Repairs re-admit under fresh ids; start over.
                     live.clear();
                 }
-                _ => {
-                    // Shard round trip: partition by stable code, then
-                    // reassemble in shard order.
-                    taken[3] += 1;
-                    let shards = rng.gen_range(1u64..5);
-                    let mut parts: Vec<PortTables> = (0..shards).map(|_| pt.empty_like()).collect();
-                    for (k, t) in pt.tables() {
-                        *parts[(k.stable_code() % shards) as usize].table_mut(k) = t.clone();
-                    }
-                    let mut merged = pt.empty_like();
-                    assert_same_registry(
-                        &merged,
-                        &reference::PortTables {
-                            tables: std::collections::BTreeMap::new(),
-                            ..reference.clone()
-                        },
-                        step,
-                    );
-                    for part in parts {
-                        merged.absorb(part);
-                    }
-                    pt = merged;
-                }
             }
             assert_same_registry(&pt, &reference, step);
         }
@@ -870,20 +775,6 @@ mod tests {
             taken.iter().all(|&n| n > 10),
             "every operation ran: {taken:?}"
         );
-    }
-
-    #[test]
-    fn absorb_keeps_the_absorbed_table_on_a_collision() {
-        let mut a = PortTables::new(0.8);
-        let mut b = a.empty_like();
-        a.admit_path(&[key(0, 1), key(2, 0)], sl(1), vl(1), Distance::D8, 10)
-            .unwrap();
-        b.admit_path(&[key(0, 1)], sl(2), vl(2), Distance::D4, 20)
-            .unwrap();
-        let want = format!("{:?}", b.table(key(0, 1)));
-        a.absorb(b);
-        assert_eq!(format!("{:?}", a.table(key(0, 1))), want);
-        assert_eq!(a.sorted_keys(), vec![key(0, 1), key(2, 0)]);
     }
 
     #[test]

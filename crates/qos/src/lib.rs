@@ -21,19 +21,15 @@
 //!   retry with deterministic backoff;
 //! * [`retry`] — the shared deterministic retry machinery: saturating
 //!   exponential backoff with seeded jitter, used by both [`recovery`]
-//!   and the [`service`] coordinator timeouts;
-//! * [`journal`] — the per-shard write-ahead intent journal that makes
-//!   shard crashes survivable: intents are appended before any table
-//!   mutation and replayed on supervised restart;
-//! * [`service`] — the sharded admission service: port tables
-//!   partitioned across exclusively-owning shards, each a
-//!   single-threaded protocol machine stepped by an in-process
-//!   network, batched multi-hop admission with vote/commit/abort,
-//!   byte-identical to the single-owner manager at any shard count,
-//!   and a deterministic control-plane fault engine (crashes, vote
-//!   loss/delay, reply loss) survived via journal replay, idempotent
-//!   retries and a bounded admission queue with a load-shedding
-//!   ladder.
+//!   and the [`service`] timeouts;
+//! * [`journal`] — the admission service's write-ahead journal: each
+//!   trace operation is journaled before it is applied and its outcome
+//!   after, and a crashed owner restarts by replaying it;
+//! * [`service`] — the journaled admission service: one owner serves a
+//!   trace through the sequential reference's per-operation step,
+//!   wrapped in the journal and a reply cache, and survives a seeded
+//!   control-plane fault plan (owner crashes, lost or duplicated
+//!   requests, lost replies) with the same outcomes and table bytes.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -59,6 +55,7 @@ pub use measure::QosObserver;
 pub use recovery::{RecoveryManager, RecoveryPolicy, RecoveryStats, RecoverySummary};
 pub use retry::{saturating_backoff, Backoff, RetryPolicy};
 pub use service::{
-    apply_trace_sequential, generate_trace, run_trace, run_trace_faulted, FaultStats, ServeFault,
-    ServeFaultPlan, ServeOptions, ServeReport, TraceConfig, TraceOp, TraceOutcome,
+    apply_trace_sequential, generate_trace, run_trace, run_trace_faulted, CrashPoint, FaultStats,
+    ServeFault, ServeFaultKind, ServeFaultPlan, ServeOptions, ServeReport, TraceConfig, TraceOp,
+    TraceOutcome,
 };

@@ -248,8 +248,7 @@ impl QosManager {
         self.request_observed(req, &mut iba_obs::NullRecorder)
     }
 
-    /// Pure planning step shared by the synchronous path and the
-    /// sharded admission service: resolves a request to the exact
+    /// Pure planning step of admission: resolves a request to the exact
     /// (VL, distance, weight, path) tuple admission will reserve, or
     /// the reject reason the manager would report, without touching
     /// any table or counter.
@@ -416,10 +415,16 @@ impl QosManager {
         &self.tables
     }
 
-    /// Mutable access to the raw port tables (the sharded admission
-    /// service's sequential reference path).
+    /// Mutable access to the raw port tables (the admission service's
+    /// repair drill).
     pub(crate) fn tables_mut(&mut self) -> &mut PortTables {
         &mut self.tables
+    }
+
+    /// The port tables, consuming the manager (the admission service's
+    /// report).
+    pub(crate) fn into_tables(self) -> PortTables {
+        self.tables
     }
 
     /// The output ports a table download covers, in canonical

@@ -3,7 +3,7 @@
 //!
 //! Promoted out of `recovery.rs` so that both the data-plane
 //! [`crate::recovery::RecoveryManager`] and the control-plane
-//! coordinator timeouts in [`crate::service`] draw their backoff
+//! timeouts in [`crate::service`] draw their backoff
 //! schedule from one implementation. Everything here is a pure
 //! function of the seed and the attempt number — no wall-clock, no
 //! global state — which is what keeps faulted runs byte-reproducible.
@@ -52,7 +52,8 @@ pub fn saturating_backoff(base: u64, attempt: u32) -> u64 {
 ///
 /// Deterministic: the same seed and the same call sequence produce the
 /// same delays. One instance serves one retry domain (a recovery
-/// manager, a coordinator); delays are metered by the caller.
+/// manager, an admission-service run); delays are metered by the
+/// caller.
 #[derive(Clone, Debug)]
 pub struct Backoff {
     rng: SplitMix64,

@@ -1,21 +1,20 @@
-//! Differential property tests for the sharded admission service.
+//! Differential property tests for the journaled admission service.
 //!
-//! 100 seeded random admit/teardown/repair traces, each replayed at
-//! 1, 2 and 8 shards, must produce outcomes, final tables and
-//! shard-invariant metrics **byte-identical** to the synchronous
-//! single-owner [`QosManager`] — including the interleaved multi-hop
-//! batches that fail mid-path and must roll back (the run asserts
-//! rollbacks actually occurred, so the equivalence is not vacuous).
+//! 100 seeded random admit/teardown/repair traces must produce
+//! outcomes, final tables and non-`serve_*` metrics **byte-identical**
+//! to the synchronous single-owner [`QosManager`] — including the
+//! multi-hop admissions that fail mid-path and must roll back (the run
+//! asserts rollbacks actually occurred, so the equivalence is not
+//! vacuous).
 
 use iba_core::SlTable;
-use iba_obs::{ObsRecorder, Sample, SampleValue};
+use iba_obs::{ObsRecorder, Sample};
 use iba_qos::service::{apply_trace_sequential, generate_trace, run_trace, TraceConfig};
 use iba_qos::{QosManager, TraceOutcome};
 use iba_topo::{irregular, updown};
 
 const SEEDS: u64 = 100;
 const TRACE_LEN: usize = 48;
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn build_manager(seed: u64) -> (QosManager, u16) {
     let topo = irregular::generate(irregular::IrregularConfig::with_switches(4, seed));
@@ -27,9 +26,9 @@ fn build_manager(seed: u64) -> (QosManager, u16) {
     )
 }
 
-/// The shard-invariant metric view: everything but the `serve_*`
-/// samples, which legitimately depend on the shard count.
-fn invariant_samples(rec: &ObsRecorder) -> Vec<Sample> {
+/// The metrics both runs share: everything but the service's own
+/// `serve_*` samples.
+fn shared_samples(rec: &ObsRecorder) -> Vec<Sample> {
     rec.metrics
         .snapshot()
         .into_iter()
@@ -37,20 +36,8 @@ fn invariant_samples(rec: &ObsRecorder) -> Vec<Sample> {
         .collect()
 }
 
-fn count_of(rec: &ObsRecorder, name: &str) -> u64 {
-    rec.metrics
-        .snapshot()
-        .iter()
-        .filter(|s| s.name == name)
-        .map(|s| match s.value {
-            SampleValue::Count(v) => v,
-            SampleValue::Hist { count, .. } => count,
-        })
-        .sum()
-}
-
 #[test]
-fn sharded_service_matches_sequential_on_100_seeds() {
+fn service_matches_sequential_on_100_seeds() {
     let mut total_rollbacks = 0u64;
     let mut total_rejects = 0usize;
     for seed in 0..SEEDS {
@@ -58,84 +45,70 @@ fn sharded_service_matches_sequential_on_100_seeds() {
         let ops = generate_trace(&TraceConfig::new(hosts, seed, TRACE_LEN));
         let mut seq_rec = ObsRecorder::new();
         let seq = apply_trace_sequential(&mut seq_mgr, &ops, &mut seq_rec);
-        let seq_tables = format!("{:?}", seq_mgr.port_tables());
-        let seq_metrics = format!("{:?}", invariant_samples(&seq_rec));
         total_rejects += seq
             .iter()
             .filter(|o| matches!(o, TraceOutcome::Rejected(_)))
             .count();
 
-        for shards in SHARD_COUNTS {
-            let (planner, _) = build_manager(seed);
-            let mut rec = ObsRecorder::new();
-            let report = run_trace(&planner, &ops, shards, &mut rec);
-            assert_eq!(
-                report.outcomes, seq,
-                "outcomes diverge: seed {seed}, {shards} shards"
-            );
-            assert_eq!(
-                format!("{:?}", report.tables),
-                seq_tables,
-                "tables diverge: seed {seed}, {shards} shards"
-            );
-            assert_eq!(
-                format!("{:?}", invariant_samples(&rec)),
-                seq_metrics,
-                "metrics diverge: seed {seed}, {shards} shards"
-            );
-            report
-                .tables
-                .check_all()
-                .unwrap_or_else(|e| panic!("inconsistent: seed {seed}, {shards} shards: {e}"));
-            total_rollbacks += count_of(&rec, "serve_shard_rollback_total");
-        }
+        let (planner, _) = build_manager(seed);
+        let mut rec = ObsRecorder::new();
+        let report = run_trace(&planner, &ops, 1, &mut rec);
+        assert_eq!(report.outcomes, seq, "outcomes diverge: seed {seed}");
+        assert_eq!(
+            format!("{:?}", report.tables),
+            format!("{:?}", seq_mgr.port_tables()),
+            "tables diverge: seed {seed}"
+        );
+        assert_eq!(
+            format!("{:?}", shared_samples(&rec)),
+            format!("{:?}", shared_samples(&seq_rec)),
+            "metrics diverge: seed {seed}"
+        );
+        report
+            .tables
+            .check_all()
+            .unwrap_or_else(|e| panic!("inconsistent: seed {seed}: {e}"));
+        total_rollbacks += rec.metrics.serve_shard_rollback.0[0].get();
     }
     // The equivalence must have been exercised by real mid-path
     // failures, not an all-accepting workload.
     assert!(total_rejects > 0, "no rejected admissions across all seeds");
     assert!(
         total_rollbacks > 0,
-        "no multi-hop batch ever rolled back across all seeds"
+        "no multi-hop admission ever rolled back across all seeds"
     );
 }
 
 /// After every repair-free trace (repair evictions legitimately shed
 /// weight, so conservation is only exact without them), the weight
-/// reserved across all shards' tables must equal the live connections'
-/// `weight x hops` — i.e. no rolled-back partial batch leaked a
+/// reserved across all tables must equal the live connections'
+/// `weight x hops` — i.e. no rolled-back partial admission leaked a
 /// reservation anywhere — and every table must pass the named
 /// consistency invariants from `iba_core::invariants`.
 #[test]
-fn weight_is_conserved_across_all_shards_after_every_trace() {
+fn weight_is_conserved_after_every_trace() {
     for seed in 0..SEEDS {
-        let (_, hosts) = build_manager(seed);
+        let (planner, hosts) = build_manager(seed);
         let ops = generate_trace(&TraceConfig {
             repair_pct: 0,
             ..TraceConfig::new(hosts, seed, TRACE_LEN)
         });
-        for shards in SHARD_COUNTS {
-            let (planner, _) = build_manager(seed);
-            let mut rec = ObsRecorder::new();
-            let report = run_trace(&planner, &ops, shards, &mut rec);
-            let reserved: u64 = report
-                .tables
-                .tables()
-                .map(|(_, t)| u64::from(t.reserved_weight()))
-                .sum();
-            let live: u64 = report
-                .live
-                .iter()
-                .map(|c| u64::from(c.weight) * c.hops.len() as u64)
-                .sum();
-            assert_eq!(
-                reserved, live,
-                "leaked reservation: seed {seed}, {shards} shards"
-            );
-            for (key, table) in report.tables.tables() {
-                iba_core::invariants::check_table(table).unwrap_or_else(|e| {
-                    panic!("invariant broken at {key:?}: seed {seed}, {shards} shards: {e}")
-                });
-            }
+        let mut rec = ObsRecorder::new();
+        let report = run_trace(&planner, &ops, 1, &mut rec);
+        let reserved: u64 = report
+            .tables
+            .tables()
+            .map(|(_, t)| u64::from(t.reserved_weight()))
+            .sum();
+        let live: u64 = report
+            .live
+            .iter()
+            .map(|c| u64::from(c.weight) * c.hops.len() as u64)
+            .sum();
+        assert_eq!(reserved, live, "leaked reservation: seed {seed}");
+        for (key, table) in report.tables.tables() {
+            iba_core::invariants::check_table(table)
+                .unwrap_or_else(|e| panic!("invariant broken at {key:?}: seed {seed}: {e}"));
         }
     }
 }

@@ -862,7 +862,7 @@ impl Fabric {
                 }
                 // Handled by the early return above.
                 FaultAction::ServeCrash { .. }
-                | FaultAction::ServeVoteLoss { .. }
+                | FaultAction::ServeRequestLoss { .. }
                 | FaultAction::ServeReplyLoss { .. } => 0,
             };
             // Any fault action may change which heads are eligible:

@@ -102,21 +102,21 @@ pub enum FaultAction {
         /// Corruption sub-seed.
         seed: u64,
     },
-    /// Control-plane fault: crash the admission-service shard worker
-    /// handling trace operation `op`. Consumed by
+    /// Control-plane fault: crash the admission service's owner while
+    /// it serves trace operation `op`. Consumed by
     /// `iba_qos::service::ServeFaultPlan::from_calendar`; the fabric
     /// ignores it.
     ServeCrash {
         /// Targeted trace-operation index.
         op: u32,
     },
-    /// Control-plane fault: lose or delay the coordinator→shard vote
-    /// message of trace operation `op`.
-    ServeVoteLoss {
+    /// Control-plane fault: lose or duplicate the request of trace
+    /// operation `op` to the admission service.
+    ServeRequestLoss {
         /// Targeted trace-operation index.
         op: u32,
     },
-    /// Control-plane fault: lose the shard→coordinator reply of trace
+    /// Control-plane fault: lose the admission service's reply to trace
     /// operation `op`.
     ServeReplyLoss {
         /// Targeted trace-operation index.
@@ -139,7 +139,7 @@ impl FaultAction {
             | FaultAction::SetCreditStall { node, port, .. }
             | FaultAction::CorruptTable { node, port, .. } => (node, port),
             FaultAction::ServeCrash { .. }
-            | FaultAction::ServeVoteLoss { .. }
+            | FaultAction::ServeRequestLoss { .. }
             | FaultAction::ServeReplyLoss { .. } => (NodeId::Switch(0), 0),
         }
     }
@@ -151,7 +151,7 @@ impl FaultAction {
         matches!(
             *self,
             FaultAction::ServeCrash { .. }
-                | FaultAction::ServeVoteLoss { .. }
+                | FaultAction::ServeRequestLoss { .. }
                 | FaultAction::ServeReplyLoss { .. }
         )
     }
@@ -167,7 +167,7 @@ impl FaultAction {
             FaultAction::SetCreditStall { .. } => fault_code::CREDIT_STALL,
             FaultAction::CorruptTable { .. } => fault_code::TABLE_CORRUPT,
             FaultAction::ServeCrash { .. } => fault_code::SERVE_CRASH,
-            FaultAction::ServeVoteLoss { .. } => fault_code::SERVE_VOTE_LOSS,
+            FaultAction::ServeRequestLoss { .. } => fault_code::SERVE_REQUEST_LOSS,
             FaultAction::ServeReplyLoss { .. } => fault_code::SERVE_REPLY_LOSS,
         }
     }
@@ -323,9 +323,8 @@ impl FaultPlan {
     /// trace of `ops` operations: at most one serve fault per
     /// operation, roughly one op in three targeted. Fire times are the
     /// operation indices, so the schedule is time-sorted by
-    /// construction and shard-count independent. Deterministic in both
-    /// arguments; never touches the fabric-fault domain of
-    /// [`FaultPlan::generate`].
+    /// construction. Deterministic in both arguments; never touches
+    /// the fabric-fault domain of [`FaultPlan::generate`].
     #[must_use]
     pub fn generate_control(seed: u64, ops: usize) -> Self {
         let mut rng = SplitMix64::seed_from_u64(seed ^ 0xC7A0_17A7_FA17_5EED);
@@ -339,7 +338,7 @@ impl FaultPlan {
             let op = op as u32;
             let action = match kind {
                 0 => FaultAction::ServeCrash { op },
-                1 => FaultAction::ServeVoteLoss { op },
+                1 => FaultAction::ServeRequestLoss { op },
                 _ => FaultAction::ServeReplyLoss { op },
             };
             plan.push(Cycles::from(op), action);
@@ -411,7 +410,7 @@ mod tests {
                 }
                 FaultAction::CorruptTable { .. }
                 | FaultAction::ServeCrash { .. }
-                | FaultAction::ServeVoteLoss { .. }
+                | FaultAction::ServeRequestLoss { .. }
                 | FaultAction::ServeReplyLoss { .. } => {}
             }
         }
@@ -445,8 +444,8 @@ mod tests {
             fault_code::SERVE_CRASH
         );
         assert_eq!(
-            FaultAction::ServeVoteLoss { op: 3 }.code(),
-            fault_code::SERVE_VOTE_LOSS
+            FaultAction::ServeRequestLoss { op: 3 }.code(),
+            fault_code::SERVE_REQUEST_LOSS
         );
         assert_eq!(
             FaultAction::ServeReplyLoss { op: 3 }.code(),

@@ -270,28 +270,20 @@ fn audit_perfetto_export_is_structurally_valid() {
 }
 
 #[test]
-fn serve_replay_matches_golden_file_at_every_shard_count() {
-    // The replay report deliberately contains nothing that depends on
-    // the shard count (the `serve_*` metrics are filtered out), so the
-    // same fixture must match at 1, 2 and 8 shards — the golden-file
-    // form of the service's determinism contract.
-    let replay = |shards: &str| {
-        run_cli(&[
-            "serve",
-            "--switches",
-            "4",
-            "--seed",
-            "3",
-            "--requests",
-            "96",
-            "--replay",
-            "--shards",
-            shards,
-        ])
-    };
-    let got = replay("2");
-    assert_eq!(got, replay("1"), "replay diverges between 1 and 2 shards");
-    assert_eq!(got, replay("8"), "replay diverges between 2 and 8 shards");
+fn serve_replay_matches_golden_file() {
+    // The replay report of the journaled service: outcomes, table
+    // digest, differential verdicts and every metric it shares with
+    // the sequential manager (the `serve_*` metrics are filtered out).
+    let got = run_cli(&[
+        "serve",
+        "--switches",
+        "4",
+        "--seed",
+        "3",
+        "--requests",
+        "96",
+        "--replay",
+    ]);
     let path = format!(
         "{}/tests/golden/serve_trace_s4_seed3.txt",
         env!("CARGO_MANIFEST_DIR")
@@ -304,30 +296,21 @@ fn serve_replay_matches_golden_file_at_every_shard_count() {
 }
 
 #[test]
-fn chaos_serve_replay_matches_golden_file_at_every_shard_count() {
-    // The fault engine targets the lowest participant shard and every
-    // timeout is logical, so the faulted replay report — fault counts
-    // included — is shard-count-invariant: one fixture, four shard
-    // counts. A diff here means either the fault calendar or the
-    // recovery machinery changed behaviour.
-    let replay = |shards: &str| {
-        run_cli(&[
-            "chaos-serve",
-            "--switches",
-            "4",
-            "--seed",
-            "7",
-            "--requests",
-            "48",
-            "--replay",
-            "--shards",
-            shards,
-        ])
-    };
-    let got = replay("4");
-    assert_eq!(got, replay("1"), "replay diverges between 1 and 4 shards");
-    assert_eq!(got, replay("2"), "replay diverges between 2 and 4 shards");
-    assert_eq!(got, replay("8"), "replay diverges between 4 and 8 shards");
+fn chaos_serve_replay_matches_golden_file() {
+    // Every timeout is logical and the calendar is seeded, so the
+    // faulted replay report — fault counts included — is a pure
+    // function of the seed. A diff here means either the fault
+    // calendar or the recovery machinery changed behaviour.
+    let got = run_cli(&[
+        "chaos-serve",
+        "--switches",
+        "4",
+        "--seed",
+        "7",
+        "--requests",
+        "48",
+        "--replay",
+    ]);
     let path = format!(
         "{}/tests/golden/chaos_serve_s4_seed7.txt",
         env!("CARGO_MANIFEST_DIR")

@@ -18,14 +18,14 @@
 //!   with the probe-based defragmentation planner and a linear
 //!   smallest-free connection-id scan.
 //! * Admission-service digests: one seeded trace run through the
-//!   sharded service under a seeded control-plane fault plan (crashes,
-//!   message loss and delay, reply loss) at 1, 2 and 8 shards. Each
-//!   digest covers the whole `ServeReport` (outcomes, tables, live set,
-//!   journals, request records, fault counts) and the full merged
-//!   metrics registry, `serve_*` included. A change to the protocol,
-//!   its delivery order, the journal or the fault engine that moves one
-//!   record changes them. The constants were recorded with shard
-//!   workers on threads joined by channels.
+//!   journaled service under a seeded control-plane fault plan (owner
+//!   crashes before and after acting, lost and duplicated requests,
+//!   lost replies). The pair covers the whole `ServeReport` (outcomes,
+//!   tables, live set, journal, request records, fault counts) and the
+//!   full metrics registry, `serve_*` included. A change to the
+//!   service, the journal or the fault model that moves one record
+//!   changes them. The constants were recorded with the single-owner
+//!   service's first version.
 //!
 //! Never regenerate the constants to make a change pass.
 
@@ -52,13 +52,8 @@ const FILL: (u64, u64, usize, usize) =
 /// admitted, rejected, departed)`.
 const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b7_e55a, 53, 97, 48);
 
-/// Faulted admission-service run: `(shards, report digest, metrics
-/// digest)`.
-const SERVE_FAULTED: [(usize, u64, u64); 3] = [
-    (1, 0x88ca_7aad_03f0_c53e, 0x0922_8f7c_5a06_bbe3),
-    (2, 0x41cf_aec1_2564_cae0, 0xc0aa_6345_4dc2_9002),
-    (8, 0xea3a_c1ca_0aca_b979, 0x22d9_6e73_8515_1705),
-];
+/// Faulted admission-service run: `(report digest, metrics digest)`.
+const SERVE_FAULTED: (u64, u64) = (0xf42e_4e3f_82fb_3614, 0x9e59_7e11_376f_6cbf);
 
 /// Digest of every table's slots, occupancy and sequence records.
 fn tables_digest(tables: &PortTables) -> u64 {
@@ -329,10 +324,10 @@ fn churn_tables_and_outcomes_are_pinned() {
     );
 }
 
-/// One seeded trace (repair drills included) through the sharded
-/// service under `ServeFaultPlan::generate(seed, ops, 30)`: digests of
-/// the debug rendering of the whole report and of the merged registry.
-fn serve_faulted(shards: usize) -> (u64, u64) {
+/// One seeded trace (repair drills included) through the service under
+/// `ServeFaultPlan::generate(seed, ops, 30)`: digests of the debug
+/// rendering of the whole report and of the registry.
+fn serve_faulted() -> (u64, u64) {
     let seed = 3;
     let topo = generate(IrregularConfig::with_switches(4, seed));
     let hosts = topo.num_hosts() as u16;
@@ -344,18 +339,11 @@ fn serve_faulted(shards: usize) -> (u64, u64) {
     let ops = generate_trace(&TraceConfig::new(hosts, seed, 128));
     let plan = ServeFaultPlan::generate(seed, &ops, 30);
     let mut rec = iba_obs::ObsRecorder::with_tracer(1 << 16);
-    let report = run_trace_faulted(
-        &planner,
-        &ops,
-        shards,
-        &plan,
-        &ServeOptions::default(),
-        &mut rec,
-    );
+    let report = run_trace_faulted(&planner, &ops, &plan, &ServeOptions::default(), &mut rec);
     assert!(
         report.fault_stats.crashes > 0
-            && report.fault_stats.msg_losses > 0
-            && report.fault_stats.msg_delays > 0
+            && report.fault_stats.request_losses > 0
+            && report.fault_stats.duplicates > 0
             && report.fault_stats.reply_losses > 0,
         "plan must exercise every fault kind: {:?}",
         report.fault_stats
@@ -369,14 +357,6 @@ fn serve_faulted(shards: usize) -> (u64, u64) {
 
 #[test]
 fn faulted_service_report_and_metrics_are_pinned() {
-    for (shards, report, metrics) in SERVE_FAULTED {
-        let got = serve_faulted(shards);
-        assert_eq!(
-            got,
-            (report, metrics),
-            "{shards} shards: got ({:#018x}, {:#018x})",
-            got.0,
-            got.1
-        );
-    }
+    let got = serve_faulted();
+    assert_eq!(got, SERVE_FAULTED, "got ({:#018x}, {:#018x})", got.0, got.1);
 }

@@ -508,6 +508,71 @@ fn bench_cac() -> Vec<BenchRecord> {
     records
 }
 
+/// Download tier: table downloads on the paper-scale filled frame (16
+/// switches, 64 hosts, the Table-1 fill at 256 B, instance 42).
+/// `cac/download_unchanged` re-downloads tables no mutation touched;
+/// `cac/download_after_admit` times the download that follows one
+/// admission (after an untimed teardown of the same connection and its
+/// download). `ns_per_op` is the median download; p50/p99 are over the
+/// individual downloads.
+fn bench_download() -> Vec<BenchRecord> {
+    const DOWNLOADS: usize = 2000;
+    let mut frame = iba_harness::build_experiment_sized(256, 16, 42, 120).frame;
+    let (mut fabric, _) = frame.build_fabric(42, None);
+    let record = |name: &str, mut samples: Vec<f64>| {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let pct = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+        println!(
+            "{name}: {} downloads, p50 {:.0} ns, p99 {:.0} ns",
+            samples.len(),
+            pct(0.50),
+            pct(0.99)
+        );
+        BenchRecord {
+            name: name.to_string(),
+            iters: samples.len() as u64,
+            ns_per_op: pct(0.50),
+            p50_ns: pct(0.50),
+            p99_ns: pct(0.99),
+        }
+    };
+    let timed_download = |frame: &iba_qos::QosFrame, fabric: &mut Fabric| {
+        let started = std::time::Instant::now();
+        frame.manager.apply_tables(fabric);
+        started.elapsed().as_nanos() as f64
+    };
+
+    let unchanged: Vec<f64> = (0..DOWNLOADS)
+        .map(|_| timed_download(&frame, &mut fabric))
+        .collect();
+
+    let live: Vec<_> = frame
+        .manager
+        .connections()
+        .map(|(id, c)| (id, c.request))
+        .take(DOWNLOADS)
+        .collect();
+    let mut after_admit = Vec::with_capacity(live.len());
+    for (id, request) in live {
+        assert!(frame.manager.teardown(id), "a live connection tears down");
+        frame.manager.apply_tables(&mut fabric);
+        if frame.manager.request(&request).is_ok() {
+            after_admit.push(timed_download(&frame, &mut fabric));
+        }
+    }
+    let compiles = fabric.schedule_compiles();
+    frame.manager.apply_tables(&mut fabric);
+    assert_eq!(
+        fabric.schedule_compiles(),
+        compiles,
+        "a download with no mutation recompiled"
+    );
+    vec![
+        record("cac/download_unchanged", unchanged),
+        record("cac/download_after_admit", after_admit),
+    ]
+}
+
 fn main() {
     let mut h = Harness::from_env();
     bench_alloc(&mut h);
@@ -542,7 +607,9 @@ fn main() {
         &bench_json("chaos", &bench_chaos(), &[]),
     );
 
-    write_report("BENCH_cac.json", &bench_json("cac", &bench_cac(), &[]));
+    let mut cac = bench_cac();
+    cac.extend(bench_download());
+    write_report("BENCH_cac.json", &bench_json("cac", &cac, &[]));
 
     h.finish();
     h2.finish();

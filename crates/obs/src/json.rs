@@ -43,7 +43,7 @@ impl Json {
     }
 
     /// Parses a JSON document (strict: one value, only trailing
-    /// whitespace after it). Integers without fraction/exponent become
+    /// whitespace after it, at most 128 levels of nesting). Integers without fraction/exponent become
     /// [`Json::Int`] (falling back to [`Json::Float`] on overflow);
     /// everything else numeric becomes [`Json::Float`]. Used by the
     /// golden tests to structurally validate Perfetto exports without
@@ -54,7 +54,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -165,8 +165,20 @@ fn expect_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Arrays and objects nested deeper than this are rejected, so a
+/// hostile document cannot overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value; `depth` is how many more levels of nesting the
+/// value may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == 0 {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect_literal(bytes, pos, "null").map(|()| Json::Null),
@@ -182,7 +194,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -210,7 +222,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth - 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,

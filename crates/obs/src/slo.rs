@@ -318,6 +318,9 @@ fn parse_clause(raw: &str) -> Result<SloClause, String> {
         None => (target.to_string(), None),
         Some(brace) => {
             let end = target.find('}').ok_or_else(|| err("missing `}`"))?;
+            if end < brace {
+                return Err(err("`}` before `{`"));
+            }
             let filter = &target[brace + 1..end];
             let (k, v) = filter
                 .split_once('=')

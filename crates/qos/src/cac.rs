@@ -5,6 +5,7 @@
 //! accepted if there are available resources."
 
 use crate::connection::HopReservation;
+use crate::stamp::Stamps;
 use iba_core::{
     AllocatorKind, Distance, HighPriorityTable, SequenceId, ServiceLevel, TableError, VirtualLane,
     Weight, MAX_TABLE_WEIGHT,
@@ -156,32 +157,45 @@ impl PortIndex {
     }
 }
 
+/// One touched port's table and the stamp of its current content.
+#[derive(Clone)]
+struct Entry {
+    key: PortKey,
+    table: HighPriorityTable,
+    stamp: u64,
+}
+
 /// The registry of high-priority tables, one per output port, created
 /// lazily with a shared configuration.
 ///
 /// Tables live in one vector in canonical [`PortKey`] order, so
 /// [`PortTables::tables`] is a contiguous walk, and a dense index per
 /// node kind finds a port's table in one read.
+///
+/// Every mutable access to a table gives it a fresh stamp
+/// ([`PortTables::stamp`]); equal stamps mean equal tables, across
+/// registries and their clones.
 #[derive(Clone)]
 pub struct PortTables {
     /// Every touched table, sorted by key.
-    entries: Vec<(PortKey, HighPriorityTable)>,
+    entries: Vec<Entry>,
     switches: PortIndex,
     hosts: PortIndex,
     allocator: AllocatorKind,
     capacity_limit: Weight,
+    stamps: Stamps,
 }
 
 /// Prints what the registry printed when it was a
 /// `BTreeMap<PortKey, HighPriorityTable>`: the table digests hash this
-/// string.
+/// string. Stamps are left out, so they never move a digest.
 impl std::fmt::Debug for PortTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Tables<'a>(&'a [(PortKey, HighPriorityTable)]);
+        struct Tables<'a>(&'a [Entry]);
         impl std::fmt::Debug for Tables<'_> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 f.debug_map()
-                    .entries(self.0.iter().map(|(k, t)| (k, t)))
+                    .entries(self.0.iter().map(|e| (&e.key, &e.table)))
                     .finish()
             }
         }
@@ -211,6 +225,7 @@ impl PortTables {
             hosts: PortIndex::default(),
             allocator,
             capacity_limit: (qos_fraction * f64::from(MAX_TABLE_WEIGHT)) as Weight,
+            stamps: Stamps::new(),
         }
     }
 
@@ -234,7 +249,7 @@ impl PortTables {
             .entries
             .iter()
             .enumerate()
-            .map(|(p, (k, _))| (k.node, k.port, p));
+            .map(|(p, e)| (e.key.node, e.key.port, p));
         self.switches = PortIndex::build(keys.clone().filter_map(|(n, port, p)| match n {
             NodeId::Switch(s) => Some((s, port, p)),
             NodeId::Host(_) => None,
@@ -252,28 +267,59 @@ impl PortTables {
         t
     }
 
+    /// The table at position `p`, restamped: the caller may change it.
+    fn restamped(&mut self, p: usize) -> &mut HighPriorityTable {
+        let entry = &mut self.entries[p];
+        entry.stamp = self.stamps.fresh();
+        &mut entry.table
+    }
+
     fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
         let p = match self.position(key) {
             Some(p) => p,
             None => {
-                let p = self.entries.partition_point(|(k, _)| *k < key);
-                self.entries.insert(p, (key, self.fresh_table()));
+                let p = self.entries.partition_point(|e| e.key < key);
+                let table = self.fresh_table();
+                self.entries.insert(
+                    p,
+                    Entry {
+                        key,
+                        table,
+                        stamp: 0,
+                    },
+                );
                 self.reindex();
                 p
             }
         };
-        &mut self.entries[p].1
+        self.restamped(p)
     }
 
     /// Read access to a port's table (if any reservation ever touched it).
     #[must_use]
     pub fn table(&self, key: PortKey) -> Option<&HighPriorityTable> {
-        self.position(key).map(|p| &self.entries[p].1)
+        self.position(key).map(|p| &self.entries[p].table)
+    }
+
+    /// The stamp of a port's table content (`None`: never touched).
+    /// Never 0, and unique to that content: two tables — in this
+    /// registry, a clone of it, or any other — with the same stamp are
+    /// equal.
+    #[must_use]
+    pub fn stamp(&self, key: PortKey) -> Option<u64> {
+        self.position(key).map(|p| self.entries[p].stamp)
     }
 
     /// All `(port, table)` pairs touched so far, in canonical key order.
     pub fn tables(&self) -> impl Iterator<Item = (PortKey, &HighPriorityTable)> {
-        self.entries.iter().map(|(k, t)| (*k, t))
+        self.entries.iter().map(|e| (e.key, &e.table))
+    }
+
+    /// [`PortTables::tables`] with each table's [`PortTables::stamp`].
+    pub(crate) fn stamped_tables(
+        &self,
+    ) -> impl Iterator<Item = (PortKey, &HighPriorityTable, u64)> {
+        self.entries.iter().map(|e| (e.key, &e.table, e.stamp))
     }
 
     /// Attempts to reserve `(sl, vl, distance, weight)` at every port in
@@ -395,12 +441,14 @@ impl PortTables {
     /// (switches before hosts, then node index, then port): the
     /// entries' own order, with no re-sort.
     pub(crate) fn sorted_keys(&self) -> Vec<PortKey> {
-        self.entries.iter().map(|(k, _)| *k).collect()
+        self.entries.iter().map(|e| e.key).collect()
     }
 
-    /// Mutable access to one touched table (recovery layer).
+    /// Mutable access to one touched table (recovery layer); restamps
+    /// it.
     pub(crate) fn get_table_mut(&mut self, key: PortKey) -> Option<&mut HighPriorityTable> {
-        self.position(key).map(|p| &mut self.entries[p].1)
+        let p = self.position(key)?;
+        Some(self.restamped(p))
     }
 
     /// Mean reserved bandwidth (Mbps) over a set of ports, given the

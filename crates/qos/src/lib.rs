@@ -44,6 +44,7 @@ pub mod measure;
 pub mod recovery;
 pub mod retry;
 pub mod service;
+mod stamp;
 
 pub use cac::{PortKey, PortTables, RejectReason};
 pub use churn::{ChurnEvent, ChurnRunner, ChurnStats};

@@ -5,7 +5,7 @@
 use crate::cac::{PortKey, PortTables, RejectReason};
 use crate::connection::{Connection, ConnectionId};
 use iba_core::{sl, AllocatorKind, ArbEntry, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig};
-use iba_sim::{Fabric, NodeId, LINK_1X_MBPS};
+use iba_sim::{DownloadKey, Fabric, NodeId, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 use iba_traffic::ConnectionRequest;
 use std::cmp::Reverse;
@@ -91,6 +91,10 @@ pub struct QosManager {
     /// new connection takes the smallest free id.
     free_ids: BinaryHeap<Reverse<u32>>,
     low: LowPriorityPolicy,
+    /// Stamp of `low` (see [`PortTables::stamp`]): renewed whenever the
+    /// policy changes, so a port's [`DownloadKey`] covers everything
+    /// its configuration is built from.
+    low_stamp: u64,
     link_mbps: f64,
     header_bytes: u32,
     accepted: u64,
@@ -124,6 +128,7 @@ impl QosManager {
             connections: Vec::new(),
             free_ids: BinaryHeap::new(),
             low: LowPriorityPolicy::default(),
+            low_stamp: crate::stamp::unique(),
             link_mbps: LINK_1X_MBPS,
             header_bytes: 0,
             accepted: 0,
@@ -142,6 +147,7 @@ impl QosManager {
     /// Overrides the low-priority policy.
     pub fn set_low_priority_policy(&mut self, policy: LowPriorityPolicy) {
         self.low = policy;
+        self.low_stamp = crate::stamp::unique();
     }
 
     /// Installs a non-identity SL→VL mapping (a fabric with fewer VLs).
@@ -160,6 +166,7 @@ impl QosManager {
             "change the SL->VL mapping only on an empty subnet"
         );
         self.low = LowPriorityPolicy::for_map(&map);
+        self.low_stamp = crate::stamp::unique();
         self.sl_to_vl = map;
     }
 
@@ -500,17 +507,31 @@ impl QosManager {
     /// (`schedule_invalidate_total` / `schedule_compile_total`); a port
     /// whose table did not change fires none.
     ///
-    /// The comparison reads the table installed in the fabric, not a
-    /// record of the last download, so a port changed behind the
-    /// manager's back (a `CorruptTable` fault, another download) is
-    /// recompiled too.
+    /// Each port's [`DownloadKey`] names what the manager would install
+    /// there: its table's stamp (0 for a port without a table) and the
+    /// low-priority policy's. A port whose recorded key matches holds
+    /// that table already and is only restarted. Any other port is
+    /// compared against the table installed in the fabric — a port
+    /// changed behind the manager's back (a `CorruptTable` fault, a
+    /// hand-installed table) has lost its key — then recompiled or
+    /// restarted, and keyed.
     pub fn apply_tables_observed(&self, fabric: &mut Fabric, rec: &mut dyn iba_obs::Recorder) {
         // Ports and registry entries both come in canonical key order,
         // so one merge pass finds each port's table without lookups.
-        let mut tables = self.tables.tables().peekable();
+        let mut tables = self.tables.stamped_tables().peekable();
         for key in self.output_ports() {
-            while tables.next_if(|&(k, _)| k < key).is_some() {}
-            let table = tables.next_if(|&(k, _)| k == key).map(|(_, t)| t);
+            while tables.next_if(|&(k, ..)| k < key).is_some() {}
+            let (table, stamp) = tables
+                .next_if(|&(k, ..)| k == key)
+                .map_or((None, 0), |(_, t, stamp)| (Some(t), stamp));
+            let download = DownloadKey {
+                table: stamp,
+                low: self.low_stamp,
+            };
+            if fabric.download_key(key.node, key.port) == Some(download) {
+                fabric.restart_output_walk(key.node, key.port);
+                continue;
+            }
             let unchanged = fabric
                 .output_table(key.node, key.port)
                 .is_some_and(|installed| self.is_installed(table, installed));
@@ -519,6 +540,7 @@ impl QosManager {
             } else {
                 fabric.set_output_table_recorded(key.node, key.port, self.config_from(table), rec);
             }
+            fabric.record_download(key.node, key.port, download);
         }
     }
 

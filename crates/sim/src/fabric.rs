@@ -171,6 +171,19 @@ impl FabricStats {
     }
 }
 
+/// What a table download installed on one output port, as opaque
+/// content stamps chosen by the subnet manager: equal keys mean equal
+/// installed tables. The fabric only stores a port's key and forgets
+/// it whenever anything else writes that port's table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DownloadKey {
+    /// Stamp of the port's high-priority table (the manager's choice
+    /// for a port without one).
+    pub table: u64,
+    /// Stamp of the low-priority part of the table.
+    pub low: u64,
+}
+
 /// The simulator: a fabric of switches and hosts driven by a
 /// deterministic event loop.
 pub struct Fabric {
@@ -194,6 +207,11 @@ pub struct Fabric {
     /// Compiled schedules invalidated by a table change (admit,
     /// teardown, repair, fault corruption — every mutation path).
     schedule_invalidations: u64,
+    /// Per output port (switch ports first, `s * ports + p`, then one
+    /// per host), the key of the download that installed its table;
+    /// `None` once anything else wrote it. Kept beside, not inside,
+    /// the hot [`OutputPort`].
+    downloaded: Vec<Option<DownloadKey>>,
 }
 
 impl Fabric {
@@ -268,8 +286,7 @@ impl Fabric {
             })
             .collect();
 
-        let initial_compiles =
-            switches.iter().map(|s| s.outputs.len() as u64).sum::<u64>() + hosts.len() as u64;
+        let ports = switches.len() * n + hosts.len();
 
         Fabric {
             topo,
@@ -284,8 +301,9 @@ impl Fabric {
             now: 0,
             window_start: 0,
             events_processed: 0,
-            schedule_compiles: initial_compiles,
+            schedule_compiles: ports as u64,
             schedule_invalidations: 0,
+            downloaded: vec![None; ports],
         }
     }
 
@@ -335,9 +353,10 @@ impl Fabric {
     /// This always invalidates the port's compiled grant schedule and
     /// compiles the new table (every mutation path — admit, teardown,
     /// repair, fault corruption — funnels through here or through the
-    /// fault handler's corruption arm). The subnet manager's download
-    /// calls it only for ports whose table changed and restarts the
-    /// others with [`Fabric::restart_output_walk`].
+    /// fault handler's corruption arm), and forgets the port's
+    /// [`Fabric::download_key`]. The subnet manager's download calls it
+    /// only for ports whose table changed and restarts the others with
+    /// [`Fabric::restart_output_walk`].
     pub fn set_output_table(&mut self, node: NodeId, port: u8, cfg: VlArbConfig) {
         self.set_output_table_recorded(node, port, cfg, &mut NullRecorder);
     }
@@ -369,6 +388,52 @@ impl Fabric {
         self.schedule_compiles += 1;
         rec.schedule_invalidated();
         rec.schedule_compiled();
+        self.forget_download(node, port);
+    }
+
+    /// Where one output port's [`DownloadKey`] lives in `downloaded`
+    /// (`None` for an invalid target).
+    fn port_index(&self, node: NodeId, port: u8) -> Option<usize> {
+        let n = usize::from(self.topo.ports_per_switch());
+        match node {
+            NodeId::Switch(s) => {
+                let (s, port) = (usize::from(s), usize::from(port));
+                (s < self.switches.len() && port < n).then_some(s * n + port)
+            }
+            NodeId::Host(h) => {
+                let h = usize::from(h);
+                (port == 0 && h < self.hosts.len()).then_some(self.switches.len() * n + h)
+            }
+        }
+    }
+
+    /// The key recorded by the download that installed this port's
+    /// table: `None` if no download did, or if anything wrote the
+    /// table since — [`Fabric::set_output_table`],
+    /// [`Fabric::set_uniform_tables`] or a
+    /// [`FaultAction::CorruptTable`] fault.
+    #[must_use]
+    pub fn download_key(&self, node: NodeId, port: u8) -> Option<DownloadKey> {
+        self.downloaded[self.port_index(node, port)?]
+    }
+
+    /// Records that a download made this port's installed table the
+    /// one `key` names. Only the download that just installed (or
+    /// found) that table may call this: a key left on a table it does
+    /// not name makes the next download skip a stale port. Does
+    /// nothing for an invalid target.
+    pub fn record_download(&mut self, node: NodeId, port: u8, key: DownloadKey) {
+        if let Some(i) = self.port_index(node, port) {
+            self.downloaded[i] = Some(key);
+        }
+    }
+
+    /// Forgets one port's download key: something other than a
+    /// download wrote its table.
+    fn forget_download(&mut self, node: NodeId, port: u8) {
+        if let Some(i) = self.port_index(node, port) {
+            self.downloaded[i] = None;
+        }
     }
 
     /// The arbitration table installed on one output port (`None` for
@@ -391,7 +456,7 @@ impl Fabric {
 
     /// Installs the same arbitration table on every output port of
     /// every switch and host (each port's schedule is invalidated and
-    /// recompiled).
+    /// recompiled, and its download key forgotten).
     pub fn set_uniform_tables(&mut self, cfg: &VlArbConfig) {
         // One compile, then flat clones: every port gets an identical
         // freshly-reset schedule, exactly as if each had recompiled.
@@ -408,6 +473,7 @@ impl Fabric {
             self.schedule_invalidations += 1;
             self.schedule_compiles += 1;
         }
+        self.downloaded.fill(None);
     }
 
     /// Arbitration schedules compiled so far: one per output port at
@@ -879,6 +945,8 @@ impl Fabric {
             self.schedule_compiles += 1;
             rec.schedule_invalidated();
             rec.schedule_compiled();
+            // The damage is no download's table: the next one heals it.
+            self.forget_download(node, port);
         }
         rec.fault_injected(code, encode_target(node, port), detail);
         // Restores (and table rewrites) can enable pending work on a
@@ -1732,6 +1800,39 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn every_writer_but_a_download_forgets_the_download_key() {
+        let mut f = two_host_fabric(256);
+        let key = DownloadKey { table: 7, low: 9 };
+        let host = NodeId::Host(0);
+        assert_eq!(f.download_key(host, 0), None, "no download yet");
+        assert_eq!(f.download_key(host, 1), None, "hosts have one port");
+        assert_eq!(f.download_key(NodeId::Switch(9), 0), None);
+        f.record_download(NodeId::Switch(9), 0, key);
+
+        f.record_download(host, 0, key);
+        f.restart_output_walk(host, 0);
+        assert_eq!(f.download_key(host, 0), Some(key), "a restart keeps it");
+        f.set_output_table(host, 0, Fabric::default_arb_config());
+        assert_eq!(f.download_key(host, 0), None);
+
+        f.record_download(host, 0, key);
+        f.set_uniform_tables(&Fabric::default_arb_config());
+        assert_eq!(f.download_key(host, 0), None);
+
+        f.record_download(host, 0, key);
+        f.schedule_fault(
+            0,
+            FaultAction::CorruptTable {
+                node: host,
+                port: 0,
+                seed: 3,
+            },
+        );
+        f.run_until(1, &mut crate::trace::NullObserver);
+        assert_eq!(f.download_key(host, 0), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use arb::PortArbiter;
 pub use buffer::VlQueueSet;
 pub use config::{ArbiterMode, SimConfig};
 pub use event::{Event, EventQueue};
-pub use fabric::{Fabric, FabricStats, NodeId};
+pub use fabric::{DownloadKey, Fabric, FabricStats, NodeId};
 pub use fault::{encode_target, FaultAction, FaultPlan, FaultState};
 pub use packet::{Arrival, FlowSpec, Packet};
 pub use port::PortStats;

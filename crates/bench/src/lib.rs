@@ -16,6 +16,7 @@
 pub mod microbench;
 
 pub use iba_harness::{Experiment, Measured, PointOutcome, SimPoint};
+use iba_obs::NullRecorder;
 
 /// Reads a numeric environment knob. Callers pass documented `IBA_*`
 /// names only (see README's knob table).
@@ -45,7 +46,7 @@ pub fn build_experiment_sized(mtu: u32, switches: usize, seed: u64) -> Experimen
 /// `IBA_STEADY_PACKETS` packets on the slowest connection.
 pub fn run_measured(exp: &Experiment, background: bool) -> Measured {
     let steady_packets = env_u64("IBA_STEADY_PACKETS", 30);
-    iba_harness::run_measured(exp, steady_packets, background)
+    iba_harness::run_measured(exp, steady_packets, background, None, &mut NullRecorder)
 }
 
 /// A [`SimPoint`] with the environment defaults applied: the same run

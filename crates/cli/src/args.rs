@@ -30,7 +30,8 @@ COMMANDS:
 OPTIONS:
     --switches <N>         number of switches        [default: 8]
     --seed <S>             RNG seed                  [default: 42]
-    --mtu <M>              packet size in bytes      [default: 256]
+    --mtu <M>              packet size in bytes: 256, 1024, 2048 or 4096
+                           [default: 256]
     --steady-packets <P>   steady-state length       [default: 10]
     --limit <L>            (trace) events to print, 0 = all  [default: 32]
     --seeds <N>            (sweep) points: seeds S..S+N-1    [default: 4]
@@ -305,6 +306,10 @@ impl Args {
         if args.window == 0 {
             return Err(ParseError::BadValue("--window".into(), "0".into()));
         }
+        // The IBA MTUs: any other packet size has no simulator model.
+        if !matches!(args.mtu, 256 | 1024 | 2048 | 4096) {
+            return Err(ParseError::BadValue("--mtu".into(), args.mtu.to_string()));
+        }
         Ok(args)
     }
 }
@@ -338,6 +343,20 @@ mod tests {
         assert_eq!(a.mtu, 4096);
         assert_eq!(a.steady_packets, 30);
         assert!(a.background);
+    }
+
+    #[test]
+    fn only_iba_mtus_parse() {
+        for mtu in [256, 1024, 2048, 4096] {
+            let a = Args::parse(&argv(&format!("fill --switches 2 --mtu {mtu}"))).unwrap();
+            assert_eq!(a.mtu, mtu);
+        }
+        for mtu in ["0", "512", "4095", "8192"] {
+            assert_eq!(
+                Args::parse(&argv(&format!("fill --switches 2 --mtu {mtu}"))).unwrap_err(),
+                ParseError::BadValue("--mtu".into(), mtu.into())
+            );
+        }
     }
 
     #[test]

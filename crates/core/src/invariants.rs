@@ -41,6 +41,15 @@ pub fn released_sequence_is_drained(connections: u32, total_weight: Weight) -> b
     connections != 0 || total_weight == 0
 }
 
+/// Releasing the hops a live connection holds never fails: its ledger
+/// (each hop's sequence id, the connection's weight) and the tables
+/// agree exactly, repairs included. `failed_hops` counts the hops whose
+/// release a table refused.
+#[must_use]
+pub fn held_hops_release(failed_hops: usize) -> bool {
+    failed_hops == 0
+}
+
 /// Full-table invariant bundle: internal consistency plus the canonical
 /// layout property. Returns a description of the first violation.
 pub fn check_table(table: &HighPriorityTable) -> Result<(), String> {

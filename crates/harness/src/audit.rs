@@ -365,7 +365,7 @@ pub(crate) fn drive_engine(config: &AuditConfig, fill: Fill) -> AuditOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{build_experiment_sized, run_measured, run_measured_instrumented};
+    use crate::experiment::{build_experiment_sized, run_measured};
 
     /// The paper's Table 2 packet sizes.
     const TABLE2_MTUS: [u32; 5] = [256, 512, 1024, 2048, 4096];
@@ -462,9 +462,9 @@ mod tests {
         // GuaranteeAuditor riding the recorder seam delivers the exact
         // same packets at the exact same times as the unaudited run.
         let exp = build_experiment_sized(4096, 4, 11, 40);
-        let plain = run_measured(&exp, 3, false);
+        let plain = run_measured(&exp, 3, false, None, &mut iba_obs::NullRecorder);
         let mut auditor = GuaranteeAuditor::new();
-        let audited = run_measured_instrumented(&exp, 3, false, &mut auditor);
+        let audited = run_measured(&exp, 3, false, None, &mut auditor);
         assert_eq!(plain.delivery_digest, audited.delivery_digest);
         assert_eq!(plain.delivery_count, audited.delivery_count);
         // The ride-along auditor saw real grants (observe-only lanes).

@@ -25,7 +25,7 @@
 
 use crate::audit::{drive_engine, fill_table, AuditConfig, AuditOutcome};
 use crate::engine::run_sweep_recorded;
-use crate::experiment::{build_experiment_sized, run_measured_faulted};
+use crate::experiment::{build_experiment_sized, run_measured};
 use crate::fnv::Fnv64;
 use iba_core::{AllocatorKind, SplitMix64};
 use iba_obs::ObsRecorder;
@@ -215,11 +215,11 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
         let exp = build_experiment_sized(mtu, 4, seed, 40);
         // Aim the fault window at the recorded steady state (the
         // warm-up runs uninstrumented), mirroring the phase layout of
-        // `run_measured_faulted`.
+        // `run_measured`.
         let transient = exp.frame.steady_state_cycles(1) * 2;
         let steady = exp.frame.steady_state_cycles(3);
         let plan = FaultPlan::generate(seed ^ 0xFA57_0000, transient, steady, 4, 8, 8);
-        let m = run_measured_faulted(&exp, 3, false, &plan, rec);
+        let m = run_measured(&exp, 3, false, Some(&plan), rec);
         (m.delivery_digest, m.delivery_count)
     });
     let mut sweep_digest = Fnv64::default();

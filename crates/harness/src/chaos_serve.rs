@@ -1,9 +1,8 @@
 //! The chaos-serve drive: runs a seeded admit/teardown/repair trace
 //! through the journaled admission service **under a control-plane
 //! fault calendar** — owner crashes, lost or duplicated requests, lost
-//! replies — and differentially audits the survivor against both the
-//! sequential [`QosManager`](iba_qos::QosManager) reference and an
-//! unfaulted service run.
+//! replies — and differentially audits the survivor against the
+//! sequential [`QosManager`](iba_qos::QosManager) reference.
 //!
 //! Three oracles gate the verdict:
 //!
@@ -12,10 +11,11 @@
 //!    journal, timeouts and the reply cache make every injected fault
 //!    invisible);
 //! 2. **Exactly-once ledger** — sweeping every live connection's hops
-//!    out of a clone of the final tables must leave the same residue
-//!    as the same sweep over the unfaulted baseline: a failed release
-//!    is a *lost* reservation, leftover reserved weight is a
-//!    *duplicated* one;
+//!    out of a clone of the final tables must release every hop and
+//!    leave nothing reserved: a failed release is a *lost*
+//!    reservation, leftover reserved weight a *duplicated* one. Repair
+//!    drills keep every live connection bound, so the ledger is
+//!    absolute, with no legitimate residue;
 //! 3. **Consistency** — every final table passes `check_consistency`.
 //!
 //! The rendered `--replay` report is a pure function of the topology
@@ -76,11 +76,11 @@ pub struct ChaosServeOutcome {
     pub consistent: bool,
     /// Whether the faulted outcome vector equals the sequential one.
     pub outcomes_match: bool,
-    /// Reservations the faulted run lost versus the unfaulted baseline
-    /// (live connections whose hops no longer release cleanly).
+    /// Reservations the faulted run lost: live connection hops that no
+    /// longer release cleanly.
     pub lost: u64,
-    /// Reserved weight the faulted run holds beyond the baseline after
-    /// sweeping every live connection out (double-applied commits).
+    /// Reserved weight left after sweeping every live connection out
+    /// (double-applied commits).
     pub duplicated: u64,
     /// The faulted run's merged recorder (metrics, request tracer and
     /// — on windowed runs — the finished timeline).
@@ -187,7 +187,7 @@ impl ChaosServeOutcome {
 }
 
 /// Runs the chaos-serve scenario: one faulted service run plus the
-/// sequential reference and the unfaulted ledger baseline.
+/// sequential reference.
 ///
 /// `window: Some(len)` attaches a windowed timeline (`len` ticks per
 /// window, at least 1) and a request tracer to the faulted recorder,
@@ -211,12 +211,6 @@ pub fn run_chaos_serve(config: &ChaosServeConfig, window: Option<u64>) -> ChaosS
         service::apply_trace_sequential(&mut seq_mgr, &ops, &mut seq_rec);
     let seq_digest = fnv64(format!("{:?}", seq_mgr.port_tables()).as_bytes());
 
-    // Unfaulted baseline: its ledger residue is the legitimate one
-    // (repairs evict reservations even without faults).
-    let mut base_rec = ObsRecorder::new();
-    let baseline = service::run_trace(&planner, &ops, 1, &mut base_rec);
-    let (base_lost, base_leftover) = baseline.sweep();
-
     // The faulted run.
     let mut rec = windowed_recorder(window.map(|len| len.max(1)));
     let opts = ServeOptions {
@@ -226,9 +220,7 @@ pub fn run_chaos_serve(config: &ChaosServeConfig, window: Option<u64>) -> ChaosS
     rec.finish_timeline();
     let tables_digest = fnv64(format!("{:?}", report.tables).as_bytes());
 
-    let (run_lost, run_leftover) = report.sweep();
-    let lost = run_lost.saturating_sub(base_lost);
-    let duplicated = run_leftover.saturating_sub(base_leftover);
+    let (lost, duplicated) = report.sweep();
 
     let consistent = report.tables.check_all().is_ok();
     let outcomes_match = report.outcomes == seq_outcomes;

@@ -9,7 +9,7 @@
 
 use crate::fnv::Fnv64;
 use iba_core::SlTable;
-use iba_obs::{NullRecorder, ObsRecorder, Recorder};
+use iba_obs::Recorder;
 use iba_qos::{FillReport, QosFrame, QosObserver};
 use iba_sim::{DeliveryRecord, FabricStats, FaultPlan, Observer, SimConfig};
 use iba_topo::irregular::{generate, IrregularConfig};
@@ -103,64 +103,17 @@ impl Observer for DigestObserver<'_> {
 /// a steady state until the slowest connection has emitted
 /// `steady_packets` packets. Background best-effort traffic fills the
 /// remaining capacity when `background` is set.
+///
+/// `plan`, when given, is injected through the fabric's event calendar
+/// before the run starts. Faults scheduled inside the warm-up window
+/// fire uninstrumented (like everything else there); the digest and
+/// the metrics recorded into `rec` cover only the steady-state window.
+/// The result is a pure function of `(exp, plan)`, and no recorder
+/// perturbs it — `NullRecorder`, an `ObsRecorder` or an observe-only
+/// `iba_obs::GuaranteeAuditor` all leave the delivery digest
+/// byte-identical.
 #[must_use]
-pub fn run_measured(exp: &Experiment, steady_packets: u64, background: bool) -> Measured {
-    run_measured_with(exp, steady_packets, background, &mut NullRecorder)
-}
-
-/// [`run_measured`] with instrumentation into an [`ObsRecorder`].
-#[must_use]
-pub fn run_measured_recorded(
-    exp: &Experiment,
-    steady_packets: u64,
-    background: bool,
-    rec: &mut ObsRecorder,
-) -> Measured {
-    run_measured_with(exp, steady_packets, background, rec)
-}
-
-/// [`run_measured`] generic over **any** [`Recorder`] — the seam for
-/// attaching special-purpose recorders such as an observe-only
-/// `iba_obs::GuaranteeAuditor`. Instrumentation must never perturb the
-/// run: the differential audit tests hold the delivery digest
-/// byte-identical to the unrecorded run.
-#[must_use]
-pub fn run_measured_instrumented<R: Recorder>(
-    exp: &Experiment,
-    steady_packets: u64,
-    background: bool,
-    rec: &mut R,
-) -> Measured {
-    run_measured_with(exp, steady_packets, background, rec)
-}
-
-/// [`run_measured`] with a [`FaultPlan`] injected through the fabric's
-/// event calendar before the run starts. Faults scheduled inside the
-/// warm-up window fire uninstrumented (like everything else there); the
-/// digest and metrics cover only the steady-state window, and the
-/// result stays a pure function of `(exp, plan)` — the chaos sweep's
-/// determinism check holds the digest identical at any thread count.
-#[must_use]
-pub fn run_measured_faulted<R: Recorder>(
-    exp: &Experiment,
-    steady_packets: u64,
-    background: bool,
-    plan: &FaultPlan,
-    rec: &mut R,
-) -> Measured {
-    run_measured_inner(exp, steady_packets, background, Some(plan), rec)
-}
-
-fn run_measured_with<R: Recorder>(
-    exp: &Experiment,
-    steady_packets: u64,
-    background: bool,
-    rec: &mut R,
-) -> Measured {
-    run_measured_inner(exp, steady_packets, background, None, rec)
-}
-
-fn run_measured_inner<R: Recorder>(
+pub fn run_measured<R: Recorder>(
     exp: &Experiment,
     steady_packets: u64,
     background: bool,
@@ -204,12 +157,13 @@ fn run_measured_inner<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iba_obs::{NullRecorder, ObsRecorder};
 
     #[test]
     fn digest_distinguishes_seeds_and_matches_replays() {
         let run = |seed| {
             let exp = build_experiment_sized(4096, 4, seed, 40);
-            let m = run_measured(&exp, 3, false);
+            let m = run_measured(&exp, 3, false, None, &mut NullRecorder);
             (m.delivery_digest, m.delivery_count)
         };
         let a = run(42);
@@ -221,9 +175,9 @@ mod tests {
     #[test]
     fn recorded_run_is_equivalent_and_counts_events() {
         let exp = build_experiment_sized(4096, 4, 7, 40);
-        let plain = run_measured(&exp, 3, false);
+        let plain = run_measured(&exp, 3, false, None, &mut NullRecorder);
         let mut rec = ObsRecorder::new();
-        let recorded = run_measured_recorded(&exp, 3, false, &mut rec);
+        let recorded = run_measured(&exp, 3, false, None, &mut rec);
         assert_eq!(plain.delivery_digest, recorded.delivery_digest);
         assert_eq!(plain.delivery_count, recorded.delivery_count);
         assert_eq!(plain.stats.delivered_bytes, recorded.stats.delivered_bytes);

@@ -32,10 +32,7 @@ pub use audit::{run_audit, run_audit_spanned, AuditConfig, AuditOutcome};
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use chaos_serve::{run_chaos_serve, ChaosServeConfig, ChaosServeOutcome};
 pub use engine::{run_sweep, run_sweep_recorded, run_sweep_recorded_with, threads_from_env};
-pub use experiment::{
-    build_experiment_sized, run_measured, run_measured_faulted, run_measured_instrumented,
-    run_measured_recorded, Experiment, Measured,
-};
+pub use experiment::{build_experiment_sized, run_measured, Experiment, Measured};
 pub use fnv::{fnv64, Fnv64};
 pub use serve::{run_serve, timeline_shared_lines, ServeConfig, ServeOutcome};
 pub use sweep::{run_points, run_points_spanned, PointOutcome, SimPoint};

@@ -2,7 +2,7 @@
 //! parallel by the engine with deterministic merged output.
 
 use crate::engine::{run_sweep_recorded, run_sweep_recorded_with};
-use crate::experiment::{build_experiment_sized, run_measured_recorded};
+use crate::experiment::{build_experiment_sized, run_measured};
 use iba_obs::{ObsRecorder, SpanRecorder};
 
 /// One independent run of the paper pipeline: a (topology size, seed,
@@ -94,7 +94,7 @@ impl PointOutcome {
 #[must_use]
 pub fn run_point_recorded(point: &SimPoint, rec: &mut ObsRecorder) -> PointOutcome {
     let exp = build_experiment_sized(point.mtu, point.switches, point.seed, point.reject_limit);
-    let m = run_measured_recorded(&exp, point.steady_packets, point.background, rec);
+    let m = run_measured(&exp, point.steady_packets, point.background, None, rec);
     PointOutcome {
         point: *point,
         attempted: exp.fill.attempted,

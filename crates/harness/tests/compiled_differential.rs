@@ -35,12 +35,12 @@ fn compiled_matches_interpreted_delivery_digests() {
                 ArbiterMode::Compiled,
                 "compiled mode must be the default"
             );
-            run_measured(&exp, 3, true)
+            run_measured(&exp, 3, true, None, &mut NullRecorder)
         };
         let interpreted = {
             let mut exp = build_experiment_sized(mtu, 4, seed, 40);
             exp.frame.sim_config_mut().arbiter = ArbiterMode::Interpreted;
-            run_measured(&exp, 3, true)
+            run_measured(&exp, 3, true, None, &mut NullRecorder)
         };
         assert!(
             compiled.delivery_count > 0,
@@ -290,7 +290,8 @@ struct ChurnOutcome {
 /// background: an arrival every 20k cycles, from half-time a departure
 /// of the oldest connection after each arrival, one in-fabric table
 /// corruption and one corrupt-and-repair round in the manager, with
-/// `download` pushing the tables after every mutation.
+/// `download` pushing the tables after every mutation. At the end every
+/// live connection is torn down and every table must be empty.
 fn churn_run(mode: ArbiterMode, download: fn(&QosManager, &mut Fabric)) -> ChurnOutcome {
     const ARRIVALS: u64 = 60;
     const INTERVAL: u64 = 20_000;
@@ -355,6 +356,14 @@ fn churn_run(mode: ArbiterMode, download: fn(&QosManager, &mut Fabric)) -> Churn
             frame
                 .manager
                 .repair_tables(&mut RecoveryManager::new(k), &mut NullRecorder);
+            // A connection the repair lost stops sending.
+            live.retain(|&(id, flow)| {
+                let kept = frame.manager.connection(id).is_some();
+                if !kept {
+                    fabric.stop_flow(flow, at);
+                }
+                kept
+            });
             download(&frame.manager, &mut fabric);
         }
         if k >= ARRIVALS / 2 {
@@ -380,6 +389,23 @@ fn churn_run(mode: ArbiterMode, download: fn(&QosManager, &mut Fabric)) -> Churn
             obs: &mut obs,
             log: &mut log,
         },
+    );
+    // The drain oracle: tearing down what is still live, the connections
+    // the repair rebound included, empties every table.
+    for (id, _) in live {
+        assert!(
+            frame.manager.teardown(id),
+            "{mode:?}: a live connection tears down"
+        );
+    }
+    let kept = frame
+        .manager
+        .port_tables()
+        .tables()
+        .find(|(_, t)| t.occupancy() != 0 || t.reserved_weight() != 0);
+    assert!(
+        kept.is_none(),
+        "{mode:?}: {kept:?} holds a reservation after the drain"
     );
     ChurnOutcome {
         deliveries: log,

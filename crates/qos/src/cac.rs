@@ -83,22 +83,14 @@ impl std::fmt::Display for RejectReason {
 
 /// A release that did not match a prior admission: the hop's table
 /// rejected it (stale sequence id or weight mismatch). Returned instead
-/// of panicking so a damaged or repaired table degrades gracefully —
-/// the reservation may have been evicted by a repair pass between admit
-/// and release.
-///
-/// `key`/`error` name the **first** failing hop (in release order);
-/// `failures` lists every hop that failed, so a multi-hop release that
-/// goes wrong at several ports loses no diagnostics.
+/// of panicking; a caller releasing what its ledger says is held treats
+/// it as a broken ledger (`iba_core::invariants::held_hops_release`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ReleaseError {
-    /// Port whose table rejected the release (first failure).
+    /// Port whose table rejected the release.
     pub key: PortKey,
-    /// The underlying table error of the first failure.
+    /// The underlying table error.
     pub error: TableError,
-    /// Every failed hop in release order (downstream-first), first
-    /// failure included. Never empty.
-    pub failures: Vec<(PortKey, TableError)>,
 }
 
 impl std::fmt::Display for ReleaseError {
@@ -107,11 +99,7 @@ impl std::fmt::Display for ReleaseError {
             f,
             "release failed at {:?} port {}: {}",
             self.key.node, self.key.port, self.error
-        )?;
-        if self.failures.len() > 1 {
-            write!(f, " (+{} more failed hops)", self.failures.len() - 1)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -395,45 +383,14 @@ impl PortTables {
         Ok(done)
     }
 
-    /// Releases one hop's reservation. A mismatched release (stale
-    /// sequence, weight underflow — e.g. after a repair pass evicted
-    /// the reservation) is reported, not panicked on.
+    /// Releases one hop's reservation. A mismatched release (a stale
+    /// sequence id, a weight the sequence does not hold) is reported,
+    /// not panicked on.
     pub fn release_hop(&mut self, hop: HopReservation, weight: Weight) -> Result<(), ReleaseError> {
-        let key = PortKey {
-            node: hop.node,
-            port: hop.port,
-        };
+        let key = hop.key();
         match self.table_mut(key).release(hop.sequence, weight) {
             Ok(_) => Ok(()),
-            Err(error) => Err(ReleaseError {
-                key,
-                error,
-                failures: vec![(key, error)],
-            }),
-        }
-    }
-
-    /// Releases a whole path. Every hop is attempted even when one
-    /// fails (a partial release would strand capacity); the returned
-    /// error carries **all** failed hops, headlined by the first.
-    pub fn release_path(
-        &mut self,
-        hops: &[HopReservation],
-        weight: Weight,
-    ) -> Result<(), ReleaseError> {
-        let mut failures: Vec<(PortKey, TableError)> = Vec::new();
-        for &hop in hops.iter().rev() {
-            if let Err(e) = self.release_hop(hop, weight) {
-                failures.extend(e.failures);
-            }
-        }
-        match failures.first().copied() {
-            None => Ok(()),
-            Some((key, error)) => Err(ReleaseError {
-                key,
-                error,
-                failures,
-            }),
+            Err(error) => Err(ReleaseError { key, error }),
         }
     }
 
@@ -542,13 +499,15 @@ mod tests {
     }
 
     #[test]
-    fn release_path_returns_capacity() {
+    fn releasing_every_hop_returns_capacity() {
         let mut pt = PortTables::new(0.8);
         let path = [key(0, 0), key(1, 1)];
         let hops = pt
             .admit_path(&path, sl(0), vl(0), Distance::D2, 100)
             .unwrap();
-        pt.release_path(&hops, 100).unwrap();
+        for hop in hops {
+            pt.release_hop(hop, 100).unwrap();
+        }
         for k in &path {
             assert_eq!(pt.table(*k).unwrap().reserved_weight(), 0);
             assert_eq!(pt.table(*k).unwrap().free_entries(), 64);
@@ -566,50 +525,10 @@ mod tests {
         let err = pt.release_hop(hops[0], 51).unwrap_err();
         assert_eq!(err.key, key(0, 0));
         assert_eq!(err.error, TableError::WeightUnderflow);
-        // A double release of the whole path reports the first failure
-        // but still attempts every hop.
-        pt.release_path(&hops, 50).unwrap();
-        let err = pt.release_path(&hops, 50).unwrap_err();
+        // A double release names the stale sequence.
+        pt.release_hop(hops[0], 50).unwrap();
+        let err = pt.release_hop(hops[0], 50).unwrap_err();
         assert_eq!(err.error, TableError::UnknownSequence);
-        pt.check_all().unwrap();
-    }
-
-    #[test]
-    fn release_path_aggregates_every_failed_hop() {
-        let mut pt = PortTables::new(0.8);
-        let path = [key(0, 0), key(1, 1), key(2, 2)];
-        let hops = pt
-            .admit_path(&path, sl(2), vl(2), Distance::D8, 50)
-            .unwrap();
-        pt.release_path(&hops, 50).unwrap();
-        // A full double release fails at all three hops; the error must
-        // carry every failure, headlined by the first in release order
-        // (downstream-first, i.e. the last hop of the path).
-        let err = pt.release_path(&hops, 50).unwrap_err();
-        assert_eq!(err.failures.len(), 3);
-        assert_eq!(err.key, key(2, 2));
-        assert_eq!((err.key, err.error), err.failures[0]);
-        assert!(err
-            .failures
-            .iter()
-            .all(|(_, e)| *e == TableError::UnknownSequence));
-        assert_eq!(
-            err.failures.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![key(2, 2), key(1, 1), key(0, 0)]
-        );
-        assert!(err.to_string().contains("+2 more failed hops"));
-        // A partial double release (one live hop re-admitted) reports
-        // only the hops that actually failed.
-        let live = pt
-            .admit_path(&[key(1, 1)], sl(2), vl(2), Distance::D8, 50)
-            .unwrap();
-        let mixed = [hops[0], live[0], hops[2]];
-        let err = pt.release_path(&mixed, 50).unwrap_err();
-        assert_eq!(err.failures.len(), 2);
-        assert_eq!(
-            err.failures.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![key(2, 2), key(0, 0)]
-        );
         pt.check_all().unwrap();
     }
 
@@ -786,7 +705,9 @@ mod tests {
                 60..=91 if !live.is_empty() => {
                     taken[1] += 1;
                     let (hops, w) = live.swap_remove(rng.gen_range(0..live.len()));
-                    let _ = pt.release_path(&hops, w);
+                    for &hop in hops.iter().rev() {
+                        let _ = pt.release_hop(hop, w);
+                    }
                     reference.release_path(&hops, w);
                 }
                 _ => {
@@ -806,7 +727,10 @@ mod tests {
                     }
                     assert_same_registry(&pt, &reference, step);
                     let null = &mut iba_obs::NullRecorder;
-                    RecoveryManager::new(seed).repair_all(&mut pt, null);
+                    let mut recovery = RecoveryManager::new(seed);
+                    for k in pt.sorted_keys() {
+                        recovery.repair_table(pt.get_table_mut(k).unwrap(), null);
+                    }
                     let mut recovery = RecoveryManager::new(seed);
                     for t in reference.tables.values_mut() {
                         recovery.repair_table(t, null);

@@ -1,5 +1,6 @@
 //! Admitted connection records.
 
+use crate::cac::PortKey;
 use iba_core::SequenceId;
 use iba_sim::NodeId;
 use iba_traffic::ConnectionRequest;
@@ -18,6 +19,17 @@ pub struct HopReservation {
     pub port: u8,
     /// Sequence the connection shares at this hop.
     pub sequence: SequenceId,
+}
+
+impl HopReservation {
+    /// The output port this hop reserves on.
+    #[must_use]
+    pub fn key(&self) -> PortKey {
+        PortKey {
+            node: self.node,
+            port: self.port,
+        }
+    }
 }
 
 /// A live connection: the original request plus everything admission

@@ -3,13 +3,20 @@
 //! `VLArbitrationTable` configurations into a simulated fabric.
 
 use crate::cac::{PortKey, PortTables, RejectReason};
-use crate::connection::{Connection, ConnectionId};
+use crate::connection::{Connection, ConnectionId, HopReservation};
+use crate::recovery::{RecoveryManager, RecoverySummary};
 use iba_core::{sl, AllocatorKind, ArbEntry, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig};
 use iba_sim::{DownloadKey, Fabric, NodeId, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 use iba_traffic::ConnectionRequest;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Domain-separation constant for table corruption.
+const CORRUPT_SEED: u64 = 0x07AB_1EC0_5EED;
+/// Odd multiplier spreading a port's stable code into its corruption
+/// stream's seed.
+const KEY_SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Configuration of the low-priority table shared by all ports: one
 /// entry per best-effort class, weighted by preference (PBE over BE over
@@ -266,19 +273,21 @@ impl QosManager {
         let weight =
             iba_core::weight_for_bandwidth(req.mean_bw_mbps * gross_factor, self.link_mbps)
                 .ok_or(RejectReason::RequestTooLarge)?;
-        let vl = self.sl_to_vl.vl(req.sl);
-        // The reserved distance is the request's own, tightened when the
-        // SL shares its VL with stricter SLs (see `set_sl_to_vl`).
-        let distance = match self.effective_distance(req.sl) {
-            Some(d) if d.at_least_as_strict(req.distance) => d,
-            _ => req.distance,
-        };
         Ok(AdmitPlan {
-            vl,
-            distance,
+            vl: self.sl_to_vl.vl(req.sl),
+            distance: self.reserved_distance(req),
             weight,
             path: self.path_ports(req.src, req.dst),
         })
+    }
+
+    /// The distance admission reserves for `req`: its own, tightened
+    /// when the SL shares its VL with stricter SLs (see `set_sl_to_vl`).
+    fn reserved_distance(&self, req: &ConnectionRequest) -> iba_core::Distance {
+        match self.effective_distance(req.sl) {
+            Some(d) if d.at_least_as_strict(req.distance) => d,
+            _ => req.distance,
+        }
     }
 
     /// [`QosManager::request`] with instrumentation: records
@@ -352,6 +361,10 @@ impl QosManager {
 
     /// [`QosManager::teardown`] with instrumentation: records one
     /// `cac_release_total` when the handle was live.
+    ///
+    /// Every hop of a live connection names the sequence it holds —
+    /// [`QosManager::repair_tables`] rebinds the hops a repair moved —
+    /// so the release cannot fail.
     pub fn teardown_observed(&mut self, id: ConnectionId, rec: &mut dyn iba_obs::Recorder) -> bool {
         let Some(slot) = self.connections.get_mut(id.0 as usize) else {
             return false;
@@ -360,22 +373,36 @@ impl QosManager {
             return false;
         };
         self.free_ids.push(Reverse(id.0));
-        // A failed release means the reservation was already evicted by
-        // a repair pass; the connection record is gone either way, so
-        // absorb the error instead of propagating a teardown failure.
-        let _ = self.tables.release_path(&conn.hops, conn.weight);
+        self.release_all(&conn.hops, conn.weight);
         rec.cac_release();
         true
     }
 
+    /// Releases hops the connection ledger says are held, downstream
+    /// first (defragmentation runs inside each table).
+    fn release_all(&mut self, hops: &[HopReservation], weight: iba_core::Weight) {
+        let mut failed = 0;
+        for &hop in hops.iter().rev() {
+            failed += usize::from(self.tables.release_hop(hop, weight).is_err());
+        }
+        debug_assert!(
+            iba_core::invariants::held_hops_release(failed),
+            "the connection ledger and the tables disagree on {failed} of {} hops",
+            hops.len()
+        );
+    }
+
     /// Deterministically corrupts every admitted table (fault
-    /// injection): each touched port's table is damaged with a sub-seed
-    /// derived from `seed` and its stable key order. Returns the number
-    /// of damage operations applied.
+    /// injection). Each touched port's table is damaged by its own
+    /// SplitMix64 stream, seeded from `seed` and the port's stable
+    /// code, so the damage a table takes is a property of that table,
+    /// not of the other tables in the registry. Returns the number of
+    /// damage operations applied.
     pub fn corrupt_tables(&mut self, seed: u64) -> usize {
-        let mut rng = iba_core::SplitMix64::seed_from_u64(seed ^ 0x07AB_1EC0_5EED);
         let mut ops = 0;
         for key in self.tables.sorted_keys() {
+            let stream = seed ^ CORRUPT_SEED ^ key.stable_code().wrapping_mul(KEY_SPREAD);
+            let mut rng = iba_core::SplitMix64::seed_from_u64(stream);
             if let Some(t) = self.tables.get_table_mut(key) {
                 ops += t.inject_corruption(&mut rng);
             }
@@ -383,17 +410,91 @@ impl QosManager {
         ops
     }
 
-    /// Runs `recovery` over every admitted table in deterministic key
-    /// order: damaged tables are repaired in place and evicted
-    /// reservations re-admitted through the degradation ladder. The
-    /// repaired state still has to be pushed into a fabric with
+    /// Repairs every admitted table and rebinds the connections the
+    /// repair moved, from the manager's own connection records.
+    ///
+    /// 1. Each touched table runs [`HighPriorityTable::repair`] in key
+    ///    order. A surviving sequence keeps its id and its exact weight
+    ///    and connection count (corruption never edits them), so the
+    ///    hops naming it need nothing.
+    /// 2. Every live hop whose sequence the repair evicted is collected
+    ///    *before* any re-admission, so a fresh sequence that reuses an
+    ///    evicted id cannot make another connection's stale hop look
+    ///    live.
+    /// 3. In connection-id order, each stale hop is re-admitted with
+    ///    the connection's own SL, VL, reserved distance and weight
+    ///    through `recovery`'s degradation ladder, and the hop is
+    ///    rebound to the sequence it got. A connection with a hop the
+    ///    ladder cannot place is released on every hop it still holds
+    ///    and its id freed: no half-paths.
+    ///
+    /// The summary counts connections: `reinstalled + lost == evicted`.
+    /// The repaired state still has to be pushed into a fabric with
     /// [`QosManager::apply_tables`].
     pub fn repair_tables(
         &mut self,
-        recovery: &mut crate::recovery::RecoveryManager,
+        recovery: &mut RecoveryManager,
         rec: &mut dyn iba_obs::Recorder,
-    ) -> crate::recovery::RecoverySummary {
-        recovery.repair_all(&mut self.tables, rec)
+    ) -> RecoverySummary {
+        let mut summary = RecoverySummary::default();
+        for key in self.tables.sorted_keys() {
+            if let Some(t) = self.tables.get_table_mut(key) {
+                summary.tables += 1;
+                summary.repaired += usize::from(recovery.repair(t, rec).is_some());
+            }
+        }
+        let stale: Vec<(usize, Vec<usize>)> = self
+            .connections
+            .iter()
+            .enumerate()
+            .filter_map(|(id, conn)| {
+                let hops: Vec<usize> = (conn.as_ref()?.hops.iter().enumerate())
+                    .filter(|(_, h)| self.tables.sequence_info(h.key(), h.sequence).is_none())
+                    .map(|(i, _)| i)
+                    .collect();
+                (!hops.is_empty()).then_some((id, hops))
+            })
+            .collect();
+        summary.evicted = stale.len();
+        for (id, hops) in stale {
+            let Some(mut conn) = self.connections[id].take() else {
+                continue;
+            };
+            let sl = conn.request.sl;
+            let (vl, distance) = (self.sl_to_vl.vl(sl), self.reserved_distance(&conn.request));
+            let unplaced = hops.iter().position(|&i| {
+                let hop = &mut conn.hops[i];
+                let placed = self
+                    .tables
+                    .get_table_mut(hop.key())
+                    .and_then(|t| recovery.reinstall(t, sl, vl, distance, conn.weight, rec));
+                match placed {
+                    Some(admission) => {
+                        hop.sequence = admission.sequence;
+                        false
+                    }
+                    None => true,
+                }
+            });
+            match unplaced {
+                None => {
+                    self.connections[id] = Some(conn);
+                    summary.reinstalled += 1;
+                }
+                Some(at) => {
+                    // Release what the connection still holds: every hop
+                    // but the stale ones from the unplaced one on.
+                    let held: Vec<HopReservation> = (conn.hops.iter().enumerate())
+                        .filter(|(i, _)| !hops[at..].contains(i))
+                        .map(|(_, &h)| h)
+                        .collect();
+                    self.release_all(&held, conn.weight);
+                    self.free_ids.push(Reverse(id as u32));
+                    summary.lost += 1;
+                }
+            }
+        }
+        summary
     }
 
     /// A live connection.
@@ -422,8 +523,9 @@ impl QosManager {
         &self.tables
     }
 
-    /// Mutable access to the raw port tables (the admission service's
-    /// repair drill).
+    /// Mutable access to the raw port tables (the table-local repair
+    /// control in the tests).
+    #[cfg(test)]
     pub(crate) fn tables_mut(&mut self) -> &mut PortTables {
         &mut self.tables
     }
@@ -873,14 +975,36 @@ mod tests {
         assert!(h1 > 0.0);
     }
 
-    #[test]
-    fn corrupt_then_repair_restores_every_table_invariant() {
-        // Seeded property sweep at the manager level: load the subnet,
-        // damage every table, recover, and require `check_all` (per-table
-        // consistency + eset spacing) to hold again.
-        for seed in 0..25u64 {
-            let mut m = small_manager(seed % 5);
-            let mut rng = iba_core::SplitMix64::seed_from_u64(seed ^ 0xBEEF);
+    /// The drain oracle: tears down every live connection, then
+    /// requires every table to be empty (occupancy 0, reserved weight
+    /// 0). Names the first table left holding something.
+    fn drain(m: &mut QosManager) -> Result<(), String> {
+        let ids: Vec<ConnectionId> = m.connections().map(|(id, _)| id).collect();
+        for id in ids {
+            assert!(m.teardown(id), "a live connection tears down");
+        }
+        match m
+            .port_tables()
+            .tables()
+            .find(|(_, t)| t.occupancy() != 0 || t.reserved_weight() != 0)
+        {
+            None => Ok(()),
+            Some((key, t)) => Err(format!(
+                "{key:?} keeps occupancy {:#x} and weight {}",
+                t.occupancy(),
+                t.reserved_weight()
+            )),
+        }
+    }
+
+    const REPAIR_SEEDS: u64 = 200;
+
+    /// Four rounds of admissions, teardowns of about a third of the live
+    /// connections, and a `repair` pass (which gets a round seed).
+    fn churn_and_repair(seed: u64, mut repair: impl FnMut(&mut QosManager, u64)) -> QosManager {
+        let mut m = small_manager(seed % 5);
+        let mut rng = iba_core::SplitMix64::seed_from_u64(seed ^ 0xBEEF);
+        for round in 0..4u32 {
             for i in 0..12 {
                 let d = match rng.next_u64() % 3 {
                     0 => Distance::D8,
@@ -888,27 +1012,115 @@ mod tests {
                     _ => Distance::D64,
                 };
                 let _ = m.request(&req(
-                    i,
+                    round * 12 + i,
                     (rng.next_u64() % 16) as u16,
                     (rng.next_u64() % 16) as u16,
                     (rng.next_u64() % 8) as u8,
                     d,
-                    4.0,
+                    f64::from(rng.gen_range(1u32..60)),
                 ));
             }
-            let ops = m.corrupt_tables(seed);
-            let mut recovery = crate::recovery::RecoveryManager::new(seed);
-            let summary = m.repair_tables(&mut recovery, &mut iba_obs::NullRecorder);
-            m.port_tables()
-                .check_all()
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            if ops > 0 {
-                assert!(summary.tables > 0, "seed {seed}: no tables visited");
+            let ids: Vec<ConnectionId> = m.connections().map(|(id, _)| id).collect();
+            for id in ids {
+                if rng.gen_range(0u32..3) == 0 {
+                    assert!(m.teardown(id), "seed {seed}: a live connection tears down");
+                }
             }
-            assert!(
-                summary.reinstalled + summary.lost <= summary.evicted,
-                "seed {seed}: eviction accounting broken"
-            );
+            repair(&mut m, seed.wrapping_mul(4) + u64::from(round));
         }
+        m
+    }
+
+    #[test]
+    fn corrupt_then_repair_restores_every_table_invariant() {
+        // Seeded property sweep at the manager level: after every
+        // corrupt-and-repair round `check_all` (per-table consistency +
+        // eset spacing) holds and every evicted connection is either
+        // reinstalled or lost; after the last round the drain oracle
+        // finds every table empty.
+        let (mut evicted, mut reinstalled) = (0, 0);
+        for seed in 0..REPAIR_SEEDS {
+            let mut m = churn_and_repair(seed, |m, round_seed| {
+                let ops = m.corrupt_tables(round_seed);
+                let mut recovery = RecoveryManager::new(round_seed);
+                let summary = m.repair_tables(&mut recovery, &mut iba_obs::NullRecorder);
+                m.port_tables()
+                    .check_all()
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                if ops > 0 {
+                    assert!(summary.tables > 0, "seed {seed}: no tables visited");
+                }
+                assert_eq!(
+                    summary.reinstalled + summary.lost,
+                    summary.evicted,
+                    "seed {seed}: eviction accounting broken"
+                );
+                evicted += summary.evicted;
+                reinstalled += summary.reinstalled;
+            });
+            drain(&mut m).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+        assert!(
+            reinstalled > REPAIR_SEEDS as usize,
+            "{reinstalled} of {evicted} reinstalled"
+        );
+    }
+
+    #[test]
+    fn table_local_repair_fails_the_drain_oracle() {
+        // Negative control: repair each table on its own with
+        // `repair_table`, which re-admits an evicted sequence as one
+        // reservation under a fresh id and leaves the connections naming
+        // the old one. The drain must catch it. In a debug build a
+        // teardown trips a table or ledger `debug_assert` first; that
+        // counts as a failed drain too.
+        let failed = (0..REPAIR_SEEDS)
+            .filter(|&seed| {
+                let run = std::panic::catch_unwind(|| {
+                    let mut m = churn_and_repair(seed, |m, round_seed| {
+                        m.corrupt_tables(round_seed);
+                        let mut recovery = RecoveryManager::new(round_seed);
+                        let tables = m.tables_mut();
+                        for key in tables.sorted_keys() {
+                            if let Some(t) = tables.get_table_mut(key) {
+                                recovery.repair_table(t, &mut iba_obs::NullRecorder);
+                            }
+                        }
+                    });
+                    drain(&mut m)
+                });
+                !matches!(run, Ok(Ok(())))
+            })
+            .count() as u64;
+        assert!(
+            failed * 2 > REPAIR_SEEDS,
+            "table-local repair drained cleanly on {} of {REPAIR_SEEDS} seeds",
+            REPAIR_SEEDS - failed
+        );
+    }
+
+    #[test]
+    fn a_connection_the_ladder_cannot_place_is_released_on_every_hop() {
+        let mut m = small_manager(1);
+        let id = m.request(&req(0, 0, 9, 2, Distance::D8, 4.0)).unwrap();
+        let kept = m.request(&req(1, 3, 12, 4, Distance::D32, 8.0)).unwrap();
+        let conn = m.connection(id).unwrap().clone();
+        // Drop one hop's sequence behind the ledger's back and leave its
+        // table no room to take the connection again.
+        let hop = conn.hops[1];
+        let tables = m.tables_mut();
+        tables.release_hop(hop, conn.weight).unwrap();
+        let t = tables.get_table_mut(hop.key()).unwrap();
+        t.set_capacity_limit(t.reserved_weight());
+        let summary = m.repair_tables(&mut RecoveryManager::new(1), &mut iba_obs::NullRecorder);
+        assert_eq!(
+            (summary.evicted, summary.reinstalled, summary.lost),
+            (1, 0, 1)
+        );
+        assert!(m.connection(id).is_none(), "a lost connection frees its id");
+        assert!(!m.teardown(id));
+        assert!(m.connection(kept).is_some());
+        assert_eq!(m.live_connections(), 1);
+        drain(&mut m).unwrap();
     }
 }

@@ -10,21 +10,29 @@
 //! 2. **repairs** in place: evicts untrustworthy sequences, rebuilds
 //!    the slot array and re-packs the survivors with the canonical
 //!    bit-reversal defragmentation ([`iba_core::HighPriorityTable::repair`]);
-//! 3. **re-admits** every evicted reservation, first at its contracted
+//! 3. **re-admits** what the repair dropped, first at its contracted
 //!    distance, then escalating through [`iba_core::Distance::looser`]
 //!    — a degraded-but-served reservation beats a dropped one;
 //! 4. retries admissions a bounded number of times with deterministic
 //!    exponential backoff and jitter from the core SplitMix64 rng,
 //!    defragmenting between attempts.
 //!
+//! Two callers drive it. [`crate::QosManager::repair_tables`] repairs
+//! every port table of a subnet and re-admits each *connection* that
+//! lost a hop, from the manager's own connection records, so every
+//! live connection stays bound to the sequences it holds.
+//! [`RecoveryManager::repair_table`] repairs one standalone table that
+//! has no such records and can only re-admit each evicted *sequence*
+//! as one lump.
+//!
 //! Everything is seeded and deterministic: the same damage and seed
 //! produce byte-identical recovery decisions, which is what lets the
 //! chaos harness assert exact outcomes.
 
-use crate::cac::PortTables;
 use crate::retry::{Backoff, RetryPolicy};
 use iba_core::{
-    Admission, Distance, HighPriorityTable, ServiceLevel, TableError, VirtualLane, Weight,
+    Admission, Distance, EvictedSequence, HighPriorityTable, ServiceLevel, TableError, VirtualLane,
+    Weight,
 };
 
 /// Tunables of the recovery ladder.
@@ -51,16 +59,19 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Counters accumulated across every recovery action.
+/// Counters accumulated across every recovery action. The ladder runs
+/// once per re-admitted reservation: per evicted sequence on a
+/// standalone table, per connection hop under
+/// [`crate::QosManager::repair_tables`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Repair passes that found (and fixed) damage.
     pub repairs: u64,
     /// Sequences evicted by repair passes.
     pub evicted: u64,
-    /// Evicted reservations successfully re-installed.
+    /// Reservations the ladder re-installed.
     pub reinstalled: u64,
-    /// Reservations re-installed at a loosened (degraded) distance.
+    /// Loosening steps the ladder took.
     pub degraded: u64,
     /// Reservations the ladder could not place anywhere.
     pub lost: u64,
@@ -70,14 +81,17 @@ pub struct RecoveryStats {
     pub backoff_cycles: u64,
 }
 
-/// Outcome of one [`RecoveryManager::repair_all`] sweep.
+/// Outcome of one repair. [`crate::QosManager::repair_tables`] counts
+/// connections, [`RecoveryManager::repair_table`] sequences; either way
+/// `reinstalled + lost` covers every live eviction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoverySummary {
     /// Tables inspected.
     pub tables: usize,
     /// Tables that were damaged and repaired.
     pub repaired: usize,
-    /// Sequences evicted across all tables.
+    /// Evicted connections (a hop's sequence was evicted), or
+    /// sequences evicted from a standalone table.
     pub evicted: usize,
     /// Evictions re-installed (at contracted or degraded distance).
     pub reinstalled: usize,
@@ -129,7 +143,11 @@ impl RecoveryManager {
         &self.policy
     }
 
-    /// Repairs one table and re-admits what the repair evicted.
+    /// Repairs one standalone table and re-admits each live evicted
+    /// sequence as one reservation of its total weight, under a fresh
+    /// id. Without connection records nothing can follow the new ids,
+    /// so a registry whose connections name their sequences is repaired
+    /// with [`crate::QosManager::repair_tables`] instead.
     ///
     /// Returns the per-table summary (`tables == 1`). Postcondition:
     /// the table passes `check_consistency` — the repair itself never
@@ -139,26 +157,25 @@ impl RecoveryManager {
         table: &mut HighPriorityTable,
         rec: &mut dyn iba_obs::Recorder,
     ) -> RecoverySummary {
-        let report = table.repair();
         let mut summary = RecoverySummary {
             tables: 1,
             ..RecoverySummary::default()
         };
-        if !report.was_damaged && report.evicted.is_empty() {
+        let Some(evicted) = self.repair(table, rec) else {
             return summary;
-        }
+        };
         summary.repaired = 1;
-        summary.evicted = report.evicted.len();
-        self.stats.repairs += 1;
-        self.stats.evicted += report.evicted.len() as u64;
-        rec.recovery_repair(report.evicted.len() as u64);
-        for ev in &report.evicted {
+        summary.evicted = evicted.len();
+        for ev in &evicted {
             if ev.weight == 0 || ev.connections == 0 {
                 // Damage debris, not a live reservation: nothing to
                 // re-install.
                 continue;
             }
-            if self.reinstall(table, ev.sl, ev.vl, ev.distance, ev.weight, rec) {
+            if self
+                .reinstall(table, ev.sl, ev.vl, ev.distance, ev.weight, rec)
+                .is_some()
+            {
                 summary.reinstalled += 1;
             } else {
                 summary.lost += 1;
@@ -167,32 +184,28 @@ impl RecoveryManager {
         summary
     }
 
-    /// Repairs every touched table of a registry in deterministic key
-    /// order.
-    pub fn repair_all(
+    /// Runs [`HighPriorityTable::repair`] and meters it. Returns the
+    /// evicted sequences, or `None` when the table was healthy.
+    pub(crate) fn repair(
         &mut self,
-        tables: &mut PortTables,
+        table: &mut HighPriorityTable,
         rec: &mut dyn iba_obs::Recorder,
-    ) -> RecoverySummary {
-        let mut total = RecoverySummary::default();
-        for key in tables.sorted_keys() {
-            let Some(t) = tables.get_table_mut(key) else {
-                continue;
-            };
-            let s = self.repair_table(t, rec);
-            total.tables += s.tables;
-            total.repaired += s.repaired;
-            total.evicted += s.evicted;
-            total.reinstalled += s.reinstalled;
-            total.lost += s.lost;
+    ) -> Option<Vec<EvictedSequence>> {
+        let report = table.repair();
+        if !report.was_damaged && report.evicted.is_empty() {
+            return None;
         }
-        total
+        self.stats.repairs += 1;
+        self.stats.evicted += report.evicted.len() as u64;
+        rec.recovery_repair(report.evicted.len() as u64);
+        Some(report.evicted)
     }
 
     /// Graceful-degradation ladder: contracted distance first, then
     /// each [`Distance::looser`] step (bounded by the policy). Every
-    /// loosening is metered as a degradation.
-    fn reinstall(
+    /// loosening is metered as a degradation. Returns the admission,
+    /// or `None` when the reservation is lost.
+    pub(crate) fn reinstall(
         &mut self,
         table: &mut HighPriorityTable,
         sl: ServiceLevel,
@@ -200,14 +213,14 @@ impl RecoveryManager {
         contracted: Distance,
         weight: Weight,
         rec: &mut dyn iba_obs::Recorder,
-    ) -> bool {
+    ) -> Option<Admission> {
         let mut distance = contracted;
         for step in 0..=self.policy.max_degrade_steps {
             match self.admit_with_retry(table, sl, vl, distance, weight, rec) {
-                Ok(_) => {
+                Ok(admission) => {
                     rec.recovery_reinstall();
                     self.stats.reinstalled += 1;
-                    return true;
+                    return Some(admission);
                 }
                 Err(TableError::NoFreeSequence | TableError::CapacityExceeded) => {
                     let Some(looser) = distance.looser() else {
@@ -224,7 +237,7 @@ impl RecoveryManager {
             }
         }
         self.stats.lost += 1;
-        false
+        None
     }
 
     /// Bounded-retry admission with deterministic exponential backoff
@@ -337,7 +350,7 @@ mod tests {
         // loosen until an admissible distance is found.
         assert!(!t.can_admit(sl(0), Distance::D2, 32));
         let ok = mgr.reinstall(&mut t, sl(0), vl(0), Distance::D2, 32, &mut rec);
-        assert!(ok, "ladder should find a looser placement");
+        assert!(ok.is_some(), "ladder should find a looser placement");
         assert!(mgr.stats().degraded > 0);
         assert!(rec.metrics.recovery_degraded.get() > 0);
         assert_eq!(rec.metrics.recovery_reinstalls.get(), 1);
@@ -369,31 +382,5 @@ mod tests {
         // Exponential: total exceeds max_retries * base.
         assert!(backoff > retries * RecoveryPolicy::default().backoff_base);
         assert_eq!((retries, backoff, metered), run(), "must be deterministic");
-    }
-
-    #[test]
-    fn repair_all_sweeps_every_touched_table() {
-        let mut pt = PortTables::new(0.8);
-        use crate::cac::PortKey;
-        use iba_sim::NodeId;
-        let keys = [
-            PortKey {
-                node: NodeId::Switch(0),
-                port: 1,
-            },
-            PortKey {
-                node: NodeId::Host(2),
-                port: 0,
-            },
-        ];
-        for (i, k) in keys.iter().enumerate() {
-            pt.admit_path(&[*k], sl(i as u8), vl(i as u8), Distance::D16, 40)
-                .unwrap();
-        }
-        let mut mgr = RecoveryManager::new(5);
-        let s = mgr.repair_all(&mut pt, &mut NullRecorder);
-        assert_eq!(s.tables, 2);
-        assert_eq!(s.repaired, 0);
-        pt.check_all().unwrap();
     }
 }

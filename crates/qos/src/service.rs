@@ -39,7 +39,7 @@
 //! [`NullRecorder`], and only the rolled-forward operation, applied for
 //! the first time, is recorded live.
 
-use crate::cac::{PortKey, PortTables, RejectReason};
+use crate::cac::{PortTables, RejectReason};
 use crate::connection::{ConnectionId, HopReservation};
 use crate::journal::{IntentJournal, JournalRecord, OpKey};
 use crate::manager::QosManager;
@@ -53,11 +53,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Domain-separation constant for trace generation.
 const TRACE_SEED: u64 = 0x5E87_EACE_5EED;
-/// Domain-separation constant for table corruption (the same one the
-/// single-stream [`QosManager::corrupt_tables`] uses).
-const CORRUPT_SEED: u64 = 0x07AB_1EC0_5EED;
-/// Odd multiplier spreading a port's stable code into a sub-seed.
-const KEY_SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Domain-separation constant for control-plane fault plans.
 const SERVE_FAULT_SEED: u64 = 0xC0DE_FA17_5EED;
 
@@ -69,14 +64,11 @@ pub enum TraceOp {
     /// Tear down the connection admitted under this `rid` (a no-op
     /// outcome when it was rejected, already torn down, or unknown).
     Teardown(u32),
-    /// Damage every table with seed-keyed corruption, then repair all
-    /// of them (the chaos drill as a trace citizen).
-    ///
-    /// Repair evicts and re-admits sequences under fresh ids, so the
-    /// hop reservations of connections admitted earlier go stale — a
-    /// stale release could alias a rebuilt sequence. A repair
-    /// therefore **invalidates every live connection handle**:
-    /// tearing one down afterwards reports `TornDown(false)`.
+    /// Damage every table with [`QosManager::corrupt_tables`], then
+    /// repair them with [`QosManager::repair_tables`] (the chaos drill
+    /// as a trace citizen). Live connections stay bound to what they
+    /// hold, so their handles stay valid; a connection the repair
+    /// lost is gone, and tearing it down reports `TornDown(false)`.
     Repair {
         /// Seed for both the corruption and the repair streams.
         seed: u64,
@@ -117,8 +109,7 @@ pub struct TraceConfig {
     /// Seed of the trace stream.
     pub seed: u64,
     /// Percentage of operations that are corrupt+repair drills
-    /// (0 disables them — required by the strict weight-conservation
-    /// invariant, which repair evictions legitimately break).
+    /// (0 disables them).
     pub repair_pct: u8,
 }
 
@@ -189,45 +180,6 @@ pub fn generate_trace(cfg: &TraceConfig) -> Vec<TraceOp> {
     ops
 }
 
-/// Per-table sub-seed for a port's corruption/repair streams: the
-/// trace seed spread by the port's stable code, so the stream is a
-/// property of the *table*, not of the other tables in the registry.
-fn keyed_seed(seed: u64, key: PortKey) -> u64 {
-    seed ^ key.stable_code().wrapping_mul(KEY_SPREAD)
-}
-
-/// The repair drill: corrupts every touched table with its own
-/// [`SplitMix64`] stream keyed by the port's stable code, then repairs
-/// each with a fresh [`RecoveryManager`] seeded the same way. Returns
-/// the damage operations applied and the field-wise sum of the
-/// per-table repair summaries.
-fn corrupt_and_repair(
-    tables: &mut PortTables,
-    seed: u64,
-    rec: &mut dyn Recorder,
-) -> (usize, RecoverySummary) {
-    let mut damage = 0;
-    for key in tables.sorted_keys() {
-        let mut rng = SplitMix64::seed_from_u64(keyed_seed(seed ^ CORRUPT_SEED, key));
-        if let Some(t) = tables.get_table_mut(key) {
-            damage += t.inject_corruption(&mut rng);
-        }
-    }
-    let mut total = RecoverySummary::default();
-    for key in tables.sorted_keys() {
-        let mut recovery = RecoveryManager::new(keyed_seed(seed, key));
-        if let Some(t) = tables.get_table_mut(key) {
-            let s = recovery.repair_table(t, rec);
-            total.tables += s.tables;
-            total.repaired += s.repaired;
-            total.evicted += s.evicted;
-            total.reinstalled += s.reinstalled;
-            total.lost += s.lost;
-        }
-    }
-    (damage, total)
-}
-
 /// Request id → live connection, the handle map of one trace run.
 type Rids = BTreeMap<u32, ConnectionId>;
 
@@ -254,9 +206,11 @@ fn apply_op(
                 .is_some_and(|id| mgr.teardown_observed(id, rec)),
         ),
         TraceOp::Repair { seed } => {
-            let (damage, summary) = corrupt_and_repair(mgr.tables_mut(), *seed, rec);
-            // Repair invalidates the live handles (see TraceOp).
-            rids.clear();
+            let damage = mgr.corrupt_tables(*seed);
+            let summary = mgr.repair_tables(&mut RecoveryManager::new(*seed), rec);
+            // Forget the connections the repair lost before a later
+            // admission can reuse their ids.
+            rids.retain(|_, id| mgr.connection(*id).is_some());
             TraceOutcome::Repaired { damage, summary }
         }
     }
@@ -326,11 +280,9 @@ pub struct ServeReport {
 impl ServeReport {
     /// Releases every live connection's hops (reverse path order) out
     /// of a clone of the final tables and reports `(failed releases,
-    /// leftover reserved weight)` — the raw material of the
-    /// exactly-once ledger. Comparing a faulted run's sweep with an
-    /// unfaulted run's isolates fault damage from legitimate residue
-    /// (repairs evict reservations that a later teardown then fails to
-    /// find).
+    /// leftover reserved weight)` — the exactly-once ledger. Repairs
+    /// keep every live connection bound, so a run that neither lost
+    /// nor duplicated a reservation sweeps to exactly `(0, 0)`.
     #[must_use]
     pub fn sweep(&self) -> (u64, u64) {
         let mut t = self.tables.clone();
@@ -800,6 +752,58 @@ mod tests {
         assert!(no_repair
             .iter()
             .all(|o| !matches!(o, TraceOp::Repair { .. })));
+    }
+
+    #[test]
+    fn a_connection_a_repair_lost_is_forgotten_by_its_rid() {
+        let mut mgr = planner(0);
+        let mut rids = Rids::new();
+        let mut apply = |mgr: &mut QosManager, op| apply_op(mgr, &mut rids, &op, &mut NullRecorder);
+        let admit = |id, src, dst| {
+            TraceOp::Admit(ConnectionRequest {
+                id,
+                src: iba_topo::HostId(src),
+                dst: iba_topo::HostId(dst),
+                sl: ServiceLevel::new(2).expect("QoS SL"),
+                distance: Distance::D8,
+                mean_bw_mbps: 4.0,
+                packet_bytes: 256,
+            })
+        };
+        assert_eq!(
+            apply(&mut mgr, admit(0, 0, 9)),
+            TraceOutcome::Admitted { rid: 0 }
+        );
+        // Drop the connection's uplink sequence behind the ledger's back
+        // and leave that table no room to take it again.
+        let conn = mgr.connection(ConnectionId(0)).expect("live").clone();
+        let hop = conn.hops[0];
+        let tables = mgr.tables_mut();
+        tables.release_hop(hop, conn.weight).expect("held");
+        tables
+            .get_table_mut(hop.key())
+            .expect("touched")
+            .set_capacity_limit(0);
+        let TraceOutcome::Repaired { summary, .. } = apply(&mut mgr, TraceOp::Repair { seed: 1 })
+        else {
+            panic!("a repair drill repairs");
+        };
+        assert_eq!(summary.lost, 1, "{summary:?}");
+        // The next admission reuses the lost connection's id; tearing
+        // down the lost rid must not reach it.
+        assert_eq!(
+            apply(&mut mgr, admit(2, 3, 12)),
+            TraceOutcome::Admitted { rid: 2 }
+        );
+        assert!(mgr.connection(ConnectionId(0)).is_some());
+        assert_eq!(
+            apply(&mut mgr, TraceOp::Teardown(0)),
+            TraceOutcome::TornDown(false)
+        );
+        assert_eq!(
+            apply(&mut mgr, TraceOp::Teardown(2)),
+            TraceOutcome::TornDown(true)
+        );
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! fabrics must have compiled the same number of schedules, and both
 //! must have delivered the same packets at the same times.
 //!
+//! At the end, tearing down every live handle of both clones must leave
+//! every table empty (the drain oracle): repairs keep connections bound
+//! to what they hold.
+//!
 //! The negative control re-runs the sequence with a hand-install that
 //! leaves the port's download key in place, and requires the
 //! differential to catch it.
@@ -269,9 +273,8 @@ fn differential(seed: u64, writer: Writer) -> Result<Coverage, String> {
                     let op = TraceOp::Repair { seed: repair_seed };
                     apply_trace_sequential(mgr, &[op], &mut NullRecorder);
                 }
-                // Repair re-admits evicted reservations under fresh
-                // sequence ids: the old handles are not torn down.
-                live[active].clear();
+                // Repair keeps every connection it does not lose.
+                live[active].retain(|&id| mgr.connection(id).is_some());
             }
             65..=72 => {
                 cov.faults += 1;
@@ -332,6 +335,27 @@ fn differential(seed: u64, writer: Writer) -> Result<Coverage, String> {
         }
     }
     cov.delivered = rig.digests[0].1 as usize;
+    // The drain oracle: tearing down every handle empties every table.
+    for (mgr, live) in managers.iter_mut().zip(&live) {
+        for &id in live {
+            assert!(
+                mgr.teardown(id),
+                "seed {seed}: a live connection tears down"
+            );
+        }
+        assert_eq!(
+            mgr.live_connections(),
+            0,
+            "seed {seed}: a handle went missing"
+        );
+        if let Some((key, _)) = mgr
+            .port_tables()
+            .tables()
+            .find(|(_, t)| t.occupancy() != 0 || t.reserved_weight() != 0)
+        {
+            return Err(format!("drain: {key:?} is not empty"));
+        }
+    }
     Ok(cov)
 }
 

@@ -5,12 +5,14 @@
 //! to the synchronous single-owner [`QosManager`] — including the
 //! multi-hop admissions that fail mid-path and must roll back (the run
 //! asserts rollbacks actually occurred, so the equivalence is not
-//! vacuous).
+//! vacuous). Every trace also conserves weight exactly, repairs
+//! included: the tables reserve what the live connections hold and
+//! nothing else.
 
 use iba_core::SlTable;
 use iba_obs::{ObsRecorder, Sample};
 use iba_qos::service::{apply_trace_sequential, generate_trace, run_trace, TraceConfig};
-use iba_qos::{QosManager, TraceOutcome};
+use iba_qos::{QosManager, ServeReport, TraceOp, TraceOutcome};
 use iba_topo::{irregular, updown};
 
 const SEEDS: u64 = 100;
@@ -40,6 +42,7 @@ fn shared_samples(rec: &ObsRecorder) -> Vec<Sample> {
 fn service_matches_sequential_on_100_seeds() {
     let mut total_rollbacks = 0u64;
     let mut total_rejects = 0usize;
+    let mut total_repairs = 0usize;
     for seed in 0..SEEDS {
         let (mut seq_mgr, hosts) = build_manager(seed);
         let ops = generate_trace(&TraceConfig::new(hosts, seed, TRACE_LEN));
@@ -68,7 +71,12 @@ fn service_matches_sequential_on_100_seeds() {
             .tables
             .check_all()
             .unwrap_or_else(|e| panic!("inconsistent: seed {seed}: {e}"));
+        assert_conserved(&report, seed);
         total_rollbacks += rec.metrics.serve_shard_rollback.0[0].get();
+        total_repairs += ops
+            .iter()
+            .filter(|op| matches!(op, TraceOp::Repair { .. }))
+            .count();
     }
     // The equivalence must have been exercised by real mid-path
     // failures, not an all-accepting workload.
@@ -77,38 +85,29 @@ fn service_matches_sequential_on_100_seeds() {
         total_rollbacks > 0,
         "no multi-hop admission ever rolled back across all seeds"
     );
+    assert!(total_repairs > 0, "no trace ran a repair drill");
 }
 
-/// After every repair-free trace (repair evictions legitimately shed
-/// weight, so conservation is only exact without them), the weight
-/// reserved across all tables must equal the live connections'
-/// `weight x hops` — i.e. no rolled-back partial admission leaked a
-/// reservation anywhere — and every table must pass the named
-/// consistency invariants from `iba_core::invariants`.
-#[test]
-fn weight_is_conserved_after_every_trace() {
-    for seed in 0..SEEDS {
-        let (planner, hosts) = build_manager(seed);
-        let ops = generate_trace(&TraceConfig {
-            repair_pct: 0,
-            ..TraceConfig::new(hosts, seed, TRACE_LEN)
-        });
-        let mut rec = ObsRecorder::new();
-        let report = run_trace(&planner, &ops, 1, &mut rec);
-        let reserved: u64 = report
-            .tables
-            .tables()
-            .map(|(_, t)| u64::from(t.reserved_weight()))
-            .sum();
-        let live: u64 = report
-            .live
-            .iter()
-            .map(|c| u64::from(c.weight) * c.hops.len() as u64)
-            .sum();
-        assert_eq!(reserved, live, "leaked reservation: seed {seed}");
-        for (key, table) in report.tables.tables() {
-            iba_core::invariants::check_table(table)
-                .unwrap_or_else(|e| panic!("invariant broken at {key:?}: seed {seed}: {e}"));
-        }
+/// Weight conservation after a trace: the weight reserved across all
+/// tables equals the live connections' `weight x hops` — no rolled-back
+/// partial admission and no repair leaked a reservation anywhere — the
+/// exactly-once sweep releases every live hop and leaves nothing behind,
+/// and every table passes the named invariants of `iba_core::invariants`.
+fn assert_conserved(report: &ServeReport, seed: u64) {
+    let reserved: u64 = report
+        .tables
+        .tables()
+        .map(|(_, t)| u64::from(t.reserved_weight()))
+        .sum();
+    let live: u64 = report
+        .live
+        .iter()
+        .map(|c| u64::from(c.weight) * c.hops.len() as u64)
+        .sum();
+    assert_eq!(reserved, live, "leaked reservation: seed {seed}");
+    assert_eq!(report.sweep(), (0, 0), "ledger residue: seed {seed}");
+    for (key, table) in report.tables.tables() {
+        iba_core::invariants::check_table(table)
+            .unwrap_or_else(|e| panic!("invariant broken at {key:?}: seed {seed}: {e}"));
     }
 }

@@ -7,14 +7,15 @@
 //!   tables and non-`serve_*` metrics **byte-identical** to the
 //!   synchronous single-owner [`QosManager`] — because the write-ahead
 //!   journal, deterministic timeouts and the reply cache absorb every
-//!   injected fault. The aggregate assertions prove the equivalence is
-//!   not vacuous: real crashes, replays, timeouts and duplicates
-//!   occurred. With the journal off, the same plans must diverge.
+//!   injected fault, and the exactly-once sweep must be `(0, 0)`. The
+//!   aggregate assertions prove the equivalence is not vacuous: real
+//!   crashes, replays, timeouts and duplicates occurred. With the
+//!   journal off, the same plans must diverge.
 //! * An exhaustive enumeration over one fixed 12-op trace (admits, a
 //!   rejection, teardowns and a repair drill): every single fault and
-//!   every pair of faults on two distinct ops must converge with a
-//!   clean exactly-once ledger, and without the journal at least one
-//!   crash case must not.
+//!   every pair of faults on two distinct ops must converge with an
+//!   exactly-once ledger that sweeps to `(0, 0)`, and without the
+//!   journal at least one crash case must not.
 
 use iba_core::{Distance, ServiceLevel, SlTable};
 use iba_obs::{NullRecorder, ObsRecorder, Sample};
@@ -91,6 +92,7 @@ fn faulted_service_recovers_to_sequential_on_100_seeds() {
             report.journal.is_exactly_once(ops.len()),
             "an operation executed twice or never: seed {seed}"
         );
+        assert_eq!(report.sweep(), (0, 0), "ledger residue: seed {seed}");
         report
             .tables
             .check_all()
@@ -146,9 +148,10 @@ fn faulted_run_is_deterministic_across_executions() {
 /// The fixed enumeration trace on the seed-3 fabric: three admissions
 /// into one destination, the third of which a switch port rejects after
 /// its source uplink was reserved (a rollback); a teardown of a live
-/// connection; a repair drill; a teardown its handle invalidation turns
-/// into a no-op; a request too large for any sequence; and teardowns of
-/// a connection admitted after the repair and of the rejected request.
+/// connection; a repair drill; a teardown of a connection admitted
+/// before the repair, which the repair kept live; a request too large
+/// for any sequence; and teardowns of a connection admitted after the
+/// repair and of the rejected request.
 fn enumeration_trace() -> Vec<TraceOp> {
     let admit = |id: u32, src: u16, dst: u16, sl: u8, distance, mean_bw_mbps| {
         TraceOp::Admit(ConnectionRequest {
@@ -178,15 +181,12 @@ fn enumeration_trace() -> Vec<TraceOp> {
 }
 
 /// Whether a faulted run reproduced the reference's state: same
-/// outcomes and table bytes, and an exactly-once ledger (`lost = 0`,
-/// `duplicated = 0` against the unfaulted sweep).
+/// outcomes and table bytes, and an exactly-once ledger (the sweep
+/// releases every live hop and leaves nothing reserved).
 fn same_state(report: &ServeReport, reference: &ServeReport) -> bool {
-    let (lost, leftover) = report.sweep();
-    let (base_lost, base_leftover) = reference.sweep();
     report.outcomes == reference.outcomes
         && format!("{:?}", report.tables) == format!("{:?}", reference.tables)
-        && lost.saturating_sub(base_lost) == 0
-        && leftover.saturating_sub(base_leftover) == 0
+        && report.sweep() == (0, 0)
 }
 
 /// [`same_state`], with one journaled execution per operation.
@@ -203,6 +203,11 @@ fn every_single_fault_and_every_fault_pair_converges() {
     // The trace exercises what the enumeration claims to cover.
     assert!(seq.contains(&TraceOutcome::TornDown(true)), "{seq:?}");
     assert!(seq.contains(&TraceOutcome::TornDown(false)), "{seq:?}");
+    assert_eq!(
+        seq[7],
+        TraceOutcome::TornDown(true),
+        "the repair kept rid 0"
+    );
     assert!(seq
         .iter()
         .any(|o| matches!(o, TraceOutcome::Repaired { .. })));

@@ -7,9 +7,9 @@
 //! packet buffers and the timing-wheel event queue — the two hot-path
 //! structures whose internal layout must never leak into results.
 
+use iba_obs::NullRecorder;
 use infiniband_qos::harness::{
-    build_experiment_sized, run_measured, run_measured_recorded, run_points, threads_from_env,
-    SimPoint,
+    build_experiment_sized, run_measured, run_points, threads_from_env, SimPoint,
 };
 
 /// Four heterogeneous sweep points: two topology sizes, two seeds, two
@@ -100,9 +100,9 @@ fn iba_threads_env_var_is_honoured_and_preserves_results() {
 fn recorded_run_equals_plain_run_under_pool_and_calendar_queue() {
     for (mtu, seed) in [(256u32, 7u64), (1024, 8)] {
         let exp = build_experiment_sized(mtu, 4, seed, 40);
-        let plain = run_measured(&exp, 3, false);
+        let plain = run_measured(&exp, 3, false, None, &mut NullRecorder);
         let mut rec = iba_obs::ObsRecorder::new();
-        let recorded = run_measured_recorded(&exp, 3, false, &mut rec);
+        let recorded = run_measured(&exp, 3, false, None, &mut rec);
         assert_eq!(
             plain.delivery_digest, recorded.delivery_digest,
             "mtu={mtu} seed={seed}: recording changed the event order"
@@ -121,8 +121,8 @@ fn recorded_run_equals_plain_run_under_pool_and_calendar_queue() {
 #[test]
 fn replay_is_bit_stable() {
     let exp = build_experiment_sized(256, 4, 21, 40);
-    let a = run_measured(&exp, 3, false);
-    let b = run_measured(&exp, 3, false);
+    let a = run_measured(&exp, 3, false, None, &mut NullRecorder);
+    let b = run_measured(&exp, 3, false, None, &mut NullRecorder);
     assert_eq!(a.delivery_digest, b.delivery_digest);
     assert_eq!(a.delivery_count, b.delivery_count);
 }

@@ -53,7 +53,9 @@ const FILL: (u64, u64, usize, usize) =
 const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b7_e55a, 53, 97, 48);
 
 /// Faulted admission-service run: `(report digest, metrics digest)`.
-const SERVE_FAULTED: (u64, u64) = (0xf42e_4e3f_82fb_3614, 0x9e59_7e11_376f_6cbf);
+/// Its repair drills re-admit evicted connections from the manager's
+/// records, so connections admitted before a repair stay live.
+const SERVE_FAULTED: (u64, u64) = (0x91e8_9707_86a2_e19d, 0x88cc_336f_54eb_db1a);
 
 /// Digest of every table's slots, occupancy and sequence records.
 fn tables_digest(tables: &PortTables) -> u64 {

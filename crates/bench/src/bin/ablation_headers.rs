@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::env_u64;
+use iba_bench::{point_from_env, SimPoint};
 use iba_core::SlTable;
 use iba_qos::{QosFrame, QosManager};
 use iba_sim::config::IBA_HEADER_BYTES;
@@ -21,10 +21,11 @@ use iba_topo::updown;
 use iba_traffic::{RequestGenerator, WorkloadConfig};
 
 fn main() {
-    let seed = env_u64("IBA_SEED", 42);
-    let switches = env_u64("IBA_SWITCHES", 16) as usize;
-    let steady_packets = env_u64("IBA_STEADY_PACKETS", 10);
-    let topo = generate(IrregularConfig::with_switches(switches, seed));
+    let p = point_from_env(SimPoint {
+        steady_packets: 10,
+        ..SimPoint::paper(256, 42)
+    });
+    let topo = generate(IrregularConfig::with_switches(p.switches, p.seed));
     let routing = updown::compute(&topo);
     let sl_table = SlTable::paper_table1();
 
@@ -46,20 +47,20 @@ fn main() {
         manager.set_header_bytes(IBA_HEADER_BYTES);
         let mut frame = QosFrame::with_manager(manager, config);
         let mut gen =
-            RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(mtu, seed ^ 0xF00D));
+            RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(mtu, p.seed ^ 0xF00D));
         frame.fill(&mut gen, 120, 100_000);
 
-        let (mut fabric, mut obs) = frame.build_fabric(seed, None);
+        let (mut fabric, mut obs) = frame.build_fabric(p.seed, None);
         let transient = frame.steady_state_cycles(2);
         fabric.run_until(transient, &mut obs);
         obs.reset_samples();
         fabric.run_until(
-            transient + frame.steady_state_cycles(steady_packets),
+            transient + frame.steady_state_cycles(p.steady_packets),
             &mut obs,
         );
 
         let hosts = topo.num_hosts() as f64;
-        let window = frame.steady_state_cycles(steady_packets) as f64;
+        let window = frame.steady_state_cycles(p.steady_packets) as f64;
         let wire = obs.qos_bytes as f64 / window / hosts;
         // Goodput: wire bytes minus per-packet headers.
         let goodput =

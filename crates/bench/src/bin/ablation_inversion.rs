@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::env_u64;
+use iba_bench::{point_from_env, SimPoint};
 use iba_core::{ServiceLevel, SlTable};
 use iba_qos::QosFrame;
 use iba_sim::SimConfig;
@@ -53,8 +53,10 @@ fn run(priority_claiming: bool, seed: u64, switches: usize) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let seed = env_u64("IBA_SEED", 43);
-    let switches = env_u64("IBA_SWITCHES", 8) as usize;
+    let SimPoint { switches, seed, .. } = point_from_env(SimPoint {
+        switches: 8,
+        ..SimPoint::paper(256, 43)
+    });
     let mut t = Table::new(
         "Ablation A4: priority inversion under best-effort saturation\n\
          (every host also offers a full link of phase-locked PBE traffic)",

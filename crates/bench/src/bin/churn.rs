@@ -9,7 +9,7 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::env_u64;
+use iba_bench::{env_u64, point_from_env, SimPoint};
 use iba_core::SlTable;
 use iba_qos::{ChurnEvent, ChurnRunner, QosFrame};
 use iba_sim::SimConfig;
@@ -19,8 +19,7 @@ use iba_topo::updown;
 use iba_traffic::{RequestGenerator, WorkloadConfig};
 
 fn main() {
-    let seed = env_u64("IBA_SEED", 42);
-    let switches = env_u64("IBA_SWITCHES", 16) as usize;
+    let SimPoint { switches, seed, .. } = point_from_env(SimPoint::paper(256, 42));
     let topo = generate(IrregularConfig::with_switches(switches, seed));
     let routing = updown::compute(&topo);
     let sl_table = SlTable::paper_table1();

@@ -7,7 +7,8 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::{build_experiment, run_measured, threshold_label};
+use iba_bench::{point_from_env, threshold_label, SimPoint};
+use iba_obs::NullRecorder;
 use iba_stats::Table;
 
 fn main() {
@@ -16,8 +17,7 @@ fn main() {
         ("(b) large packets (4KB)", 4096),
     ] {
         eprintln!("== Figure 4 {fig} ==");
-        let exp = build_experiment(mtu);
-        let m = run_measured(&exp, false);
+        let (_, m) = point_from_env(SimPoint::paper(mtu, 42)).run(&mut NullRecorder);
 
         let thresholds = iba_stats::DEFAULT_THRESHOLDS;
         let mut header: Vec<String> = vec!["SL".to_string()];

@@ -6,12 +6,12 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::{build_experiment, run_measured};
+use iba_bench::{point_from_env, SimPoint};
+use iba_obs::NullRecorder;
 use iba_stats::{Table, JITTER_BIN_LABELS};
 
 fn main() {
-    let exp = build_experiment(256);
-    let m = run_measured(&exp, false);
+    let (_, m) = point_from_env(SimPoint::paper(256, 42)).run(&mut NullRecorder);
 
     for (fig, sls) in [("(a)", 0usize..5), ("(b)", 5..10)] {
         let mut header: Vec<String> = vec!["Interval".to_string()];

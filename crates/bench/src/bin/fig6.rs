@@ -7,12 +7,12 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::{build_experiment, run_measured, threshold_label};
+use iba_bench::{point_from_env, threshold_label, SimPoint};
+use iba_obs::NullRecorder;
 use iba_stats::Table;
 
 fn main() {
-    let exp = build_experiment(256);
-    let m = run_measured(&exp, false);
+    let (exp, m) = point_from_env(SimPoint::paper(256, 42)).run(&mut NullRecorder);
     let by_conn = m.obs.delay_by_conn();
 
     let thresholds = iba_stats::DEFAULT_THRESHOLDS;

@@ -257,7 +257,7 @@ fn bench_harness_sweep() -> Vec<BenchRecord> {
     let mut reference: Option<Vec<String>> = None;
     for threads in [1usize, 2, 4] {
         let started = std::time::Instant::now();
-        let (outcomes, merged) = run_points(&points, threads);
+        let (outcomes, merged) = run_points(&points, threads, None);
         let wall = started.elapsed();
         let rendered: Vec<String> = outcomes.iter().map(|o| o.render()).collect();
         match &reference {
@@ -289,7 +289,7 @@ fn bench_audit() -> Vec<BenchRecord> {
     for kind in AllocatorKind::ALL {
         let cfg = AuditConfig::new(kind, 4096, 42);
         let started = std::time::Instant::now();
-        let out = run_audit(&cfg);
+        let out = run_audit(&cfg, None);
         let wall = started.elapsed();
         if kind == AllocatorKind::BitReversal {
             assert!(

@@ -7,14 +7,11 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::{build_experiment, rate, run_measured};
+use iba_bench::{point_from_env, rate, SimPoint};
+use iba_obs::NullRecorder;
 use iba_stats::Table;
 
 fn main() {
-    // A lighter steady state: four full runs on one core.
-    if std::env::var("IBA_STEADY_PACKETS").is_err() {
-        std::env::set_var("IBA_STEADY_PACKETS", "10");
-    }
     let mut t = Table::new(
         "Sweep S3: the proposal across IBA MTUs",
         &[
@@ -29,8 +26,12 @@ fn main() {
     );
     for mtu in [256u32, 1024, 2048, 4096] {
         eprintln!("== MTU {mtu} ==");
-        let exp = build_experiment(mtu);
-        let m = run_measured(&exp, false);
+        // A lighter steady state: four full runs on one core.
+        let (exp, m) = point_from_env(SimPoint {
+            steady_packets: 10,
+            ..SimPoint::paper(mtu, 42)
+        })
+        .run(&mut NullRecorder);
         let delivered = m.obs.qos_bytes as f64 / m.window as f64 / m.hosts as f64;
         let misses: u64 = m.obs.delay_by_sl.groups().map(|(_, d)| d.missed()).sum();
         let worst = m

@@ -11,12 +11,13 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::{build_experiment_sized, env_u64, rate, run_measured};
+use iba_bench::{point_from_env, rate, SimPoint};
 use iba_harness::{run_sweep, threads_from_env};
+use iba_obs::{NullRecorder, ObsRecorder};
 use iba_stats::Table;
 
 fn main() {
-    let seed = env_u64("IBA_SEED", 42);
+    let p = point_from_env(SimPoint::paper(256, 42));
     let mut t = Table::new(
         "Sweep S1: the proposal across network sizes (small packets)",
         &[
@@ -32,9 +33,8 @@ fn main() {
     let sizes = [8usize, 16, 32, 64];
     let threads = threads_from_env();
     let started = std::time::Instant::now();
-    let rows: Vec<Vec<String>> = run_sweep(&sizes, threads, |_, &switches| {
-        let exp = build_experiment_sized(256, switches, seed);
-        let m = run_measured(&exp, false);
+    let (rows, _) = run_sweep(&sizes, threads, ObsRecorder::new, |_, &switches, _| {
+        let (exp, m) = SimPoint { switches, ..p }.run(&mut NullRecorder);
         let misses: u64 = m.obs.delay_by_sl.groups().map(|(_, d)| d.missed()).sum();
         vec![
             switches.to_string(),

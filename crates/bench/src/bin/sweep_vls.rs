@@ -9,7 +9,7 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::env_u64;
+use iba_bench::{point_from_env, SimPoint};
 use iba_core::{SlTable, SlToVlMap};
 use iba_qos::{QosFrame, QosManager};
 use iba_sim::SimConfig;
@@ -19,10 +19,11 @@ use iba_topo::updown;
 use iba_traffic::{RequestGenerator, WorkloadConfig};
 
 fn main() {
-    let seed = env_u64("IBA_SEED", 42);
-    let switches = env_u64("IBA_SWITCHES", 16) as usize;
-    let steady_packets = env_u64("IBA_STEADY_PACKETS", 10);
-    let topo = generate(IrregularConfig::with_switches(switches, seed));
+    let p = point_from_env(SimPoint {
+        steady_packets: 10,
+        ..SimPoint::paper(256, 42)
+    });
+    let topo = generate(IrregularConfig::with_switches(p.switches, p.seed));
     let routing = updown::compute(&topo);
     let sl_table = SlTable::paper_table1();
 
@@ -52,15 +53,15 @@ fn main() {
         let mut frame = QosFrame::with_manager(manager, config);
 
         let mut gen =
-            RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(256, seed ^ 0xF00D));
+            RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(256, p.seed ^ 0xF00D));
         let fill = frame.fill(&mut gen, 120, 100_000);
 
-        let (mut fabric, mut obs) = frame.build_fabric(seed, None);
+        let (mut fabric, mut obs) = frame.build_fabric(p.seed, None);
         let transient = frame.steady_state_cycles(2);
         fabric.run_until(transient, &mut obs);
         obs.reset_samples();
         fabric.run_until(
-            transient + frame.steady_state_cycles(steady_packets),
+            transient + frame.steady_state_cycles(p.steady_packets),
             &mut obs,
         );
 

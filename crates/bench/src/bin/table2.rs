@@ -11,8 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use iba_bench::{build_experiment, pct, rate, run_measured};
+use iba_bench::{pct, point_from_env, rate, SimPoint};
 use iba_harness::{run_sweep, threads_from_env};
+use iba_obs::{NullRecorder, ObsRecorder};
 use iba_stats::Table;
 
 fn main() {
@@ -24,13 +25,16 @@ fn main() {
     let threads = threads_from_env();
     let mtus = [256u32, 4096];
     let started = std::time::Instant::now();
-    let cols: Vec<(Vec<String>, String)> = run_sweep(&mtus, threads, |_, &mtu| {
-        let exp = build_experiment(mtu);
+    let (cols, _) = run_sweep(&mtus, threads, ObsRecorder::new, |_, &mtu, _| {
+        let p = point_from_env(SimPoint {
+            background: true,
+            ..SimPoint::paper(mtu, 42)
+        });
+        let (exp, m) = p.run(&mut NullRecorder);
         let mut log = format!(
             "== MTU {mtu} ==\n   fill: {} accepted / {} attempted, offered {:.3} bytes/cycle total\n",
             exp.fill.accepted, exp.fill.attempted, exp.fill.offered_load
         );
-        let m = run_measured(&exp, true);
         let (host_res, switch_res) = exp.frame.manager.reservation_summary();
         // The paper accounts QoS traffic only: its "maximum utilization
         // reachable is 80%, because the other 20% is reserved for BE and

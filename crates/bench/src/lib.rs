@@ -1,7 +1,8 @@
 //! Shared glue for the experiment binaries: the experiment pipeline
 //! itself lives in `iba-harness` (pure functions of explicit
-//! parameters); this crate layers the environment knobs on top so every
-//! table/figure binary runs the same pipeline with the same defaults.
+//! parameters); this crate reads the environment knobs into one
+//! [`SimPoint`] so every table/figure binary runs the same pipeline
+//! with the same defaults.
 //!
 //! | Variable | Default | Meaning |
 //! |----------|---------|---------|
@@ -10,13 +11,17 @@
 //! | `IBA_STEADY_PACKETS` | 30 | steady state runs until the slowest connection emitted this many packets |
 //! | `IBA_REJECT_LIMIT` | 120 | consecutive rejections that end the fill phase |
 //! | `IBA_THREADS` | available parallelism | worker threads for sweeps |
+//!
+//! The defaults are [`SimPoint::paper`]'s. A binary that runs a
+//! lighter or different scenario passes its own defaults to
+//! [`point_from_env`]: sweeps S2–S4 and ablation A3 use 10 steady
+//! packets, and A4 uses 8 switches and seed 43.
 
 #![forbid(unsafe_code)]
 
 pub mod microbench;
 
-pub use iba_harness::{Experiment, Measured, PointOutcome, SimPoint};
-use iba_obs::NullRecorder;
+pub use iba_harness::SimPoint;
 
 /// Reads a numeric environment knob. Callers pass documented `IBA_*`
 /// names only (see README's knob table).
@@ -28,37 +33,17 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Builds the paper's fabric, fills it to saturation and returns the
-/// ready-to-run experiment (`IBA_SWITCHES` / `IBA_SEED` sized).
-pub fn build_experiment(mtu: u32) -> Experiment {
-    let switches = env_u64("IBA_SWITCHES", 16) as usize;
-    let seed = env_u64("IBA_SEED", 42);
-    build_experiment_sized(mtu, switches, seed)
-}
-
-/// Same, with explicit size and seed (used by the size sweep).
-pub fn build_experiment_sized(mtu: u32, switches: usize, seed: u64) -> Experiment {
-    let reject_limit = env_u64("IBA_REJECT_LIMIT", 120) as u32;
-    iba_harness::build_experiment_sized(mtu, switches, seed, reject_limit)
-}
-
-/// Runs the experiment: transient period, then a steady state of
-/// `IBA_STEADY_PACKETS` packets on the slowest connection.
-pub fn run_measured(exp: &Experiment, background: bool) -> Measured {
-    let steady_packets = env_u64("IBA_STEADY_PACKETS", 30);
-    iba_harness::run_measured(exp, steady_packets, background, None, &mut NullRecorder)
-}
-
-/// A [`SimPoint`] with the environment defaults applied: the same run
-/// [`build_experiment`] + [`run_measured`] would execute.
-pub fn env_point(mtu: u32, background: bool) -> SimPoint {
+/// The one reader of the run knobs: `defaults` with `IBA_SWITCHES`,
+/// `IBA_SEED`, `IBA_STEADY_PACKETS` and `IBA_REJECT_LIMIT` applied
+/// wherever the environment sets them.
+#[must_use]
+pub fn point_from_env(defaults: SimPoint) -> SimPoint {
     SimPoint {
-        switches: env_u64("IBA_SWITCHES", 16) as usize,
-        seed: env_u64("IBA_SEED", 42),
-        mtu,
-        background,
-        steady_packets: env_u64("IBA_STEADY_PACKETS", 30),
-        reject_limit: env_u64("IBA_REJECT_LIMIT", 120) as u32,
+        switches: env_u64("IBA_SWITCHES", defaults.switches as u64) as usize,
+        seed: env_u64("IBA_SEED", defaults.seed),
+        steady_packets: env_u64("IBA_STEADY_PACKETS", defaults.steady_packets),
+        reject_limit: env_u64("IBA_REJECT_LIMIT", u64::from(defaults.reject_limit)) as u32,
+        ..defaults
     }
 }
 

@@ -3,6 +3,7 @@
 
 use crate::args::Args;
 use iba_core::{Distance, HighPriorityTable, ServiceLevel, SlTable, VirtualLane};
+use iba_harness::{build_experiment_sized, Experiment};
 use iba_qos::QosFrame;
 use iba_sim::SimConfig;
 use iba_stats::Table;
@@ -59,20 +60,11 @@ pub fn topo(args: &Args) -> String {
 /// `ibaqos fill`
 #[must_use]
 pub fn fill(args: &Args) -> String {
-    let (topo, routing) = build_topo(args);
-    let sl_table = SlTable::paper_table1();
-    let mut frame = QosFrame::new(
-        topo.clone(),
-        routing,
-        sl_table.clone(),
-        SimConfig::paper_default(args.mtu),
-    );
-    let mut gen = RequestGenerator::new(
-        &topo,
-        &sl_table,
-        &WorkloadConfig::new(args.mtu, args.seed ^ 0xF00D),
-    );
-    let report = frame.fill(&mut gen, 120, 100_000);
+    let Experiment {
+        frame,
+        fill: report,
+        ..
+    } = build_experiment_sized(args.mtu, args.switches, args.seed, 120);
 
     let mut t = Table::new("Admission fill", &["Metric", "Value"]);
     t.row(vec!["attempted".into(), report.attempted.to_string()]);
@@ -93,7 +85,7 @@ pub fn fill(args: &Args) -> String {
 
     let mut out = t.render();
     let mut per_sl = Table::new("\nConnections per SL", &["SL", "count"]);
-    for slp in sl_table.qos_profiles() {
+    for slp in frame.manager.sl_table().qos_profiles() {
         let n = frame
             .manager
             .connections()
@@ -108,20 +100,8 @@ pub fn fill(args: &Args) -> String {
 /// `ibaqos run`
 #[must_use]
 pub fn run_experiment(args: &Args) -> String {
-    let (topo, routing) = build_topo(args);
-    let sl_table = SlTable::paper_table1();
-    let mut frame = QosFrame::new(
-        topo.clone(),
-        routing,
-        sl_table,
-        SimConfig::paper_default(args.mtu),
-    );
-    let mut gen = RequestGenerator::new(
-        &topo,
-        &SlTable::paper_table1(),
-        &WorkloadConfig::new(args.mtu, args.seed ^ 0xF00D),
-    );
-    let fill = frame.fill(&mut gen, 120, 100_000);
+    let Experiment { frame, fill, .. } =
+        build_experiment_sized(args.mtu, args.switches, args.seed, 120);
 
     let bg = args
         .background
@@ -151,7 +131,9 @@ pub fn run_experiment(args: &Args) -> String {
         "QoS delivered (bytes/cycle/node)".into(),
         format!(
             "{:.4}",
-            obs.qos_bytes as f64 / st.window.max(1) as f64 / topo.num_hosts() as f64
+            obs.qos_bytes as f64
+                / st.window.max(1) as f64
+                / frame.manager.topology().num_hosts() as f64
         ),
     ]);
     t.row(vec![
@@ -266,10 +248,8 @@ pub fn sweep(args: &Args) -> Result<String, String> {
             reject_limit: 120,
         })
         .collect();
-    let (outcomes, merged) = match args.perfetto {
-        Some(_) => iba_harness::run_points_spanned(&points, threads, 64 * 1024),
-        None => iba_harness::run_points(&points, threads),
-    };
+    let span_capacity = args.perfetto.is_some().then_some(64 * 1024);
+    let (outcomes, merged) = iba_harness::run_points(&points, threads, span_capacity);
 
     let mut t = Table::new(
         "Seed sweep",
@@ -386,7 +366,7 @@ pub fn trace(args: &Args) -> Result<String, String> {
 pub fn audit(args: &Args) -> Result<String, String> {
     let cfg = iba_harness::AuditConfig::new(args.allocator, args.mtu, args.seed);
     let mut spans = iba_obs::SpanRecorder::new(1024);
-    let outcome = iba_harness::run_audit_spanned(&cfg, Some(&mut spans));
+    let outcome = iba_harness::run_audit(&cfg, Some(&mut spans));
     let mut out = outcome.render_report();
     if let Some(path) = &args.perfetto {
         out.push_str(&write_perfetto(

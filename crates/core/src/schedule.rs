@@ -508,6 +508,107 @@ mod tests {
         }
     }
 
+    /// A table over the whole data-VL domain (VL0..=14) with weights
+    /// 0..=255, up to the 64-entry limit.
+    fn wide_table(rng: &mut SplitMix64) -> Vec<ArbEntry> {
+        let len = rng.next_u64() % (TABLE_ENTRIES as u64 + 1);
+        (0..len)
+            .map(|_| entry((rng.next_u64() % 15) as u8, (rng.next_u64() % 256) as u8))
+            .collect()
+    }
+
+    /// The next table a port receives: the installed one damaged the
+    /// way the fault model's `corrupt_config` damages it (high entries
+    /// zeroed or garbled to any weight), a narrow [`random_config`], or
+    /// a wide table with limit 0, 255 or anything between.
+    fn next_config(rng: &mut SplitMix64, installed: &VlArbConfig) -> VlArbConfig {
+        match rng.next_u64() % 3 {
+            0 => {
+                let mut damaged = installed.clone();
+                for e in &mut damaged.high {
+                    match rng.next_u64() % 4 {
+                        0 => e.weight = 0,
+                        1 => e.weight = (rng.next_u64() & 0xFF) as u8,
+                        _ => {}
+                    }
+                }
+                damaged
+            }
+            1 => random_config(rng),
+            _ => VlArbConfig {
+                high: wide_table(rng),
+                low: wide_table(rng),
+                limit_of_high_priority: match rng.next_u64() % 3 {
+                    0 => 0,
+                    1 => LIMIT_UNLIMITED,
+                    _ => (rng.next_u64() % 256) as u8,
+                },
+            },
+        }
+    }
+
+    /// Bitmask of the VLs a table gives nonzero high-priority weight.
+    fn high_mask(config: &VlArbConfig) -> u16 {
+        config
+            .high
+            .iter()
+            .filter(|e| e.weight > 0)
+            .fold(0, |m, e| m | 1 << e.vl.index())
+    }
+
+    #[test]
+    fn compiled_and_reference_engines_run_in_lockstep() {
+        // The fabric's whole use of an arbiter, replayed on both
+        // engines: `select` with a 16-bit ready mask (the unready
+        // lanes' byte slots hold garbage the engine must not read),
+        // `reconfigure` on a download or corruption, `reset` on a
+        // download that left the table as it was, and the high-VL mask
+        // the priority-input-claiming crossbar reads. After every step
+        // both engines hold the same table and high mask, and every
+        // select returns the same grant.
+        let mut rng = SplitMix64::seed_from_u64(0x10C6_57E9);
+        for case in 0..150 {
+            let installed = random_config(&mut rng);
+            let config = next_config(&mut rng, &installed);
+            let mut compiled = CompiledVlArb::new(config.clone());
+            let mut reference = VlArbEngine::new(config);
+            for step in 0..3_000 {
+                match rng.next_u64() % 40 {
+                    0 => {
+                        let config = next_config(&mut rng, reference.config());
+                        compiled.reconfigure(config.clone());
+                        reference.reconfigure(config);
+                    }
+                    1 => {
+                        compiled.reset();
+                        reference.reset();
+                    }
+                    _ => {
+                        let mask = match rng.next_u64() % 4 {
+                            0 => 0xFFFF,
+                            _ => (rng.next_u64() & 0xFFFF) as u16,
+                        };
+                        let bytes: [u64; 16] = std::array::from_fn(|_| 1 + rng.next_u64() % 4_096);
+                        let want = reference.select(|vl| {
+                            (mask & (1 << vl.index()) != 0).then(|| bytes[vl.index()])
+                        });
+                        assert_eq!(
+                            compiled.select(mask, &bytes),
+                            want,
+                            "case {case} step {step}: grants diverged"
+                        );
+                    }
+                }
+                assert_eq!(compiled.config(), reference.config());
+                assert_eq!(
+                    compiled.high_stream().vl_mask(),
+                    high_mask(reference.config()),
+                    "case {case} step {step}: high-VL masks diverged"
+                );
+            }
+        }
+    }
+
     #[test]
     fn grant_stream_drops_zero_weight_entries_and_scales_bursts() {
         let stream = GrantStream::compile(&[entry(0, 3), entry(2, 0), entry(1, 1), entry(0, 2)]);

@@ -139,19 +139,11 @@ fn slot_ceiling_bytes(weight: u8, mtu: u32) -> u64 {
     packets * u64::from(mtu)
 }
 
-/// Runs the audit scenario.
+/// Runs the audit scenario. With `spans`, the two phases
+/// (`audit.fill`, `audit.drive`) are profiled as wall-clock spans into
+/// that caller-owned [`SpanRecorder`].
 #[must_use]
-pub fn run_audit(config: &AuditConfig) -> AuditOutcome {
-    run_audit_spanned(config, None)
-}
-
-/// [`run_audit`] with wall-clock span profiling of the two phases
-/// (`audit.fill`, `audit.drive`) into a caller-owned [`SpanRecorder`].
-#[must_use]
-pub fn run_audit_spanned(
-    config: &AuditConfig,
-    mut spans: Option<&mut SpanRecorder>,
-) -> AuditOutcome {
+pub fn run_audit(config: &AuditConfig, mut spans: Option<&mut SpanRecorder>) -> AuditOutcome {
     if let Some(s) = spans.as_mut() {
         s.begin("audit.fill");
     }
@@ -374,7 +366,10 @@ mod tests {
     fn bit_reversal_audits_clean_on_every_table2_workload() {
         for mtu in TABLE2_MTUS {
             for seed in [1, 42, 1234] {
-                let out = run_audit(&AuditConfig::new(AllocatorKind::BitReversal, mtu, seed));
+                let out = run_audit(
+                    &AuditConfig::new(AllocatorKind::BitReversal, mtu, seed),
+                    None,
+                );
                 assert!(out.accepted > 0, "mtu={mtu} seed={seed}: nothing admitted");
                 assert_eq!(
                     out.fallback_installs, 0,
@@ -395,7 +390,7 @@ mod tests {
     fn strawman_allocators_violate_under_the_same_load() {
         for kind in [AllocatorKind::FirstFit, AllocatorKind::ReverseFit] {
             let violating = [1u64, 42, 1234].iter().any(|&seed| {
-                let out = run_audit(&AuditConfig::new(kind, 4096, seed));
+                let out = run_audit(&AuditConfig::new(kind, 4096, seed), None);
                 out.fallback_installs > 0 && out.violations() > 0
             });
             assert!(
@@ -410,7 +405,7 @@ mod tests {
     fn first_fit_violation_is_traced_and_reported() {
         // Pinned seed with a known degraded install (asserted here so a
         // behaviour change surfaces as a test failure, not silence).
-        let out = run_audit(&AuditConfig::new(AllocatorKind::FirstFit, 4096, 42));
+        let out = run_audit(&AuditConfig::new(AllocatorKind::FirstFit, 4096, 42), None);
         assert!(out.fallback_installs > 0, "expected a degraded install");
         assert!(out.violations() > 0, "degraded install must be observable");
         assert!(!out.passed());
@@ -429,8 +424,8 @@ mod tests {
     #[test]
     fn audit_is_deterministic() {
         let cfg = AuditConfig::new(AllocatorKind::FirstFit, 1024, 7);
-        let a = run_audit(&cfg);
-        let b = run_audit(&cfg);
+        let a = run_audit(&cfg, None);
+        let b = run_audit(&cfg, None);
         assert_eq!(a.render_report(), b.render_report());
         assert_eq!(a.violations(), b.violations());
     }
@@ -439,7 +434,7 @@ mod tests {
     fn spanned_audit_profiles_both_phases() {
         let mut spans = SpanRecorder::new(64);
         let cfg = AuditConfig::new(AllocatorKind::BitReversal, 1024, 3);
-        let out = run_audit_spanned(&cfg, Some(&mut spans));
+        let out = run_audit(&cfg, Some(&mut spans));
         assert!(out.accepted > 0);
         for name in ["audit.fill", "audit.drive"] {
             let begins = spans

@@ -24,7 +24,7 @@
 //!    the merged digest must be byte-identical at any `IBA_THREADS`.
 
 use crate::audit::{drive_engine, fill_table, AuditConfig, AuditOutcome};
-use crate::engine::run_sweep_recorded;
+use crate::engine::run_sweep;
 use crate::experiment::{build_experiment_sized, run_measured};
 use crate::fnv::Fnv64;
 use iba_core::{AllocatorKind, SplitMix64};
@@ -211,7 +211,7 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
         .map(|i| config.seed.wrapping_add(i as u64))
         .collect();
     let mtu = config.mtu;
-    let (digests, merged) = run_sweep_recorded(&points, threads, |_, &seed, rec| {
+    let (digests, merged) = run_sweep(&points, threads, ObsRecorder::new, |_, &seed, rec| {
         let exp = build_experiment_sized(mtu, 4, seed, 40);
         // Aim the fault window at the recorded steady state (the
         // warm-up runs uninstrumented), mirroring the phase layout of

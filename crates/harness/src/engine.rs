@@ -34,90 +34,33 @@ fn chunk_size(n: usize, t: usize) -> usize {
 
 /// Runs `f` over every item, sharded across `threads` workers, and
 /// returns the results **in item order** — byte-identical regardless of
-/// `threads`.
+/// `threads` — together with the workers' merged recorder.
 ///
-/// `f` receives `(item_index, &item)`. With `threads <= 1` (or a single
-/// item) everything runs inline on the calling thread, which is also
-/// the reference order the parallel path is sorted back into.
-pub fn run_sweep<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let chunk = chunk_size(items.len(), threads);
-    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(items.len());
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            out.push((i, f(i, item)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    let mut indexed: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`run_sweep`] with per-worker metric registries: each worker owns an
-/// [`ObsRecorder`] passed to every `f` call it executes, and the worker
-/// recorders are merged (commutatively — see `Metrics::merge`) into one.
+/// `f` receives `(item_index, &item, &mut recorder)`. Each worker owns
+/// an [`ObsRecorder`] built by `mk` and passed to every `f` call it
+/// executes; the worker recorders are merged (commutatively — see
+/// `Metrics::merge`) into one more built by `mk`. A caller that keeps
+/// no metrics passes `ObsRecorder::new` and ignores the merged
+/// recorder. With `threads <= 1` (or a single item) everything runs
+/// inline on the calling thread, which is also the reference order the
+/// parallel path is sorted back into, and that worker's recorder is
+/// returned as is.
 ///
 /// The merged recorder additionally counts every run in
 /// `harness_runs_total` and reports the worker count in
 /// `harness_threads`. Trace rings are per-worker and deliberately not
-/// merged; the returned recorder's ring only holds events recorded
-/// after the merge.
-pub fn run_sweep_recorded<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, ObsRecorder)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &mut ObsRecorder) -> R + Sync,
-{
-    run_sweep_recorded_with(items, threads, ObsRecorder::new, f)
-}
-
-/// [`run_sweep_recorded`] with a caller-supplied recorder factory.
+/// merged.
 ///
-/// `mk` builds each worker's recorder (and the merge target), so a
-/// caller can enable tracing or wall-clock span profiling on every
-/// worker — e.g. `|| { let mut r = ObsRecorder::new(); r.spans =
-/// Some(SpanRecorder::with_epoch(cap, epoch)); r }` with one shared
-/// epoch so the merged span timeline has aligned tracks.
-///
-/// When span profiling is enabled, each worker's lifetime is wrapped in
-/// a `harness.worker` span and every claimed work chunk in a
+/// When `mk` enables span profiling (e.g. `|| { let mut r =
+/// ObsRecorder::new(); r.spans = Some(SpanRecorder::with_epoch(cap,
+/// epoch)); r }` with one shared epoch, so the merged span timeline has
+/// aligned tracks), each worker's lifetime is wrapped in a
+/// `harness.worker` span and every claimed work chunk in a
 /// `harness.chunk` span. Span data stays out of the metrics registry
 /// (see `SpanRecorder::export_into`), so the merged **metrics** remain
 /// byte-identical at any thread count; the span *timeline* is
 /// wall-clock data and varies by nature.
-pub fn run_sweep_recorded_with<T, R, M, F>(
-    items: &[T],
-    threads: usize,
-    mk: M,
-    f: F,
-) -> (Vec<R>, ObsRecorder)
+pub fn run_sweep<T, R, M, F>(items: &[T], threads: usize, mk: M, f: F) -> (Vec<R>, ObsRecorder)
 where
     T: Sync,
     R: Send,
@@ -126,49 +69,39 @@ where
 {
     use iba_obs::Recorder as _;
     let threads = threads.clamp(1, items.len().max(1));
-    let (results, mut merged) = if threads == 1 {
+    let next = AtomicUsize::new(0);
+    let chunk = if threads == 1 {
+        items.len().max(1)
+    } else {
+        chunk_size(items.len(), threads)
+    };
+    // One worker's life: claim chunks from the shared cursor until it
+    // passes the end, tagging every result with its item index.
+    let worker = || {
         let mut rec = mk();
         rec.span_begin("harness.worker");
-        rec.span_begin("harness.chunk");
-        let results = items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
+        let mut out = Vec::new();
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + chunk).min(items.len());
+            rec.span_begin("harness.chunk");
+            for (i, item) in items.iter().enumerate().take(end).skip(start) {
                 rec.metrics.harness_runs.incr();
-                f(i, t, &mut rec)
-            })
-            .collect();
-        rec.span_end("harness.chunk");
+                out.push((i, f(i, item, &mut rec)));
+            }
+            rec.span_end("harness.chunk");
+        }
         rec.span_end("harness.worker");
-        (results, rec)
+        (out, rec)
+    };
+    let (mut indexed, mut merged) = if threads == 1 {
+        worker()
     } else {
-        let next = AtomicUsize::new(0);
-        let chunk = chunk_size(items.len(), threads);
-        let per_worker: Vec<(Vec<(usize, R)>, ObsRecorder)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut rec = mk();
-                        rec.span_begin("harness.worker");
-                        let mut out = Vec::new();
-                        loop {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = (start + chunk).min(items.len());
-                            rec.span_begin("harness.chunk");
-                            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                                rec.metrics.harness_runs.incr();
-                                out.push((i, f(i, item, &mut rec)));
-                            }
-                            rec.span_end("harness.chunk");
-                        }
-                        rec.span_end("harness.worker");
-                        (out, rec)
-                    })
-                })
-                .collect();
+        let per_worker: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
@@ -180,11 +113,11 @@ where
             indexed.extend(part);
             merged.merge(&rec);
         }
-        indexed.sort_by_key(|&(i, _)| i);
-        (indexed.into_iter().map(|(_, r)| r).collect(), merged)
+        (indexed, merged)
     };
+    indexed.sort_by_key(|&(i, _)| i);
     merged.metrics.harness_threads.set(threads as i64);
-    (results, merged)
+    (indexed.into_iter().map(|(_, r)| r).collect(), merged)
 }
 
 #[cfg(test)]
@@ -206,9 +139,10 @@ mod tests {
     #[test]
     fn results_come_back_in_item_order_at_any_thread_count() {
         let items: Vec<u64> = (0..103).collect();
-        let reference = run_sweep(&items, 1, |i, x| (i, x * x));
+        let square = |i: usize, x: &u64, _: &mut ObsRecorder| (i, x * x);
+        let (reference, _) = run_sweep(&items, 1, ObsRecorder::new, square);
         for threads in [2, 3, 8, 64] {
-            let got = run_sweep(&items, threads, |i, x| (i, x * x));
+            let (got, _) = run_sweep(&items, threads, ObsRecorder::new, square);
             assert_eq!(got, reference, "diverged at {threads} threads");
         }
     }
@@ -216,8 +150,10 @@ mod tests {
     #[test]
     fn empty_and_singleton_sweeps() {
         let empty: Vec<u32> = Vec::new();
-        assert!(run_sweep(&empty, 8, |_, x| *x).is_empty());
-        assert_eq!(run_sweep(&[7u32], 8, |_, x| x + 1), vec![8]);
+        let (none, _) = run_sweep(&empty, 8, ObsRecorder::new, |_, x, _| *x);
+        assert!(none.is_empty());
+        let (one, _) = run_sweep(&[7u32], 8, ObsRecorder::new, |_, x, _| x + 1);
+        assert_eq!(one, vec![8]);
     }
 
     #[test]
@@ -231,7 +167,7 @@ mod tests {
             r
         };
         for threads in [1usize, 4] {
-            let (results, merged) = run_sweep_recorded_with(&items, threads, mk, |_, x, _| x + 1);
+            let (results, merged) = run_sweep(&items, threads, mk, |_, x, _| x + 1);
             assert_eq!(results.len(), 20);
             let spans = merged.spans.as_ref().expect("span profiling enabled");
             let recs = spans.records();
@@ -259,7 +195,7 @@ mod tests {
     fn recorded_sweep_merges_worker_registries() {
         let items: Vec<u64> = (1..=100).collect();
         let run = |threads| {
-            run_sweep_recorded(&items, threads, |_, x, rec| {
+            run_sweep(&items, threads, ObsRecorder::new, |_, x, rec| {
                 // Deterministic per-item metric activity.
                 for _ in 0..*x {
                     rec.metrics.sim_events.incr();

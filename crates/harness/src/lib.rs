@@ -2,7 +2,7 @@
 //!
 //! Every experiment in this repository is a set of *independent*
 //! simulation runs — seed x topology x SL-configuration points. This
-//! crate shards those runs across `std::thread::scope` workers with a
+//! crate shards those runs across scoped worker threads with a
 //! chunked work queue and merges the results **in run order**, so the
 //! merged output is byte-identical no matter how many threads executed
 //! it. Per-worker [`iba_obs::ObsRecorder`] registries are combined with
@@ -28,12 +28,12 @@ pub mod serve;
 pub mod sweep;
 pub mod timeline;
 
-pub use audit::{run_audit, run_audit_spanned, AuditConfig, AuditOutcome};
+pub use audit::{run_audit, AuditConfig, AuditOutcome};
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use chaos_serve::{run_chaos_serve, ChaosServeConfig, ChaosServeOutcome};
-pub use engine::{run_sweep, run_sweep_recorded, run_sweep_recorded_with, threads_from_env};
+pub use engine::{run_sweep, threads_from_env};
 pub use experiment::{build_experiment_sized, run_measured, Experiment, Measured};
 pub use fnv::{fnv64, Fnv64};
 pub use serve::{run_serve, timeline_shared_lines, ServeConfig, ServeOutcome};
-pub use sweep::{run_points, run_points_spanned, PointOutcome, SimPoint};
+pub use sweep::{run_points, PointOutcome, SimPoint};
 pub use timeline::{run_timeline, TimelineConfig, TimelineOutcome};

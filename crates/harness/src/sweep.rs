@@ -1,9 +1,9 @@
 //! Sweep points: one independent simulation run per point, executed in
 //! parallel by the engine with deterministic merged output.
 
-use crate::engine::{run_sweep_recorded, run_sweep_recorded_with};
-use crate::experiment::{build_experiment_sized, run_measured};
-use iba_obs::{ObsRecorder, SpanRecorder};
+use crate::engine::run_sweep;
+use crate::experiment::{build_experiment_sized, run_measured, Experiment, Measured};
+use iba_obs::{ObsRecorder, Recorder, SpanRecorder};
 
 /// One independent run of the paper pipeline: a (topology size, seed,
 /// packet size, background) coordinate of a sweep.
@@ -37,6 +37,14 @@ impl SimPoint {
             steady_packets: 30,
             reject_limit: 120,
         }
+    }
+
+    /// Builds and fills this point's experiment, then measures it with
+    /// no fault plan, recording the steady state into `rec`.
+    pub fn run<R: Recorder>(&self, rec: &mut R) -> (Experiment, Measured) {
+        let exp = build_experiment_sized(self.mtu, self.switches, self.seed, self.reject_limit);
+        let m = run_measured(&exp, self.steady_packets, self.background, None, rec);
+        (exp, m)
     }
 }
 
@@ -93,8 +101,7 @@ impl PointOutcome {
 /// Executes one point, recording metrics into `rec`.
 #[must_use]
 pub fn run_point_recorded(point: &SimPoint, rec: &mut ObsRecorder) -> PointOutcome {
-    let exp = build_experiment_sized(point.mtu, point.switches, point.seed, point.reject_limit);
-    let m = run_measured(&exp, point.steady_packets, point.background, None, rec);
+    let (exp, m) = point.run(rec);
     PointOutcome {
         point: *point,
         attempted: exp.fill.attempted,
@@ -112,31 +119,27 @@ pub fn run_point_recorded(point: &SimPoint, rec: &mut ObsRecorder) -> PointOutco
 /// Runs every point across `threads` workers. Outcomes come back in
 /// point order and the merged recorder combines every worker's metrics
 /// — both independent of the thread count.
+///
+/// With `span_capacity` set, every worker also records
+/// `harness.worker`/`harness.chunk` wall-clock spans into a ring of that
+/// many records, all sharing one epoch so the merged recorder's span
+/// timeline has aligned per-thread tracks (feed it to
+/// `iba_obs::perfetto_trace`). Outcomes and merged *metrics* are the
+/// same with or without spans.
 #[must_use]
-pub fn run_points(points: &[SimPoint], threads: usize) -> (Vec<PointOutcome>, ObsRecorder) {
-    run_sweep_recorded(points, threads, |_, p, rec| run_point_recorded(p, rec))
-}
-
-/// [`run_points`] with wall-clock span profiling: every worker records
-/// `harness.worker`/`harness.chunk` spans into a ring of
-/// `span_capacity` records, all sharing one epoch so the merged
-/// recorder's span timeline has aligned per-thread tracks (feed it to
-/// `iba_obs::perfetto_trace`). Outcomes and merged *metrics* stay
-/// byte-identical to [`run_points`] at any thread count.
-#[must_use]
-pub fn run_points_spanned(
+pub fn run_points(
     points: &[SimPoint],
     threads: usize,
-    span_capacity: usize,
+    span_capacity: Option<usize>,
 ) -> (Vec<PointOutcome>, ObsRecorder) {
     // lint: allow(no-wall-clock) -- span-profiler epoch plumbing; never feeds simulated time
     let epoch = std::time::Instant::now();
     let mk = move || {
         let mut rec = ObsRecorder::new();
-        rec.spans = Some(SpanRecorder::with_epoch(span_capacity, epoch));
+        rec.spans = span_capacity.map(|cap| SpanRecorder::with_epoch(cap, epoch));
         rec
     };
-    run_sweep_recorded_with(points, threads, mk, |_, p, rec| run_point_recorded(p, rec))
+    run_sweep(points, threads, mk, |_, p, rec| run_point_recorded(p, rec))
 }
 
 #[cfg(test)]
@@ -155,8 +158,8 @@ mod tests {
                 reject_limit: 30,
             })
             .collect();
-        let (a, ma) = run_points(&points, 1);
-        let (b, mb) = run_points(&points, 3);
+        let (a, ma) = run_points(&points, 1, None);
+        let (b, mb) = run_points(&points, 3, None);
         for (x, p) in a.iter().zip(points.iter()) {
             assert_eq!(x.point, *p);
         }

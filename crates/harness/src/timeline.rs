@@ -2,11 +2,12 @@
 //! windowed [`iba_obs::Timeline`] attached to every run and merges the
 //! per-run timelines in item order.
 //!
-//! Each run gets a **fresh** recorder (plain [`run_sweep`], not the
-//! shared-per-worker `run_sweep_recorded`): run clocks all start at
-//! cycle 0, so their windows overlay on the same absolute indices and
-//! the item-order merge makes `TIMELINE.json` byte-identical at any
-//! `IBA_THREADS` — the invariance CI checks with `cmp`.
+//! Each run gets a **fresh** recorder of its own, not the per-worker
+//! one [`run_sweep`] hands out (this drive ignores that one): run
+//! clocks all start at cycle 0, so their windows overlay on the same
+//! absolute indices and the item-order merge makes `TIMELINE.json`
+//! byte-identical at any `IBA_THREADS` — the invariance CI checks with
+//! `cmp`.
 
 use crate::engine::run_sweep;
 use crate::sweep::{run_point_recorded, PointOutcome, SimPoint};
@@ -104,7 +105,7 @@ pub fn run_timeline(config: &TimelineConfig, threads: usize) -> TimelineOutcome 
             reject_limit: 120,
         })
         .collect();
-    let results: Vec<(PointOutcome, ObsRecorder)> = run_sweep(&points, threads, |_, p| {
+    let (results, _) = run_sweep(&points, threads, ObsRecorder::new, |_, p, _| {
         let mut rec = ObsRecorder::with_timeline(config.window_len);
         let out = run_point_recorded(p, &mut rec);
         rec.finish_timeline();

@@ -97,9 +97,15 @@ const ORDERED_SCOPE: &[&str] = &[
     "crates/verify/src/",
 ];
 
-/// Crates whose non-test source must be panic-free (the always-on
-/// control plane).
-const PANIC_FREE_SCOPE: &[&str] = &["crates/core/src/", "crates/sim/src/", "crates/qos/src/"];
+/// Crates and files whose non-test source must be panic-free: the
+/// always-on control plane and the parsers of outside input.
+const PANIC_FREE_SCOPE: &[&str] = &[
+    "crates/core/src/",
+    "crates/sim/src/",
+    "crates/qos/src/",
+    "crates/obs/src/trace.rs",
+    "crates/cli/src/args.rs",
+];
 
 /// Files allowed to read the wall clock: the span profiler owns the
 /// epoch, and the bench crate measures wall time by design.
@@ -151,9 +157,10 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-panic",
         severity: Severity::Error,
-        scope: "non-test code of core, sim, qos",
-        rationale: "the always-on control plane must surface failures as Results or \
-                    named-invariant assert!s, never anonymous unwrap/expect/panic!",
+        scope: "non-test code of core, sim, qos, the trace decoder and the CLI argument parser",
+        rationale: "the always-on control plane and the parsers of outside input must \
+                    surface failures as Results or named-invariant assert!s, never \
+                    anonymous unwrap/expect/panic!",
     },
     RuleInfo {
         name: "forbid-unsafe",
@@ -835,6 +842,14 @@ mod tests {
         assert_eq!(rules_of(&report), vec!["no-panic", "no-panic"]);
         assert_eq!(report.findings[0].line, 2);
         assert_eq!(report.findings[1].line, 3);
+    }
+
+    #[test]
+    fn external_input_parsers_are_panic_free() {
+        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        for parser in ["crates/cli/src/args.rs", "crates/obs/src/trace.rs"] {
+            assert_eq!(rules_of(&lint_source(parser, src)), vec!["no-panic"]);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Seeded mutation fuzzing of the two text parsers that take outside
-//! input: [`Json::parse`] and [`SloSpec::parse`].
+//! Seeded mutation fuzzing of the parsers that take outside input: the
+//! text parsers [`Json::parse`] and [`SloSpec::parse`], and the binary
+//! trace-record decoder [`TraceEvent::decode`].
 //!
 //! Each loop mutates a corpus of valid inputs with byte flips,
 //! truncations and splices (a SplitMix64 stream, no external crates)
 //! and feeds 100,000 of them to the parser. Any input is allowed to be
 //! rejected; none may panic.
 
-use iba_obs::{Json, SloSpec};
+use iba_obs::{Json, RejectKind, ServedKind, SloSpec, TraceEvent, RECORD_BYTES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const INPUTS: usize = 100_000;
@@ -132,4 +133,71 @@ fn inputs_that_once_panicked_are_rejected() {
     ] {
         assert!(SloSpec::parse(bad).is_err(), "accepted `{bad}`");
     }
+}
+
+/// Random and mutated 16-byte records: the decoder never panics, and
+/// every record it accepts re-encodes to an equal event, so
+/// `decode(encode(t, e)) == Some((t, e))` for each accepted `(t, e)`.
+#[test]
+fn trace_decode_survives_100k_random_and_mutated_records() {
+    let corpus = [
+        TraceEvent::Grant {
+            vl: 3,
+            bytes: 4096,
+            served: ServedKind::Low,
+        },
+        TraceEvent::AuditViolation {
+            vl: 1,
+            gap_slots: 70,
+            budget_slots: 8,
+        },
+        TraceEvent::Reject {
+            reason: RejectKind::CapacityExceeded,
+        },
+        TraceEvent::AllocSelect {
+            depth: 30,
+            found: true,
+        },
+        TraceEvent::Request {
+            rid: 9,
+            stage: 2,
+            shard: 0,
+            path: 4,
+        },
+        TraceEvent::Serve {
+            code: 1,
+            shard: 0,
+            detail: 12,
+        },
+    ]
+    .map(|e| e.encode(123_456));
+    let mut rng = SplitMix64(0x7ACE_DEC0);
+    let mut accepted = 0;
+    for i in 0..INPUTS {
+        let mut buf = [0u8; RECORD_BYTES];
+        if rng.below(2) == 0 {
+            buf.iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+            // Keep half the random kinds in (and just past) the known
+            // range so every decode arm sees garbage fields.
+            if rng.below(2) == 0 {
+                buf[8] = rng.below(13) as u8;
+            }
+        } else {
+            buf = corpus[rng.below(corpus.len())];
+            for _ in 0..=rng.below(4) {
+                buf[rng.below(RECORD_BYTES)] ^= 1 << rng.below(8);
+            }
+        }
+        let decoded = catch_unwind(|| TraceEvent::decode(&buf))
+            .unwrap_or_else(|_| panic!("record {i} panicked the decoder: {buf:02x?}"));
+        if let Some((t, e)) = decoded {
+            accepted += 1;
+            assert_eq!(
+                TraceEvent::decode(&e.encode(t)),
+                Some((t, e)),
+                "record {i} does not round-trip: {buf:02x?}"
+            );
+        }
+    }
+    assert!(accepted > 10_000, "only {accepted} records decoded");
 }

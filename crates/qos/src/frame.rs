@@ -61,19 +61,6 @@ impl QosFrame {
         }
     }
 
-    /// The simulation configuration.
-    #[must_use]
-    pub fn sim_config(&self) -> &SimConfig {
-        &self.sim_config
-    }
-
-    /// Mutable access to the simulation configuration (differential
-    /// tests flip [`iba_sim::ArbiterMode`] here before building the
-    /// fabric).
-    pub fn sim_config_mut(&mut self) -> &mut SimConfig {
-        &mut self.sim_config
-    }
-
     /// Establishes connections from the generator until
     /// `stop_after_rejects` consecutive rejections (the network is then
     /// "quasi-fully loaded") or `max_attempts` total attempts.

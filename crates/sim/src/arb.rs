@@ -1,122 +1,72 @@
-//! The per-output-port arbiter: compiled grant streams by default,
-//! with the interpreted reference engine selectable for differential
-//! testing.
+//! Tests of the output-port arbiter as the fabric drives it.
 //!
-//! Every table change (subnet-manager download, fault corruption)
-//! funnels through [`PortArbiter::reconfigure`], which invalidates the
-//! previous compiled schedule and recompiles — the single point the
-//! fabric's `schedule_compile_total` / `schedule_invalidate_total`
-//! accounting hangs off. A download that leaves a port's table
-//! unchanged calls [`PortArbiter::reset`] instead: the walk restarts
-//! and nothing recompiles.
-
-use crate::config::ArbiterMode;
-use iba_core::{CompiledVlArb, Grant, VlArbConfig, VlArbEngine};
-
-/// The arbitration engine of one output port, in either mode.
-///
-/// Both variants expose the same mask-shaped query
-/// ([`PortArbiter::select`]) and are grant-for-grant identical; the
-/// interpreted variant adapts the mask back into the closure protocol
-/// of [`VlArbEngine`]. The high-priority VL mask — consulted on every
-/// kick by the priority-input-claiming extension — is cached at
-/// (re)compile time instead of being re-derived from the table per
-/// arbitration pass.
-#[derive(Clone, Debug)]
-pub enum PortArbiter {
-    /// Compiled grant streams (the hot path).
-    Compiled(CompiledVlArb),
-    /// Interpreted table walking (the reference semantics).
-    Interpreted {
-        /// The reference engine.
-        engine: VlArbEngine,
-        /// Cached bitmask of VLs with nonzero high-table weight.
-        high_mask: u16,
-    },
-}
-
-/// Bitmask of VLs carrying nonzero weight in the high-priority table.
-fn high_mask_of(config: &VlArbConfig) -> u16 {
-    config
-        .high
-        .iter()
-        .filter(|e| e.weight > 0)
-        .fold(0u16, |m, e| m | 1 << e.vl.raw())
-}
-
-impl PortArbiter {
-    /// Builds (and for [`ArbiterMode::Compiled`], compiles) the arbiter
-    /// for `config`.
-    #[must_use]
-    pub fn new(config: VlArbConfig, mode: ArbiterMode) -> Self {
-        match mode {
-            ArbiterMode::Compiled => PortArbiter::Compiled(CompiledVlArb::new(config)),
-            ArbiterMode::Interpreted => {
-                let high_mask = high_mask_of(&config);
-                PortArbiter::Interpreted {
-                    engine: VlArbEngine::new(config),
-                    high_mask,
-                }
-            }
-        }
-    }
-
-    /// Installs a new table: the previous schedule (compiled stream or
-    /// round-robin state) is discarded and rebuilt.
-    pub fn reconfigure(&mut self, config: VlArbConfig) {
-        match self {
-            PortArbiter::Compiled(arb) => arb.reconfigure(config),
-            PortArbiter::Interpreted { engine, high_mask } => {
-                *high_mask = high_mask_of(&config);
-                engine.reconfigure(config);
-            }
-        }
-    }
-
-    /// Restarts the walk on the installed table without recompiling:
-    /// the arbiter is then exactly as a freshly built one for the same
-    /// configuration.
-    pub fn reset(&mut self) {
-        match self {
-            PortArbiter::Compiled(arb) => arb.reset(),
-            PortArbiter::Interpreted { engine, .. } => engine.reset(),
-        }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &VlArbConfig {
-        match self {
-            PortArbiter::Compiled(arb) => arb.config(),
-            PortArbiter::Interpreted { engine, .. } => engine.config(),
-        }
-    }
-
-    /// Cached bitmask of VLs with nonzero high-table weight.
-    #[must_use]
-    pub fn high_vl_mask(&self) -> u16 {
-        match self {
-            PortArbiter::Compiled(arb) => arb.high_stream().vl_mask(),
-            PortArbiter::Interpreted { high_mask, .. } => *high_mask,
-        }
-    }
-
-    /// Arbitrates one packet: bit `v` of `ready_mask` set iff VL `v`
-    /// has a transmittable head packet of `bytes[v]` bytes.
-    pub fn select(&mut self, ready_mask: u16, bytes: &[u64; 16]) -> Option<Grant> {
-        match self {
-            PortArbiter::Compiled(arb) => arb.select(ready_mask, bytes),
-            PortArbiter::Interpreted { engine, .. } => {
-                engine.select(|vl| (ready_mask & (1 << vl.index()) != 0).then(|| bytes[vl.index()]))
-            }
-        }
-    }
-}
+//! Every [`crate::port::OutputPort`] arbitrates through an
+//! [`iba_core::CompiledVlArb`] and reads its high-priority VL mask from
+//! `high_stream().vl_mask()` on every kick. These tests hold that port
+//! arbiter, called with the fabric's mask-shaped `select`, to the
+//! reference [`iba_core::VlArbEngine`] adapted to the same calls, and
+//! check the mask it reports after every (re)configuration.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use iba_core::{ArbEntry, SplitMix64, VirtualLane};
+    use iba_core::{
+        ArbEntry, CompiledVlArb, Grant, SplitMix64, VirtualLane, VlArbConfig, VlArbEngine,
+    };
+
+    /// The calls the fabric makes on a port's arbiter.
+    trait Arbiter {
+        fn build(config: VlArbConfig) -> Self;
+        fn reconfigure(&mut self, config: VlArbConfig);
+        fn reset(&mut self);
+        fn high_vl_mask(&self) -> u16;
+        fn select(&mut self, ready_mask: u16, bytes: &[u64; 16]) -> Option<Grant>;
+    }
+
+    impl Arbiter for CompiledVlArb {
+        fn build(config: VlArbConfig) -> Self {
+            CompiledVlArb::new(config)
+        }
+        fn reconfigure(&mut self, config: VlArbConfig) {
+            CompiledVlArb::reconfigure(self, config);
+        }
+        fn reset(&mut self) {
+            CompiledVlArb::reset(self);
+        }
+        fn high_vl_mask(&self) -> u16 {
+            self.high_stream().vl_mask()
+        }
+        fn select(&mut self, ready_mask: u16, bytes: &[u64; 16]) -> Option<Grant> {
+            CompiledVlArb::select(self, ready_mask, bytes)
+        }
+    }
+
+    /// The reference engine behind the fabric's mask-shaped calls, with
+    /// the high mask derived from the table itself.
+    struct Reference(VlArbEngine);
+
+    impl Arbiter for Reference {
+        fn build(config: VlArbConfig) -> Self {
+            Reference(VlArbEngine::new(config))
+        }
+        fn reconfigure(&mut self, config: VlArbConfig) {
+            self.0.reconfigure(config);
+        }
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+        fn high_vl_mask(&self) -> u16 {
+            self.0
+                .config()
+                .high
+                .iter()
+                .filter(|e| e.weight > 0)
+                .fold(0u16, |m, e| m | 1 << e.vl.raw())
+        }
+        fn select(&mut self, ready_mask: u16, bytes: &[u64; 16]) -> Option<Grant> {
+            self.0
+                .select(|vl| (ready_mask & (1 << vl.index()) != 0).then(|| bytes[vl.index()]))
+        }
+    }
 
     fn config() -> VlArbConfig {
         VlArbConfig {
@@ -144,17 +94,17 @@ mod tests {
 
     #[test]
     fn both_modes_agree_and_cache_the_high_mask() {
-        let mut compiled = PortArbiter::new(config(), ArbiterMode::Compiled);
-        let mut interpreted = PortArbiter::new(config(), ArbiterMode::Interpreted);
+        let mut compiled = CompiledVlArb::build(config());
+        let mut reference = Reference::build(config());
         // Weight-0 VL3 is not part of the high mask.
         assert_eq!(compiled.high_vl_mask(), 0b0110);
-        assert_eq!(interpreted.high_vl_mask(), 0b0110);
+        assert_eq!(reference.high_vl_mask(), 0b0110);
         let bytes = [64u64; 16];
         for step in 0..200 {
             let mask = 0b0111 & (step as u16 | 1);
             assert_eq!(
                 compiled.select(mask, &bytes),
-                interpreted.select(mask, &bytes),
+                reference.select(mask, &bytes),
                 "step {step}"
             );
         }
@@ -200,6 +150,27 @@ mod tests {
         (mask, bytes)
     }
 
+    /// After a random prefix of grants, `reset` leaves `A` exactly as a
+    /// freshly built arbiter for the same table.
+    fn reset_matches_fresh<A: Arbiter>(rng: &mut SplitMix64, config: &VlArbConfig, case: usize) {
+        let mut arb = A::build(config.clone());
+        for _ in 0..rng.next_u64() % 40 {
+            let (mask, bytes) = random_ready(rng);
+            let _ = arb.select(mask, &bytes);
+        }
+        arb.reset();
+        let mut fresh = A::build(config.clone());
+        assert_eq!(arb.high_vl_mask(), fresh.high_vl_mask());
+        for step in 0..200 {
+            let (mask, bytes) = random_ready(rng);
+            assert_eq!(
+                arb.select(mask, &bytes),
+                fresh.select(mask, &bytes),
+                "case {case} step {step}"
+            );
+        }
+    }
+
     #[test]
     fn reset_mid_walk_matches_a_fresh_arbiter_in_both_modes() {
         // A download that leaves a port's table unchanged only resets
@@ -208,36 +179,20 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(0xA2B1_7E5E);
         for case in 0..100 {
             let config = random_config(&mut rng);
-            for mode in [ArbiterMode::Compiled, ArbiterMode::Interpreted] {
-                let mut arb = PortArbiter::new(config.clone(), mode);
-                for _ in 0..rng.next_u64() % 40 {
-                    let (mask, bytes) = random_ready(&mut rng);
-                    let _ = arb.select(mask, &bytes);
-                }
-                arb.reset();
-                let mut fresh = PortArbiter::new(config.clone(), mode);
-                assert_eq!(arb.high_vl_mask(), fresh.high_vl_mask());
-                for step in 0..200 {
-                    let (mask, bytes) = random_ready(&mut rng);
-                    assert_eq!(
-                        arb.select(mask, &bytes),
-                        fresh.select(mask, &bytes),
-                        "case {case} {mode:?} step {step}"
-                    );
-                }
-            }
+            reset_matches_fresh::<CompiledVlArb>(&mut rng, &config, case);
+            reset_matches_fresh::<Reference>(&mut rng, &config, case);
         }
     }
 
     #[test]
     fn reconfigure_refreshes_the_cached_mask() {
-        let mut arb = PortArbiter::new(config(), ArbiterMode::Compiled);
         let mut low_only = config();
         low_only.high.clear();
+        let mut arb = CompiledVlArb::build(config());
         arb.reconfigure(low_only.clone());
         assert_eq!(arb.high_vl_mask(), 0);
-        let mut interp = PortArbiter::new(config(), ArbiterMode::Interpreted);
-        interp.reconfigure(low_only);
-        assert_eq!(interp.high_vl_mask(), 0);
+        let mut reference = Reference::build(config());
+        reference.reconfigure(low_only);
+        assert_eq!(reference.high_vl_mask(), 0);
     }
 }

@@ -6,24 +6,6 @@ use iba_core::SlToVlMap;
 /// LRH (8) + BTH (12) + ICRC (4) + VCRC (2) bytes.
 pub const IBA_HEADER_BYTES: u32 = 26;
 
-/// Which arbitration engine the fabric's output ports run.
-///
-/// Both modes implement the exact same `VLArbitrationTable` semantics
-/// and produce byte-identical grant sequences (the differential test
-/// suite holds them to that); they differ only in per-grant cost.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ArbiterMode {
-    /// Tables are compiled into flat grant streams on every change and
-    /// the hot path walks the compiled array
-    /// ([`iba_core::CompiledVlArb`]). The default.
-    #[default]
-    Compiled,
-    /// Tables are re-interpreted entry by entry on every grant
-    /// ([`iba_core::VlArbEngine`]) — the reference implementation the
-    /// compiled mode is differentially tested against.
-    Interpreted,
-}
-
 /// Global parameters of a simulation.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -53,9 +35,6 @@ pub struct SimConfig {
     /// packet for some other output, eliminating the inversion at the
     /// cost of slightly lower best-effort throughput.
     pub priority_input_claiming: bool,
-    /// Arbitration engine variant (compiled grant streams by default;
-    /// interpreted table walking for differential testing).
-    pub arbiter: ArbiterMode,
 }
 
 impl SimConfig {
@@ -74,7 +53,6 @@ impl SimConfig {
             sl_to_vl: SlToVlMap::identity(),
             header_bytes: 0,
             priority_input_claiming: false,
-            arbiter: ArbiterMode::default(),
         }
     }
 

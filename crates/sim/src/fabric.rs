@@ -1,6 +1,5 @@
 //! The fabric: nodes, links, and the deterministic event loop.
 
-use crate::arb::PortArbiter;
 use crate::buffer::{Credits, PacketPool, VlQueueSet};
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
@@ -10,7 +9,7 @@ use crate::packet::{FlowSpec, Packet};
 use crate::port::{InFlight, InputPort, OutputPort, Peer, PortStats};
 use crate::time::{cycles_for_bytes, Cycles};
 use crate::trace::{DeliveryRecord, Observer};
-use iba_core::{ArbEntry, ServedBy, VirtualLane, VlArbConfig};
+use iba_core::{ArbEntry, CompiledVlArb, ServedBy, VirtualLane, VlArbConfig};
 use iba_obs::{NullRecorder, Recorder, ServedKind};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 
@@ -225,7 +224,7 @@ impl Fabric {
         // Compile the default schedule once and clone it onto every
         // port: a clone is a flat copy of the compiled arrays, far
         // cheaper than validating and compiling per port.
-        let proto = PortArbiter::new(Self::default_arb_config(), config.arbiter);
+        let proto = CompiledVlArb::new(Self::default_arb_config());
 
         let n = topo.ports_per_switch() as usize;
         assert!(
@@ -460,7 +459,7 @@ impl Fabric {
     pub fn set_uniform_tables(&mut self, cfg: &VlArbConfig) {
         // One compile, then flat clones: every port gets an identical
         // freshly-reset schedule, exactly as if each had recompiled.
-        let proto = PortArbiter::new(cfg.clone(), self.config.arbiter);
+        let proto = CompiledVlArb::new(cfg.clone());
         for s in 0..self.switches.len() {
             for p in 0..self.switches[s].outputs.len() {
                 self.switches[s].outputs[p].arb = proto.clone();
@@ -981,7 +980,7 @@ impl Fabric {
                 continue;
             }
             let out2 = &node.outputs[o2];
-            if out2.arb.high_vl_mask() & (1 << vl) != 0
+            if out2.arb.high_stream().vl_mask() & (1 << vl) != 0
                 && out2
                     .credits
                     .can_send(vl, u64::from(input.vls.head_bytes(vl)))
@@ -1086,7 +1085,11 @@ impl Fabric {
         let node = &self.switches[s];
         let out = &node.outputs[port];
         let fault = out.fault;
-        let my_high = if claiming { out.arb.high_vl_mask() } else { 0 };
+        let my_high = if claiming {
+            out.arb.high_stream().vl_mask()
+        } else {
+            0
+        };
         let n_in = node.inputs.len();
         let routed = &node.routed[port * n_in..(port + 1) * n_in];
         let mut inputs = node.routed_inputs[port] & !node.busy_in;

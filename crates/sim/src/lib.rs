@@ -24,7 +24,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arb;
 pub mod buffer;
 pub mod config;
 pub mod event;
@@ -36,9 +35,8 @@ pub mod port;
 pub mod time;
 pub mod trace;
 
-pub use arb::PortArbiter;
 pub use buffer::VlQueueSet;
-pub use config::{ArbiterMode, SimConfig};
+pub use config::SimConfig;
 pub use event::{Event, EventQueue};
 pub use fabric::{DownloadKey, Fabric, FabricStats, NodeId};
 pub use fault::{encode_target, FaultAction, FaultPlan, FaultState};
@@ -46,3 +44,6 @@ pub use packet::{Arrival, FlowSpec, Packet};
 pub use port::PortStats;
 pub use time::{cycles_for_bytes, interval_for_rate, Cycles, LINK_1X_MBPS};
 pub use trace::{DeliveryRecord, NullObserver, Observer};
+
+#[cfg(test)]
+mod arb;

@@ -1,10 +1,10 @@
 //! Input and output port state.
 
-use crate::arb::PortArbiter;
 use crate::buffer::{Credits, VlQueueSet};
 use crate::fault::FaultState;
 use crate::packet::Packet;
 use crate::time::Cycles;
+use iba_core::CompiledVlArb;
 
 /// Where a port's link leads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,9 +68,11 @@ pub struct InFlight {
 /// state and statistics.
 #[derive(Debug)]
 pub struct OutputPort {
-    /// Arbiter over this port's `VLArbitrationTable` (compiled grant
-    /// stream by default; see [`crate::config::ArbiterMode`]).
-    pub arb: PortArbiter,
+    /// This port's `VLArbitrationTable`, compiled into grant streams.
+    /// Every table change recompiles it through
+    /// `CompiledVlArb::reconfigure`; a download that leaves the table
+    /// unchanged only `reset`s the walk.
+    pub arb: CompiledVlArb,
     /// Credits for the downstream input buffers.
     pub credits: Credits,
     /// Where the link leads.
@@ -102,7 +104,7 @@ pub struct OutputPort {
 impl OutputPort {
     /// An idle output port.
     #[must_use]
-    pub fn new(arb: PortArbiter, credits: Credits, peer: Peer) -> Self {
+    pub fn new(arb: CompiledVlArb, credits: Credits, peer: Peer) -> Self {
         OutputPort {
             arb,
             credits,

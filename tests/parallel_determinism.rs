@@ -47,13 +47,13 @@ fn metrics_fingerprint(rec: &iba_obs::ObsRecorder) -> String {
 #[test]
 fn sweep_is_byte_identical_at_1_2_and_8_threads() {
     let points = sweep_points();
-    let (base_outcomes, base_rec) = run_points(&points, 1);
+    let (base_outcomes, base_rec) = run_points(&points, 1, None);
     let base_rendered: Vec<String> = base_outcomes.iter().map(|o| o.render()).collect();
     let base_metrics = metrics_fingerprint(&base_rec);
     assert_eq!(base_rec.metrics.harness_runs.get(), points.len() as u64);
 
     for threads in [2, 8] {
-        let (outcomes, rec) = run_points(&points, threads);
+        let (outcomes, rec) = run_points(&points, threads, None);
         let rendered: Vec<String> = outcomes.iter().map(|o| o.render()).collect();
         assert_eq!(
             rendered, base_rendered,
@@ -78,14 +78,14 @@ fn sweep_is_byte_identical_at_1_2_and_8_threads() {
 #[test]
 fn iba_threads_env_var_is_honoured_and_preserves_results() {
     let points = sweep_points();
-    let (base_outcomes, _) = run_points(&points, 1);
+    let (base_outcomes, _) = run_points(&points, 1, None);
     let base: Vec<String> = base_outcomes.iter().map(|o| o.render()).collect();
 
     for setting in ["2", "8"] {
         std::env::set_var("IBA_THREADS", setting);
         let threads = threads_from_env();
         assert_eq!(threads, setting.parse::<usize>().unwrap());
-        let (outcomes, _) = run_points(&points, threads);
+        let (outcomes, _) = run_points(&points, threads, None);
         let rendered: Vec<String> = outcomes.iter().map(|o| o.render()).collect();
         assert_eq!(rendered, base, "IBA_THREADS={setting} changed results");
     }

@@ -7,9 +7,9 @@
 //! by one and probes readiness through a closure. Tables only change at
 //! admission, teardown, repair and fault-corruption events — thousands
 //! of grants apart — so this module *compiles* a [`VlArbConfig`] once
-//! per change into a [`GrantStream`]: a dense `(vl, burst_bytes)` array
-//! (weight-0 entries removed, weights pre-scaled to byte bursts) plus a
-//! per-VL bitmask of entry positions. [`CompiledVlArb`] then arbitrates
+//! per change into a [`GrantStream`]: a dense `(vl, weight)` array
+//! (weight-0 entries removed; a weight is a burst of 64-byte units)
+//! plus a per-VL bitmask of entry positions. [`CompiledVlArb`] then arbitrates
 //! by bit arithmetic alone: the caller passes a 16-bit ready mask and a
 //! per-VL head-packet size array, and the next entry is found with one
 //! mask intersection and `trailing_zeros` — no table walk, no closure
@@ -50,7 +50,7 @@ pub struct GrantStream {
     /// VL of each stream entry (dense, weight > 0 only).
     vls: [u8; TABLE_ENTRIES],
     /// Per-turn credit of each stream entry, in 64-byte weight units.
-    credits: [u32; TABLE_ENTRIES],
+    credits: [u8; TABLE_ENTRIES],
     /// Number of live stream entries.
     len: u32,
     /// Bitmask of stream indices per VL (`positions[3]` has bit `i` set
@@ -61,8 +61,6 @@ pub struct GrantStream {
     /// Cursor value a freshly-reset walk starts from (encodes the
     /// interpreted engine's "pointer at raw index 0" initial state).
     initial_cursor: u32,
-    /// Total weight units per VL across the stream (analytical model).
-    service_units: [u64; 16],
 }
 
 impl GrantStream {
@@ -84,25 +82,50 @@ impl GrantStream {
             positions: [0; 16],
             vl_mask: 0,
             initial_cursor: 0,
-            service_units: [0; 16],
         };
-        for e in table {
-            if e.weight == 0 {
-                continue;
-            }
-            let i = s.len as usize;
-            let vl = e.vl.raw();
-            s.vls[i] = vl;
-            s.credits[i] = u32::from(e.weight);
-            s.positions[vl as usize] |= 1 << i;
-            s.vl_mask |= 1 << vl;
-            s.service_units[vl as usize] += u64::from(e.weight);
-            s.len += 1;
-        }
-        if table.first().is_some_and(|e| e.weight == 0) {
-            s.initial_cursor = s.len.saturating_sub(1);
-        }
+        s.fill(table);
         s
+    }
+
+    /// Recompiles `table` into this stream, which ends up exactly as
+    /// [`GrantStream::compile`] builds it.
+    fn recompile(&mut self, table: &[ArbEntry]) {
+        self.vls[..self.len as usize].fill(0);
+        self.credits[..self.len as usize].fill(0);
+        self.len = 0;
+        self.positions = [0; 16];
+        self.initial_cursor = 0;
+        self.fill(table);
+    }
+
+    /// Appends `table`'s live entries to an empty stream.
+    ///
+    /// Branch-free over the entries: every entry is written at the
+    /// next free index, and only a live one (weight > 0) advances the
+    /// length and sets its position bit. Free slots lie scattered
+    /// through a filled table, so a branch on the weight would
+    /// mispredict on a large share of them.
+    fn fill(&mut self, table: &[ArbEntry]) {
+        assert!(table.len() <= TABLE_ENTRIES, "table too long");
+        let mut len = 0usize;
+        for e in table {
+            let vl = usize::from(e.vl.raw());
+            let live = e.weight != 0;
+            self.vls[len] = vl as u8;
+            self.credits[len] = e.weight;
+            self.positions[vl] |= u64::from(live) << len;
+            len += usize::from(live);
+        }
+        // A dead entry after the last live one was written at `len`.
+        if len < TABLE_ENTRIES {
+            self.vls[len] = 0;
+            self.credits[len] = 0;
+        }
+        self.len = len as u32;
+        self.vl_mask = (0..16).fold(0, |m, v| m | u16::from(self.positions[v] != 0) << v);
+        if table.first().is_some_and(|e| e.weight == 0) {
+            self.initial_cursor = self.len.saturating_sub(1);
+        }
     }
 
     /// Number of live entries in the stream.
@@ -138,14 +161,23 @@ impl GrantStream {
     /// numerator of the closed-form WRR service fraction `w_i / Σw`.
     #[must_use]
     pub fn service_units(&self, vl: VirtualLane) -> u64 {
-        self.service_units[vl.index()]
+        let mut set = self.positions[vl.index()];
+        let mut units = 0;
+        while set != 0 {
+            units += u64::from(self.credits[set.trailing_zeros() as usize]);
+            set &= set - 1;
+        }
+        units
     }
 
     /// Sum of all weight units in the stream (the denominator of the
     /// service fraction; 0 for an empty stream).
     #[must_use]
     pub fn total_units(&self) -> u64 {
-        self.service_units.iter().sum()
+        self.credits[..self.len as usize]
+            .iter()
+            .map(|&c| u64::from(c))
+            .sum()
     }
 
     /// The fraction of saturated service owed to `vl` by the closed
@@ -156,7 +188,7 @@ impl GrantStream {
         if total == 0 {
             return 0.0;
         }
-        self.service_units[vl.index()] as f64 / total as f64
+        self.service_units(vl) as f64 / total as f64
     }
 
     /// The entry the walk would serve next, or `None` when no ready VL
@@ -194,7 +226,7 @@ impl GrantStream {
     fn commit(&self, cursor: &mut u32, credit: &mut u32, idx: u32, bytes: u64) -> bool {
         if idx != *cursor || *credit == 0 {
             *cursor = idx;
-            *credit = self.credits[idx as usize];
+            *credit = u32::from(self.credits[idx as usize]);
         }
         let units = bytes_to_weight_units(bytes) as u32;
         *credit = credit.saturating_sub(units);
@@ -235,11 +267,12 @@ impl GrantStream {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CompiledVlArb {
-    /// The immutable compiled schedule, shared by reference: cloning an
-    /// engine — how a fabric stamps one prototype onto every port —
-    /// copies four cursors and bumps a refcount instead of duplicating
-    /// a kilobyte of grant arrays, and all ports compiled from the same
-    /// table walk one cache-resident copy of the streams.
+    /// The compiled schedule, shared by reference: cloning an engine —
+    /// how a fabric stamps one prototype onto every port — copies four
+    /// cursors and bumps a refcount instead of duplicating the grant
+    /// arrays, and all ports compiled from the same table walk one
+    /// cache-resident copy of the streams. Only an engine that holds
+    /// the sole reference recompiles it in place.
     shared: Arc<CompiledSchedule>,
     high_cursor: u32,
     high_credit: u32,
@@ -250,9 +283,9 @@ pub struct CompiledVlArb {
 }
 
 /// What compilation produces: both grant streams, the source config and
-/// the `LimitOfHighPriority` byte budget. Immutable once built —
-/// reconfiguration compiles a fresh schedule, it never edits one in
-/// place (other ports may still be walking it).
+/// the `LimitOfHighPriority` byte budget. Shared schedules are
+/// immutable — other ports may be walking them — so reconfiguration
+/// recompiles in place only a schedule no other engine holds.
 #[derive(Debug)]
 struct CompiledSchedule {
     config: VlArbConfig,
@@ -262,20 +295,30 @@ struct CompiledSchedule {
     limit_bytes: u64,
 }
 
+impl CompiledSchedule {
+    fn compile(config: VlArbConfig) -> Self {
+        CompiledSchedule {
+            high: GrantStream::compile(&config.high),
+            low: GrantStream::compile(&config.low),
+            limit_bytes: CompiledVlArb::limit_bytes(config.limit_of_high_priority),
+            config,
+        }
+    }
+
+    /// Recompiles both streams from `config`, reusing their storage.
+    fn recompile(&mut self) {
+        self.high.recompile(&self.config.high);
+        self.low.recompile(&self.config.low);
+        self.limit_bytes = CompiledVlArb::limit_bytes(self.config.limit_of_high_priority);
+    }
+}
+
 impl CompiledVlArb {
     /// Compiles `config` into a ready-to-run engine.
     #[must_use]
     pub fn new(config: VlArbConfig) -> Self {
         config.validate();
-        let high = GrantStream::compile(&config.high);
-        let low = GrantStream::compile(&config.low);
-        let limit_bytes = Self::limit_bytes(config.limit_of_high_priority);
-        let shared = Arc::new(CompiledSchedule {
-            config,
-            high,
-            low,
-            limit_bytes,
-        });
+        let shared = Arc::new(CompiledSchedule::compile(config));
         CompiledVlArb {
             high_cursor: shared.high.initial_cursor,
             high_credit: 0,
@@ -290,8 +333,35 @@ impl CompiledVlArb {
     /// download, fault corruption): the previous compiled schedule is
     /// invalidated and the walk restarts, exactly like
     /// [`VlArbEngine::reconfigure`](crate::VlArbEngine::reconfigure).
+    /// A schedule no other engine shares is recompiled in place; a
+    /// shared one is left to its other holders and replaced.
     pub fn reconfigure(&mut self, config: VlArbConfig) {
-        *self = CompiledVlArb::new(config);
+        if Arc::get_mut(&mut self.shared).is_some() {
+            self.reconfigure_with(|installed| *installed = config);
+        } else {
+            *self = CompiledVlArb::new(config);
+        }
+    }
+
+    /// [`CompiledVlArb::reconfigure`] for the configuration `edit`
+    /// makes of the installed one. An unshared schedule's configuration
+    /// is edited in place, so its tables' storage is reused; a shared
+    /// one's is copied first.
+    pub fn reconfigure_with(&mut self, edit: impl FnOnce(&mut VlArbConfig)) {
+        match Arc::get_mut(&mut self.shared) {
+            Some(schedule) => {
+                edit(&mut schedule.config);
+                schedule.config.validate();
+                schedule.recompile();
+            }
+            None => {
+                let mut config = self.shared.config.clone();
+                edit(&mut config);
+                config.validate();
+                self.shared = Arc::new(CompiledSchedule::compile(config));
+            }
+        }
+        self.reset();
     }
 
     /// Rewinds the walk to the freshly-compiled state without

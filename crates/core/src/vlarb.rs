@@ -49,19 +49,36 @@ impl VlArbConfig {
         low: Vec<ArbEntry>,
         limit_of_high_priority: u8,
     ) -> Self {
-        let high = high
-            .iter()
-            .map(|s| ArbEntry {
-                // Table slots only ever carry data VLs (asserts if not).
-                vl: VirtualLane::data(s.vl),
-                weight: s.weight,
-            })
-            .collect();
-        VlArbConfig {
-            high,
+        let mut config = VlArbConfig {
+            high: Vec::with_capacity(TABLE_ENTRIES),
             low,
             limit_of_high_priority,
-        }
+        };
+        config.set_high_slots(high);
+        config
+    }
+
+    /// Rewrites this config into what [`VlArbConfig::from_slots`]
+    /// builds from the same arguments, reusing its tables' storage.
+    pub fn set_from_slots(
+        &mut self,
+        high: &[TableSlot; TABLE_ENTRIES],
+        low: &[ArbEntry],
+        limit_of_high_priority: u8,
+    ) {
+        self.set_high_slots(high);
+        self.low.clear();
+        self.low.extend_from_slice(low);
+        self.limit_of_high_priority = limit_of_high_priority;
+    }
+
+    fn set_high_slots(&mut self, high: &[TableSlot; TABLE_ENTRIES]) {
+        self.high.clear();
+        self.high.extend(high.iter().map(|s| ArbEntry {
+            // Table slots only ever carry data VLs (asserts if not).
+            vl: VirtualLane::data(s.vl),
+            weight: s.weight,
+        }));
     }
 
     /// Whether this config equals what [`VlArbConfig::from_slots`] would

@@ -28,14 +28,11 @@ pub struct PortKey {
 
 impl PortKey {
     /// A stable 64-bit code for this port — independent of process and
-    /// hasher. Keys the repair drill's per-table RNG sub-streams.
+    /// hasher. Keys the repair drill's per-table RNG sub-streams. It
+    /// orders as the key does ([`NodeId::port_code`]).
     #[must_use]
     pub fn stable_code(self) -> u64 {
-        let (tag, idx) = match self.node {
-            NodeId::Switch(i) => (0u64, u64::from(i)),
-            NodeId::Host(i) => (1u64, u64::from(i)),
-        };
-        (tag << 32) | (idx << 8) | u64::from(self.port)
+        self.node.port_code(self.port)
     }
 }
 
@@ -108,12 +105,12 @@ impl std::error::Error for ReleaseError {}
 /// Marks an untouched port in a [`PortIndex`].
 const UNTOUCHED: u32 = u32::MAX;
 
-/// Where each touched table sits in [`PortTables`]' entries: one dense
+/// Where each touched table sits in [`PortTables`]' arrays: one dense
 /// array per node kind, read at `id * stride + port`, where `stride`
 /// is one past the highest touched port of that kind. It holds
 /// `(highest touched id + 1) * stride` positions, about one per port
 /// for a fabric's dense ids. Rebuilt whenever a first touch shifts the
-/// entries' positions.
+/// tables' positions.
 #[derive(Clone, Default)]
 struct PortIndex {
     stride: usize,
@@ -145,12 +142,13 @@ impl PortIndex {
     }
 }
 
-/// One touched port's table and the stamp of its current content.
-#[derive(Clone)]
-struct Entry {
-    key: PortKey,
-    table: HighPriorityTable,
-    stamp: u64,
+/// One touched port and the stamp of its table's current content.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StampedKey {
+    pub(crate) key: PortKey,
+    /// The key's [`PortKey::stable_code`], which orders as the key.
+    pub(crate) code: u64,
+    pub(crate) stamp: u64,
 }
 
 /// The registry of high-priority tables, one per output port, created
@@ -158,15 +156,19 @@ struct Entry {
 ///
 /// Tables live in one vector in canonical [`PortKey`] order, so
 /// [`PortTables::tables`] is a contiguous walk, and a dense index per
-/// node kind finds a port's table in one read.
+/// node kind finds a port's table in one read. Their keys and stamps
+/// live beside them in a second, small array in the same order, which
+/// a download scans without touching a table.
 ///
 /// Every mutable access to a table gives it a fresh stamp
 /// ([`PortTables::stamp`]); equal stamps mean equal tables, across
 /// registries and their clones.
 #[derive(Clone)]
 pub struct PortTables {
-    /// Every touched table, sorted by key.
-    entries: Vec<Entry>,
+    /// Every touched port with its table's stamp, sorted by key.
+    keys: Vec<StampedKey>,
+    /// The touched ports' tables, in `keys` order.
+    tables: Vec<HighPriorityTable>,
     switches: PortIndex,
     hosts: PortIndex,
     allocator: AllocatorKind,
@@ -179,16 +181,14 @@ pub struct PortTables {
 /// string. Stamps are left out, so they never move a digest.
 impl std::fmt::Debug for PortTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Tables<'a>(&'a [Entry]);
+        struct Tables<'a>(&'a PortTables);
         impl std::fmt::Debug for Tables<'_> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_map()
-                    .entries(self.0.iter().map(|e| (&e.key, &e.table)))
-                    .finish()
+                f.debug_map().entries(self.0.tables()).finish()
             }
         }
         f.debug_struct("PortTables")
-            .field("tables", &Tables(&self.entries))
+            .field("tables", &Tables(self))
             .field("allocator", &self.allocator)
             .field("capacity_limit", &self.capacity_limit)
             .finish()
@@ -208,7 +208,8 @@ impl PortTables {
     pub fn with_allocator(allocator: AllocatorKind, qos_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&qos_fraction));
         PortTables {
-            entries: Vec::new(),
+            keys: Vec::new(),
+            tables: Vec::new(),
             switches: PortIndex::default(),
             hosts: PortIndex::default(),
             allocator,
@@ -223,7 +224,7 @@ impl PortTables {
         self.capacity_limit
     }
 
-    /// Position of `key`'s table in `entries`, if it was ever touched.
+    /// Position of `key`'s table in `tables`, if it was ever touched.
     fn position(&self, key: PortKey) -> Option<usize> {
         match key.node {
             NodeId::Switch(s) => self.switches.get(s, key.port),
@@ -234,10 +235,10 @@ impl PortTables {
     /// Re-indexes every entry after the positions shifted.
     fn reindex(&mut self) {
         let keys = self
-            .entries
+            .keys
             .iter()
             .enumerate()
-            .map(|(p, e)| (e.key.node, e.key.port, p));
+            .map(|(p, k)| (k.key.node, k.key.port, p));
         self.switches = PortIndex::build(keys.clone().filter_map(|(n, port, p)| match n {
             NodeId::Switch(s) => Some((s, port, p)),
             NodeId::Host(_) => None,
@@ -257,25 +258,26 @@ impl PortTables {
 
     /// The table at position `p`, restamped: the caller may change it.
     fn restamped(&mut self, p: usize) -> &mut HighPriorityTable {
-        let entry = &mut self.entries[p];
-        entry.stamp = self.stamps.fresh();
-        &mut entry.table
+        self.keys[p].stamp = self.stamps.fresh();
+        &mut self.tables[p]
     }
 
     fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
         let p = match self.position(key) {
             Some(p) => p,
             None => {
-                let p = self.entries.partition_point(|e| e.key < key);
+                let p = self.keys.partition_point(|k| k.key < key);
                 let table = self.fresh_table();
-                self.entries.insert(
+                let code = key.stable_code();
+                self.keys.insert(
                     p,
-                    Entry {
+                    StampedKey {
                         key,
-                        table,
+                        code,
                         stamp: 0,
                     },
                 );
+                self.tables.insert(p, table);
                 self.reindex();
                 p
             }
@@ -286,7 +288,7 @@ impl PortTables {
     /// Read access to a port's table (if any reservation ever touched it).
     #[must_use]
     pub fn table(&self, key: PortKey) -> Option<&HighPriorityTable> {
-        self.position(key).map(|p| &self.entries[p].table)
+        self.position(key).map(|p| &self.tables[p])
     }
 
     /// The stamp of a port's table content (`None`: never touched).
@@ -295,19 +297,24 @@ impl PortTables {
     /// equal.
     #[must_use]
     pub fn stamp(&self, key: PortKey) -> Option<u64> {
-        self.position(key).map(|p| self.entries[p].stamp)
+        self.position(key).map(|p| self.keys[p].stamp)
     }
 
     /// All `(port, table)` pairs touched so far, in canonical key order.
     pub fn tables(&self) -> impl Iterator<Item = (PortKey, &HighPriorityTable)> {
-        self.entries.iter().map(|e| (e.key, &e.table))
+        self.keys.iter().map(|k| k.key).zip(&self.tables)
     }
 
-    /// [`PortTables::tables`] with each table's [`PortTables::stamp`].
-    pub(crate) fn stamped_tables(
-        &self,
-    ) -> impl Iterator<Item = (PortKey, &HighPriorityTable, u64)> {
-        self.entries.iter().map(|e| (e.key, &e.table, e.stamp))
+    /// Every touched port with its [`PortTables::stamp`], in canonical
+    /// key order: position `p` holds the key of `tables()`' `p`-th
+    /// table.
+    pub(crate) fn stamped_keys(&self) -> &[StampedKey] {
+        &self.keys
+    }
+
+    /// The `p`-th table of [`PortTables::tables`].
+    pub(crate) fn table_at(&self, p: usize) -> &HighPriorityTable {
+        &self.tables[p]
     }
 
     /// Attempts to reserve `(sl, vl, distance, weight)` at every port in
@@ -396,9 +403,9 @@ impl PortTables {
 
     /// Port keys of every table touched so far, in canonical order
     /// (switches before hosts, then node index, then port): the
-    /// entries' own order, with no re-sort.
+    /// tables' own order, with no re-sort.
     pub(crate) fn sorted_keys(&self) -> Vec<PortKey> {
-        self.entries.iter().map(|e| e.key).collect()
+        self.keys.iter().map(|k| k.key).collect()
     }
 
     /// Mutable access to one touched table (recovery layer); restamps

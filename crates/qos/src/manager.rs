@@ -5,8 +5,10 @@
 use crate::cac::{PortKey, PortTables, RejectReason};
 use crate::connection::{Connection, ConnectionId, HopReservation};
 use crate::recovery::{RecoveryManager, RecoverySummary};
-use iba_core::{sl, AllocatorKind, ArbEntry, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig};
-use iba_sim::{DownloadKey, Fabric, NodeId, LINK_1X_MBPS};
+use iba_core::{
+    sl, AllocatorKind, ArbEntry, Distance, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig,
+};
+use iba_sim::{DownloadKey, Fabric, NodeId, PortDownload, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
 use iba_traffic::ConnectionRequest;
 use std::cmp::Reverse;
@@ -69,22 +71,6 @@ impl LowPriorityPolicy {
     }
 }
 
-/// What admission will actually reserve for a request: the resolved
-/// lane, the (possibly tightened) distance, the gross table weight and
-/// the output ports crossed, in canonical path order.
-#[derive(Clone, Debug)]
-pub(crate) struct AdmitPlan {
-    /// The virtual lane the SL maps to.
-    pub(crate) vl: iba_core::VirtualLane,
-    /// The reserved entry spacing.
-    pub(crate) distance: iba_core::Distance,
-    /// Table weight covering the gross (wire) rate.
-    pub(crate) weight: iba_core::Weight,
-    /// Output ports from source uplink to the destination-facing
-    /// switch port.
-    pub(crate) path: Vec<PortKey>,
-}
-
 /// The QoS manager for one subnet.
 #[derive(Clone, Debug)]
 pub struct QosManager {
@@ -92,6 +78,9 @@ pub struct QosManager {
     routing: RoutingTable,
     sl_table: SlTable,
     sl_to_vl: SlToVlMap,
+    /// [`QosManager::effective_distance`] of every SL, by SL number:
+    /// it depends only on the SL table and the SL→VL mapping.
+    reserved: [Option<Distance>; 16],
     tables: PortTables,
     connections: Vec<Option<Connection>>,
     /// Indices of the empty `connections` records, smallest on top: a
@@ -106,6 +95,8 @@ pub struct QosManager {
     header_bytes: u32,
     accepted: u64,
     rejected: u64,
+    /// The path buffer admission reuses from request to request.
+    path: Vec<PortKey>,
 }
 
 impl QosManager {
@@ -126,11 +117,13 @@ impl QosManager {
         allocator: AllocatorKind,
         qos_fraction: f64,
     ) -> Self {
+        let sl_to_vl = SlToVlMap::identity();
         QosManager {
             topo,
             routing,
+            reserved: reserved_distances(&sl_table, &sl_to_vl),
             sl_table,
-            sl_to_vl: SlToVlMap::identity(),
+            sl_to_vl,
             tables: PortTables::with_allocator(allocator, qos_fraction),
             connections: Vec::new(),
             free_ids: BinaryHeap::new(),
@@ -140,6 +133,7 @@ impl QosManager {
             header_bytes: 0,
             accepted: 0,
             rejected: 0,
+            path: Vec::new(),
         }
     }
 
@@ -174,6 +168,7 @@ impl QosManager {
         );
         self.low = LowPriorityPolicy::for_map(&map);
         self.low_stamp = crate::stamp::unique();
+        self.reserved = reserved_distances(&self.sl_table, &map);
         self.sl_to_vl = map;
     }
 
@@ -194,20 +189,8 @@ impl QosManager {
     /// SL's own distance tightened to the most restrictive distance of
     /// any QoS SL sharing the same VL.
     #[must_use]
-    pub fn effective_distance(&self, sl_id: iba_core::ServiceLevel) -> Option<iba_core::Distance> {
-        let own = self.sl_table.profile(sl_id)?.distance?;
-        let vl = self.sl_to_vl.vl(sl_id);
-        let mut tightest = own;
-        for p in self.sl_table.qos_profiles() {
-            if self.sl_to_vl.vl(p.sl) == vl {
-                if let Some(d) = p.distance {
-                    if d.at_least_as_strict(tightest) {
-                        tightest = d;
-                    }
-                }
-            }
-        }
-        Some(tightest)
+    pub fn effective_distance(&self, sl_id: iba_core::ServiceLevel) -> Option<Distance> {
+        self.reserved[sl_id.index()]
     }
 
     /// The SL configuration in force.
@@ -241,6 +224,13 @@ impl QosManager {
     pub fn path_ports(&self, src: HostId, dst: HostId) -> Vec<PortKey> {
         // A loop-free route visits each switch at most once.
         let mut ports = Vec::with_capacity(1 + self.topo.num_switches());
+        self.path_ports_into(src, dst, &mut ports);
+        ports
+    }
+
+    /// [`QosManager::path_ports`] into `ports`, replacing its contents.
+    fn path_ports_into(&self, src: HostId, dst: HostId, ports: &mut Vec<PortKey>) {
+        ports.clear();
         ports.push(PortKey {
             node: NodeId::Host(src.0),
             port: 0,
@@ -252,7 +242,6 @@ impl QosManager {
             });
         });
         assert!(routed, "routing is complete: {src} -> {dst}");
-        ports
     }
 
     /// Admits a connection request: reserves (SL, VL, distance, weight)
@@ -262,28 +251,9 @@ impl QosManager {
         self.request_observed(req, &mut iba_obs::NullRecorder)
     }
 
-    /// Pure planning step of admission: resolves a request to the exact
-    /// (VL, distance, weight, path) tuple admission will reserve, or
-    /// the reject reason the manager would report, without touching
-    /// any table or counter.
-    pub(crate) fn plan_request(&self, req: &ConnectionRequest) -> Result<AdmitPlan, RejectReason> {
-        // Reserve for the gross (wire) rate when headers are modelled.
-        let gross_factor =
-            f64::from(req.packet_bytes + self.header_bytes) / f64::from(req.packet_bytes);
-        let weight =
-            iba_core::weight_for_bandwidth(req.mean_bw_mbps * gross_factor, self.link_mbps)
-                .ok_or(RejectReason::RequestTooLarge)?;
-        Ok(AdmitPlan {
-            vl: self.sl_to_vl.vl(req.sl),
-            distance: self.reserved_distance(req),
-            weight,
-            path: self.path_ports(req.src, req.dst),
-        })
-    }
-
     /// The distance admission reserves for `req`: its own, tightened
     /// when the SL shares its VL with stricter SLs (see `set_sl_to_vl`).
-    fn reserved_distance(&self, req: &ConnectionRequest) -> iba_core::Distance {
+    fn reserved_distance(&self, req: &ConnectionRequest) -> Distance {
         match self.effective_distance(req.sl) {
             Some(d) if d.at_least_as_strict(req.distance) => d,
             _ => req.distance,
@@ -298,23 +268,24 @@ impl QosManager {
         req: &ConnectionRequest,
         rec: &mut dyn iba_obs::Recorder,
     ) -> Result<ConnectionId, RejectReason> {
-        let AdmitPlan {
-            vl,
-            distance,
-            weight,
-            path,
-        } = match self.plan_request(req) {
-            Ok(p) => p,
-            Err(e) => {
-                self.rejected += 1;
-                rec.cac_reject(e.kind());
-                return Err(e);
-            }
+        // Reserve for the gross (wire) rate when headers are modelled.
+        let gross_factor =
+            f64::from(req.packet_bytes + self.header_bytes) / f64::from(req.packet_bytes);
+        let Some(weight) =
+            iba_core::weight_for_bandwidth(req.mean_bw_mbps * gross_factor, self.link_mbps)
+        else {
+            self.rejected += 1;
+            rec.cac_reject(RejectReason::RequestTooLarge.kind());
+            return Err(RejectReason::RequestTooLarge);
         };
-        let hops = match self
+        let (vl, distance) = (self.sl_to_vl.vl(req.sl), self.reserved_distance(req));
+        let mut path = std::mem::take(&mut self.path);
+        self.path_ports_into(req.src, req.dst, &mut path);
+        let admitted = self
             .tables
-            .admit_path_observed(&path, req.sl, vl, distance, weight, rec)
-        {
+            .admit_path_observed(&path, req.sl, vl, distance, weight, rec);
+        self.path = path;
+        let hops = match admitted {
             Ok(h) => h,
             Err(e) => {
                 self.rejected += 1;
@@ -561,27 +532,27 @@ impl QosManager {
     /// touched), plus the shared low-priority policy.
     #[must_use]
     pub fn arb_config_for(&self, key: PortKey) -> VlArbConfig {
-        self.config_from(self.tables.table(key))
+        let mut config = VlArbConfig::low_only(Vec::new());
+        self.write_config(self.tables.table(key), &mut config);
+        config
     }
 
-    /// The configuration of a port whose high-priority table is `table`
-    /// (`None`: never touched).
-    fn config_from(&self, table: Option<&HighPriorityTable>) -> VlArbConfig {
+    /// Rewrites `config` into the configuration of a port whose
+    /// high-priority table is `table` (`None`: never touched), reusing
+    /// its storage.
+    fn write_config(&self, table: Option<&HighPriorityTable>, config: &mut VlArbConfig) {
+        let (low, limit) = (&self.low.entries, self.low.limit_of_high_priority);
         match table {
-            Some(t) => VlArbConfig::from_slots(
-                t.slots(),
-                self.low.entries.clone(),
-                self.low.limit_of_high_priority,
-            ),
-            None => VlArbConfig {
-                high: Vec::new(),
-                low: self.low.entries.clone(),
-                limit_of_high_priority: self.low.limit_of_high_priority,
-            },
+            Some(t) => config.set_from_slots(t.slots(), low, limit),
+            None => {
+                config.high.clear();
+                config.low.clone_from(low);
+                config.limit_of_high_priority = limit;
+            }
         }
     }
 
-    /// Whether `installed` is exactly what `config_from(table)` builds,
+    /// Whether `installed` is exactly what `write_config(table, _)` writes,
     /// checked without building it.
     fn is_installed(&self, table: Option<&HighPriorityTable>, installed: &VlArbConfig) -> bool {
         let (low, limit) = (&self.low.entries, self.low.limit_of_high_priority);
@@ -597,9 +568,9 @@ impl QosManager {
 
     /// Pushes the current table state into every output port of a
     /// fabric (the subnet-management download step). A port whose
-    /// installed table differs from the manager's is recompiled; every
-    /// other port only restarts its arbitration walk, which leaves it
-    /// exactly as a recompile of the same table would.
+    /// installed table differs from the manager's is recompiled, and
+    /// every port's arbitration walk restarts, which leaves each port
+    /// exactly as a recompile of its table would.
     pub fn apply_tables(&self, fabric: &mut Fabric) {
         self.apply_tables_observed(fabric, &mut iba_obs::NullRecorder);
     }
@@ -611,39 +582,62 @@ impl QosManager {
     ///
     /// Each port's [`DownloadKey`] names what the manager would install
     /// there: its table's stamp (0 for a port without a table) and the
-    /// low-priority policy's. A port whose recorded key matches holds
-    /// that table already and is only restarted. Any other port is
-    /// compared against the table installed in the fabric — a port
-    /// changed behind the manager's back (a `CorruptTable` fault, a
-    /// hand-installed table) has lost its key — then recompiled or
-    /// restarted, and keyed.
+    /// low-priority policy's. One merge of the fabric's
+    /// [`Fabric::port_downloads`] with the registry's stamped keys —
+    /// both dense and in canonical key order — finds the ports whose
+    /// recorded key differs. Only those are compared against the table
+    /// installed in the fabric — a port changed behind the manager's
+    /// back (a `CorruptTable` fault, a hand-installed table) has lost
+    /// its key — then recompiled if it differs, and keyed. Every walk
+    /// restarts through [`Fabric::restart_all_walks`], lazily, so a
+    /// port the merge skips costs one key compare.
     pub fn apply_tables_observed(&self, fabric: &mut Fabric, rec: &mut dyn iba_obs::Recorder) {
-        // Ports and registry entries both come in canonical key order,
-        // so one merge pass finds each port's table without lookups.
-        let mut tables = self.tables.stamped_tables().peekable();
-        for key in self.output_ports() {
-            while tables.next_if(|&(k, ..)| k < key).is_some() {}
-            let (table, stamp) = tables
-                .next_if(|&(k, ..)| k == key)
-                .map_or((None, 0), |(_, t, stamp)| (Some(t), stamp));
-            let download = DownloadKey {
-                table: stamp,
-                low: self.low_stamp,
-            };
-            if fabric.download_key(key.node, key.port) == Some(download) {
-                fabric.restart_output_walk(key.node, key.port);
-                continue;
-            }
+        fabric.restart_all_walks();
+        for (key, table, download) in self.stale_ports(fabric.port_downloads()) {
             let unchanged = fabric
                 .output_table(key.node, key.port)
                 .is_some_and(|installed| self.is_installed(table, installed));
-            if unchanged {
-                fabric.restart_output_walk(key.node, key.port);
-            } else {
-                fabric.set_output_table_recorded(key.node, key.port, self.config_from(table), rec);
+            if !unchanged {
+                let edit = |config: &mut VlArbConfig| self.write_config(table, config);
+                fabric.edit_output_table_recorded(key.node, key.port, edit, rec);
             }
             fabric.record_download(key.node, key.port, download);
         }
+    }
+
+    /// The ports whose recorded download key is not the one this
+    /// manager would install, each with its table (`None`: no table)
+    /// and that key. One merge of two dense arrays in canonical key
+    /// order: the fabric's ports and the registry's stamped keys.
+    fn stale_ports(
+        &self,
+        ports: &[PortDownload],
+    ) -> Vec<(PortKey, Option<&HighPriorityTable>, DownloadKey)> {
+        let stamped = self.tables.stamped_keys();
+        let mut stale = Vec::new();
+        let mut t = 0;
+        for port in ports {
+            // Most ports hold a table: the next stamped key is theirs.
+            let table = loop {
+                match stamped.get(t) {
+                    Some(s) if s.code == port.code => break Some(t),
+                    Some(s) if s.code < port.code => t += 1,
+                    _ => break None,
+                }
+            };
+            let download = DownloadKey {
+                table: table.map_or(0, |p| stamped[p].stamp),
+                low: self.low_stamp,
+            };
+            if port.key != Some(download) {
+                let key = PortKey {
+                    node: port.node,
+                    port: port.port,
+                };
+                stale.push((key, table.map(|p| self.tables.table_at(p)), download));
+            }
+        }
+        stale
     }
 
     /// Mean reserved bandwidth (Mbps) over (host interfaces, switch
@@ -722,6 +716,25 @@ impl QosManager {
             port,
         }
     }
+}
+
+/// The distance admission reserves for each SL, by SL number: the
+/// SL's own, tightened to the strictest distance of any QoS SL sharing
+/// its VL (`None` for an SL without a distance).
+fn reserved_distances(sl_table: &SlTable, map: &SlToVlMap) -> [Option<Distance>; 16] {
+    std::array::from_fn(|i| {
+        let sl = iba_core::ServiceLevel::new(i as u8)?;
+        let own = sl_table.profile(sl)?.distance?;
+        let vl = map.vl(sl);
+        let shared = sl_table.qos_profiles().filter(|p| map.vl(p.sl) == vl);
+        Some(shared.filter_map(|p| p.distance).fold(own, |tightest, d| {
+            if d.at_least_as_strict(tightest) {
+                d
+            } else {
+                tightest
+            }
+        }))
+    })
 }
 
 #[cfg(test)]

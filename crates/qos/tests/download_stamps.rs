@@ -18,9 +18,11 @@
 //! every table empty (the drain oracle): repairs keep connections bound
 //! to what they hold.
 //!
-//! The negative control re-runs the sequence with a hand-install that
-//! leaves the port's download key in place, and requires the
-//! differential to catch it.
+//! Two negative controls re-run the sequence and require the
+//! differential to catch them: a hand-install that leaves the port's
+//! download key in place, and an oracle that skips the walk restart
+//! on the ports whose table it keeps (`apply_tables` restarts every
+//! walk, lazily, by bumping the fabric's download epoch).
 
 use iba_core::{ArbEntry, SlTable, SplitMix64};
 use iba_obs::NullRecorder;
@@ -40,16 +42,28 @@ const CYCLES_PER_STEP: u64 = 1_500;
 
 /// The download `apply_tables` replaced, kept as the oracle: compare
 /// every wired port's installed table with the manager's, recompile it
-/// if it differs, restart its walk if not.
-fn download_comparing_everything(mgr: &QosManager, fabric: &mut Fabric) {
+/// if it differs, restart its walk eagerly if not (unless the negative
+/// control skips that).
+fn download_comparing_everything(mgr: &QosManager, fabric: &mut Fabric, oracle: Oracle) {
     for key in mgr.output_ports() {
         let want = mgr.arb_config_for(key);
         if fabric.output_table(key.node, key.port) == Some(&want) {
-            fabric.restart_output_walk(key.node, key.port);
+            if oracle == Oracle::Restarts {
+                fabric.restart_output_walk(key.node, key.port);
+            }
         } else {
             fabric.set_output_table(key.node, key.port, want);
         }
     }
+}
+
+/// What the oracle does with a port whose table it keeps.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Oracle {
+    /// Restarts the port's walk, as a recompile of that table would.
+    Restarts,
+    /// The negative control: leaves the walk where it was.
+    SkipsRestart,
 }
 
 /// How a hand-installed table reaches the stamp-tracked fabric.
@@ -83,6 +97,7 @@ struct Rig {
     oracle: Fabric,
     digests: [Digest; 2],
     writer: Writer,
+    oracle_kind: Oracle,
 }
 
 impl Rig {
@@ -103,7 +118,7 @@ impl Rig {
     fn download(&mut self, mgr: &QosManager, step: usize) -> Result<u64, String> {
         let before = self.stamped.schedule_compiles();
         mgr.apply_tables(&mut self.stamped);
-        download_comparing_everything(mgr, &mut self.oracle);
+        download_comparing_everything(mgr, &mut self.oracle, self.oracle_kind);
         for key in mgr.output_ports() {
             let want = mgr.arb_config_for(key);
             if self.stamped.output_table(key.node, key.port) != Some(&want) {
@@ -182,7 +197,7 @@ impl Coverage {
 }
 
 /// Runs one seeded sequence; `Err` names the first divergence.
-fn differential(seed: u64, writer: Writer) -> Result<Coverage, String> {
+fn differential(seed: u64, writer: Writer, oracle: Oracle) -> Result<Coverage, String> {
     let topo = irregular::generate(irregular::IrregularConfig::with_switches(4, seed));
     let routing = updown::compute(&topo);
     let base = QosManager::new(topo.clone(), routing.clone(), SlTable::paper_table1());
@@ -195,6 +210,7 @@ fn differential(seed: u64, writer: Writer) -> Result<Coverage, String> {
             Digest(0xcbf2_9ce4_8422_2325, 0),
         ],
         writer,
+        oracle_kind: oracle,
     };
     let mut gen = RequestGenerator::new(
         &topo,
@@ -363,7 +379,8 @@ fn differential(seed: u64, writer: Writer) -> Result<Coverage, String> {
 fn stamped_download_matches_the_compare_everything_oracle() {
     let mut total = [0; 12];
     for seed in 0..SEEDS {
-        let cov = differential(seed, Writer::Honest).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let cov = differential(seed, Writer::Honest, Oracle::Restarts)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for (t, n) in total.iter_mut().zip(cov.counts()) {
             *t += n;
         }
@@ -383,7 +400,7 @@ fn stamped_download_matches_the_compare_everything_oracle() {
 fn a_writer_that_keeps_the_download_key_is_caught() {
     let mut caught = 0;
     for seed in 0..SEEDS {
-        match differential(seed, Writer::KeepsKey) {
+        match differential(seed, Writer::KeepsKey, Oracle::Restarts) {
             Ok(_) => {}
             Err(e) => {
                 assert!(
@@ -395,4 +412,24 @@ fn a_writer_that_keeps_the_download_key_is_caught() {
         }
     }
     assert_eq!(caught, SEEDS, "every seed hand-installs a table");
+}
+
+/// An oracle that forgets to restart the walks of the ports it keeps
+/// must diverge from `apply_tables`: the differential sees a download
+/// that leaves a walk mid-table. A seed whose kept ports are all idle
+/// or freshly restarted when a download skips them cannot tell; 8 of
+/// the 12 seeds catch it, seed 0 at its second step.
+#[test]
+fn an_oracle_that_skips_the_walk_restart_is_caught() {
+    let mut caught = 0;
+    for seed in 0..SEEDS {
+        if let Err(e) = differential(seed, Writer::Honest, Oracle::SkipsRestart) {
+            assert!(e.contains("deliveries diverged"), "seed {seed}: {e}");
+            caught += 1;
+        }
+    }
+    assert!(
+        caught >= SEEDS / 2,
+        "only {caught} of {SEEDS} seeds catch it"
+    );
 }

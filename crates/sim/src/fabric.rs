@@ -28,6 +28,18 @@ pub enum NodeId {
 }
 
 impl NodeId {
+    /// A code of output port `port` of this node that orders as the
+    /// `(node, port)` pair does: switches before hosts, then node
+    /// index, then port.
+    #[must_use]
+    pub fn port_code(self, port: u8) -> u64 {
+        let (tag, idx) = match self {
+            NodeId::Switch(i) => (0u64, u64::from(i)),
+            NodeId::Host(i) => (1u64, u64::from(i)),
+        };
+        (tag << 32) | (idx << 8) | u64::from(port)
+    }
+
     fn encode(self) -> u32 {
         match self {
             NodeId::Switch(s) => u32::from(s),
@@ -183,6 +195,22 @@ pub struct DownloadKey {
     pub low: u64,
 }
 
+/// One wired output port and the key of the download that installed
+/// its table (`None` if no download did, or if anything wrote the
+/// table since).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PortDownload {
+    /// The port's node.
+    pub node: NodeId,
+    /// The port's number on that node.
+    pub port: u8,
+    /// [`NodeId::port_code`] of the port: the order of
+    /// [`Fabric::port_downloads`].
+    pub code: u64,
+    /// See [`Fabric::download_key`].
+    pub key: Option<DownloadKey>,
+}
+
 /// The simulator: a fabric of switches and hosts driven by a
 /// deterministic event loop.
 pub struct Fabric {
@@ -206,11 +234,19 @@ pub struct Fabric {
     /// Compiled schedules invalidated by a table change (admit,
     /// teardown, repair, fault corruption — every mutation path).
     schedule_invalidations: u64,
-    /// Per output port (switch ports first, `s * ports + p`, then one
-    /// per host), the key of the download that installed its table;
-    /// `None` once anything else wrote it. Kept beside, not inside,
-    /// the hot [`OutputPort`].
-    downloaded: Vec<Option<DownloadKey>>,
+    /// Every wired output port in canonical order (switch ports by
+    /// switch, then port; then one per host) with its download key.
+    /// Kept beside, not inside, the hot [`OutputPort`], so a download
+    /// compares keys in one dense pass.
+    downloads: Vec<PortDownload>,
+    /// Position in `downloads` of every output port (switch ports
+    /// first, `s * ports + p`, then one per host); `u32::MAX` for an
+    /// unwired port.
+    download_slot: Vec<u32>,
+    /// Bumped by every download ([`Fabric::restart_all_walks`]); a port
+    /// whose `walk_epoch` differs restarts its walk before its next
+    /// grant.
+    download_epoch: u64,
 }
 
 impl Fabric {
@@ -286,6 +322,27 @@ impl Fabric {
             .collect();
 
         let ports = switches.len() * n + hosts.len();
+        let wired = switches.iter().enumerate().flat_map(|(s, node)| {
+            (node.outputs.iter().enumerate())
+                .filter(|(_, out)| out.peer != Peer::None)
+                .map(move |(p, _)| (NodeId::Switch(s as u16), p as u8, s * n + p))
+        });
+        let host_ports =
+            (0..hosts.len()).map(|h| (NodeId::Host(h as u16), 0, switches.len() * n + h));
+        let mut download_slot = vec![u32::MAX; ports];
+        let downloads = wired
+            .chain(host_ports)
+            .enumerate()
+            .map(|(i, (node, port, slot))| {
+                download_slot[slot] = i as u32;
+                PortDownload {
+                    node,
+                    port,
+                    code: node.port_code(port),
+                    key: None,
+                }
+            })
+            .collect();
 
         Fabric {
             topo,
@@ -302,7 +359,9 @@ impl Fabric {
             events_processed: 0,
             schedule_compiles: ports as u64,
             schedule_invalidations: 0,
-            downloaded: vec![None; ports],
+            downloads,
+            download_slot,
+            download_epoch: 0,
         }
     }
 
@@ -354,8 +413,8 @@ impl Fabric {
     /// repair, fault corruption — funnels through here or through the
     /// fault handler's corruption arm), and forgets the port's
     /// [`Fabric::download_key`]. The subnet manager's download calls it
-    /// only for ports whose table changed and restarts the others with
-    /// [`Fabric::restart_output_walk`].
+    /// only for ports whose table changed and restarts every walk with
+    /// [`Fabric::restart_all_walks`].
     pub fn set_output_table(&mut self, node: NodeId, port: u8, cfg: VlArbConfig) {
         self.set_output_table_recorded(node, port, cfg, &mut NullRecorder);
     }
@@ -372,15 +431,39 @@ impl Fabric {
         cfg: VlArbConfig,
         rec: &mut dyn Recorder,
     ) {
+        self.recompile_output(node, port, rec, |arb| arb.reconfigure(cfg));
+    }
+
+    /// [`Fabric::set_output_table_recorded`] for the table `edit` makes
+    /// of the installed one, edited in place where the port's schedule
+    /// is its own (see `CompiledVlArb::reconfigure_with`): a download
+    /// rewrites a table without building a new one.
+    pub fn edit_output_table_recorded(
+        &mut self,
+        node: NodeId,
+        port: u8,
+        edit: impl FnOnce(&mut VlArbConfig),
+        rec: &mut dyn Recorder,
+    ) {
+        self.recompile_output(node, port, rec, |arb| arb.reconfigure_with(edit));
+    }
+
+    /// Recompiles one output port's schedule through `recompile`, with
+    /// the accounting every table change shares.
+    fn recompile_output(
+        &mut self,
+        node: NodeId,
+        port: u8,
+        rec: &mut dyn Recorder,
+        recompile: impl FnOnce(&mut CompiledVlArb),
+    ) {
         match node {
             NodeId::Switch(s) => {
-                self.switches[s as usize].outputs[port as usize]
-                    .arb
-                    .reconfigure(cfg);
+                recompile(&mut self.switches[s as usize].outputs[port as usize].arb)
             }
             NodeId::Host(h) => {
                 assert_eq!(port, 0, "hosts have a single port");
-                self.hosts[h as usize].out.arb.reconfigure(cfg);
+                recompile(&mut self.hosts[h as usize].out.arb);
             }
         }
         self.schedule_invalidations += 1;
@@ -390,11 +473,11 @@ impl Fabric {
         self.forget_download(node, port);
     }
 
-    /// Where one output port's [`DownloadKey`] lives in `downloaded`
-    /// (`None` for an invalid target).
+    /// Where one output port's [`DownloadKey`] lives in `downloads`
+    /// (`None` for an unwired port or an invalid target).
     fn port_index(&self, node: NodeId, port: u8) -> Option<usize> {
         let n = usize::from(self.topo.ports_per_switch());
-        match node {
+        let slot = match node {
             NodeId::Switch(s) => {
                 let (s, port) = (usize::from(s), usize::from(port));
                 (s < self.switches.len() && port < n).then_some(s * n + port)
@@ -403,7 +486,9 @@ impl Fabric {
                 let h = usize::from(h);
                 (port == 0 && h < self.hosts.len()).then_some(self.switches.len() * n + h)
             }
-        }
+        }?;
+        let i = self.download_slot[slot];
+        (i != u32::MAX).then_some(i as usize)
     }
 
     /// The key recorded by the download that installed this port's
@@ -413,17 +498,25 @@ impl Fabric {
     /// [`FaultAction::CorruptTable`] fault.
     #[must_use]
     pub fn download_key(&self, node: NodeId, port: u8) -> Option<DownloadKey> {
-        self.downloaded[self.port_index(node, port)?]
+        self.downloads[self.port_index(node, port)?].key
+    }
+
+    /// Every wired output port with its [`Fabric::download_key`], in
+    /// canonical order: switch ports by switch, then port; then every
+    /// host uplink. A download compares these keys in one pass.
+    #[must_use]
+    pub fn port_downloads(&self) -> &[PortDownload] {
+        &self.downloads
     }
 
     /// Records that a download made this port's installed table the
     /// one `key` names. Only the download that just installed (or
     /// found) that table may call this: a key left on a table it does
     /// not name makes the next download skip a stale port. Does
-    /// nothing for an invalid target.
+    /// nothing for an unwired port or an invalid target.
     pub fn record_download(&mut self, node: NodeId, port: u8, key: DownloadKey) {
         if let Some(i) = self.port_index(node, port) {
-            self.downloaded[i] = Some(key);
+            self.downloads[i].key = Some(key);
         }
     }
 
@@ -431,7 +524,7 @@ impl Fabric {
     /// download wrote its table.
     fn forget_download(&mut self, node: NodeId, port: u8) {
         if let Some(i) = self.port_index(node, port) {
-            self.downloaded[i] = None;
+            self.downloads[i].key = None;
         }
     }
 
@@ -446,11 +539,22 @@ impl Fabric {
     /// already holds, without recompiling: the port then arbitrates
     /// exactly as after a [`Fabric::set_output_table`] of that same
     /// table, but no schedule is invalidated or compiled. Does nothing
-    /// for an invalid target.
+    /// for an invalid target. The eager form of
+    /// [`Fabric::restart_all_walks`] for one port.
     pub fn restart_output_walk(&mut self, node: NodeId, port: u8) {
         if let Some(out) = self.output_port_mut(node, port) {
             out.arb.reset();
         }
+    }
+
+    /// Restarts every output port's arbitration walk, as
+    /// [`Fabric::restart_output_walk`] on each would, in O(1): the
+    /// download epoch moves on, and each port resets its walk before
+    /// its next grant. Nothing observes a walk before that grant, so
+    /// every grant is the one the eager restarts would give. The table
+    /// download calls this once.
+    pub fn restart_all_walks(&mut self) {
+        self.download_epoch += 1;
     }
 
     /// Installs the same arbitration table on every output port of
@@ -472,7 +576,9 @@ impl Fabric {
             self.schedule_invalidations += 1;
             self.schedule_compiles += 1;
         }
-        self.downloaded.fill(None);
+        for d in &mut self.downloads {
+            d.key = None;
+        }
     }
 
     /// Arbitration schedules compiled so far: one per output port at
@@ -1043,8 +1149,7 @@ impl Fabric {
         let grant = if cand.mask & (1 << 15) != 0 {
             Some((15u8, None, false))
         } else {
-            out.arb
-                .select(cand.mask, &cand.bytes)
+            out.select(self.download_epoch, cand.mask, &cand.bytes)
                 .map(|g| (g.vl.raw(), Some(g.served_by), g.exhausted))
         };
         let Some((vl, served, exhausted)) = grant else {
@@ -1271,14 +1376,15 @@ impl Fabric {
         let grant = if cand.mask & (1 << 15) != 0 {
             Some((15u8, cand.bytes[15] as u32, None, false))
         } else {
-            out.arb.select(cand.mask, &cand.bytes).map(|g| {
-                (
-                    g.vl.raw(),
-                    cand.bytes[g.vl.index()] as u32,
-                    Some(g.served_by),
-                    g.exhausted,
-                )
-            })
+            out.select(self.download_epoch, cand.mask, &cand.bytes)
+                .map(|g| {
+                    (
+                        g.vl.raw(),
+                        cand.bytes[g.vl.index()] as u32,
+                        Some(g.served_by),
+                        g.exhausted,
+                    )
+                })
         };
 
         let Some((vl, bytes, served, exhausted)) = grant else {
@@ -1390,7 +1496,7 @@ mod tests {
     use super::*;
     use crate::packet::Arrival;
     use crate::trace::VecObserver;
-    use iba_core::ServiceLevel;
+    use iba_core::{Grant, ServiceLevel};
     use iba_topo::updown;
 
     fn two_host_fabric(mtu: u32) -> Fabric {
@@ -1836,6 +1942,120 @@ mod tests {
         );
         f.run_until(1, &mut crate::trace::NullObserver);
         assert_eq!(f.download_key(host, 0), None);
+    }
+
+    #[test]
+    fn port_downloads_list_the_wired_ports_in_key_order() {
+        let mut f = two_host_fabric(256);
+        let ports: Vec<(NodeId, u8)> = f
+            .port_downloads()
+            .iter()
+            .map(|d| (d.node, d.port))
+            .collect();
+        let (s0, s1) = (NodeId::Switch(0), NodeId::Switch(1));
+        let (h0, h1) = (NodeId::Host(0), NodeId::Host(1));
+        assert_eq!(
+            ports,
+            [(s0, 0), (s0, 1), (s1, 0), (s1, 1), (h0, 0), (h1, 0)]
+        );
+        assert!(f
+            .port_downloads()
+            .windows(2)
+            .all(|w| w[0].code < w[1].code && w[0].code == w[0].node.port_code(w[0].port)));
+        // Port 2 of a switch is unwired: no download reaches it.
+        f.record_download(s0, 2, DownloadKey { table: 1, low: 1 });
+        assert_eq!(f.download_key(s0, 2), None);
+        assert!(f.port_downloads().iter().all(|d| d.key.is_none()));
+    }
+
+    /// A two-table configuration whose walk state (cursors, credits and
+    /// the `LimitOfHighPriority` budget) moves with every grant.
+    fn walking_config(first_vl: u8) -> VlArbConfig {
+        let entry = |vl: u8, weight: u8| ArbEntry {
+            vl: VirtualLane::data(vl),
+            weight,
+        };
+        VlArbConfig {
+            high: vec![
+                entry(first_vl, 3),
+                entry(1, 0),
+                entry(2, 2),
+                entry(first_vl, 1),
+                entry(3, 5),
+            ],
+            low: vec![entry(4, 2), entry(5, 1), entry(1, 3)],
+            limit_of_high_priority: 1,
+        }
+    }
+
+    /// The grants host 0's uplink gives over a seeded run of ready
+    /// sets, selecting as the fabric's kicks do.
+    fn host_grants(f: &mut Fabric, seed: u64) -> Vec<Option<Grant>> {
+        let epoch = f.download_epoch;
+        let out = &mut f.hosts[0].out;
+        ready_sets(seed)
+            .map(|(mask, bytes)| out.select(epoch, mask, &bytes))
+            .collect()
+    }
+
+    /// The grants a freshly compiled arbiter of `cfg` gives over the
+    /// same ready sets.
+    fn fresh_grants(cfg: &VlArbConfig, seed: u64) -> Vec<Option<Grant>> {
+        let mut arb = CompiledVlArb::new(cfg.clone());
+        ready_sets(seed)
+            .map(|(mask, bytes)| arb.select(mask, &bytes))
+            .collect()
+    }
+
+    fn ready_sets(seed: u64) -> impl Iterator<Item = (u16, [u64; 16])> {
+        let mut rng = iba_core::rng::SplitMix64::seed_from_u64(seed);
+        (0..64).map(move |_| {
+            let mask = (rng.next_u64() & 0x3F) as u16;
+            let mut bytes = [0; 16];
+            for b in &mut bytes[..6] {
+                *b = 64 * (1 + rng.next_u64() % 64);
+            }
+            (mask, bytes)
+        })
+    }
+
+    #[test]
+    fn two_downloads_without_a_grant_restart_a_mid_walk_port() {
+        let mut f = two_host_fabric(256);
+        let cfg = walking_config(0);
+        f.set_output_table(NodeId::Host(0), 0, cfg.clone());
+        host_grants(&mut f, 1);
+        // Stopped mid-walk, the port would not grant as a fresh one.
+        let mut stopped = f.hosts[0].out.arb.clone();
+        let stale: Vec<_> = ready_sets(2)
+            .map(|(mask, bytes)| stopped.select(mask, &bytes))
+            .collect();
+        assert_ne!(stale, fresh_grants(&cfg, 2), "the walk moved");
+        // Two downloads cross the port before its next grant.
+        f.restart_all_walks();
+        f.restart_all_walks();
+        assert_eq!(host_grants(&mut f, 2), fresh_grants(&cfg, 2));
+        // And a download after those grants restarts it again.
+        f.restart_all_walks();
+        assert_eq!(host_grants(&mut f, 3), fresh_grants(&cfg, 3));
+    }
+
+    #[test]
+    fn a_port_recompiled_in_a_download_starts_fresh() {
+        let mut f = two_host_fabric(256);
+        let (first, second) = (walking_config(0), walking_config(6));
+        f.set_output_table(NodeId::Host(0), 0, first);
+        host_grants(&mut f, 4);
+        // The download bumps the epoch, then recompiles the port.
+        f.restart_all_walks();
+        f.set_output_table(NodeId::Host(0), 0, second.clone());
+        assert_eq!(host_grants(&mut f, 5), fresh_grants(&second, 5));
+        // Recompiled in place (its schedule is its own by now), then
+        // restarted by a later download: fresh again.
+        host_grants(&mut f, 6);
+        f.set_output_table(NodeId::Host(0), 0, walking_config(0));
+        f.restart_all_walks();
+        assert_eq!(host_grants(&mut f, 7), fresh_grants(&walking_config(0), 7));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::buffer::{Credits, VlQueueSet};
 use crate::fault::FaultState;
 use crate::packet::Packet;
 use crate::time::Cycles;
-use iba_core::CompiledVlArb;
+use iba_core::{CompiledVlArb, Grant};
 
 /// Where a port's link leads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,9 +70,14 @@ pub struct InFlight {
 pub struct OutputPort {
     /// This port's `VLArbitrationTable`, compiled into grant streams.
     /// Every table change recompiles it through
-    /// `CompiledVlArb::reconfigure`; a download that leaves the table
-    /// unchanged only `reset`s the walk.
+    /// `CompiledVlArb::reconfigure`, into its own schedule when no other
+    /// port shares it. Every download restarts the walk of every port,
+    /// lazily: the port `reset`s it at its first grant after the
+    /// download (see `OutputPort::select`), since a reset cannot be
+    /// observed before then.
     pub arb: CompiledVlArb,
+    /// The fabric's download epoch at this port's last walk restart.
+    pub(crate) walk_epoch: u64,
     /// Credits for the downstream input buffers.
     pub credits: Credits,
     /// Where the link leads.
@@ -107,6 +112,7 @@ impl OutputPort {
     pub fn new(arb: CompiledVlArb, credits: Credits, peer: Peer) -> Self {
         OutputPort {
             arb,
+            walk_epoch: 0,
             credits,
             peer,
             inflight: None,
@@ -117,6 +123,18 @@ impl OutputPort {
             busy_seen: 0,
             stats: PortStats::default(),
         }
+    }
+
+    /// Arbitrates one packet (see `CompiledVlArb::select`), first
+    /// restarting the walk if a download happened since the last
+    /// restart: `epoch` is the fabric's download epoch.
+    #[inline]
+    pub(crate) fn select(&mut self, epoch: u64, ready: u16, bytes: &[u64; 16]) -> Option<Grant> {
+        if self.walk_epoch != epoch {
+            self.arb.reset();
+            self.walk_epoch = epoch;
+        }
+        self.arb.select(ready, bytes)
     }
 
     /// Returns `bytes` of downstream credit on lane `vl`. A head on

@@ -5,9 +5,12 @@
 //! fabric without background load. It warms the fabric up for twice the
 //! slowest connection's interarrival time, so every source has fired and
 //! the packet pool and the event queue have reached their high-water
-//! marks. Then it runs the same length again with counting on. Every
-//! packet buffer, event node and schedule is recycled by then, so the
-//! second window must make zero heap allocations.
+//! marks. Then, with counting on, it downloads the unchanged tables
+//! again and runs the same length. Every packet buffer, event node and
+//! schedule is recycled by then, and a download that changes nothing
+//! only moves the fabric's download epoch (each port restarts its walk
+//! at its next grant), so the second window must make zero heap
+//! allocations.
 //!
 //! This file is its own test binary, so the counting allocator sees no
 //! other test's traffic; counting is further limited to the thread that
@@ -76,7 +79,10 @@ fn steady_state_allocations(switches: usize, seed: u64) -> (u64, u64) {
     let warm_up = 2 * exp.frame.steady_state_cycles(1);
     fabric.run_until(warm_up, &mut NullObserver);
     let events_before = fabric.events_processed();
-    let allocs = allocations_during(|| fabric.run_until(2 * warm_up, &mut NullObserver));
+    let allocs = allocations_during(|| {
+        exp.frame.manager.apply_tables(&mut fabric);
+        fabric.run_until(2 * warm_up, &mut NullObserver);
+    });
     (allocs, fabric.events_processed() - events_before)
 }
 

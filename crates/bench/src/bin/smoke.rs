@@ -21,7 +21,8 @@ use iba_core::{
 };
 use iba_harness::{run_audit, run_chaos, run_points, AuditConfig, ChaosConfig, SimPoint};
 use iba_obs::{bench_json, vl_shares, BenchRecord, ObsRecorder, VlShare};
-use iba_sim::{Arrival, Event, EventQueue, Fabric, FlowSpec, SimConfig};
+use iba_qos::{PortKey, PortTables};
+use iba_sim::{Arrival, Event, EventQueue, Fabric, FlowSpec, NodeId, SimConfig};
 use iba_topo::{updown, HostId, SwitchId, Topology};
 
 /// Converts harness summaries into the JSON report records.
@@ -98,6 +99,42 @@ fn bench_alloc(h: &mut Harness) {
         t.release(adm.sequence, 40).unwrap();
         t.free_entries()
     });
+    // A rejected two-hop path: the first hop plans a fresh sequence
+    // beside live ones, the second hop is at its reservation cap, so
+    // the first hop's undo defragments. The tables end as they began.
+    let mut tables = PortTables::new(0.8);
+    let hop = |s: u16, port: u8| PortKey {
+        node: NodeId::Switch(s),
+        port,
+    };
+    let (fresh, full) = (hop(0, 1), hop(1, 2));
+    for k in 0..4u8 {
+        let (sl, vl) = (ServiceLevel::new(k).unwrap(), VirtualLane::data(k));
+        tables
+            .admit_path(&[full], sl, vl, Distance::D64, 3264)
+            .unwrap();
+        tables
+            .admit_path(&[fresh], sl, vl, Distance::D8, 100)
+            .unwrap();
+    }
+    let (sl, vl) = (ServiceLevel::new(5).unwrap(), VirtualLane::data(5));
+    h.bench("alloc/reject_after_fresh_hop", || {
+        tables
+            .admit_path(black_box(&[fresh, full]), sl, vl, Distance::D16, 40)
+            .is_err()
+    });
+    // A full-table defragmentation plan that moves nothing: every size,
+    // largest first, then singles up to 64 busy entries.
+    let mut t = iba_core::HighPriorityTable::new();
+    let sizes = Distance::ALL.into_iter().chain([Distance::D64]);
+    for (k, d) in (0u8..).zip(sizes) {
+        t.admit(ServiceLevel::new(k).unwrap(), VirtualLane::data(k), d, 1)
+            .unwrap();
+    }
+    assert_eq!(t.free_entries(), 0, "the plan covers a full table");
+    t.defragment();
+    assert!(t.defragment().is_empty(), "a re-pack settles");
+    h.bench("alloc/defrag_plan", || t.defragment().len());
 }
 
 /// The 12:4 two-VL table shared by the grant benches.

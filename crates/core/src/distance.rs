@@ -61,7 +61,7 @@ impl Distance {
     /// occupies: `64 / d`.
     #[must_use]
     pub fn entries(self) -> usize {
-        TABLE_ENTRIES / self.slots()
+        TABLE_ENTRIES >> self.log2()
     }
 
     /// Builds a distance from the numeric slot count, if permitted.

@@ -55,7 +55,9 @@ pub use rng::SplitMix64;
 pub use schedule::{CompiledVlArb, GrantStream};
 pub use sequence::{SequenceId, SequenceInfo};
 pub use sl::{ServiceLevel, SlProfile, SlTable, SlToVlMap, TrafficClass};
-pub use table::{Admission, EvictedSequence, HighPriorityTable, RepairReport, TableError};
+pub use table::{
+    Admission, EvictedSequence, HighPriorityTable, Placement, RepairReport, TableError,
+};
 pub use vlarb::{ArbEntry, Grant, ServedBy, VlArbConfig, VlArbEngine};
 pub use weight::{
     bandwidth_for_weight, bytes_to_weight_units, weight_for_bandwidth, Weight, MAX_ENTRY_WEIGHT,

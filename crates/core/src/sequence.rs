@@ -57,10 +57,11 @@ impl Sequence {
     }
 
     /// Whether a further connection of weight `extra` still fits under
-    /// the 255-per-entry cap.
+    /// the 255-per-entry cap: the rounded-up per-slot weight stays at
+    /// most 255 exactly when the total stays at most `255 · entries`.
     #[must_use]
     pub fn fits(&self, extra: Weight) -> bool {
-        (self.total_weight + extra).div_ceil(self.eset.len() as u32) <= MAX_ENTRY_WEIGHT as u32
+        self.total_weight + extra <= MAX_ENTRY_WEIGHT as u32 * self.eset.len() as u32
     }
 
     /// Whether a request of latency distance `required` may legally join

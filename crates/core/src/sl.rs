@@ -16,6 +16,9 @@ use std::fmt;
 pub struct ServiceLevel(u8);
 
 impl ServiceLevel {
+    /// The number of service levels.
+    pub const COUNT: usize = 16;
+
     /// Creates a service level; `None` when `id > 15`.
     #[must_use]
     pub fn new(id: u8) -> Option<Self> {

@@ -55,6 +55,15 @@ pub struct Admission {
     pub new_sequence: bool,
 }
 
+/// Where [`HighPriorityTable::plan_admit`] places a request.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Placement {
+    /// Join this established sequence of the request's SL.
+    Join(SequenceId),
+    /// Open a new sequence on this free entry set.
+    Fresh(ESet),
+}
+
 /// A sequence that [`HighPriorityTable::repair`] had to evict because
 /// its bookkeeping could not be trusted (overlapping entry set, drained
 /// weight). Carries everything an admission layer needs to re-install
@@ -115,7 +124,7 @@ pub struct RepairReport {
 /// table.release(a.sequence, 80).unwrap();
 /// assert_eq!(table.free_entries(), 64);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct HighPriorityTable {
     slots: [TableSlot; TABLE_ENTRIES],
     occupancy: u64,
@@ -124,6 +133,32 @@ pub struct HighPriorityTable {
     capacity_limit: Weight,
     allocator: AllocatorKind,
     auto_defrag: bool,
+    /// The join scan's index: per SL, bit `i` is set iff sequence `i`
+    /// is live and serves that SL. Ids of 64 and above have no bit;
+    /// only a damaged table reaches them (live sequences of a
+    /// consistent table hold disjoint slots), and it is scanned.
+    joinable: [u64; ServiceLevel::COUNT],
+}
+
+/// Prints the fields a derived `Debug` printed before the join index
+/// existed, and nothing else: the table digests hash this string.
+impl std::fmt::Debug for HighPriorityTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HighPriorityTable")
+            .field("slots", &self.slots)
+            .field("occupancy", &self.occupancy)
+            .field("sequences", &self.sequences)
+            .field("reserved_weight", &self.reserved_weight)
+            .field("capacity_limit", &self.capacity_limit)
+            .field("allocator", &self.allocator)
+            .field("auto_defrag", &self.auto_defrag)
+            .finish()
+    }
+}
+
+/// Sequence `i`'s bit in a join-index word (none for `i >= 64`).
+fn index_bit(i: usize) -> u64 {
+    1u64.checked_shl(i as u32).unwrap_or(0)
 }
 
 impl Default for HighPriorityTable {
@@ -145,6 +180,7 @@ impl HighPriorityTable {
             capacity_limit: MAX_TABLE_WEIGHT,
             allocator: AllocatorKind::BitReversal,
             auto_defrag: true,
+            joinable: [0; ServiceLevel::COUNT],
         }
     }
 
@@ -228,11 +264,10 @@ impl HighPriorityTable {
     }
 
     /// Non-mutating dry run of [`HighPriorityTable::admit`]: returns
-    /// exactly the error `admit` would return for the same request,
-    /// checked in `admit`'s order (weight underflow, request size,
-    /// capacity cap, join, fresh E-set). Performs no allocator probes
-    /// against a recorder, so a vote taken with `check_admit` followed
-    /// by the real `admit_observed` keeps metrics identical to calling
+    /// exactly the error `admit` would return for the same request.
+    /// It is [`HighPriorityTable::plan_admit`] with its allocator probes
+    /// recorded nowhere, so a vote taken with `check_admit` followed by
+    /// the real `admit_observed` keeps metrics identical to calling
     /// `admit_observed` alone.
     pub fn check_admit(
         &self,
@@ -240,21 +275,8 @@ impl HighPriorityTable {
         distance: Distance,
         weight: Weight,
     ) -> Result<(), TableError> {
-        if weight == 0 {
-            return Err(TableError::WeightUnderflow);
-        }
-        let (d_eff, _entries) =
-            effective_request(distance, weight).ok_or(TableError::RequestTooLarge)?;
-        if self.reserved_weight + weight > self.capacity_limit {
-            return Err(TableError::CapacityExceeded);
-        }
-        if self.find_joinable(sl, distance, weight).is_some() {
-            return Ok(());
-        }
-        self.allocator
-            .select(self.occupancy, d_eff)
+        self.plan_admit(sl, distance, weight, &mut iba_obs::NullRecorder)
             .map(|_| ())
-            .ok_or(TableError::NoFreeSequence)
     }
 
     /// Admits a connection of service level `sl` (travelling on `vl`)
@@ -277,6 +299,9 @@ impl HighPriorityTable {
     /// probes (`alloc_probe_total`, `alloc_probe_depth`, ...) performed
     /// while placing a new sequence are recorded into `rec`. Joining an
     /// existing sequence performs no probes and records nothing.
+    ///
+    /// It is [`HighPriorityTable::plan_admit`] followed by
+    /// [`HighPriorityTable::commit_admit`].
     pub fn admit_observed(
         &mut self,
         sl: ServiceLevel,
@@ -285,10 +310,22 @@ impl HighPriorityTable {
         weight: Weight,
         rec: &mut dyn iba_obs::Recorder,
     ) -> Result<Admission, TableError> {
-        assert!(
-            !vl.is_management(),
-            "VL15 never enters the arbitration table"
-        );
+        let placement = self.plan_admit(sl, distance, weight, rec)?;
+        Ok(self.commit_admit(sl, vl, weight, placement))
+    }
+
+    /// Decides where [`HighPriorityTable::admit_observed`] would place a
+    /// request, without changing the table: `admit`'s checks in
+    /// `admit`'s order (weight underflow, request size, capacity cap,
+    /// join, fresh E-set), recording the same allocator probes into
+    /// `rec`. [`HighPriorityTable::commit_admit`] applies the result.
+    pub fn plan_admit(
+        &self,
+        sl: ServiceLevel,
+        distance: Distance,
+        weight: Weight,
+        rec: &mut dyn iba_obs::Recorder,
+    ) -> Result<Placement, TableError> {
         if weight == 0 {
             return Err(TableError::WeightUnderflow);
         }
@@ -297,40 +334,88 @@ impl HighPriorityTable {
         if self.reserved_weight + weight > self.capacity_limit {
             return Err(TableError::CapacityExceeded);
         }
-
         if let Some(id) = self.find_joinable(sl, distance, weight) {
-            // find_joinable only returns live ids.
-            let Some(seq) = self.sequences[id.0 as usize].as_mut() else {
-                return Err(TableError::UnknownSequence);
-            };
-            seq.total_weight += weight;
-            seq.connections += 1;
-            self.reserved_weight += weight;
-            self.rewrite_sequence_slots(id);
-            return Ok(Admission {
-                sequence: id,
-                new_sequence: false,
-            });
+            return Ok(Placement::Join(id));
         }
-
         rec.span_begin("alloc.select");
         let selected = self.allocator.select_observed(self.occupancy, d_eff, rec);
         rec.span_end("alloc.select");
-        let eset = selected.ok_or(TableError::NoFreeSequence)?;
-        let id = self.insert_sequence(Sequence {
-            eset,
-            vl,
-            sl,
-            total_weight: weight,
-            connections: 1,
-        });
-        self.occupancy |= eset.mask();
-        self.reserved_weight += weight;
+        selected
+            .map(Placement::Fresh)
+            .ok_or(TableError::NoFreeSequence)
+    }
+
+    /// Applies a placement that [`HighPriorityTable::plan_admit`]
+    /// returned for a request of `sl` and `weight` on this table, with
+    /// no change to the table in between. A placement planned against
+    /// another table state is a caller error, checked in debug builds.
+    pub fn commit_admit(
+        &mut self,
+        sl: ServiceLevel,
+        vl: VirtualLane,
+        weight: Weight,
+        placement: Placement,
+    ) -> Admission {
+        assert!(
+            !vl.is_management(),
+            "VL15 never enters the arbitration table"
+        );
+        let (id, new_sequence) = match placement {
+            Placement::Join(id) => {
+                debug_assert!(
+                    matches!(self.sequences.get(id.0 as usize), Some(Some(s)) if s.sl == sl),
+                    "a planned join names a live sequence of its SL"
+                );
+                if let Some(seq) = self
+                    .sequences
+                    .get_mut(id.0 as usize)
+                    .and_then(Option::as_mut)
+                {
+                    seq.total_weight += weight;
+                    seq.connections += 1;
+                    self.reserved_weight += weight;
+                }
+                (id, false)
+            }
+            Placement::Fresh(eset) => {
+                debug_assert_eq!(self.occupancy & eset.mask(), 0, "a planned set is free");
+                let id = self.insert_sequence(Sequence {
+                    eset,
+                    vl,
+                    sl,
+                    total_weight: weight,
+                    connections: 1,
+                });
+                self.occupancy |= eset.mask();
+                self.reserved_weight += weight;
+                (id, true)
+            }
+        };
         self.rewrite_sequence_slots(id);
-        Ok(Admission {
+        Admission {
             sequence: id,
-            new_sequence: true,
-        })
+            new_sequence,
+        }
+    }
+
+    /// Leaves the table as committing `Placement::Fresh(eset)` and then
+    /// releasing the new sequence would: `sequences` gains the trailing
+    /// `None` the new id's push would have left, the set's slots read
+    /// free, and under auto-defrag the release's defragmentation runs.
+    /// Admission undoes the fresh hops of a rejected path this way
+    /// without ever reserving them. `eset` must be a fresh placement
+    /// planned on the table as it stands (checked in debug builds).
+    pub fn undo_fresh(&mut self, eset: ESet) {
+        debug_assert_eq!(self.occupancy & eset.mask(), 0, "a planned set is free");
+        if self.free_id().is_none() {
+            self.sequences.push(None);
+        }
+        for slot in eset.slots() {
+            self.slots[slot] = TableSlot::FREE;
+        }
+        if self.auto_defrag {
+            self.defragment();
+        }
     }
 
     /// Releases one connection of weight `weight` from `id`.
@@ -362,7 +447,7 @@ impl HighPriorityTable {
                 "weights must balance per connection"
             );
             let mask = seq.eset.mask();
-            self.sequences[id.0 as usize] = None;
+            self.take_sequence(id.0 as usize);
             self.occupancy &= !mask;
             for (slot, s) in self.slots.iter_mut().enumerate() {
                 if mask & (1 << slot) != 0 {
@@ -435,28 +520,63 @@ impl HighPriorityTable {
 
     /// Looks for an established sequence the request may join: same SL,
     /// spacing at least as strict as required, and room for the weight.
+    /// The first such sequence in id order, read off the join index.
     fn find_joinable(
         &self,
         sl: ServiceLevel,
         distance: Distance,
         weight: Weight,
     ) -> Option<SequenceId> {
-        self.sequences
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (SequenceId(i as u32), s)))
-            .find(|(_, s)| s.sl == sl && s.satisfies_distance(distance) && s.fits(weight))
-            .map(|(id, _)| id)
+        let joins = |s: &Sequence| s.satisfies_distance(distance) && s.fits(weight);
+        if self.sequences.len() > TABLE_ENTRIES {
+            // Ids past the index: a damaged table, scanned.
+            return self
+                .sequences
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|s| s.sl == sl && joins(s)))
+                .map(|i| SequenceId(i as u32));
+        }
+        let mut ids = self.joinable[sl.index()];
+        while ids != 0 {
+            let i = ids.trailing_zeros() as usize;
+            ids &= ids - 1;
+            if self.sequences[i].as_ref().is_some_and(joins) {
+                return Some(SequenceId(i as u32));
+            }
+        }
+        None
+    }
+
+    /// The lowest id in `sequences` that holds no sequence.
+    fn free_id(&self) -> Option<usize> {
+        let n = self.sequences.len();
+        if n > TABLE_ENTRIES {
+            return self.sequences.iter().position(Option::is_none);
+        }
+        // An id below 64 is live iff the join index has its bit.
+        let live = self.joinable.iter().fold(0, |m, w| m | w);
+        let i = (!live).trailing_zeros() as usize;
+        (i < n).then_some(i)
+    }
+
+    /// Removes sequence `i`'s record (and its join-index bit).
+    fn take_sequence(&mut self, i: usize) -> Option<Sequence> {
+        let seq = self.sequences[i].take()?;
+        self.joinable[seq.sl.index()] &= !index_bit(i);
+        Some(seq)
     }
 
     fn insert_sequence(&mut self, seq: Sequence) -> SequenceId {
-        if let Some(i) = self.sequences.iter().position(Option::is_none) {
+        let sl = seq.sl.index();
+        let i = if let Some(i) = self.free_id() {
             self.sequences[i] = Some(seq);
-            SequenceId(i as u32)
+            i
         } else {
             self.sequences.push(Some(seq));
-            SequenceId((self.sequences.len() - 1) as u32)
-        }
+            self.sequences.len() - 1
+        };
+        self.joinable[sl] |= index_bit(i);
+        SequenceId(i as u32)
     }
 
     fn rewrite_sequence_slots(&mut self, id: SequenceId) {
@@ -518,7 +638,21 @@ impl HighPriorityTable {
                 return Err(format!("slot {i} weighted but not owned"));
             }
         }
+        if self.joinable != self.join_index() {
+            return Err("join index out of sync with the sequences".to_string());
+        }
         Ok(())
+    }
+
+    /// The join index rebuilt from the sequence records.
+    fn join_index(&self) -> [u64; ServiceLevel::COUNT] {
+        let mut index = [0; ServiceLevel::COUNT];
+        for (i, s) in self.sequences.iter().enumerate() {
+            if let Some(s) = s {
+                index[s.sl.index()] |= index_bit(i);
+            }
+        }
+        index
     }
 
     /// Deterministically damages the table (for fault injection):
@@ -561,7 +695,7 @@ impl HighPriorityTable {
                     // Orphan: drop a sequence's bookkeeping, leaving its
                     // slots and occupancy bits behind.
                     let id = live_ids[(rng.next_u64() as usize) % live_ids.len()];
-                    if let Some(seq) = self.sequences[id].take() {
+                    if let Some(seq) = self.take_sequence(id) {
                         self.reserved_weight =
                             self.reserved_weight.saturating_sub(seq.total_weight);
                     }
@@ -603,7 +737,7 @@ impl HighPriorityTable {
             };
             let mask = seq.eset.mask();
             if occ & mask != 0 || seq.total_weight == 0 || seq.connections == 0 {
-                if let Some(seq) = self.sequences[i].take() {
+                if let Some(seq) = self.take_sequence(i) {
                     evicted.push(EvictedSequence {
                         sl: seq.sl,
                         vl: seq.vl,
@@ -981,6 +1115,143 @@ mod tests {
             }
             assert!(moved > 100, "seed {seed}: only {moved} moving defrags");
         }
+    }
+
+    /// The join scan the index replaced: the first live sequence in id
+    /// order that the request may join.
+    fn linear_joinable(
+        t: &HighPriorityTable,
+        s: ServiceLevel,
+        d: Distance,
+        w: Weight,
+    ) -> Option<SequenceId> {
+        t.sequences
+            .iter()
+            .position(|q| {
+                q.as_ref()
+                    .is_some_and(|q| q.sl == s && q.satisfies_distance(d) && q.fits(w))
+            })
+            .map(|i| SequenceId(i as u32))
+    }
+
+    /// Plan-then-commit, plan-then-undo and the join index against
+    /// admit, admit-then-release and the linear scan, for one request
+    /// on `t`. Returns whether the request planned a fresh sequence.
+    fn check_planning(t: &HighPriorityTable, k: u8, d: Distance, w: Weight, at: &str) -> bool {
+        let debug = |t: &HighPriorityTable| format!("{t:?}");
+        let (mut planned, mut admitted) =
+            (iba_obs::ObsRecorder::new(), iba_obs::ObsRecorder::new());
+        let plan = t.plan_admit(sl(k), d, w, &mut planned);
+        let mut a = t.clone();
+        let got = a.admit_observed(sl(k), vl(k), d, w, &mut admitted);
+        assert_eq!(
+            iba_obs::render_prom(&planned.metrics),
+            iba_obs::render_prom(&admitted.metrics),
+            "{at}: probes"
+        );
+        assert_eq!(plan.map(|_| ()), t.check_admit(sl(k), d, w), "{at}: check");
+        let placement = match (plan, got) {
+            (Ok(placement), Ok(_)) => placement,
+            (Err(p), Err(g)) => {
+                assert_eq!(p, g, "{at}: error");
+                return false;
+            }
+            other => panic!("{at}: plan and admit disagree: {other:?}"),
+        };
+        let mut b = t.clone();
+        assert_eq!(
+            b.commit_admit(sl(k), vl(k), w, placement),
+            got.unwrap(),
+            "{at}"
+        );
+        assert_eq!(debug(&b), debug(&a), "{at}: commit");
+        let Placement::Fresh(eset) = placement else {
+            return false;
+        };
+        // A damaged table may put the new set on top of a live one; a
+        // release then cannot always re-pack, so the undo is compared
+        // only where the live sets still fit in one table.
+        let entries: usize = t.sequences().map(|(_, q)| q.eset.len()).sum();
+        if entries + eset.len() <= TABLE_ENTRIES {
+            let mut undone = t.clone();
+            undone.undo_fresh(eset);
+            a.release(got.unwrap().sequence, w).unwrap();
+            assert_eq!(debug(&undone), debug(&a), "{at}: undo");
+        }
+        true
+    }
+
+    #[test]
+    fn planning_matches_admit_release_and_the_linear_scan_on_seeded_walks() {
+        let (mut fresh, mut joins, mut damaged) = (0, 0, 0);
+        for (seed, allocator, auto_defrag) in [
+            (1u64, AllocatorKind::BitReversal, true),
+            (2, AllocatorKind::BitReversal, true),
+            (3, AllocatorKind::FirstFit, true),
+            (4, AllocatorKind::ReverseFit, false),
+        ] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut t = HighPriorityTable::with_allocator(allocator);
+            t.set_auto_defrag(auto_defrag);
+            t.set_capacity_limit(13_056);
+            let mut live: Vec<(SequenceId, Weight)> = Vec::new();
+            for step in 0..3000 {
+                let at = format!("seed {seed} step {step}");
+                match rng.gen_range(0u32..100) {
+                    0..=59 => {
+                        let k = rng.gen_range(0u8..6);
+                        let d = *rng.choose(&Distance::ALL).unwrap();
+                        let w = rng.gen_range(1u32..600);
+                        if check_planning(&t, k, d, w, &at) {
+                            fresh += 1;
+                        }
+                        if let Ok(adm) = t.admit(sl(k), vl(k), d, w) {
+                            joins += usize::from(!adm.new_sequence);
+                            live.push((adm.sequence, w));
+                        }
+                    }
+                    60..=94 if !live.is_empty() => {
+                        let (id, w) = live.swap_remove(rng.gen_range(0usize..live.len()));
+                        t.release(id, w).unwrap();
+                    }
+                    _ => {
+                        // Damage, plan on the damaged table, repair.
+                        if t.inject_corruption(&mut rng) > 0 {
+                            damaged += 1;
+                            let k = rng.gen_range(0u8..6);
+                            let d = *rng.choose(&Distance::ALL).unwrap();
+                            check_planning(&t, k, d, rng.gen_range(1u32..600), &at);
+                        }
+                        t.repair();
+                        live.clear();
+                        for (id, info) in t.sequences().collect::<Vec<_>>() {
+                            // Re-issue the survivors as one connection each.
+                            if let Some(q) = t.sequences[id.0 as usize].as_mut() {
+                                q.connections = 1;
+                            }
+                            live.push((id, info.total_weight));
+                        }
+                    }
+                }
+                t.check_consistency()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                for k in 0..6 {
+                    for d in Distance::ALL {
+                        for w in [1, 100, 255, 1000] {
+                            assert_eq!(
+                                t.find_joinable(sl(k), d, w),
+                                linear_joinable(&t, sl(k), d, w),
+                                "{at}: join index, sl {k} {d} w={w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            fresh > 1500 && joins > 1200 && damaged > 250,
+            "{fresh} fresh plans, {joins} joins, {damaged} damaged tables"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Connection admission control: the per-port table registry and the
-//! all-or-nothing multi-hop reservation transaction.
+//! all-or-nothing multi-hop admission, decided before it reserves.
 //!
 //! "Each request is studied in each node in its path, and it is only
 //! accepted if there are available resources."
@@ -7,8 +7,8 @@
 use crate::connection::HopReservation;
 use crate::stamp::Stamps;
 use iba_core::{
-    AllocatorKind, Distance, HighPriorityTable, SequenceId, ServiceLevel, TableError, VirtualLane,
-    Weight, MAX_TABLE_WEIGHT,
+    AllocatorKind, Distance, HighPriorityTable, Placement, SequenceId, ServiceLevel, TableError,
+    VirtualLane, Weight, MAX_TABLE_WEIGHT,
 };
 use iba_sim::NodeId;
 
@@ -45,7 +45,8 @@ pub enum RejectReason {
     CapacityExceeded(PortKey),
     /// The request is too large for any single sequence.
     RequestTooLarge,
-    /// The request was malformed (zero weight or a stale sequence id).
+    /// The request was malformed (zero weight, a stale sequence id or a
+    /// path that names a port twice).
     InvalidRequest,
 }
 
@@ -174,6 +175,9 @@ pub struct PortTables {
     allocator: AllocatorKind,
     capacity_limit: Weight,
     stamps: Stamps,
+    /// Scratch of `admit_path`: each planned hop's table position and
+    /// placement, kept to reuse its allocation.
+    planned: Vec<(usize, Placement)>,
 }
 
 /// Prints what the registry printed when it was a
@@ -215,6 +219,7 @@ impl PortTables {
             allocator,
             capacity_limit: (qos_fraction * f64::from(MAX_TABLE_WEIGHT)) as Weight,
             stamps: Stamps::new(),
+            planned: Vec::new(),
         }
     }
 
@@ -262,26 +267,27 @@ impl PortTables {
         &mut self.tables[p]
     }
 
-    fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
-        let p = match self.position(key) {
-            Some(p) => p,
-            None => {
-                let p = self.keys.partition_point(|k| k.key < key);
-                let table = self.fresh_table();
-                let code = key.stable_code();
-                self.keys.insert(
-                    p,
-                    StampedKey {
-                        key,
-                        code,
-                        stamp: 0,
-                    },
-                );
-                self.tables.insert(p, table);
-                self.reindex();
-                p
-            }
+    /// Position of `key`'s table, created on first touch (the caller
+    /// stamps it). A creation shifts every later position up by one.
+    fn touch(&mut self, key: PortKey) -> usize {
+        if let Some(p) = self.position(key) {
+            return p;
+        }
+        let p = self.keys.partition_point(|k| k.key < key);
+        let table = self.fresh_table();
+        let stamped = StampedKey {
+            key,
+            code: key.stable_code(),
+            stamp: 0,
         };
+        self.keys.insert(p, stamped);
+        self.tables.insert(p, table);
+        self.reindex();
+        p
+    }
+
+    fn table_mut(&mut self, key: PortKey) -> &mut HighPriorityTable {
+        let p = self.touch(key);
         self.restamped(p)
     }
 
@@ -317,9 +323,23 @@ impl PortTables {
         &self.tables[p]
     }
 
-    /// Attempts to reserve `(sl, vl, distance, weight)` at every port in
-    /// `path`, in order. On any failure all prior reservations are
-    /// rolled back and the failing hop is reported.
+    /// Reserves `(sl, vl, distance, weight)` at every port in `path`,
+    /// or at none.
+    ///
+    /// Each hop is planned read-only, in path order, against its table
+    /// as it stands; only if every hop plans are the placements
+    /// committed. A rejection reports the first hop that failed. On
+    /// consistent tables it leaves every table as reserving the earlier
+    /// hops and rolling them back would have: a joined hop is
+    /// untouched, and a hop that planned a fresh sequence gets that
+    /// sequence's release defragmentation
+    /// ([`HighPriorityTable::undo_fresh`]). (A joined sequence whose
+    /// slots are damaged keeps them; repair rewrites them.) Tables of
+    /// never-touched ports up to the failing hop are created, and only
+    /// tables the call changed are restamped.
+    ///
+    /// A path that names a port twice is rejected as
+    /// [`RejectReason::InvalidRequest`] before any table is touched.
     pub fn admit_path(
         &mut self,
         path: &[PortKey],
@@ -331,8 +351,8 @@ impl PortTables {
         self.admit_path_observed(path, sl, vl, distance, weight, &mut iba_obs::NullRecorder)
     }
 
-    /// [`PortTables::admit_path`] with instrumentation: each hop's
-    /// allocator probes are recorded into `rec` (admission is a
+    /// [`PortTables::admit_path`] with instrumentation: each planned
+    /// hop's allocator probes are recorded into `rec` (admission is a
     /// control-plane operation, so dynamic dispatch here costs nothing
     /// measurable).
     pub fn admit_path_observed(
@@ -345,38 +365,48 @@ impl PortTables {
         rec: &mut dyn iba_obs::Recorder,
     ) -> Result<Vec<HopReservation>, RejectReason> {
         rec.span_begin("cac.admit");
-        let result = self.admit_path_inner(path, sl, vl, distance, weight, rec);
+        let mut planned = std::mem::take(&mut self.planned);
+        planned.clear();
+        let result = self
+            .plan_path(path, sl, distance, weight, &mut planned, rec)
+            .map(|()| self.commit_path(path, sl, vl, weight, &planned));
+        self.planned = planned;
         rec.span_end("cac.admit");
         result
     }
 
-    fn admit_path_inner(
+    /// Plans every hop of `path` into `planned` as `(table position,
+    /// placement)`, or undoes the fresh hops planned before the first
+    /// hop that fails and reports it.
+    fn plan_path(
         &mut self,
         path: &[PortKey],
         sl: ServiceLevel,
-        vl: VirtualLane,
         distance: Distance,
         weight: Weight,
+        planned: &mut Vec<(usize, Placement)>,
         rec: &mut dyn iba_obs::Recorder,
-    ) -> Result<Vec<HopReservation>, RejectReason> {
-        let mut done: Vec<HopReservation> = Vec::with_capacity(path.len());
+    ) -> Result<(), RejectReason> {
+        if (1..path.len()).any(|i| path[..i].contains(&path[i])) {
+            return Err(RejectReason::InvalidRequest);
+        }
         for &key in path {
-            match self
-                .table_mut(key)
-                .admit_observed(sl, vl, distance, weight, rec)
-            {
-                Ok(adm) => done.push(HopReservation {
-                    node: key.node,
-                    port: key.port,
-                    sequence: adm.sequence,
-                }),
+            let known = self.tables.len();
+            let p = self.touch(key);
+            if self.tables.len() > known {
+                self.restamped(p);
+                // The new table shifted every later position.
+                for (q, _) in planned.iter_mut().filter(|(q, _)| *q >= p) {
+                    *q += 1;
+                }
+            }
+            match self.tables[p].plan_admit(sl, distance, weight, rec) {
+                Ok(placement) => planned.push((p, placement)),
                 Err(e) => {
-                    // Roll back everything reserved so far. These
-                    // releases mirror admissions made microseconds ago,
-                    // so a failure here means concurrent table damage —
-                    // absorb it; the recovery layer re-validates tables.
-                    for hop in done.into_iter().rev() {
-                        let _ = self.release_hop(hop, weight);
+                    for &(q, placement) in planned.iter().rev() {
+                        if let Placement::Fresh(eset) = placement {
+                            self.restamped(q).undo_fresh(eset);
+                        }
                     }
                     return Err(match e {
                         TableError::NoFreeSequence => RejectReason::NoFreeSequence(key),
@@ -387,7 +417,30 @@ impl PortTables {
                 }
             }
         }
-        Ok(done)
+        Ok(())
+    }
+
+    /// Commits the placements [`PortTables::plan_path`] planned for
+    /// `path`.
+    fn commit_path(
+        &mut self,
+        path: &[PortKey],
+        sl: ServiceLevel,
+        vl: VirtualLane,
+        weight: Weight,
+        planned: &[(usize, Placement)],
+    ) -> Vec<HopReservation> {
+        path.iter()
+            .zip(planned)
+            .map(|(&key, &(p, placement))| HopReservation {
+                node: key.node,
+                port: key.port,
+                sequence: self
+                    .restamped(p)
+                    .commit_admit(sl, vl, weight, placement)
+                    .sequence,
+            })
+            .collect()
     }
 
     /// Releases one hop's reservation. A mismatched release (a stale
@@ -506,6 +559,55 @@ mod tests {
     }
 
     #[test]
+    fn a_path_naming_a_port_twice_is_rejected_untouched() {
+        let mut pt = PortTables::new(0.8);
+        pt.admit_path(&[key(0, 1)], sl(2), vl(2), Distance::D8, 30)
+            .unwrap();
+        let (before, stamp) = (format!("{pt:?}"), pt.stamp(key(0, 1)));
+        for path in [
+            [key(0, 1), key(1, 2), key(0, 1)],
+            [key(1, 2), key(3, 0), key(3, 0)],
+        ] {
+            assert_eq!(
+                pt.admit_path(&path, sl(2), vl(2), Distance::D8, 30)
+                    .unwrap_err(),
+                RejectReason::InvalidRequest
+            );
+        }
+        // No table was created, changed or restamped.
+        assert_eq!(format!("{pt:?}"), before);
+        assert_eq!(pt.stamp(key(0, 1)), stamp);
+        assert!(pt.table(key(1, 2)).is_none() && pt.table(key(3, 0)).is_none());
+    }
+
+    #[test]
+    fn a_rejection_restamps_only_the_tables_it_changes() {
+        let mut pt = PortTables::new(0.8);
+        // Hop (1, 2) is full; (0, 1) holds a joinable SL-2 sequence.
+        for _ in 0..4 {
+            pt.admit_path(&[key(1, 2)], sl(6), vl(6), Distance::D64, 3264)
+                .unwrap();
+        }
+        pt.admit_path(&[key(0, 1)], sl(2), vl(2), Distance::D8, 30)
+            .unwrap();
+        let stamps = |pt: &PortTables| [key(0, 1), key(1, 2)].map(|k| pt.stamp(k));
+        let before = (format!("{pt:?}"), stamps(&pt));
+        // A join at (0, 1), then the full hop: nothing changes.
+        let err = pt
+            .admit_path(&[key(0, 1), key(1, 2)], sl(2), vl(2), Distance::D8, 30)
+            .unwrap_err();
+        assert_eq!(err, RejectReason::CapacityExceeded(key(1, 2)));
+        assert_eq!((format!("{pt:?}"), stamps(&pt)), before);
+        // A fresh hop at a new port, then the full hop: the new table
+        // exists, empty, and the full one keeps its stamp.
+        pt.admit_path(&[key(4, 0), key(1, 2)], sl(3), vl(3), Distance::D8, 30)
+            .unwrap_err();
+        assert_eq!(pt.table(key(4, 0)).unwrap().reserved_weight(), 0);
+        assert_eq!(stamps(&pt), before.1);
+        pt.check_all().unwrap();
+    }
+
+    #[test]
     fn releasing_every_hop_returns_capacity() {
         let mut pt = PortTables::new(0.8);
         let path = [key(0, 0), key(1, 1)];
@@ -589,8 +691,10 @@ mod tests {
                 })
             }
 
-            /// `admit_path` over the map: reserve hop by hop, roll back
-            /// on the first failure.
+            /// `admit_path` as it was before admission planned first:
+            /// reserve hop by hop, and on the first failure release the
+            /// hops reserved so far. A rejection reports how many of
+            /// those hops had opened a fresh sequence.
             pub fn admit_path(
                 &mut self,
                 path: &[PortKey],
@@ -598,22 +702,26 @@ mod tests {
                 vl: VirtualLane,
                 distance: Distance,
                 weight: Weight,
-            ) -> Option<Vec<HopReservation>> {
+            ) -> Result<Vec<HopReservation>, usize> {
                 let mut done = Vec::new();
+                let mut fresh = 0;
                 for &key in path {
                     match self.table_mut(key).admit(sl, vl, distance, weight) {
-                        Ok(adm) => done.push(HopReservation {
-                            node: key.node,
-                            port: key.port,
-                            sequence: adm.sequence,
-                        }),
+                        Ok(adm) => {
+                            fresh += usize::from(adm.new_sequence);
+                            done.push(HopReservation {
+                                node: key.node,
+                                port: key.port,
+                                sequence: adm.sequence,
+                            });
+                        }
                         Err(_) => {
                             self.release_path(&done, weight);
-                            return None;
+                            return Err(fresh);
                         }
                     }
                 }
-                Some(done)
+                Ok(done)
             }
 
             pub fn release_path(&mut self, hops: &[HopReservation], weight: Weight) {
@@ -689,6 +797,9 @@ mod tests {
         let mut live: Vec<(Vec<HopReservation>, Weight)> = Vec::new();
         // Admits, teardowns and repairs taken.
         let mut taken = [0usize; 3];
+        // Rejections that rolled back a fresh sequence in the reference:
+        // the ones whose undo must defragment.
+        let mut fresh_rollbacks = 0;
         assert_same_registry(&pt, &reference, 0);
         for step in 1..=1500 {
             match rng.gen_range(0u32..100) {
@@ -706,7 +817,12 @@ mod tests {
                     let w = rng.gen_range(1u32..400);
                     let got = pt.admit_path(&path, sl(s), vl(s), d, w).ok();
                     let want = reference.admit_path(&path, sl(s), vl(s), d, w);
-                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "step {step}");
+                    fresh_rollbacks += usize::from(matches!(want, Err(n) if n > 0));
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{:?}", want.ok()),
+                        "step {step}"
+                    );
                     live.extend(got.map(|h| (h, w)));
                 }
                 60..=91 if !live.is_empty() => {
@@ -753,6 +869,10 @@ mod tests {
         assert!(
             taken.iter().all(|&n| n > 10),
             "every operation ran: {taken:?}"
+        );
+        assert!(
+            fresh_rollbacks >= 10,
+            "only {fresh_rollbacks} rejections rolled back a fresh sequence"
         );
     }
 

@@ -227,6 +227,71 @@ fn write_flight_bundle(dir: &str, input: &iba_obs::FlightInput<'_>) -> Result<St
     ))
 }
 
+/// One checked run, as the shared verdict/SLO/flight gate sees it.
+struct Checked<'a> {
+    /// The run's machine-readable verdict line, when the run failed.
+    failure: Option<String>,
+    /// The registry the `--slo` verdict is stamped into; without a
+    /// timeline, also the single window the spec is evaluated over.
+    metrics: &'a mut iba_obs::Metrics,
+    /// The run's timeline, whose windows the spec is evaluated over.
+    timeline: Option<&'a iba_obs::Timeline>,
+    tracer: Option<&'a iba_obs::RingTracer>,
+    requests: &'a [(u64, iba_obs::TraceEvent)],
+    /// Append neither the SLO report nor the flight note to `out`.
+    quiet: bool,
+}
+
+/// The gate every checking command ends with: evaluates `--slo` and
+/// stamps the verdict (after the command's report was rendered, so the
+/// report is not perturbed by it), and when the run or the SLO failed,
+/// writes the `--flight-dir` bundle and returns `Err` whose first line
+/// is machine-readable — the run's own verdict ahead of the SLO's.
+fn gate(args: &Args, mut out: String, run: Checked<'_>) -> Result<String, String> {
+    let slo = match &args.slo {
+        Some(spec) => {
+            let report = match run.timeline {
+                Some(tl) => {
+                    let windows: Vec<(u64, &iba_obs::Metrics)> =
+                        tl.windows().iter().map(|(i, m)| (*i, m)).collect();
+                    evaluate_slo(spec, &windows)?
+                }
+                None => evaluate_slo(spec, &[(0, &*run.metrics)])?,
+            };
+            report.stamp(run.metrics);
+            if !run.quiet {
+                out.push_str(&report.render());
+            }
+            Some(report)
+        }
+        None => None,
+    };
+    let failure = run
+        .failure
+        .or_else(|| slo.as_ref().filter(|r| !r.pass).map(slo_first_line));
+    let Some(first) = failure else {
+        return Ok(out);
+    };
+    if let Some(dir) = &args.flight_dir {
+        let note = write_flight_bundle(
+            dir,
+            &iba_obs::FlightInput {
+                reason: &first,
+                metrics: run.metrics,
+                timeline: run.timeline,
+                tracer: run.tracer,
+                requests: run.requests,
+                slo: slo.as_ref(),
+                tail_windows: 8,
+            },
+        )?;
+        if !run.quiet {
+            out.push_str(&note);
+        }
+    }
+    Err(format!("{first}\n{out}"))
+}
+
 /// `ibaqos sweep` — one experiment per seed (`--seeds` points starting
 /// at `--seed`), sharded over `--threads` workers by the deterministic
 /// parallel engine. The table is identical at any thread count. With
@@ -382,61 +447,27 @@ pub fn audit(args: &Args) -> Result<String, String> {
     // audit_violations_total).
     let mut exported = iba_obs::Metrics::new();
     outcome.auditor.export_into(&mut exported);
-    let slo_report = match &args.slo {
-        Some(spec) => {
-            let report = evaluate_slo(spec, &[(0, &exported)])?;
-            report.stamp(&mut exported);
-            out.push_str(&report.render());
-            Some(report)
-        }
-        None => None,
-    };
-    let verdict_pass = outcome.passed();
-    let slo_pass = slo_report.as_ref().is_none_or(|r| r.pass);
-    if !verdict_pass || !slo_pass {
-        if let Some(dir) = &args.flight_dir {
-            let reason = if verdict_pass {
-                slo_first_line(slo_report.as_ref().expect("slo failed"))
-            } else {
-                format!(
-                    "audit: verdict=FAIL violations={} allocator={} mtu={} seed={}",
-                    outcome.violations(),
-                    args.allocator.name(),
-                    args.mtu,
-                    args.seed,
-                )
-            };
-            out.push_str(&write_flight_bundle(
-                dir,
-                &iba_obs::FlightInput {
-                    reason: &reason,
-                    metrics: &exported,
-                    timeline: None,
-                    tracer: outcome.auditor.tracer(),
-                    requests: &[],
-                    slo: slo_report.as_ref(),
-                    tail_windows: 8,
-                },
-            )?);
-        }
-    }
-    if !verdict_pass {
-        // Failure contract: the first stderr line is machine-readable.
-        return Err(format!(
-            "audit: verdict=FAIL violations={} allocator={} mtu={} seed={}\n{out}",
+    let failure = (!outcome.passed()).then(|| {
+        format!(
+            "audit: verdict=FAIL violations={} allocator={} mtu={} seed={}",
             outcome.violations(),
             args.allocator.name(),
             args.mtu,
             args.seed,
-        ));
-    }
-    if !slo_pass {
-        return Err(format!(
-            "{}\n{out}",
-            slo_first_line(slo_report.as_ref().expect("slo failed"))
-        ));
-    }
-    Ok(out)
+        )
+    });
+    gate(
+        args,
+        out,
+        Checked {
+            failure,
+            metrics: &mut exported,
+            timeline: None,
+            tracer: outcome.auditor.tracer(),
+            requests: &[],
+            quiet: false,
+        },
+    )
 }
 
 /// `ibaqos chaos` — fills a port's table, injects `--rounds` of seeded
@@ -457,54 +488,24 @@ pub fn chaos(args: &Args) -> Result<String, String> {
         args.threads
     };
     let outcome = iba_harness::run_chaos(&cfg, threads);
-    let mut out = outcome.render_report();
+    let out = outcome.render_report();
     // SLO gating over a single pseudo-window: the post-repair
     // auditor's exported registry plus the fault-injection totals.
     let mut exported = iba_obs::Metrics::new();
     outcome.audit.auditor.export_into(&mut exported);
     exported.fault_injected.add(outcome.faults_injected);
-    let slo_report = match &args.slo {
-        Some(spec) => {
-            let report = evaluate_slo(spec, &[(0, &exported)])?;
-            report.stamp(&mut exported);
-            out.push_str(&report.render());
-            Some(report)
-        }
-        None => None,
-    };
-    let verdict_pass = outcome.passed();
-    let slo_pass = slo_report.as_ref().is_none_or(|r| r.pass);
-    if !verdict_pass || !slo_pass {
-        if let Some(dir) = &args.flight_dir {
-            let reason = if verdict_pass {
-                slo_first_line(slo_report.as_ref().expect("slo failed"))
-            } else {
-                outcome.summary_line()
-            };
-            out.push_str(&write_flight_bundle(
-                dir,
-                &iba_obs::FlightInput {
-                    reason: &reason,
-                    metrics: &exported,
-                    timeline: None,
-                    tracer: outcome.audit.auditor.tracer(),
-                    requests: &[],
-                    slo: slo_report.as_ref(),
-                    tail_windows: 8,
-                },
-            )?);
-        }
-    }
-    if !verdict_pass {
-        return Err(format!("{}\n{out}", outcome.summary_line()));
-    }
-    if !slo_pass {
-        return Err(format!(
-            "{}\n{out}",
-            slo_first_line(slo_report.as_ref().expect("slo failed"))
-        ));
-    }
-    Ok(out)
+    gate(
+        args,
+        out,
+        Checked {
+            failure: (!outcome.passed()).then(|| outcome.summary_line()),
+            metrics: &mut exported,
+            timeline: None,
+            tracer: outcome.audit.auditor.tracer(),
+            requests: &[],
+            quiet: false,
+        },
+    )
 }
 
 /// `ibaqos serve` — drives a seeded admit/teardown/repair trace
@@ -547,58 +548,22 @@ pub fn serve(args: &Args) -> Result<String, String> {
             &outcome.report.request_records,
         )?);
     }
-    let slo_report = match &args.slo {
-        Some(spec) => {
-            let report = match &outcome.recorder.timeline {
-                Some(tl) => {
-                    let windows: Vec<(u64, &iba_obs::Metrics)> =
-                        tl.windows().iter().map(|(i, m)| (*i, m)).collect();
-                    evaluate_slo(spec, &windows)?
-                }
-                None => evaluate_slo(spec, &[(0, &outcome.recorder.metrics)])?,
-            };
-            // Stamp after the replay report above was rendered, so the
-            // report is not perturbed by the verdict.
-            report.stamp(&mut outcome.recorder.metrics);
-            out.push('\n');
-            out.push_str(&report.render());
-            Some(report)
-        }
-        None => None,
-    };
-    let verdict_pass = outcome.passed();
-    let slo_pass = slo_report.as_ref().is_none_or(|r| r.pass);
-    if !verdict_pass || !slo_pass {
-        if let Some(dir) = &args.flight_dir {
-            let reason = if verdict_pass {
-                slo_first_line(slo_report.as_ref().expect("slo failed"))
-            } else {
-                outcome.summary_line()
-            };
-            out.push_str(&write_flight_bundle(
-                dir,
-                &iba_obs::FlightInput {
-                    reason: &reason,
-                    metrics: &outcome.recorder.metrics,
-                    timeline: outcome.recorder.timeline.as_ref(),
-                    tracer: outcome.recorder.tracer.as_ref(),
-                    requests: &outcome.report.request_records,
-                    slo: slo_report.as_ref(),
-                    tail_windows: 8,
-                },
-            )?);
-        }
+    // The SLO report sits one blank line below the run's report.
+    if args.slo.is_some() {
+        out.push('\n');
     }
-    if !verdict_pass {
-        return Err(format!("{}\n{out}", outcome.summary_line()));
-    }
-    if !slo_pass {
-        return Err(format!(
-            "{}\n{out}",
-            slo_first_line(slo_report.as_ref().expect("slo failed"))
-        ));
-    }
-    Ok(out)
+    gate(
+        args,
+        out,
+        Checked {
+            failure: (!outcome.passed()).then(|| outcome.summary_line()),
+            metrics: &mut outcome.recorder.metrics,
+            timeline: outcome.recorder.timeline.as_ref(),
+            tracer: outcome.recorder.tracer.as_ref(),
+            requests: &outcome.report.request_records,
+            quiet: false,
+        },
+    )
 }
 
 /// `ibaqos chaos-serve` — drives the journaled admission service under
@@ -634,56 +599,22 @@ pub fn chaos_serve(args: &Args) -> Result<String, String> {
             &outcome.report.request_records,
         )?);
     }
-    let slo_report = match &args.slo {
-        Some(spec) => {
-            let report = match &outcome.recorder.timeline {
-                Some(tl) => {
-                    let windows: Vec<(u64, &iba_obs::Metrics)> =
-                        tl.windows().iter().map(|(i, m)| (*i, m)).collect();
-                    evaluate_slo(spec, &windows)?
-                }
-                None => evaluate_slo(spec, &[(0, &outcome.recorder.metrics)])?,
-            };
-            report.stamp(&mut outcome.recorder.metrics);
-            out.push('\n');
-            out.push_str(&report.render());
-            Some(report)
-        }
-        None => None,
-    };
-    let verdict_pass = outcome.passed();
-    let slo_pass = slo_report.as_ref().is_none_or(|r| r.pass);
-    if !verdict_pass || !slo_pass {
-        if let Some(dir) = &args.flight_dir {
-            let reason = if verdict_pass {
-                slo_first_line(slo_report.as_ref().expect("slo failed"))
-            } else {
-                outcome.summary_line()
-            };
-            out.push_str(&write_flight_bundle(
-                dir,
-                &iba_obs::FlightInput {
-                    reason: &reason,
-                    metrics: &outcome.recorder.metrics,
-                    timeline: outcome.recorder.timeline.as_ref(),
-                    tracer: outcome.recorder.tracer.as_ref(),
-                    requests: &outcome.report.request_records,
-                    slo: slo_report.as_ref(),
-                    tail_windows: 8,
-                },
-            )?);
-        }
+    // The SLO report sits one blank line below the run's report.
+    if args.slo.is_some() {
+        out.push('\n');
     }
-    if !verdict_pass {
-        return Err(format!("{}\n{out}", outcome.summary_line()));
-    }
-    if !slo_pass {
-        return Err(format!(
-            "{}\n{out}",
-            slo_first_line(slo_report.as_ref().expect("slo failed"))
-        ));
-    }
-    Ok(out)
+    gate(
+        args,
+        out,
+        Checked {
+            failure: (!outcome.passed()).then(|| outcome.summary_line()),
+            metrics: &mut outcome.recorder.metrics,
+            timeline: outcome.recorder.timeline.as_ref(),
+            tracer: outcome.recorder.tracer.as_ref(),
+            requests: &outcome.report.request_records,
+            quiet: false,
+        },
+    )
 }
 
 /// `ibaqos timeline` — runs `--seeds` seeded experiments with a
@@ -705,58 +636,25 @@ pub fn timeline(args: &Args) -> Result<String, String> {
     cfg.mtu = args.mtu;
     cfg.steady_packets = args.steady_packets;
     let mut outcome = iba_harness::run_timeline(&cfg, threads);
-    let mut out = if args.json {
+    let out = if args.json {
         outcome.to_json_string()
     } else {
         outcome.render()
     };
-    let slo_report = match &args.slo {
-        Some(spec) => {
-            let report = {
-                let windows: Vec<(u64, &iba_obs::Metrics)> = outcome
-                    .timeline()
-                    .windows()
-                    .iter()
-                    .map(|(i, m)| (*i, m))
-                    .collect();
-                evaluate_slo(spec, &windows)?
-            };
-            report.stamp(&mut outcome.recorder.metrics);
+    gate(
+        args,
+        out,
+        Checked {
+            failure: None,
+            metrics: &mut outcome.recorder.metrics,
+            timeline: outcome.recorder.timeline.as_ref(),
+            tracer: outcome.recorder.tracer.as_ref(),
+            requests: &[],
             // Keep `--json` output the bare TIMELINE.json document (CI
             // byte-compares it); the verdict then only reaches stderr.
-            if !args.json {
-                out.push_str(&report.render());
-            }
-            Some(report)
-        }
-        None => None,
-    };
-    let slo_pass = slo_report.as_ref().is_none_or(|r| r.pass);
-    if !slo_pass {
-        if let Some(dir) = &args.flight_dir {
-            let reason = slo_first_line(slo_report.as_ref().expect("slo failed"));
-            let note = write_flight_bundle(
-                dir,
-                &iba_obs::FlightInput {
-                    reason: &reason,
-                    metrics: &outcome.recorder.metrics,
-                    timeline: Some(outcome.timeline()),
-                    tracer: outcome.recorder.tracer.as_ref(),
-                    requests: &[],
-                    slo: slo_report.as_ref(),
-                    tail_windows: 8,
-                },
-            )?;
-            if !args.json {
-                out.push_str(&note);
-            }
-        }
-        return Err(format!(
-            "{}\n{out}",
-            slo_first_line(slo_report.as_ref().expect("slo failed"))
-        ));
-    }
-    Ok(out)
+            quiet: args.json,
+        },
+    )
 }
 
 /// `ibaqos demo` — a narrated walk through the paper's algorithm.
@@ -1084,6 +982,12 @@ mod tests {
                 .starts_with("chaos-serve: verdict=FAIL"),
             "{err}"
         );
+        // A failing `--slo` as well: the run's own verdict still leads
+        // stderr, ahead of the SLO line.
+        a.slo = Some("rate(cac_admit_total) == 0".into());
+        let err = chaos_serve(&a).expect_err("journal-off run must fail");
+        assert!(err.starts_with("chaos-serve: verdict=FAIL"), "{err}");
+        assert!(err.contains("slo: verdict=FAIL"), "{err}");
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! [`Metrics::snapshot`], which produces an ordered list of
 //! [`Sample`]s for rendering or serialization.
 //!
-//! The canonical metric names live in [`METRIC_NAMES`]; the metrics
-//! contract (`METRICS.md`) documents each one and `cargo xtask check`
-//! cross-checks the two.
+//! Every metric is declared once, as one row of the registry table at
+//! the foot of this module; the row yields the [`Metrics`] field, the
+//! [`METRIC_NAMES`] entry and the field's part in the snapshot, the
+//! merge and the window delta. The metrics contract (`METRICS.md`)
+//! documents each name and `cargo xtask check` cross-checks the two.
 
 /// A monotonic counter. Increments saturate at `u64::MAX` instead of
 /// wrapping, so a counter can never appear to go backwards.
@@ -23,12 +25,6 @@ impl Counter {
         self.0 = self.0.saturating_add(n);
     }
 
-    /// Folds another counter in (saturating sum; commutative).
-    #[inline]
-    pub fn merge(&mut self, other: Counter) {
-        self.add(other.0);
-    }
-
     /// Adds one, saturating at `u64::MAX`.
     #[inline]
     pub fn incr(&mut self) {
@@ -39,12 +35,6 @@ impl Counter {
     #[must_use]
     pub fn get(self) -> u64 {
         self.0
-    }
-
-    /// A counter holding exactly `v` (used by delta encoding).
-    #[must_use]
-    pub fn from_get(v: u64) -> Counter {
-        Counter(v)
     }
 }
 
@@ -64,14 +54,6 @@ impl Gauge {
     #[inline]
     pub fn add(&mut self, delta: i64) {
         self.0 = self.0.saturating_add(delta);
-    }
-
-    /// Folds another gauge in by taking the maximum — the only
-    /// order-independent combination for a level-style reading (used
-    /// when per-worker registries are merged).
-    #[inline]
-    pub fn merge(&mut self, other: Gauge) {
-        self.0 = self.0.max(other.0);
     }
 
     /// Current value.
@@ -226,54 +208,6 @@ impl<T> PerLane<T> {
     }
 }
 
-/// Every metric name of the contract, in snapshot order. Each name
-/// must be documented in `METRICS.md` (checked by `cargo xtask
-/// check`). Keep this list in sync with [`Metrics::snapshot`].
-pub const METRIC_NAMES: &[&str] = &[
-    "alloc_probe_total",
-    "alloc_probe_rejected_total",
-    "alloc_select_fail_total",
-    "alloc_probe_depth",
-    "arb_grant_total",
-    "arb_bytes_total",
-    "arb_high_bytes_total",
-    "arb_low_bytes_total",
-    "arb_vl15_bytes_total",
-    "arb_weight_exhausted_total",
-    "arb_hol_stall_total",
-    "arb_queue_depth",
-    "sim_events_total",
-    "sim_event_queue_depth",
-    "schedule_compile_total",
-    "schedule_invalidate_total",
-    "cac_admit_total",
-    "cac_reject_total",
-    "cac_release_total",
-    "harness_runs_total",
-    "harness_threads",
-    "audit_gap_max",
-    "audit_bound_cycles",
-    "audit_violations_total",
-    "fault_injected_total",
-    "fault_blocked_total",
-    "recovery_repairs_total",
-    "recovery_evicted_total",
-    "recovery_reinstalls_total",
-    "recovery_retries_total",
-    "recovery_degraded_total",
-    "recovery_backoff_cycles",
-    "span_records_total",
-    "span_dropped_total",
-    "serve_shard_rollback_total",
-    "serve_queue_depth",
-    "serve_crash_total",
-    "serve_journal_replay_total",
-    "serve_timeout_total",
-    "timeline_window_total",
-    "slo_eval_total",
-    "slo_breach_total",
-];
-
 /// A metric dimension attached to a [`Sample`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dim {
@@ -338,126 +272,308 @@ pub const REJECT_REASONS: [&str; 4] = [
     "invalid",
 ];
 
-/// The flat metrics registry: one field per contract metric.
-///
-/// See `METRICS.md` for what each metric means, its units and which
-/// paper figure/table it validates.
-#[derive(Clone, Debug, Default)]
-pub struct Metrics {
+/// How one kind of metric combines: the three rules the registry table
+/// applies to every field, lane by lane.
+trait Field {
+    /// Folds `other` in. Counters and histograms sum (saturating),
+    /// gauges take the maximum — every rule is commutative and
+    /// associative, so a set of registries merges to the same result in
+    /// any order.
+    fn merge(&mut self, other: &Self);
+    /// Removes an `earlier` cumulative reading of the same metric.
+    /// Counters and histograms subtract (saturating, so a mismatched
+    /// pair degrades to zero instead of wrapping); a gauge is a level
+    /// reading and keeps its current value.
+    fn subtract(&mut self, earlier: &Self);
+    /// The snapshot reading, or `None` when there is nothing to report
+    /// (a zero counter, a gauge at or below zero, an empty histogram).
+    fn reading(&self) -> Option<SampleValue>;
+}
+
+impl Field for Counter {
+    fn merge(&mut self, other: &Self) {
+        self.add(other.0);
+    }
+
+    fn subtract(&mut self, earlier: &Self) {
+        self.0 = self.0.saturating_sub(earlier.0);
+    }
+
+    fn reading(&self) -> Option<SampleValue> {
+        (self.0 > 0).then_some(SampleValue::Count(self.0))
+    }
+}
+
+impl Field for Gauge {
+    fn merge(&mut self, other: &Self) {
+        self.0 = self.0.max(other.0);
+    }
+
+    fn subtract(&mut self, _earlier: &Self) {}
+
+    fn reading(&self) -> Option<SampleValue> {
+        (self.0 > 0).then_some(SampleValue::Count(self.0 as u64))
+    }
+}
+
+impl Field for Histogram {
+    fn merge(&mut self, other: &Self) {
+        Histogram::merge(self, other);
+    }
+
+    fn subtract(&mut self, earlier: &Self) {
+        Histogram::subtract(self, earlier);
+    }
+
+    fn reading(&self) -> Option<SampleValue> {
+        (self.count > 0).then(|| SampleValue::Hist {
+            count: self.count,
+            sum: self.sum,
+            p50: self.quantile(0.50),
+            p99: self.quantile(0.99),
+        })
+    }
+}
+
+/// A registry field seen as lanes of one [`Field`] kind: a scalar
+/// metric is its own single lane, a per-lane or per-reason metric has
+/// one lane per dimension value.
+trait Lanes {
+    type Lane: Field;
+    fn lanes(&self) -> &[Self::Lane];
+    fn lanes_mut(&mut self) -> &mut [Self::Lane];
+}
+
+macro_rules! scalar_lanes {
+    ($($t:ty),*) => {$(
+        impl Lanes for $t {
+            type Lane = $t;
+            fn lanes(&self) -> &[$t] {
+                std::slice::from_ref(self)
+            }
+            fn lanes_mut(&mut self) -> &mut [$t] {
+                std::slice::from_mut(self)
+            }
+        }
+    )*};
+}
+scalar_lanes!(Counter, Gauge, Histogram);
+
+impl<T: Field> Lanes for PerLane<T> {
+    type Lane = T;
+    fn lanes(&self) -> &[T] {
+        &self.0
+    }
+    fn lanes_mut(&mut self) -> &mut [T] {
+        &mut self.0
+    }
+}
+
+impl<T: Field, const N: usize> Lanes for [T; N] {
+    type Lane = T;
+    fn lanes(&self) -> &[T] {
+        self
+    }
+    fn lanes_mut(&mut self) -> &mut [T] {
+        self
+    }
+}
+
+// The dimension of lane `i` of a dimensioned registry row.
+fn vl(i: usize) -> Dim {
+    Dim::Vl(i as u8)
+}
+fn sl(i: usize) -> Dim {
+    Dim::Sl(i as u8)
+}
+fn shard(i: usize) -> Dim {
+    Dim::Shard(i as u8)
+}
+fn reason(i: usize) -> Dim {
+    Dim::Reason(REJECT_REASONS[i])
+}
+
+/// Declares the registry: each row `field: Type = "name" [by dim]`
+/// yields one [`Metrics`] field, one [`METRIC_NAMES`] entry and its
+/// share of [`Metrics::snapshot`], [`Metrics::merge`] and
+/// [`Metrics::delta_from`]. A row without `by` is a scalar (`Dim::None`).
+macro_rules! registry {
+    (@dim) => { (|_: usize| Dim::None) };
+    (@dim $dim:ident) => { $dim };
+    ($($(#[$doc:meta])* $field:ident: $ty:ty = $name:literal $(by $dim:ident)?,)*) => {
+        /// Every metric name of the contract, in snapshot order. Each
+        /// name must be documented in `METRICS.md` (checked by `cargo
+        /// xtask check`).
+        pub const METRIC_NAMES: &[&str] = &[$($name),*];
+
+        /// The flat metrics registry: one field per contract metric.
+        ///
+        /// See `METRICS.md` for what each metric means, its units and
+        /// which paper figure/table it validates.
+        #[derive(Clone, Debug, Default)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl Metrics {
+            /// All non-zero readings, in [`METRIC_NAMES`] order.
+            /// Zero-valued lanes/reasons are omitted so reports stay
+            /// readable; an untouched registry snapshots to an empty
+            /// list.
+            #[must_use]
+            pub fn snapshot(&self) -> Vec<Sample> {
+                let mut out = Vec::new();
+                $(for (i, lane) in self.$field.lanes().iter().enumerate() {
+                    if let Some(value) = lane.reading() {
+                        let dim = registry!(@dim $($dim)?)(i);
+                        out.push(Sample { name: $name, dim, value });
+                    }
+                })*
+                out
+            }
+
+            /// Folds `other` into `self`.
+            ///
+            /// Counters and histograms merge by (saturating) sum,
+            /// gauges by maximum — every combination is commutative and
+            /// associative, so merging a set of per-worker registries
+            /// produces the same result in **any** order. This is what
+            /// makes the parallel experiment harness deterministic:
+            /// however runs were sharded over threads, the merged
+            /// registry is identical.
+            pub fn merge(&mut self, other: &Metrics) {
+                $(for (a, b) in self.$field.lanes_mut().iter_mut().zip(other.$field.lanes()) {
+                    Field::merge(a, b);
+                })*
+            }
+
+            /// In-place counterpart of [`Metrics::delta_from`]:
+            /// subtracts the earlier cumulative reading lane by lane
+            /// (mirror of [`Metrics::merge`]).
+            fn subtract(&mut self, earlier: &Metrics) {
+                $(for (a, b) in self.$field.lanes_mut().iter_mut().zip(earlier.$field.lanes()) {
+                    Field::subtract(a, b);
+                })*
+            }
+        }
+    };
+}
+
+registry! {
     /// `alloc_probe_total`: E-set probes performed by allocators.
-    pub alloc_probe: Counter,
+    alloc_probe: Counter = "alloc_probe_total",
     /// `alloc_probe_rejected_total`: probes that hit a busy E-set.
-    pub alloc_probe_rejected: Counter,
+    alloc_probe_rejected: Counter = "alloc_probe_rejected_total",
     /// `alloc_select_fail_total`: selects with no free E-set.
-    pub alloc_select_fail: Counter,
+    alloc_select_fail: Counter = "alloc_select_fail_total",
     /// `alloc_probe_depth`: probes per successful select.
-    pub alloc_probe_depth: Histogram,
+    alloc_probe_depth: Histogram = "alloc_probe_depth",
     /// `arb_grant_total`: arbitration grants per VL.
-    pub arb_grant: PerLane<Counter>,
+    arb_grant: PerLane<Counter> = "arb_grant_total" by vl,
     /// `arb_bytes_total`: bytes serviced per VL.
-    pub arb_bytes: PerLane<Counter>,
+    arb_bytes: PerLane<Counter> = "arb_bytes_total" by vl,
     /// `arb_high_bytes_total`: bytes granted by the high table.
-    pub arb_high_bytes: Counter,
+    arb_high_bytes: Counter = "arb_high_bytes_total",
     /// `arb_low_bytes_total`: bytes granted by the low table.
-    pub arb_low_bytes: Counter,
+    arb_low_bytes: Counter = "arb_low_bytes_total",
     /// `arb_vl15_bytes_total`: management bytes bypassing arbitration.
-    pub arb_vl15_bytes: Counter,
+    arb_vl15_bytes: Counter = "arb_vl15_bytes_total",
     /// `arb_weight_exhausted_total`: grants that drained the entry
     /// weight, per VL.
-    pub arb_weight_exhausted: PerLane<Counter>,
+    arb_weight_exhausted: PerLane<Counter> = "arb_weight_exhausted_total" by vl,
     /// `arb_hol_stall_total`: head-of-line credit stalls per VL.
-    pub arb_hol_stall: PerLane<Counter>,
+    arb_hol_stall: PerLane<Counter> = "arb_hol_stall_total" by vl,
     /// `arb_queue_depth`: queue depth (packets) at grant time.
-    pub arb_queue_depth: Histogram,
+    arb_queue_depth: Histogram = "arb_queue_depth",
     /// `sim_events_total`: events processed by the fabric event loop.
-    pub sim_events: Counter,
+    sim_events: Counter = "sim_events_total",
     /// `sim_event_queue_depth`: pending events in the event queue,
     /// observed after each pop.
-    pub sim_event_queue_depth: Histogram,
+    sim_event_queue_depth: Histogram = "sim_event_queue_depth",
     /// `schedule_compile_total`: arbitration tables compiled into grant
     /// schedules.
-    pub schedule_compiles: Counter,
+    schedule_compiles: Counter = "schedule_compile_total",
     /// `schedule_invalidate_total`: compiled grant schedules invalidated
     /// by a table change (admit, teardown, repair, fault corruption).
-    pub schedule_invalidations: Counter,
+    schedule_invalidations: Counter = "schedule_invalidate_total",
     /// `cac_admit_total`: admitted connections per SL.
-    pub cac_admit: PerLane<Counter>,
+    cac_admit: PerLane<Counter> = "cac_admit_total" by sl,
     /// `cac_reject_total`: rejected requests, indexed like
     /// [`REJECT_REASONS`].
-    pub cac_reject: [Counter; 4],
+    cac_reject: [Counter; 4] = "cac_reject_total" by reason,
     /// `cac_release_total`: connection teardowns.
-    pub cac_release: Counter,
+    cac_release: Counter = "cac_release_total",
     /// `harness_runs_total`: sweep points completed by the experiment
     /// harness.
-    pub harness_runs: Counter,
+    harness_runs: Counter = "harness_runs_total",
     /// `harness_threads`: worker threads used by the last sweep
     /// (merged across registries by maximum).
-    pub harness_threads: Gauge,
+    harness_threads: Gauge = "harness_threads",
     /// `audit_gap_max`: worst observed inter-grant gap (cycles) per VL,
     /// from the service-guarantee auditor.
-    pub audit_gap_max: PerLane<Gauge>,
+    audit_gap_max: PerLane<Gauge> = "audit_gap_max" by vl,
     /// `audit_bound_cycles`: the audited cycle budget per VL (the
     /// `d`·slot guarantee translated to worst-case cycles).
-    pub audit_bound_cycles: PerLane<Gauge>,
+    audit_bound_cycles: PerLane<Gauge> = "audit_bound_cycles" by vl,
     /// `audit_violations_total`: grants whose gap exceeded the budget,
     /// per VL.
-    pub audit_violations: PerLane<Counter>,
+    audit_violations: PerLane<Counter> = "audit_violations_total" by vl,
     /// `fault_injected_total`: fault actions applied by the
     /// fault-injection calendar.
-    pub fault_injected: Counter,
+    fault_injected: Counter = "fault_injected_total",
     /// `fault_blocked_total`: arbitration candidates suppressed by an
     /// active fault (link down, VL blackout or credit stall), per VL.
-    pub fault_blocked: PerLane<Counter>,
+    fault_blocked: PerLane<Counter> = "fault_blocked_total" by vl,
     /// `recovery_repairs_total`: damaged-table repair passes performed
     /// by the recovery manager.
-    pub recovery_repairs: Counter,
+    recovery_repairs: Counter = "recovery_repairs_total",
     /// `recovery_evicted_total`: orphaned/corrupt sequences evicted
     /// during repair.
-    pub recovery_evicted: Counter,
+    recovery_evicted: Counter = "recovery_evicted_total",
     /// `recovery_reinstalls_total`: sequences re-installed after a
     /// repair (at contracted or degraded distance).
-    pub recovery_reinstalls: Counter,
+    recovery_reinstalls: Counter = "recovery_reinstalls_total",
     /// `recovery_retries_total`: bounded admission retries taken by the
     /// recovery manager.
-    pub recovery_retries: Counter,
+    recovery_retries: Counter = "recovery_retries_total",
     /// `recovery_degraded_total`: re-installs that had to loosen the
     /// contracted distance (graceful-degradation ladder).
-    pub recovery_degraded: Counter,
+    recovery_degraded: Counter = "recovery_degraded_total",
     /// `recovery_backoff_cycles`: deterministic exponential backoff
     /// delay per retry, in cycles.
-    pub recovery_backoff_cycles: Histogram,
+    recovery_backoff_cycles: Histogram = "recovery_backoff_cycles",
     /// `span_records_total`: span profiler records exported (explicit
     /// [`crate::span::SpanRecorder::export_into`] only — wall-clock
     /// data never enters a registry implicitly).
-    pub span_records: Counter,
+    span_records: Counter = "span_records_total",
     /// `span_dropped_total`: span records overwritten because the span
     /// ring was full.
-    pub span_dropped: Counter,
+    span_dropped: Counter = "span_dropped_total",
     /// `serve_shard_rollback_total`: admissions the admission service
     /// rejected after reserving at least one hop (rolled back), on
     /// lane 0.
-    pub serve_shard_rollback: PerLane<Counter>,
+    serve_shard_rollback: PerLane<Counter> = "serve_shard_rollback_total" by shard,
     /// `serve_queue_depth`: in-flight operations of the admission
     /// service. Nothing records it since the service serves one
     /// operation at a time; it stays for readers of the registry.
-    pub serve_queue_depth: Histogram,
+    serve_queue_depth: Histogram = "serve_queue_depth",
     /// `serve_crash_total`: injected owner crashes of the admission
     /// service (each one forced a journal replay).
-    pub serve_crash: Counter,
+    serve_crash: Counter = "serve_crash_total",
     /// `serve_journal_replay_total`: write-ahead journal records
     /// replayed during restarts.
-    pub serve_journal_replay: Counter,
+    serve_journal_replay: Counter = "serve_journal_replay_total",
     /// `serve_timeout_total`: deterministic timeouts fired (= retries
     /// sent).
-    pub serve_timeout: Counter,
+    serve_timeout: Counter = "serve_timeout_total",
     /// `timeline_window_total`: telemetry windows closed by a
     /// [`crate::timeline::Timeline`] aggregator.
-    pub timeline_windows: Counter,
+    timeline_windows: Counter = "timeline_window_total",
     /// `slo_eval_total`: SLO clause evaluations performed (one per
     /// clause per timeline window).
-    pub slo_evals: Counter,
+    slo_evals: Counter = "slo_eval_total",
     /// `slo_breach_total`: SLO clause evaluations that breached.
-    pub slo_breaches: Counter,
+    slo_breaches: Counter = "slo_breach_total",
 }
 
 impl Metrics {
@@ -473,339 +589,6 @@ impl Metrics {
         self.snapshot().is_empty()
     }
 
-    fn hist_sample(name: &'static str, h: &Histogram) -> Sample {
-        Sample {
-            name,
-            dim: Dim::None,
-            value: SampleValue::Hist {
-                count: h.count(),
-                sum: h.sum(),
-                p50: h.quantile(0.50),
-                p99: h.quantile(0.99),
-            },
-        }
-    }
-
-    /// All non-zero readings, in [`METRIC_NAMES`] order. Zero-valued
-    /// lanes/reasons are omitted so reports stay readable; an untouched
-    /// registry snapshots to an empty list.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        let counter = |out: &mut Vec<Sample>, name: &'static str, dim: Dim, c: Counter| {
-            if c.get() > 0 {
-                out.push(Sample {
-                    name,
-                    dim,
-                    value: SampleValue::Count(c.get()),
-                });
-            }
-        };
-        counter(&mut out, "alloc_probe_total", Dim::None, self.alloc_probe);
-        counter(
-            &mut out,
-            "alloc_probe_rejected_total",
-            Dim::None,
-            self.alloc_probe_rejected,
-        );
-        counter(
-            &mut out,
-            "alloc_select_fail_total",
-            Dim::None,
-            self.alloc_select_fail,
-        );
-        if self.alloc_probe_depth.count() > 0 {
-            out.push(Self::hist_sample(
-                "alloc_probe_depth",
-                &self.alloc_probe_depth,
-            ));
-        }
-        for (i, c) in self.arb_grant.0.iter().enumerate() {
-            counter(&mut out, "arb_grant_total", Dim::Vl(i as u8), *c);
-        }
-        for (i, c) in self.arb_bytes.0.iter().enumerate() {
-            counter(&mut out, "arb_bytes_total", Dim::Vl(i as u8), *c);
-        }
-        counter(
-            &mut out,
-            "arb_high_bytes_total",
-            Dim::None,
-            self.arb_high_bytes,
-        );
-        counter(
-            &mut out,
-            "arb_low_bytes_total",
-            Dim::None,
-            self.arb_low_bytes,
-        );
-        counter(
-            &mut out,
-            "arb_vl15_bytes_total",
-            Dim::None,
-            self.arb_vl15_bytes,
-        );
-        for (i, c) in self.arb_weight_exhausted.0.iter().enumerate() {
-            counter(&mut out, "arb_weight_exhausted_total", Dim::Vl(i as u8), *c);
-        }
-        for (i, c) in self.arb_hol_stall.0.iter().enumerate() {
-            counter(&mut out, "arb_hol_stall_total", Dim::Vl(i as u8), *c);
-        }
-        if self.arb_queue_depth.count() > 0 {
-            out.push(Self::hist_sample("arb_queue_depth", &self.arb_queue_depth));
-        }
-        counter(&mut out, "sim_events_total", Dim::None, self.sim_events);
-        if self.sim_event_queue_depth.count() > 0 {
-            out.push(Self::hist_sample(
-                "sim_event_queue_depth",
-                &self.sim_event_queue_depth,
-            ));
-        }
-        counter(
-            &mut out,
-            "schedule_compile_total",
-            Dim::None,
-            self.schedule_compiles,
-        );
-        counter(
-            &mut out,
-            "schedule_invalidate_total",
-            Dim::None,
-            self.schedule_invalidations,
-        );
-        for (i, c) in self.cac_admit.0.iter().enumerate() {
-            counter(&mut out, "cac_admit_total", Dim::Sl(i as u8), *c);
-        }
-        for (i, c) in self.cac_reject.iter().enumerate() {
-            counter(
-                &mut out,
-                "cac_reject_total",
-                Dim::Reason(REJECT_REASONS[i]),
-                *c,
-            );
-        }
-        counter(&mut out, "cac_release_total", Dim::None, self.cac_release);
-        counter(&mut out, "harness_runs_total", Dim::None, self.harness_runs);
-        if self.harness_threads.get() > 0 {
-            out.push(Sample {
-                name: "harness_threads",
-                dim: Dim::None,
-                value: SampleValue::Count(self.harness_threads.get().max(0) as u64),
-            });
-        }
-        let lane_gauge = |out: &mut Vec<Sample>, name: &'static str, g: &PerLane<Gauge>| {
-            for (i, v) in g.0.iter().enumerate() {
-                if v.get() > 0 {
-                    out.push(Sample {
-                        name,
-                        dim: Dim::Vl(i as u8),
-                        value: SampleValue::Count(v.get().max(0) as u64),
-                    });
-                }
-            }
-        };
-        lane_gauge(&mut out, "audit_gap_max", &self.audit_gap_max);
-        lane_gauge(&mut out, "audit_bound_cycles", &self.audit_bound_cycles);
-        for (i, c) in self.audit_violations.0.iter().enumerate() {
-            counter(&mut out, "audit_violations_total", Dim::Vl(i as u8), *c);
-        }
-        counter(
-            &mut out,
-            "fault_injected_total",
-            Dim::None,
-            self.fault_injected,
-        );
-        for (i, c) in self.fault_blocked.0.iter().enumerate() {
-            counter(&mut out, "fault_blocked_total", Dim::Vl(i as u8), *c);
-        }
-        counter(
-            &mut out,
-            "recovery_repairs_total",
-            Dim::None,
-            self.recovery_repairs,
-        );
-        counter(
-            &mut out,
-            "recovery_evicted_total",
-            Dim::None,
-            self.recovery_evicted,
-        );
-        counter(
-            &mut out,
-            "recovery_reinstalls_total",
-            Dim::None,
-            self.recovery_reinstalls,
-        );
-        counter(
-            &mut out,
-            "recovery_retries_total",
-            Dim::None,
-            self.recovery_retries,
-        );
-        counter(
-            &mut out,
-            "recovery_degraded_total",
-            Dim::None,
-            self.recovery_degraded,
-        );
-        if self.recovery_backoff_cycles.count() > 0 {
-            out.push(Self::hist_sample(
-                "recovery_backoff_cycles",
-                &self.recovery_backoff_cycles,
-            ));
-        }
-        counter(&mut out, "span_records_total", Dim::None, self.span_records);
-        counter(&mut out, "span_dropped_total", Dim::None, self.span_dropped);
-        for (i, c) in self.serve_shard_rollback.0.iter().enumerate() {
-            counter(
-                &mut out,
-                "serve_shard_rollback_total",
-                Dim::Shard(i as u8),
-                *c,
-            );
-        }
-        if self.serve_queue_depth.count() > 0 {
-            out.push(Self::hist_sample(
-                "serve_queue_depth",
-                &self.serve_queue_depth,
-            ));
-        }
-        counter(&mut out, "serve_crash_total", Dim::None, self.serve_crash);
-        counter(
-            &mut out,
-            "serve_journal_replay_total",
-            Dim::None,
-            self.serve_journal_replay,
-        );
-        counter(
-            &mut out,
-            "serve_timeout_total",
-            Dim::None,
-            self.serve_timeout,
-        );
-        counter(
-            &mut out,
-            "timeline_window_total",
-            Dim::None,
-            self.timeline_windows,
-        );
-        counter(&mut out, "slo_eval_total", Dim::None, self.slo_evals);
-        counter(&mut out, "slo_breach_total", Dim::None, self.slo_breaches);
-        out
-    }
-
-    /// Folds `other` into `self`.
-    ///
-    /// Counters and histograms merge by (saturating) sum, gauges by
-    /// maximum — every combination is commutative and associative, so
-    /// merging a set of per-worker registries produces the same result
-    /// in **any** order. This is what makes the parallel experiment
-    /// harness deterministic: however runs were sharded over threads,
-    /// the merged registry is identical.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.alloc_probe.merge(other.alloc_probe);
-        self.alloc_probe_rejected.merge(other.alloc_probe_rejected);
-        self.alloc_select_fail.merge(other.alloc_select_fail);
-        self.alloc_probe_depth.merge(&other.alloc_probe_depth);
-        for (a, b) in self.arb_grant.0.iter_mut().zip(other.arb_grant.0.iter()) {
-            a.merge(*b);
-        }
-        for (a, b) in self.arb_bytes.0.iter_mut().zip(other.arb_bytes.0.iter()) {
-            a.merge(*b);
-        }
-        self.arb_high_bytes.merge(other.arb_high_bytes);
-        self.arb_low_bytes.merge(other.arb_low_bytes);
-        self.arb_vl15_bytes.merge(other.arb_vl15_bytes);
-        for (a, b) in self
-            .arb_weight_exhausted
-            .0
-            .iter_mut()
-            .zip(other.arb_weight_exhausted.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
-            .arb_hol_stall
-            .0
-            .iter_mut()
-            .zip(other.arb_hol_stall.0.iter())
-        {
-            a.merge(*b);
-        }
-        self.arb_queue_depth.merge(&other.arb_queue_depth);
-        self.sim_events.merge(other.sim_events);
-        self.sim_event_queue_depth
-            .merge(&other.sim_event_queue_depth);
-        self.schedule_compiles.merge(other.schedule_compiles);
-        self.schedule_invalidations
-            .merge(other.schedule_invalidations);
-        for (a, b) in self.cac_admit.0.iter_mut().zip(other.cac_admit.0.iter()) {
-            a.merge(*b);
-        }
-        for (a, b) in self.cac_reject.iter_mut().zip(other.cac_reject.iter()) {
-            a.merge(*b);
-        }
-        self.cac_release.merge(other.cac_release);
-        self.harness_runs.merge(other.harness_runs);
-        self.harness_threads.merge(other.harness_threads);
-        for (a, b) in self
-            .audit_gap_max
-            .0
-            .iter_mut()
-            .zip(other.audit_gap_max.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
-            .audit_bound_cycles
-            .0
-            .iter_mut()
-            .zip(other.audit_bound_cycles.0.iter())
-        {
-            a.merge(*b);
-        }
-        for (a, b) in self
-            .audit_violations
-            .0
-            .iter_mut()
-            .zip(other.audit_violations.0.iter())
-        {
-            a.merge(*b);
-        }
-        self.fault_injected.merge(other.fault_injected);
-        for (a, b) in self
-            .fault_blocked
-            .0
-            .iter_mut()
-            .zip(other.fault_blocked.0.iter())
-        {
-            a.merge(*b);
-        }
-        self.recovery_repairs.merge(other.recovery_repairs);
-        self.recovery_evicted.merge(other.recovery_evicted);
-        self.recovery_reinstalls.merge(other.recovery_reinstalls);
-        self.recovery_retries.merge(other.recovery_retries);
-        self.recovery_degraded.merge(other.recovery_degraded);
-        self.recovery_backoff_cycles
-            .merge(&other.recovery_backoff_cycles);
-        self.span_records.merge(other.span_records);
-        self.span_dropped.merge(other.span_dropped);
-        for (a, b) in self
-            .serve_shard_rollback
-            .0
-            .iter_mut()
-            .zip(other.serve_shard_rollback.0.iter())
-        {
-            a.merge(*b);
-        }
-        self.serve_queue_depth.merge(&other.serve_queue_depth);
-        self.serve_crash.merge(other.serve_crash);
-        self.serve_journal_replay.merge(other.serve_journal_replay);
-        self.serve_timeout.merge(other.serve_timeout);
-        self.timeline_windows.merge(other.timeline_windows);
-        self.slo_evals.merge(other.slo_evals);
-        self.slo_breaches.merge(other.slo_breaches);
-    }
-
     /// The per-window delta `self − earlier`, where `earlier` is a
     /// previous cumulative snapshot of the **same** registry.
     ///
@@ -819,111 +602,6 @@ impl Metrics {
         let mut out = self.clone();
         out.subtract(earlier);
         out
-    }
-
-    /// In-place counterpart of [`Metrics::delta_from`]: subtracts the
-    /// earlier cumulative reading field-by-field (mirror of
-    /// [`Metrics::merge`]).
-    fn subtract(&mut self, earlier: &Metrics) {
-        fn sub_c(a: &mut Counter, b: Counter) {
-            *a = Counter::from_get(a.get().saturating_sub(b.get()));
-        }
-        fn sub_h(a: &mut Histogram, b: &Histogram) {
-            a.subtract(b);
-        }
-        sub_c(&mut self.alloc_probe, earlier.alloc_probe);
-        sub_c(&mut self.alloc_probe_rejected, earlier.alloc_probe_rejected);
-        sub_c(&mut self.alloc_select_fail, earlier.alloc_select_fail);
-        sub_h(&mut self.alloc_probe_depth, &earlier.alloc_probe_depth);
-        for (a, b) in self.arb_grant.0.iter_mut().zip(earlier.arb_grant.0.iter()) {
-            sub_c(a, *b);
-        }
-        for (a, b) in self.arb_bytes.0.iter_mut().zip(earlier.arb_bytes.0.iter()) {
-            sub_c(a, *b);
-        }
-        sub_c(&mut self.arb_high_bytes, earlier.arb_high_bytes);
-        sub_c(&mut self.arb_low_bytes, earlier.arb_low_bytes);
-        sub_c(&mut self.arb_vl15_bytes, earlier.arb_vl15_bytes);
-        for (a, b) in self
-            .arb_weight_exhausted
-            .0
-            .iter_mut()
-            .zip(earlier.arb_weight_exhausted.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        for (a, b) in self
-            .arb_hol_stall
-            .0
-            .iter_mut()
-            .zip(earlier.arb_hol_stall.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        sub_h(&mut self.arb_queue_depth, &earlier.arb_queue_depth);
-        sub_c(&mut self.sim_events, earlier.sim_events);
-        sub_h(
-            &mut self.sim_event_queue_depth,
-            &earlier.sim_event_queue_depth,
-        );
-        sub_c(&mut self.schedule_compiles, earlier.schedule_compiles);
-        sub_c(
-            &mut self.schedule_invalidations,
-            earlier.schedule_invalidations,
-        );
-        for (a, b) in self.cac_admit.0.iter_mut().zip(earlier.cac_admit.0.iter()) {
-            sub_c(a, *b);
-        }
-        for (a, b) in self.cac_reject.iter_mut().zip(earlier.cac_reject.iter()) {
-            sub_c(a, *b);
-        }
-        sub_c(&mut self.cac_release, earlier.cac_release);
-        sub_c(&mut self.harness_runs, earlier.harness_runs);
-        // Gauges (harness_threads, audit_gap_max, audit_bound_cycles)
-        // are level readings: the window keeps the current level.
-        for (a, b) in self
-            .audit_violations
-            .0
-            .iter_mut()
-            .zip(earlier.audit_violations.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        sub_c(&mut self.fault_injected, earlier.fault_injected);
-        for (a, b) in self
-            .fault_blocked
-            .0
-            .iter_mut()
-            .zip(earlier.fault_blocked.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        sub_c(&mut self.recovery_repairs, earlier.recovery_repairs);
-        sub_c(&mut self.recovery_evicted, earlier.recovery_evicted);
-        sub_c(&mut self.recovery_reinstalls, earlier.recovery_reinstalls);
-        sub_c(&mut self.recovery_retries, earlier.recovery_retries);
-        sub_c(&mut self.recovery_degraded, earlier.recovery_degraded);
-        sub_h(
-            &mut self.recovery_backoff_cycles,
-            &earlier.recovery_backoff_cycles,
-        );
-        sub_c(&mut self.span_records, earlier.span_records);
-        sub_c(&mut self.span_dropped, earlier.span_dropped);
-        for (a, b) in self
-            .serve_shard_rollback
-            .0
-            .iter_mut()
-            .zip(earlier.serve_shard_rollback.0.iter())
-        {
-            sub_c(a, *b);
-        }
-        sub_h(&mut self.serve_queue_depth, &earlier.serve_queue_depth);
-        sub_c(&mut self.serve_crash, earlier.serve_crash);
-        sub_c(&mut self.serve_journal_replay, earlier.serve_journal_replay);
-        sub_c(&mut self.serve_timeout, earlier.serve_timeout);
-        sub_c(&mut self.timeline_windows, earlier.timeline_windows);
-        sub_c(&mut self.slo_evals, earlier.slo_evals);
-        sub_c(&mut self.slo_breaches, earlier.slo_breaches);
     }
 }
 

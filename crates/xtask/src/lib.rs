@@ -8,10 +8,10 @@
 //!
 //! * [`extract_relative_links`] — markdown link targets for the
 //!   doc-link lint (existence is checked by the runner).
-//! * [`extract_metric_names`] — the `METRIC_NAMES` declaration, for
-//!   the `METRICS.md` cross-check.
-//! * [`extract_lint_rule_rows`] — the `LINTS.md` rule-catalog table,
-//!   for the cross-check against `iba_lint::RULES`.
+//! * [`extract_table_rows`] — the named rows of the `LINTS.md` and
+//!   `METRICS.md` catalog tables.
+//! * [`metrics_doc_problems`] — the `METRICS.md` rows against the
+//!   registry's metric names, both directions.
 //! * [`extract_bench_ns`] / [`compare_benches`] — `BENCH_*.json`
 //!   parsing and the regression gate.
 //! * [`parse_require`] / [`check_speedups`] — the `--require
@@ -22,42 +22,13 @@
 
 #![forbid(unsafe_code)]
 
-/// The metric names declared in `METRIC_NAMES` of
-/// `crates/obs/src/metrics.rs`: every quoted string between the
-/// `METRIC_NAMES` declaration and its closing `];`. Returns an empty
-/// vector when the declaration is absent (the runner treats that as a
-/// failure, so a renamed constant cannot silently disable the gate).
+/// The named rows of a markdown catalog table: every table row whose
+/// first cell is a backticked name, as `(name, rest_of_row)`. The
+/// runner cross-checks the `LINTS.md` rows against `iba_lint::RULES`
+/// and the `METRICS.md` rows against `iba_obs::METRIC_NAMES`, in both
+/// directions (undocumented entry, documented ghost).
 #[must_use]
-pub fn extract_metric_names(source: &str) -> Vec<String> {
-    // Anchor on the declaration, not the bare identifier: doc comments
-    // mention `METRIC_NAMES` long before the constant itself.
-    let Some(start) = source.find("const METRIC_NAMES") else {
-        return Vec::new();
-    };
-    let Some(end) = source[start..].find("];") else {
-        return Vec::new();
-    };
-    let body = &source[start..start + end];
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(q) = rest.find('"') {
-        let after = &rest[q + 1..];
-        let Some(close) = after.find('"') else {
-            break;
-        };
-        out.push(after[..close].to_string());
-        rest = &after[close + 1..];
-    }
-    out
-}
-
-/// The rule rows of the `LINTS.md` catalog table: every markdown table
-/// row whose first cell is a backticked rule name, as
-/// `(rule_name, rest_of_row)`. The runner cross-checks these against
-/// `iba_lint::RULES` in both directions (undocumented rule, documented
-/// ghost rule) and requires each row to state the rule's severity.
-#[must_use]
-pub fn extract_lint_rule_rows(source: &str) -> Vec<(String, String)> {
+pub fn extract_table_rows(source: &str) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for line in source.lines() {
         let Some(rest) = line.trim_start().strip_prefix("| `") else {
@@ -69,6 +40,26 @@ pub fn extract_lint_rule_rows(source: &str) -> Vec<(String, String)> {
         out.push((name.to_string(), row.to_string()));
     }
     out
+}
+
+/// The mismatches between the `METRICS.md` contract and the registry's
+/// metric `names`: a registered name with no table row, and a row
+/// (first cell a backticked name) naming no registered metric. Empty
+/// when the two agree.
+#[must_use]
+pub fn metrics_doc_problems(doc: &str, names: &[&str]) -> Vec<String> {
+    let rows = extract_table_rows(doc);
+    let mut problems: Vec<String> = names
+        .iter()
+        .filter(|n| !rows.iter().any(|(r, _)| r == *n))
+        .map(|n| format!("metric `{n}` is not documented in METRICS.md"))
+        .collect();
+    problems.extend(
+        rows.iter()
+            .filter(|(r, _)| !names.contains(&r.as_str()))
+            .map(|(r, _)| format!("METRICS.md documents `{r}`, which is not a registered metric")),
+    );
+    problems
 }
 
 /// Relative markdown link targets in `source`, as `(line, target)`.
@@ -254,22 +245,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metric_names_are_extracted() {
-        let src = r#"
-//! Doc comment mentioning [`METRIC_NAMES`]; must not confuse the anchor.
-pub const METRIC_NAMES: &[&str] = &[
-    "alloc_probe_total",
-    "arb_grant_total", // per-VL
-    "cac_admit_total",
-];
-pub const OTHER: &[&str] = &["not_a_metric"];
-"#;
+    fn metrics_doc_is_checked_in_both_directions() {
+        let doc = "\
+| Name | Type |
+|---|---|
+| `alloc_probe_total` | counter |
+| `ghost_total` | counter |
+
+Prose mentioning `cac_admit_total` is not a row.
+";
+        let problems = metrics_doc_problems(doc, &["alloc_probe_total", "cac_admit_total"]);
         assert_eq!(
-            extract_metric_names(src),
-            vec!["alloc_probe_total", "arb_grant_total", "cac_admit_total"]
+            problems,
+            vec![
+                "metric `cac_admit_total` is not documented in METRICS.md",
+                "METRICS.md documents `ghost_total`, which is not a registered metric",
+            ]
         );
-        assert!(extract_metric_names("no such constant").is_empty());
-        assert!(extract_metric_names("const METRIC_NAMES with no close").is_empty());
+        assert!(metrics_doc_problems(doc, &["alloc_probe_total", "ghost_total"]).is_empty());
     }
 
     #[test]
@@ -284,12 +277,12 @@ pub const OTHER: &[&str] = &["not_a_metric"];
 
 Not a row: `inline-code` mention.
 ";
-        let rows = extract_lint_rule_rows(md);
+        let rows = extract_table_rows(md);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "no-panic");
         assert!(rows[0].1.contains("error"));
         assert_eq!(rows[1].0, "todo-tracked");
-        assert!(extract_lint_rule_rows("no table here").is_empty());
+        assert!(extract_table_rows("no table here").is_empty());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!    `LINT_baseline.txt` tolerated; any fresh finding fails.
 //! 4. **doc-links** — every relative markdown link in the repository's
 //!    `*.md` files must point at an existing file.
-//! 5. **metrics-doc** — every metric name declared in `METRIC_NAMES`
-//!    (`crates/obs/src/metrics.rs`) must appear in the `METRICS.md`
-//!    contract, so the observability surface cannot drift undocumented.
+//! 5. **metrics-doc** — the `METRICS.md` metric table must match
+//!    `iba_obs::METRIC_NAMES` exactly: every registered metric has a
+//!    row and every row names a registered metric, so the observability
+//!    surface cannot drift undocumented.
 //! 6. **lints-doc** — the `LINTS.md` rule catalog must match
 //!    `iba_lint::RULES` exactly (no undocumented rule, no documented
 //!    ghost, severities stated per row) — same pattern as metrics-doc.
@@ -54,8 +55,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use xtask::{
-    check_speedups, compare_benches, extract_lint_rule_rows, extract_metric_names,
-    extract_relative_links, parse_require,
+    check_speedups, compare_benches, extract_relative_links, extract_table_rows,
+    metrics_doc_problems, parse_require,
 };
 
 /// Clippy lints denied on top of the default `warn` set. Pinned so a
@@ -211,38 +212,26 @@ fn step_doc_links(root: &Path) -> StepResult {
     }
 }
 
-/// Cross-checks the metrics contract: every name in `METRIC_NAMES`
-/// (crates/obs/src/metrics.rs) must be documented in `METRICS.md`.
+/// Cross-checks the metrics contract: `METRICS.md`'s metric table must
+/// match `iba_obs::METRIC_NAMES` exactly (no undocumented metric, no
+/// documented ghost).
 fn step_metrics_doc(root: &Path) -> StepResult {
-    let source = match std::fs::read_to_string(root.join("crates/obs/src/metrics.rs")) {
-        Ok(s) => s,
-        Err(e) => return StepResult::Fail(format!("cannot read crates/obs/src/metrics.rs: {e}")),
-    };
-    let names = extract_metric_names(&source);
-    if names.is_empty() {
-        return StepResult::Fail(
-            "no METRIC_NAMES found in crates/obs/src/metrics.rs (constant renamed?)".to_string(),
-        );
-    }
-    let contract = match std::fs::read_to_string(root.join("METRICS.md")) {
+    let doc = match std::fs::read_to_string(root.join("METRICS.md")) {
         Ok(s) => s,
         Err(e) => return StepResult::Fail(format!("cannot read METRICS.md: {e}")),
     };
-    let missing: Vec<&String> = names
-        .iter()
-        .filter(|n| !contract.contains(n.as_str()))
-        .collect();
-    if missing.is_empty() {
+    let problems = metrics_doc_problems(&doc, iba_obs::METRIC_NAMES);
+    if problems.is_empty() {
         println!(
-            "      {} metric name(s) all documented in METRICS.md",
-            names.len()
+            "      {} metric(s) all documented in METRICS.md, no ghost rows",
+            iba_obs::METRIC_NAMES.len()
         );
         StepResult::Pass
     } else {
-        for m in &missing {
-            println!("      metric `{m}` is not documented in METRICS.md");
+        for p in &problems {
+            println!("      {p}");
         }
-        StepResult::Fail(format!("{} undocumented metric(s)", missing.len()))
+        StepResult::Fail(format!("{} metrics-contract problem(s)", problems.len()))
     }
 }
 
@@ -253,7 +242,7 @@ fn step_lints_doc(root: &Path) -> StepResult {
         Ok(s) => s,
         Err(e) => return StepResult::Fail(format!("cannot read LINTS.md: {e}")),
     };
-    let rows = extract_lint_rule_rows(&doc);
+    let rows = extract_table_rows(&doc);
     if rows.is_empty() {
         return StepResult::Fail("no rule table found in LINTS.md".to_string());
     }

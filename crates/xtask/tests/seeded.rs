@@ -105,7 +105,7 @@ fn lints_doc_catalog_matches_registry() {
     // exercised hermetically: every registered rule is documented with
     // its severity, and no ghost rules are documented.
     let doc = std::fs::read_to_string(repo_root().join("LINTS.md")).expect("LINTS.md readable");
-    let rows = xtask::extract_lint_rule_rows(&doc);
+    let rows = xtask::extract_table_rows(&doc);
     for rule in iba_lint::RULES {
         let row = rows.iter().find(|(n, _)| n == rule.name);
         let Some((_, rest)) = row else {

@@ -26,9 +26,17 @@
 //!   service, the journal or the fault model that moves one record
 //!   changes them. The constants were recorded with the single-owner
 //!   service's first version.
+//! * Metrics-registry digests: the `Debug` rendering, the snapshot, the
+//!   merge and the window delta of seeded registries in which every
+//!   field is written (zeros, negative gauges, saturating counters,
+//!   overflow-bucket histogram values). A change to the registry's field
+//!   order, a metric's name or dimension, or to how one kind of metric
+//!   merges, subtracts or snapshots changes them. The constants were
+//!   recorded with the registry written out field by field.
 //!
 //! Never regenerate the constants to make a change pass.
 
+use infiniband_qos::core::SplitMix64;
 use infiniband_qos::harness::{fnv64, Fnv64};
 use infiniband_qos::prelude::*;
 use infiniband_qos::qos::service::{generate_trace, run_trace_faulted, TraceConfig};
@@ -56,6 +64,14 @@ const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b
 /// Its repair drills re-admit evicted connections from the manager's
 /// records, so connections admitted before a repair stay live.
 const SERVE_FAULTED: (u64, u64) = (0x91e8_9707_86a2_e19d, 0x88cc_336f_54eb_db1a);
+
+/// Seeded metrics registries: `(Debug, snapshot, merge, delta)` digests.
+const REGISTRY: (u64, u64, u64, u64) = (
+    0x0287_f963_0f68_db75,
+    0x8c6f_06b0_d81f_8a69,
+    0xcee3_02ec_477f_1610,
+    0x12ff_2f60_9a3f_0749,
+);
 
 /// Digest of every table's slots, occupancy and sequence records.
 fn tables_digest(tables: &PortTables) -> u64 {
@@ -361,4 +377,123 @@ fn serve_faulted() -> (u64, u64) {
 fn faulted_service_report_and_metrics_are_pinned() {
     let got = serve_faulted();
     assert_eq!(got, SERVE_FAULTED, "got ({:#018x}, {:#018x})", got.0, got.1);
+}
+
+/// One seeded metric reading: zero, small, at a histogram bucket edge or
+/// in the overflow bucket, near the saturation limit, or any word.
+fn reading(rng: &mut SplitMix64) -> u64 {
+    match rng.next_u64() % 6 {
+        0 => 0,
+        1 => rng.next_u64() % 1_000,
+        2 => 1 << (rng.next_u64() % 17),
+        3 => 65_536 + rng.next_u64() % 100_000,
+        4 => u64::MAX - rng.next_u64() % 4,
+        _ => rng.next_u64(),
+    }
+}
+
+/// A registry with every field written by `seed`: each counter and
+/// lane gets two readings (so near-limit pairs saturate), each gauge a
+/// signed level (negative about half the time) and each histogram up
+/// to seven observations.
+fn seeded_registry(seed: u64) -> iba_obs::Metrics {
+    let rng = &mut SplitMix64::seed_from_u64(seed);
+    let mut m = iba_obs::Metrics::new();
+    for c in [
+        &mut m.alloc_probe,
+        &mut m.alloc_probe_rejected,
+        &mut m.alloc_select_fail,
+        &mut m.arb_high_bytes,
+        &mut m.arb_low_bytes,
+        &mut m.arb_vl15_bytes,
+        &mut m.sim_events,
+        &mut m.schedule_compiles,
+        &mut m.schedule_invalidations,
+        &mut m.cac_release,
+        &mut m.harness_runs,
+        &mut m.fault_injected,
+        &mut m.recovery_repairs,
+        &mut m.recovery_evicted,
+        &mut m.recovery_reinstalls,
+        &mut m.recovery_retries,
+        &mut m.recovery_degraded,
+        &mut m.span_records,
+        &mut m.span_dropped,
+        &mut m.serve_crash,
+        &mut m.serve_journal_replay,
+        &mut m.serve_timeout,
+        &mut m.timeline_windows,
+        &mut m.slo_evals,
+        &mut m.slo_breaches,
+    ]
+    .into_iter()
+    .chain(&mut m.cac_reject)
+    .chain(
+        [
+            &mut m.arb_grant,
+            &mut m.arb_bytes,
+            &mut m.arb_weight_exhausted,
+            &mut m.arb_hol_stall,
+            &mut m.cac_admit,
+            &mut m.audit_violations,
+            &mut m.fault_blocked,
+            &mut m.serve_shard_rollback,
+        ]
+        .into_iter()
+        .flat_map(|l| l.0.iter_mut()),
+    ) {
+        c.add(reading(rng));
+        c.add(reading(rng));
+    }
+    for g in std::iter::once(&mut m.harness_threads).chain(
+        [&mut m.audit_gap_max, &mut m.audit_bound_cycles]
+            .into_iter()
+            .flat_map(|l| l.0.iter_mut()),
+    ) {
+        g.set(reading(rng) as i64);
+        g.add(reading(rng) as i64 >> 8);
+    }
+    for h in [
+        &mut m.alloc_probe_depth,
+        &mut m.arb_queue_depth,
+        &mut m.sim_event_queue_depth,
+        &mut m.recovery_backoff_cycles,
+        &mut m.serve_queue_depth,
+    ] {
+        for _ in 0..rng.next_u64() % 8 {
+            h.observe(reading(rng));
+        }
+    }
+    m
+}
+
+fn registry_digests() -> (u64, u64, u64, u64) {
+    let (mut dbg, mut snap, mut merged, mut delta) = Default::default();
+    let fold = |h: &mut Fnv64, text: String| h.word(fnv64(text.as_bytes()));
+    for seed in 0..64 {
+        let a = seeded_registry(2 * seed);
+        let b = seeded_registry(2 * seed + 1);
+        fold(&mut dbg, format!("{a:?}"));
+        fold(&mut snap, format!("{:?}", a.snapshot()));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        fold(&mut merged, format!("{ab:?}"));
+        // A true window (a prefix removed) and a mismatched pair, whose
+        // counters and histograms must saturate at zero.
+        fold(&mut delta, format!("{:?}", ab.delta_from(&a)));
+        fold(&mut delta, format!("{:?}", a.delta_from(&b)));
+    }
+    (dbg.finish(), snap.finish(), merged.finish(), delta.finish())
+}
+
+#[test]
+fn metrics_registry_render_snapshot_merge_and_delta_are_pinned() {
+    let empty = iba_obs::Metrics::new();
+    assert!(empty.snapshot().is_empty());
+    let got = registry_digests();
+    assert_eq!(
+        got, REGISTRY,
+        "got ({:#018x}, {:#018x}, {:#018x}, {:#018x})",
+        got.0, got.1, got.2, got.3
+    );
 }

@@ -135,6 +135,50 @@ fn bench_alloc(h: &mut Harness) {
     t.defragment();
     assert!(t.defragment().is_empty(), "a re-pack settles");
     h.bench("alloc/defrag_plan", || t.defragment().len());
+    // A defragmentation shaped like the paper fill's undos, which re-pack
+    // ~14 live sequences and move ~9 of them: the first table of a
+    // seeded admit/release walk whose re-pack moves 9 of 14. Every
+    // iteration re-packs a fresh copy (the copy is part of the row).
+    let mut rng = SplitMix64::seed_from_u64(27);
+    let mut t = iba_core::HighPriorityTable::new();
+    let mut live = Vec::new();
+    let moving = (0..100_000)
+        .find_map(|_| {
+            if t.sequences().count() == 14 && t.clone().defragment().len() == 9 {
+                return Some(t.clone());
+            }
+            if live.is_empty() || rng.gen_range(0u32..3) < 2 {
+                let k = rng.gen_range(0u8..10);
+                let (sl, vl) = (ServiceLevel::new(k).unwrap(), VirtualLane::data(k));
+                let d = *rng.choose(&Distance::ALL).unwrap();
+                let w = rng.gen_range(1u32..300);
+                if let Ok(adm) = t.admit(sl, vl, d, w) {
+                    live.push((adm.sequence, w));
+                }
+            } else {
+                let (id, w) = live.swap_remove(rng.gen_range(0usize..live.len()));
+                t.release(id, w).unwrap();
+            }
+            None
+        })
+        .expect("the walk reaches a table whose re-pack moves 9 of 14");
+    h.bench("alloc/defrag_moving", || moving.clone().defragment().len());
+    // The route walk behind every admission: `for_each_hop` over every
+    // host pair of the paper fabric (16 switches, 64 hosts, instance 42).
+    let topo =
+        iba_topo::irregular::generate(iba_topo::irregular::IrregularConfig::paper_default(42));
+    let routing = updown::compute(&topo);
+    h.bench("topo/route_walk", || {
+        let mut hops = 0u32;
+        for src in topo.host_ids() {
+            for dst in topo.host_ids() {
+                routing.for_each_hop(&topo, src, dst, |_, port| {
+                    hops += u32::from(black_box(port) != u8::MAX);
+                });
+            }
+        }
+        hops
+    });
 }
 
 /// The 12:4 two-VL table shared by the grant benches.

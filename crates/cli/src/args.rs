@@ -27,15 +27,20 @@ COMMANDS:
     demo    step-by-step walkthrough of the table-filling algorithm
     help    show this text
 
-OPTIONS:
-    --switches <N>         number of switches        [default: 8]
-    --seed <S>             RNG seed                  [default: 42]
-    --mtu <M>              packet size in bytes: 256, 1024, 2048 or 4096
-                           [default: 256]
-    --steady-packets <P>   steady-state length       [default: 10]
+OPTIONS (a command rejects every option it does not read, exit 2):
+    --switches <N>         (all but audit/chaos/demo) number of switches
+                           [default: 8]
+    --seed <S>             (all but demo) RNG seed   [default: 42]
+    --mtu <M>              (fill/run/sweep/report/trace/audit/chaos/
+                           timeline) packet size in bytes: 256, 1024,
+                           2048 or 4096              [default: 256]
+    --steady-packets <P>   (run/sweep/report/trace/timeline) steady-state
+                           length                    [default: 10]
     --limit <L>            (trace) events to print, 0 = all  [default: 32]
-    --seeds <N>            (sweep) points: seeds S..S+N-1    [default: 4]
-    --threads <T>          (sweep) worker threads, 0 = IBA_THREADS/auto
+    --seeds <N>            (sweep/chaos/timeline) points: seeds S..S+N-1
+                           [default: 4]
+    --threads <T>          (sweep/chaos/timeline) worker threads,
+                           0 = IBA_THREADS/auto
     --allocator <A>        (audit/chaos) bit-reversal | first-fit | reverse-fit
     --rounds <R>           (chaos) corruption/repair rounds   [default: 3]
     --requests <N>         (serve/chaos-serve) trace operations [default: 96]
@@ -44,22 +49,24 @@ OPTIONS:
     --no-journal           (chaos-serve) disable the write-ahead
                            intent journal — the negative control; injected
                            crashes then lose reservations and the run FAILs
-    --perfetto <FILE>      (audit/trace/sweep/serve) write a Perfetto/
-                           Chrome trace-event JSON timeline to FILE; on
-                           serve it carries one pid-3 track per request
-    --window <W>           (timeline/serve) ticks per timeline window
+    --perfetto <FILE>      (audit/trace/sweep/serve/chaos-serve) write a
+                           Perfetto/Chrome trace-event JSON timeline to
+                           FILE; on serve it carries one pid-3 track per
+                           request
+    --window <W>           (timeline/serve/chaos-serve) ticks per window
                            [default: 4096 sim cycles; serve counts
                            finalized trace ops instead]
     --json                 (timeline) emit the TIMELINE.json document
-    --slo <SPEC>           (timeline/serve/audit/chaos) gate the run on a
-                           declarative SLO spec, e.g.
+    --slo <SPEC>           (timeline/serve/chaos-serve/audit/chaos) gate
+                           the run on a declarative SLO spec, e.g.
                            'p99(alloc_probe_depth) <= 8; rate(cac_reject_total) == 0'
-    --flight-dir <DIR>     (timeline/serve/audit/chaos) on an SLO breach
-                           or FAIL verdict, dump a flight-recorder
-                           bundle into DIR
+    --flight-dir <DIR>     (timeline/serve/chaos-serve/audit/chaos) on an
+                           SLO breach or FAIL verdict, dump a
+                           flight-recorder bundle into DIR
     --prom                 (report) Prometheus text exposition instead
                            of the human-readable report
-    --background           add best-effort background traffic
+    --background           (run/sweep/report/trace) add best-effort
+                           background traffic
     --dot                  (topo) emit Graphviz DOT instead of a summary
 
 `audit` exits non-zero when any service-guarantee violation is observed.
@@ -107,6 +114,139 @@ pub enum Command {
     /// Print usage.
     Help,
 }
+
+/// Every command: its name, what it parses to, and the options it
+/// reads. Any other option is rejected, so a flag the command would
+/// ignore cannot make a mistyped invocation look like a passing one.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    ("topo", Command::Topo, &["--switches", "--seed", "--dot"]),
+    ("fill", Command::Fill, &["--switches", "--seed", "--mtu"]),
+    (
+        "run",
+        Command::Run,
+        &[
+            "--switches",
+            "--seed",
+            "--mtu",
+            "--steady-packets",
+            "--background",
+        ],
+    ),
+    (
+        "sweep",
+        Command::Sweep,
+        &[
+            "--switches",
+            "--seed",
+            "--mtu",
+            "--steady-packets",
+            "--background",
+            "--seeds",
+            "--threads",
+            "--perfetto",
+        ],
+    ),
+    (
+        "report",
+        Command::Report,
+        &[
+            "--switches",
+            "--seed",
+            "--mtu",
+            "--steady-packets",
+            "--background",
+            "--prom",
+        ],
+    ),
+    (
+        "trace",
+        Command::Trace,
+        &[
+            "--switches",
+            "--seed",
+            "--mtu",
+            "--steady-packets",
+            "--background",
+            "--limit",
+            "--perfetto",
+        ],
+    ),
+    (
+        "audit",
+        Command::Audit,
+        &[
+            "--allocator",
+            "--mtu",
+            "--seed",
+            "--perfetto",
+            "--slo",
+            "--flight-dir",
+        ],
+    ),
+    (
+        "chaos",
+        Command::Chaos,
+        &[
+            "--allocator",
+            "--mtu",
+            "--seed",
+            "--rounds",
+            "--seeds",
+            "--threads",
+            "--slo",
+            "--flight-dir",
+        ],
+    ),
+    (
+        "serve",
+        Command::Serve,
+        &[
+            "--switches",
+            "--seed",
+            "--requests",
+            "--replay",
+            "--window",
+            "--slo",
+            "--flight-dir",
+            "--perfetto",
+        ],
+    ),
+    (
+        "chaos-serve",
+        Command::ChaosServe,
+        &[
+            "--switches",
+            "--seed",
+            "--requests",
+            "--replay",
+            "--window",
+            "--slo",
+            "--flight-dir",
+            "--perfetto",
+            "--no-journal",
+        ],
+    ),
+    (
+        "timeline",
+        Command::Timeline,
+        &[
+            "--switches",
+            "--seed",
+            "--mtu",
+            "--steady-packets",
+            "--seeds",
+            "--threads",
+            "--window",
+            "--json",
+            "--slo",
+            "--flight-dir",
+        ],
+    ),
+    ("demo", Command::Demo, &[]),
+    ("help", Command::Help, &[]),
+    ("--help", Command::Help, &[]),
+    ("-h", Command::Help, &[]),
+];
 
 /// Parsed command line.
 #[derive(Clone, Debug)]
@@ -200,6 +340,8 @@ pub enum ParseError {
     MissingValue(String),
     /// A value failed to parse.
     BadValue(String, String),
+    /// A known flag that the command does not read: `(command, flag)`.
+    FlagNotForCommand(String, String),
 }
 
 impl fmt::Display for ParseError {
@@ -210,6 +352,9 @@ impl fmt::Display for ParseError {
             ParseError::UnknownFlag(o) => write!(f, "unknown flag '{o}'\n\n{USAGE}"),
             ParseError::MissingValue(o) => write!(f, "flag '{o}' needs a value"),
             ParseError::BadValue(o, v) => write!(f, "bad value '{v}' for '{o}'"),
+            ParseError::FlagNotForCommand(c, o) => {
+                write!(f, "'{c}' does not take '{o}'\n\n{USAGE}")
+            }
         }
     }
 }
@@ -222,24 +367,18 @@ impl Args {
         let mut args = Args::default();
         let mut it = argv.iter();
         let cmd = it.next().ok_or(ParseError::MissingCommand)?;
-        args.command = match cmd.as_str() {
-            "topo" => Command::Topo,
-            "fill" => Command::Fill,
-            "run" => Command::Run,
-            "sweep" => Command::Sweep,
-            "report" => Command::Report,
-            "trace" => Command::Trace,
-            "audit" => Command::Audit,
-            "chaos" => Command::Chaos,
-            "serve" => Command::Serve,
-            "chaos-serve" => Command::ChaosServe,
-            "timeline" => Command::Timeline,
-            "demo" => Command::Demo,
-            "help" | "--help" | "-h" => Command::Help,
-            other => return Err(ParseError::UnknownCommand(other.to_string())),
-        };
+        let &(_, command, options) = COMMANDS
+            .iter()
+            .find(|(name, _, _)| name == cmd)
+            .ok_or_else(|| ParseError::UnknownCommand(cmd.clone()))?;
+        args.command = command;
 
         while let Some(flag) = it.next() {
+            let flag_name = flag.as_str();
+            let known = COMMANDS.iter().any(|(_, _, o)| o.contains(&flag_name));
+            if known && !options.contains(&flag_name) {
+                return Err(ParseError::FlagNotForCommand(cmd.clone(), flag.clone()));
+            }
             match flag.as_str() {
                 "--background" => args.background = true,
                 "--dot" => args.dot = true,
@@ -570,6 +709,60 @@ mod tests {
         assert_eq!(a.command, Command::Report);
         assert!(a.prom);
         assert!(!Args::parse(&argv("report")).unwrap().prom);
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_rejected() {
+        let not_for = |c: &str, o: &str| ParseError::FlagNotForCommand(c.into(), o.into());
+        let err = Args::parse(&argv("serve --switches 4 --seed 3 --json")).unwrap_err();
+        assert_eq!(err, not_for("serve", "--json"));
+        assert!(err
+            .to_string()
+            .starts_with("'serve' does not take '--json'"));
+        for (line, flag) in [
+            (
+                "audit --mtu 4096 --seed 42 --json --window 7 --no-journal",
+                "--json",
+            ),
+            (
+                "audit --mtu 4096 --seed 42 --window 7 --no-journal",
+                "--window",
+            ),
+            ("audit --mtu 4096 --seed 42 --no-journal", "--no-journal"),
+        ] {
+            assert_eq!(
+                Args::parse(&argv(line)).unwrap_err(),
+                not_for("audit", flag)
+            );
+        }
+        assert_eq!(
+            Args::parse(&argv("demo --seed 1")).unwrap_err(),
+            not_for("demo", "--seed")
+        );
+        // A flag no command reads stays unknown.
+        assert_eq!(
+            Args::parse(&argv("serve --bogus")).unwrap_err(),
+            ParseError::UnknownFlag("--bogus".into())
+        );
+    }
+
+    #[test]
+    fn every_command_takes_each_of_its_options() {
+        for &(name, command, options) in COMMANDS {
+            for &option in options {
+                let value = match option {
+                    "--background" | "--dot" | "--replay" | "--no-journal" | "--json"
+                    | "--prom" => "",
+                    "--allocator" => " first-fit",
+                    "--mtu" => " 1024",
+                    "--perfetto" | "--slo" | "--flight-dir" => " out",
+                    _ => " 2",
+                };
+                let line = format!("{name} {option}{value}");
+                let a = Args::parse(&argv(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(a.command, command, "{line}");
+            }
+        }
     }
 
     #[test]

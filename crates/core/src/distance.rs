@@ -41,20 +41,15 @@ impl Distance {
     /// The numeric distance `d`.
     #[must_use]
     pub fn slots(self) -> usize {
-        match self {
-            Distance::D2 => 2,
-            Distance::D4 => 4,
-            Distance::D8 => 8,
-            Distance::D16 => 16,
-            Distance::D32 => 32,
-            Distance::D64 => 64,
-        }
+        1 << self.log2()
     }
 
-    /// `log2(d)` — the paper's index `i`.
+    /// `log2(d)` — the paper's index `i`. The variants are declared in
+    /// order from `D2`, so it is the discriminant plus one: arithmetic,
+    /// not a jump table, where the distance varies from call to call.
     #[must_use]
     pub fn log2(self) -> u32 {
-        self.slots().trailing_zeros()
+        self as u32 + 1
     }
 
     /// Number of equally spaced entries a sequence of this distance

@@ -45,8 +45,12 @@ pub fn weight_for_bandwidth(bandwidth_mbps: f64, link_mbps: f64) -> Option<Weigh
     {
         return None;
     }
-    let fraction = bandwidth_mbps / link_mbps;
-    let w = (fraction * MAX_TABLE_WEIGHT as f64).ceil() as Weight;
+    let scaled = bandwidth_mbps / link_mbps * f64::from(MAX_TABLE_WEIGHT);
+    // The ceiling without `f64::ceil`, a library call on the baseline
+    // x86-64 target: `scaled` is at most 16,320, so its truncation is
+    // exact and it rounds up exactly when it exceeds the truncation.
+    let whole = scaled as Weight;
+    let w = whole + Weight::from(f64::from(whole) < scaled);
     Some(w.max(1))
 }
 
@@ -107,6 +111,63 @@ mod tests {
                 "granted weight {w} under-covers {mbps} Mbps"
             );
         }
+    }
+
+    /// The rounding `weight_for_bandwidth` replaced.
+    fn ceil_weight(bandwidth_mbps: f64, link_mbps: f64) -> Weight {
+        let w = (bandwidth_mbps / link_mbps * f64::from(MAX_TABLE_WEIGHT)).ceil() as Weight;
+        w.max(1)
+    }
+
+    #[test]
+    fn integer_rounding_equals_ceil_at_every_table1_bandwidth() {
+        const LINK_MBPS: f64 = 2500.0;
+        // `iba_sim::config::IBA_HEADER_BYTES`, and no modelled header.
+        const HEADER_BYTES: [u32; 2] = [0, 26];
+        let mut checked = 0;
+        for profile in crate::SlTable::paper_table1().qos_profiles() {
+            let (lo, hi) = profile.bandwidth_mbps;
+            for mtu in [256u32, 1024, 2048, 4096] {
+                for header in HEADER_BYTES {
+                    // The admission's gross (wire) factor for this MTU.
+                    let gross = f64::from(mtu + header) / f64::from(mtu);
+                    for k in 0..=4000 {
+                        let mbps = (lo + (hi - lo) * f64::from(k) / 4000.0) * gross;
+                        for mbps in [mbps, mbps.next_down(), mbps.next_up()] {
+                            assert_eq!(
+                                weight_for_bandwidth(mbps, LINK_MBPS),
+                                Some(ceil_weight(mbps, LINK_MBPS)),
+                                "{mbps} Mbps (mtu {mtu}, header {header})"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 500_000, "{checked} bandwidths checked");
+    }
+
+    #[test]
+    fn integer_rounding_equals_ceil_on_exact_products() {
+        // Bandwidths whose scaled weight is an exact integer, where
+        // rounding up must not add a unit.
+        let mut exact = 0;
+        for link in [2500.0, 10_000.0, f64::from(MAX_TABLE_WEIGHT)] {
+            for k in 1..=MAX_TABLE_WEIGHT {
+                let mbps = link * f64::from(k) / f64::from(MAX_TABLE_WEIGHT);
+                let scaled = mbps / link * f64::from(MAX_TABLE_WEIGHT);
+                if scaled.fract() == 0.0 {
+                    exact += 1;
+                }
+                assert_eq!(
+                    weight_for_bandwidth(mbps, link),
+                    Some(ceil_weight(mbps, link)),
+                    "{mbps} of {link} Mbps"
+                );
+            }
+        }
+        assert!(exact > 35_000, "{exact} exact products");
     }
 
     #[test]

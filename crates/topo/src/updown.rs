@@ -18,18 +18,27 @@ use std::collections::VecDeque;
 /// Per-switch forwarding tables: `port = table[switch][destination]`.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
-    /// `ports[s][h]` = output port on switch `s` towards host `h`.
-    ports: Vec<Vec<u8>>,
+    /// Hosts in the fabric: the stride of the two tables below.
+    hosts: usize,
+    /// `ports[s * hosts + h]` = output port on switch `s` towards host
+    /// `h`.
+    ports: Vec<u8>,
+    /// `next[s * hosts + h]` = the switch that port leads to, or
+    /// [`NO_SWITCH`] when it faces a host or a free port.
+    next: Vec<u16>,
     /// `levels[s]` = BFS tree level of switch `s` (root = 0).
     levels: Vec<u32>,
     root: SwitchId,
 }
 
+/// A `next` entry whose port leads to no switch.
+const NO_SWITCH: u16 = u16::MAX;
+
 impl RoutingTable {
     /// The output port switch `s` forwards packets for host `dest` on.
     #[must_use]
     pub fn port(&self, switch: SwitchId, dest: HostId) -> u8 {
-        self.ports[switch.index()][dest.index()]
+        self.ports[switch.index() * self.hosts + dest.index()]
     }
 
     /// The BFS level of a switch (root = 0).
@@ -44,12 +53,24 @@ impl RoutingTable {
         self.root
     }
 
+    /// Sets the port switch `s` forwards `dest`'s packets on, and the
+    /// switch that port leads to on `topo`.
+    fn set_port(&mut self, topo: &Topology, switch: SwitchId, dest: HostId, port: u8) {
+        let at = switch.index() * self.hosts + dest.index();
+        self.ports[at] = port;
+        self.next[at] = match topo.peer(switch, port) {
+            PortPeer::Switch { switch, .. } => switch.0,
+            _ => NO_SWITCH,
+        };
+    }
+
     /// Walks the route from `src`'s switch to `dest`'s switch, calling
     /// `hop(switch, port)` for every switch on it with the output port
     /// the table forwards on (the last one faces `dest`). Returns
     /// `false`, possibly after some hops, when the table forwards into
     /// a host or free port before `dest`'s switch, or loops (cannot
-    /// happen for a table [`compute`] built).
+    /// happen for a table [`compute`] built). Each hop is one read of
+    /// the port and next-switch tables.
     pub fn for_each_hop(
         &self,
         topo: &Topology,
@@ -60,15 +81,15 @@ impl RoutingTable {
         let target = topo.host_switch(dest);
         let mut s = topo.host_switch(src);
         // A loop-free route visits each switch at most once.
-        for _ in 0..topo.num_switches() {
-            let port = self.port(s, dest);
-            hop(s, port);
+        for _ in 0..self.levels.len() {
+            let at = s.index() * self.hosts + dest.index();
+            hop(s, self.ports[at]);
             if s == target {
                 return true;
             }
-            match topo.peer(s, port) {
-                PortPeer::Switch { switch, .. } => s = switch,
-                _ => return false,
+            match self.next[at] {
+                NO_SWITCH => return false,
+                n => s = SwitchId(n),
             }
         }
         false
@@ -111,6 +132,10 @@ fn is_up(levels: &[u32], from: SwitchId, to: SwitchId) -> bool {
 #[must_use]
 pub fn compute(topo: &Topology) -> RoutingTable {
     let n = topo.num_switches();
+    assert!(
+        n < usize::from(NO_SWITCH),
+        "switch ids stay below the next-switch sentinel"
+    );
     let root = topo
         .switch_ids()
         .max_by_key(|&s| (topo.switch_links(s).count(), std::cmp::Reverse(s.index())))
@@ -133,7 +158,13 @@ pub fn compute(topo: &Topology) -> RoutingTable {
         "topology must be connected"
     );
 
-    let mut ports = vec![vec![0u8; topo.num_hosts()]; n];
+    let mut table = RoutingTable {
+        hosts: topo.num_hosts(),
+        ports: vec![0; n * topo.num_hosts()],
+        next: vec![NO_SWITCH; n * topo.num_hosts()],
+        levels: Vec::new(),
+        root,
+    };
 
     for dest in topo.host_ids() {
         let target = topo.host_switch(dest);
@@ -186,7 +217,7 @@ pub fn compute(topo: &Topology) -> RoutingTable {
                     .switch_hosts(s)
                     .find(|&(_, h)| h == dest)
                     .expect("dest host on its switch");
-                ports[s.index()][dest.index()] = port;
+                table.set_port(topo, s, dest, port);
                 continue;
             }
             // Destination-based tables cannot carry the up/down phase,
@@ -222,15 +253,12 @@ pub fn compute(topo: &Topology) -> RoutingTable {
                     break;
                 }
             }
-            ports[s.index()][dest.index()] = chosen.expect("some neighbour lies on a legal path");
+            let port = chosen.expect("some neighbour lies on a legal path");
+            table.set_port(topo, s, dest, port);
         }
     }
-
-    RoutingTable {
-        ports,
-        levels,
-        root,
-    }
+    table.levels = levels;
+    table
 }
 
 #[cfg(test)]
@@ -334,14 +362,64 @@ mod tests {
         let t = line3();
         let mut r = compute(&t);
         // S1 sends H2's traffic back to S0: a loop.
-        r.ports[1][2] = r.port(SwitchId(1), HostId(0));
-        r.ports[0][2] = r.port(SwitchId(0), HostId(1));
-        assert_eq!(r.switch_path(&t, HostId(0), HostId(2)), None);
-        assert_eq!(r.path_hops(&t, HostId(0), HostId(2)), None);
+        let (s0, s1, h2) = (SwitchId(0), SwitchId(1), HostId(2));
+        r.set_port(&t, s1, h2, r.port(s1, HostId(0)));
+        r.set_port(&t, s0, h2, r.port(s0, HostId(1)));
+        assert_eq!(r.switch_path(&t, HostId(0), h2), None);
+        assert_eq!(r.path_hops(&t, HostId(0), h2), None);
+        assert_eq!(peer_chase(&r, &t, HostId(0), h2), None);
         // S0 sends H2's traffic to its own host: a dead end.
-        r.ports[0][2] = r.port(SwitchId(0), HostId(0));
+        r.set_port(&t, s0, h2, r.port(s0, HostId(0)));
+        assert_eq!(peer_chase(&r, &t, HostId(0), h2), None);
         assert!(!r.for_each_hop(&t, HostId(0), HostId(2), |_, _| {}));
         assert_eq!(r.switch_path(&t, HostId(0), HostId(2)), None);
+    }
+
+    /// The walk the next-switch table replaced: each hop's port read
+    /// from the table, the next switch from `Topology::peer`. Returns
+    /// the hops, or `None` for a dead end or a loop.
+    fn peer_chase(
+        r: &RoutingTable,
+        topo: &Topology,
+        src: HostId,
+        dest: HostId,
+    ) -> Option<Vec<(SwitchId, u8)>> {
+        let target = topo.host_switch(dest);
+        let mut s = topo.host_switch(src);
+        let mut hops = Vec::new();
+        for _ in 0..topo.num_switches() {
+            let port = r.port(s, dest);
+            hops.push((s, port));
+            if s == target {
+                return Some(hops);
+            }
+            match topo.peer(s, port) {
+                PortPeer::Switch { switch, .. } => s = switch,
+                _ => return None,
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn flat_walk_equals_the_peer_chase_on_the_paper_fabric() {
+        for instance in [42, 7] {
+            let t = generate(IrregularConfig::paper_default(instance));
+            assert_eq!(t.num_switches(), 16);
+            let r = compute(&t);
+            for src in t.host_ids() {
+                for dest in t.host_ids() {
+                    let mut hops = Vec::new();
+                    let routed = r.for_each_hop(&t, src, dest, |s, p| hops.push((s, p)));
+                    assert!(routed, "instance {instance}: {src} -> {dest}");
+                    assert_eq!(
+                        Some(hops),
+                        peer_chase(&r, &t, src, dest),
+                        "instance {instance}: {src} -> {dest}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

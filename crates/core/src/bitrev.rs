@@ -19,6 +19,26 @@ pub fn bit_reverse(value: u32, bits: u32) -> u32 {
     value.reverse_bits() >> (32 - bits)
 }
 
+/// `bit_reverse(b, 6)` for every six-bit `b`.
+const REVERSED_6: [u8; 64] = {
+    let mut table = [0; 64];
+    let mut b = 0;
+    while b < 64 {
+        table[b] = (b as u8).reverse_bits() >> 2;
+        b += 1;
+    }
+    table
+};
+
+/// [`bit_reverse`] for `bits <= 6` (an entry set's index `i`) by one
+/// table load in place of the shifts and masks: reversing `value < 2^bits`
+/// in six bits leaves it `6 - bits` places too far left.
+#[must_use]
+pub(crate) fn bit_reverse_6(value: usize, bits: u32) -> usize {
+    debug_assert!(bits <= 6 && value < 1 << bits);
+    usize::from(REVERSED_6[value & 63]) >> (6 - bits)
+}
+
 /// The probe order for a request of distance `2^log2_distance`:
 /// yields `rev(0), rev(1), …, rev(2^log2_distance - 1)`.
 ///
@@ -67,6 +87,18 @@ mod tests {
         for bits in 1..=6 {
             for v in 0..1u32 << bits {
                 assert_eq!(bit_reverse(bit_reverse(v, bits), bits), v);
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_reverses_as_the_shifts_do() {
+        for bits in 0..=6 {
+            for v in 0..1u32 << bits {
+                assert_eq!(
+                    bit_reverse_6(v as usize, bits),
+                    bit_reverse(v, bits) as usize
+                );
             }
         }
     }

@@ -2,6 +2,7 @@
 //! `String` so the logic is testable without capturing stdout.
 
 use crate::args::Args;
+use crate::Failure;
 use iba_core::{Distance, HighPriorityTable, ServiceLevel, SlTable, VirtualLane};
 use iba_harness::{build_experiment_sized, Experiment};
 use iba_qos::QosFrame;
@@ -247,7 +248,7 @@ struct Checked<'a> {
 /// report is not perturbed by it), and when the run or the SLO failed,
 /// writes the `--flight-dir` bundle and returns `Err` whose first line
 /// is machine-readable — the run's own verdict ahead of the SLO's.
-fn gate(args: &Args, mut out: String, run: Checked<'_>) -> Result<String, String> {
+fn gate(args: &Args, mut out: String, run: Checked<'_>) -> Result<String, Failure> {
     let slo = match &args.slo {
         Some(spec) => {
             let report = match run.timeline {
@@ -289,7 +290,7 @@ fn gate(args: &Args, mut out: String, run: Checked<'_>) -> Result<String, String
             out.push_str(&note);
         }
     }
-    Err(format!("{first}\n{out}"))
+    Err(Failure::Verdict(format!("{first}\n{out}")))
 }
 
 /// `ibaqos sweep` — one experiment per seed (`--seeds` points starting
@@ -297,7 +298,7 @@ fn gate(args: &Args, mut out: String, run: Checked<'_>) -> Result<String, String
 /// parallel engine. The table is identical at any thread count. With
 /// `--perfetto` the workers also record wall-clock spans, exported as a
 /// per-thread timeline.
-pub fn sweep(args: &Args) -> Result<String, String> {
+pub fn sweep(args: &Args) -> Result<String, Failure> {
     let threads = if args.threads > 0 {
         args.threads
     } else {
@@ -395,13 +396,16 @@ pub fn report(args: &Args) -> String {
 /// `ibaqos trace` — the newest `--limit` ring-buffer events as text.
 /// With `--perfetto`, spans and sim events are additionally merged onto
 /// one Perfetto timeline.
-pub fn trace(args: &Args) -> Result<String, String> {
+pub fn trace(args: &Args) -> Result<String, Failure> {
     let mut rec = iba_obs::ObsRecorder::with_tracer(4096);
     if args.perfetto.is_some() {
         rec.spans = Some(iba_obs::SpanRecorder::new(16 * 1024));
     }
     run_instrumented(args, &mut rec);
-    let tracer = rec.tracer.as_ref().ok_or("tracer installed above")?;
+    let tracer = rec
+        .tracer
+        .as_ref()
+        .ok_or_else(|| "tracer installed above".to_string())?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -428,7 +432,7 @@ pub fn trace(args: &Args) -> Result<String, String> {
 /// saturation and audits every grant against the contracted per-SL
 /// distance budgets. Returns `Err` (non-zero process exit) when any
 /// guarantee was violated, so CI can assert both directions.
-pub fn audit(args: &Args) -> Result<String, String> {
+pub fn audit(args: &Args) -> Result<String, Failure> {
     let cfg = iba_harness::AuditConfig::new(args.allocator, args.mtu, args.seed);
     let mut spans = iba_obs::SpanRecorder::new(1024);
     let outcome = iba_harness::run_audit(&cfg, Some(&mut spans));
@@ -478,7 +482,7 @@ pub fn audit(args: &Args) -> Result<String, String> {
 /// determinism. Returns `Err` (non-zero process exit, machine-readable
 /// first stderr line) when recovery leaves a violation or an
 /// inconsistent table behind.
-pub fn chaos(args: &Args) -> Result<String, String> {
+pub fn chaos(args: &Args) -> Result<String, Failure> {
     let mut cfg = iba_harness::ChaosConfig::new(args.allocator, args.mtu, args.seed);
     cfg.rounds = args.rounds;
     cfg.sweep_points = args.seeds as usize;
@@ -514,7 +518,7 @@ pub fn chaos(args: &Args) -> Result<String, String> {
 /// shared metrics. With `--replay` the full replay report is printed.
 /// Returns `Err` (non-zero process exit, machine-readable first stderr
 /// line) on any divergence or consistency failure.
-pub fn serve(args: &Args) -> Result<String, String> {
+pub fn serve(args: &Args) -> Result<String, Failure> {
     let cfg = iba_harness::ServeConfig::new(args.switches, args.seed, args.requests);
     // `--slo`/`--flight-dir`/`--perfetto` need the windowed run: a
     // timeline keyed by finalized trace operations plus per-request
@@ -573,7 +577,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
 /// semantics. `--no-journal` is the negative control: the same
 /// calendar must then lose reservations and FAIL (machine-readable
 /// `chaos-serve: verdict=FAIL` first line on stderr).
-pub fn chaos_serve(args: &Args) -> Result<String, String> {
+pub fn chaos_serve(args: &Args) -> Result<String, Failure> {
     let mut cfg = iba_harness::ChaosServeConfig::new(args.switches, args.seed, args.requests);
     cfg.journal = !args.no_journal;
     let windowed = args.slo.is_some() || args.flight_dir.is_some() || args.perfetto.is_some();
@@ -625,7 +629,7 @@ pub fn chaos_serve(args: &Args) -> Result<String, String> {
 /// merged windows; a breach exits non-zero (machine-readable
 /// `slo: verdict=FAIL` first line) and, with `--flight-dir`, dumps a
 /// flight-recorder bundle.
-pub fn timeline(args: &Args) -> Result<String, String> {
+pub fn timeline(args: &Args) -> Result<String, Failure> {
     let threads = if args.threads > 0 {
         args.threads
     } else {
@@ -755,6 +759,15 @@ mod tests {
         }
     }
 
+    /// The text of a failed verdict (exit 1); any other outcome fails
+    /// the test with `why`.
+    fn verdict(result: Result<String, Failure>, why: &str) -> String {
+        match result {
+            Err(Failure::Verdict(text)) => text,
+            other => panic!("{why}: {other:?}"),
+        }
+    }
+
     #[test]
     fn topo_summary_mentions_root_and_deadlock() {
         let out = topo(&args(crate::Command::Topo));
@@ -846,7 +859,7 @@ mod tests {
         assert!(passing.contains("verdict: PASS"), "{passing}");
         assert!(passing.contains("allocator=bit-reversal"), "{passing}");
         a.allocator = iba_core::AllocatorKind::FirstFit;
-        let failing = audit(&a).expect_err("first-fit must be indicted");
+        let failing = verdict(audit(&a), "first-fit must be indicted");
         assert!(failing.contains("verdict: FAIL"), "{failing}");
         assert!(failing.contains("worst offender"), "{failing}");
     }
@@ -860,7 +873,7 @@ mod tests {
         a.seed = 42;
         a.allocator = iba_core::AllocatorKind::FirstFit;
         a.perfetto = Some(path.to_string_lossy().into_owned());
-        let report = audit(&a).expect_err("first-fit fails, but the file is still written");
+        let report = verdict(audit(&a), "first-fit fails, but the file is still written");
         assert!(report.contains("perfetto timeline written"), "{report}");
         let text = std::fs::read_to_string(&path).unwrap();
         let json = iba_obs::Json::parse(&text).expect("valid JSON");
@@ -910,7 +923,7 @@ mod tests {
         // An impossible ceiling must breach, exit Err and dump.
         a.slo = Some("rate(sim_events_total) == 0".into());
         a.flight_dir = Some(dir.to_string_lossy().into_owned());
-        let err = timeline(&a).expect_err("every busy window breaches");
+        let err = verdict(timeline(&a), "every busy window breaches");
         assert!(err.starts_with("slo: verdict=FAIL"), "{err}");
         let manifest = std::fs::read_to_string(dir.join("MANIFEST.txt")).unwrap();
         assert!(manifest.contains("iba.flight.v1"), "{manifest}");
@@ -934,7 +947,7 @@ mod tests {
         // The tight spec from CI: zero admissions can never hold.
         a.slo = Some("rate(cac_admit_total) == 0".into());
         a.flight_dir = Some(dir.to_string_lossy().into_owned());
-        let err = serve(&a).expect_err("admissions breach the zero-rate spec");
+        let err = verdict(serve(&a), "admissions breach the zero-rate spec");
         assert!(err.starts_with("slo: verdict=FAIL"), "{err}");
         let manifest = std::fs::read_to_string(dir.join("MANIFEST.txt")).unwrap();
         assert!(manifest.contains("requests.txt"), "{manifest}");
@@ -974,7 +987,7 @@ mod tests {
         // must lose reservations, and the machine-readable FAIL line
         // must lead stderr.
         a.no_journal = true;
-        let err = chaos_serve(&a).expect_err("journal-off run must fail");
+        let err = verdict(chaos_serve(&a), "journal-off run must fail");
         assert!(
             err.lines()
                 .next()
@@ -985,7 +998,7 @@ mod tests {
         // A failing `--slo` as well: the run's own verdict still leads
         // stderr, ahead of the SLO line.
         a.slo = Some("rate(cac_admit_total) == 0".into());
-        let err = chaos_serve(&a).expect_err("journal-off run must fail");
+        let err = verdict(chaos_serve(&a), "journal-off run must fail");
         assert!(err.starts_with("chaos-serve: verdict=FAIL"), "{err}");
         assert!(err.contains("slo: verdict=FAIL"), "{err}");
     }
@@ -1014,7 +1027,7 @@ mod tests {
         let ok = audit(&a).expect("bit-reversal audits clean");
         assert!(ok.contains("slo: verdict=PASS"), "{ok}");
         a.slo = Some("rate(audit_violations_total) >= 1".into());
-        let err = audit(&a).expect_err("clean audit breaches a violation floor");
+        let err = verdict(audit(&a), "clean audit breaches a violation floor");
         assert!(err.starts_with("slo: verdict=FAIL"), "{err}");
 
         let mut c = args(crate::Command::Chaos);
@@ -1027,7 +1040,7 @@ mod tests {
         let ok = chaos(&c).expect("chaos injects faults and recovers");
         assert!(ok.contains("slo: verdict=PASS"), "{ok}");
         c.slo = Some("rate(fault_injected_total) == 0".into());
-        let err = chaos(&c).expect_err("injected faults breach the zero spec");
+        let err = verdict(chaos(&c), "injected faults breach the zero spec");
         assert!(err.starts_with("slo: verdict=FAIL"), "{err}");
     }
 

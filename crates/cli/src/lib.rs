@@ -56,6 +56,10 @@
 //! spec (see `METRICS.md`); a breach exits non-zero with a
 //! machine-readable `slo: verdict=FAIL` first line and, with
 //! `--flight-dir`, dumps a flight-recorder bundle for post-mortems.
+//!
+//! A failed verdict or `--slo` gate exits 1; a command that cannot run
+//! as asked (bad command line, unparsable spec, unwritable output)
+//! exits 2. See [`Failure`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -65,8 +69,46 @@ pub mod commands;
 
 pub use args::{Args, Command, ParseError};
 
+use std::fmt;
+
+/// Why an `ibaqos` command failed, carrying the text for stderr.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// The command could not run as asked: a bad command line, an
+    /// unparsable `--slo` spec or an output that cannot be written.
+    Usage(String),
+    /// The command ran and its verdict or `--slo` gate failed; the
+    /// first line is the machine-readable verdict.
+    Verdict(String),
+}
+
+impl Failure {
+    /// The process exit status: 1 for a failed verdict, 2 otherwise.
+    #[must_use]
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            Failure::Usage(_) => 2,
+            Failure::Verdict(_) => 1,
+        }
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Usage(text) | Failure::Verdict(text) => f.write_str(text),
+        }
+    }
+}
+
+impl From<String> for Failure {
+    fn from(text: String) -> Self {
+        Failure::Usage(text)
+    }
+}
+
 /// Entry point shared by the binary and the tests: parses and runs.
-pub fn run(argv: &[String]) -> Result<String, String> {
+pub fn run(argv: &[String]) -> Result<String, Failure> {
     let args = Args::parse(argv).map_err(|e| e.to_string())?;
     match args.command {
         Command::Topo => Ok(commands::topo(&args)),

@@ -6,7 +6,7 @@ fn main() {
         Ok(report) => println!("{report}"),
         Err(e) => {
             eprintln!("{e}");
-            std::process::exit(2);
+            std::process::exit(e.exit_code());
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The `ibaqos` binary's exit status on a rejected command line.
+//! The `ibaqos` binary's exit status: 2 on a rejected command line, 1
+//! on a failed verdict.
 
 use std::process::Command;
 
@@ -37,4 +38,28 @@ fn a_flag_the_command_does_not_read_exits_2_naming_both() {
         );
         assert!(out.stdout.is_empty(), "{argv:?} printed a report");
     }
+}
+
+#[test]
+fn a_failed_verdict_exits_1_with_the_verdict_first() {
+    let argv = [
+        "chaos-serve",
+        "--switches",
+        "4",
+        "--seed",
+        "7",
+        "--requests",
+        "48",
+        "--no-journal",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_ibaqos"))
+        .args(argv)
+        .output()
+        .expect("the binary runs");
+    assert_eq!(out.status.code(), Some(1), "{argv:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("chaos-serve: verdict=FAIL"),
+        "{argv:?}: {stderr}"
+    );
 }

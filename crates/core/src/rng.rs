@@ -30,11 +30,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// The next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw from `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
         // 53 random mantissa bits scaled into the unit interval.

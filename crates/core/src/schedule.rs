@@ -387,12 +387,6 @@ impl CompiledVlArb {
         &self.shared.high
     }
 
-    /// The compiled low-priority grant stream.
-    #[must_use]
-    pub fn low_stream(&self) -> &GrantStream {
-        &self.shared.low
-    }
-
     fn limit_bytes(limit: u8) -> u64 {
         if limit == LIMIT_UNLIMITED {
             u64::MAX

@@ -203,7 +203,7 @@ impl ServeOutcome {
 }
 
 /// Ring capacity for the service's request tracer on windowed runs
-/// (16-byte records; a few records per trace op).
+/// (a few records per trace op).
 const SERVE_TRACE_CAP: usize = 1 << 16;
 
 /// Runs the serve scenario: one service run plus the sequential

@@ -95,10 +95,12 @@ const ORDERED_SCOPE: &[&str] = &[
     "crates/harness/src/",
     "crates/traffic/src/",
     "crates/verify/src/",
+    "crates/topo/src/",
 ];
 
 /// Crates and files whose non-test source must be panic-free: the
-/// always-on control plane and the parsers of outside input.
+/// always-on control plane, the trace ring and the parser of outside
+/// input.
 const PANIC_FREE_SCOPE: &[&str] = &[
     "crates/core/src/",
     "crates/sim/src/",
@@ -126,7 +128,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-unordered-iter",
         severity: Severity::Error,
-        scope: "non-test code of core, sim, qos, harness, traffic, verify",
+        scope: "non-test code of core, sim, qos, harness, traffic, verify, topo",
         rationale: "HashMap/HashSet iteration order is hasher-dependent and can leak \
                     nondeterminism into grant streams, reports, and repair order; use \
                     BTreeMap/BTreeSet or sorted vectors",
@@ -157,7 +159,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-panic",
         severity: Severity::Error,
-        scope: "non-test code of core, sim, qos, the trace decoder and the CLI argument parser",
+        scope: "non-test code of core, sim, qos, the trace ring and the CLI argument parser",
         rationale: "the always-on control plane and the parsers of outside input must \
                     surface failures as Results or named-invariant assert!s, never \
                     anonymous unwrap/expect/panic!",

@@ -16,7 +16,7 @@
 //! | `metrics.txt`       | final cumulative snapshot (text report)     |
 //! | `metrics.prom`      | the same snapshot, Prometheus exposition    |
 //! | `timeline_tail.json`| the last K closed windows, `TIMELINE.json` schema |
-//! | `trace_tail.txt`    | decoded tail of the ring tracer             |
+//! | `trace_tail.txt`    | rendered tail of the ring tracer            |
 //! | `requests.txt`      | reassembled per-request span trees          |
 //! | `slo.txt`           | the SLO report that triggered the dump      |
 

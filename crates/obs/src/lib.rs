@@ -12,9 +12,8 @@
 //!   admission control) call into. [`recorder::NullRecorder`]
 //!   monomorphizes every hook to nothing, so the non-observed build
 //!   keeps the exact pre-instrumentation fast path;
-//! * [`trace`] — a bounded ring-buffer event tracer with a compact
-//!   16-byte binary record format and a text decoder (driven by
-//!   `ibaqos trace`);
+//! * [`trace`] — a bounded ring-buffer event tracer with a one-line
+//!   text rendering per event (driven by `ibaqos trace`);
 //! * [`report`] — renderers: human-readable metric reports
 //!   (`ibaqos report`) and the machine-readable `BENCH_*.json` schema
 //!   written by the bench smoke tier;
@@ -80,4 +79,4 @@ pub use request::{reassemble, RequestSpan, StageRecord};
 pub use slo::{SloClause, SloReport, SloSpec};
 pub use span::{SpanEvent, SpanPhase, SpanRecorder};
 pub use timeline::{Timeline, DEFAULT_WINDOW_LEN, TIMELINE_SCHEMA};
-pub use trace::{fault_code, request_stage, serve_code, RingTracer, TraceEvent, RECORD_BYTES};
+pub use trace::{fault_code, request_stage, serve_code, RingTracer, TraceEvent};

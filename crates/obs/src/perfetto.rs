@@ -8,7 +8,7 @@
 //! * **pid 1 — wall clock**: span begin/end pairs (`ph:"B"/"E"`), one
 //!   track per recording thread, timestamps in microseconds since the
 //!   span recorder's epoch.
-//! * **pid 2 — sim cycles**: each 16-byte ring-tracer record as an
+//! * **pid 2 — sim cycles**: each ring-tracer record as an
 //!   instant event (`ph:"i"`), one track per virtual lane, mapping one
 //!   simulator cycle to one microsecond so slot gaps are readable on
 //!   the same zoom scale.

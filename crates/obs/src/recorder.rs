@@ -23,27 +23,6 @@ pub enum ServedKind {
 }
 
 impl ServedKind {
-    /// Stable wire code used in trace records.
-    #[must_use]
-    pub fn code(self) -> u16 {
-        match self {
-            ServedKind::High => 0,
-            ServedKind::Low => 1,
-            ServedKind::Management => 2,
-        }
-    }
-
-    /// Decodes a wire code (`None` for unknown codes).
-    #[must_use]
-    pub fn from_code(c: u16) -> Option<Self> {
-        match c {
-            0 => Some(ServedKind::High),
-            1 => Some(ServedKind::Low),
-            2 => Some(ServedKind::Management),
-            _ => None,
-        }
-    }
-
     /// Short label for reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -71,8 +50,7 @@ pub enum RejectKind {
 }
 
 impl RejectKind {
-    /// Index into [`crate::metrics::REJECT_REASONS`] and the trace
-    /// wire code.
+    /// Index into [`crate::metrics::REJECT_REASONS`].
     #[must_use]
     pub fn index(self) -> usize {
         match self {
@@ -80,18 +58,6 @@ impl RejectKind {
             RejectKind::CapacityExceeded => 1,
             RejectKind::RequestTooLarge => 2,
             RejectKind::Invalid => 3,
-        }
-    }
-
-    /// Decodes a wire code (`None` for unknown codes).
-    #[must_use]
-    pub fn from_code(c: u16) -> Option<Self> {
-        match c {
-            0 => Some(RejectKind::NoFreeSequence),
-            1 => Some(RejectKind::CapacityExceeded),
-            2 => Some(RejectKind::RequestTooLarge),
-            3 => Some(RejectKind::Invalid),
-            _ => None,
         }
     }
 
@@ -778,7 +744,7 @@ mod tests {
     fn request_stage_hook_traces_without_metrics() {
         let mut r = ObsRecorder::with_tracer(4);
         r.tick(7);
-        r.request_stage(5, crate::trace::request_stage::VOTE, 2, 1);
+        r.request_stage(5, crate::trace::request_stage::COMMIT, 2, 1);
         let records = r.tracer.as_ref().map(RingTracer::records).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(
@@ -787,7 +753,7 @@ mod tests {
                 7,
                 TraceEvent::Request {
                     rid: 5,
-                    stage: crate::trace::request_stage::VOTE,
+                    stage: crate::trace::request_stage::COMMIT,
                     shard: 2,
                     path: 1
                 }
@@ -820,18 +786,16 @@ mod tests {
 
     #[test]
     fn codes_roundtrip() {
-        for k in [ServedKind::High, ServedKind::Low, ServedKind::Management] {
-            assert_eq!(ServedKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(ServedKind::from_code(9), None);
-        for k in [
+        // Each reject kind indexes its own metric lane, in lane order.
+        let kinds = [
             RejectKind::NoFreeSequence,
             RejectKind::CapacityExceeded,
             RejectKind::RequestTooLarge,
             RejectKind::Invalid,
-        ] {
-            assert_eq!(RejectKind::from_code(k.index() as u16), Some(k));
+        ];
+        assert_eq!(kinds.len(), crate::metrics::REJECT_REASONS.len());
+        for (i, k) in kinds.into_iter().enumerate() {
+            assert_eq!(k.index(), i);
         }
-        assert_eq!(RejectKind::from_code(7), None);
     }
 }

@@ -64,10 +64,7 @@ impl RequestSpan {
     pub fn render(&self) -> String {
         let mut out = format!("request rid={} outcome={}\n", self.rid, self.outcome());
         for s in &self.stages {
-            let hop_level = matches!(
-                s.stage,
-                request_stage::VOTE | request_stage::COMMIT | request_stage::ABORT
-            );
+            let hop_level = matches!(s.stage, request_stage::COMMIT | request_stage::ABORT);
             let indent = if hop_level { "    " } else { "  " };
             out.push_str(indent);
             out.push_str(&format!("{:<9}", request_stage::label(s.stage)));
@@ -86,7 +83,7 @@ impl RequestSpan {
 
 /// Groups raw `(time, event)` records into per-request spans, in
 /// request-id order, each span causally sorted. Non-request events
-/// are ignored, so a whole decoded ring can be passed straight in.
+/// are ignored, so a whole ring's records can be passed straight in.
 #[must_use]
 pub fn reassemble(records: &[(u64, TraceEvent)]) -> Vec<RequestSpan> {
     let mut by_rid: BTreeMap<u32, Vec<StageRecord>> = BTreeMap::new();
@@ -156,8 +153,6 @@ mod tests {
                 9,
                 req(2, request_stage::DISPATCH, 0, request_stage::NO_PATH),
             ),
-            (2, req(1, request_stage::VOTE, 2, 1)),
-            (2, req(1, request_stage::VOTE, 0, 0)),
             (
                 1,
                 req(1, request_stage::DISPATCH, 0, request_stage::NO_PATH),
@@ -175,8 +170,6 @@ mod tests {
             order,
             vec![
                 (request_stage::DISPATCH, request_stage::NO_PATH),
-                (request_stage::VOTE, 0),
-                (request_stage::VOTE, 1),
                 (request_stage::COMMIT, 0),
                 (request_stage::COMMIT, 1),
                 (request_stage::FINALIZE, request_stage::NO_PATH),
@@ -193,7 +186,6 @@ mod tests {
                 1,
                 req(4, request_stage::DISPATCH, 0, request_stage::NO_PATH),
             ),
-            (2, req(4, request_stage::VOTE, 1, 0)),
             (3, req(4, request_stage::ABORT, 1, 0)),
             (
                 4,

@@ -9,7 +9,7 @@ use iba_core::{
     sl, AllocatorKind, ArbEntry, Distance, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig,
 };
 use iba_sim::{DownloadKey, Fabric, NodeId, PortDownload, LINK_1X_MBPS};
-use iba_topo::{HostId, PortPeer, RoutingTable, SwitchId, Topology};
+use iba_topo::{HostId, PortPeer, RoutingTable, Topology};
 use iba_traffic::ConnectionRequest;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -707,15 +707,6 @@ impl QosManager {
             packet_bytes,
         })
     }
-
-    /// Direct handle to a switch-facing port key (test/report helper).
-    #[must_use]
-    pub fn switch_port_key(&self, s: SwitchId, port: u8) -> PortKey {
-        PortKey {
-            node: NodeId::Switch(s.0),
-            port,
-        }
-    }
 }
 
 /// The distance admission reserves for each SL, by SL number: the
@@ -741,7 +732,7 @@ fn reserved_distances(sl_table: &SlTable, map: &SlToVlMap) -> [Option<Distance>;
 mod tests {
     use super::*;
     use iba_core::{Distance, ServiceLevel, VirtualLane};
-    use iba_topo::{irregular, updown};
+    use iba_topo::{irregular, updown, SwitchId};
 
     fn small_manager(seed: u64) -> QosManager {
         let topo = irregular::generate(irregular::IrregularConfig::with_switches(4, seed));

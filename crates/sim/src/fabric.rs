@@ -745,20 +745,6 @@ impl Fabric {
         self.hosts[host.index()].out.stats
     }
 
-    /// Bytes and packets injected by one host in the current window.
-    #[must_use]
-    pub fn host_injected(&self, host: HostId) -> (u64, u64) {
-        let h = &self.hosts[host.index()];
-        (h.injected_bytes, h.injected_packets)
-    }
-
-    /// Bytes and packets delivered to one host in the current window.
-    #[must_use]
-    pub fn host_delivered(&self, host: HostId) -> (u64, u64) {
-        let h = &self.hosts[host.index()];
-        (h.delivered_bytes, h.delivered_packets)
-    }
-
     /// Aggregate measurements over the current window.
     #[must_use]
     pub fn summarize(&self) -> FabricStats {

@@ -20,5 +20,5 @@ pub mod util;
 
 pub use delay::{DelayCollector, DelayDistribution, DEFAULT_THRESHOLDS};
 pub use jitter::{JitterCollector, JitterHistogram, JITTER_BIN_LABELS};
-pub use report::{Align, Table};
+pub use report::Table;
 pub use util::{MeanAccumulator, UtilizationSummary};

@@ -2,45 +2,25 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
 /// A simple text table: header row + data rows, rendered with aligned
-/// columns or as CSV.
+/// columns (the first, the labels, left-aligned; the numbers
+/// right-aligned) or as CSV.
 #[derive(Clone, Debug)]
 pub struct Table {
     title: String,
     header: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// New table with a title and column headers (all right-aligned
-    /// except the first).
+    /// New table with a title and column headers.
     #[must_use]
     pub fn new(title: &str, header: &[&str]) -> Self {
-        let aligns = (0..header.len())
-            .map(|i| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
-            aligns,
             rows: Vec::new(),
         }
-    }
-
-    /// Overrides column alignments.
-    pub fn set_aligns(&mut self, aligns: Vec<Align>) {
-        assert_eq!(aligns.len(), self.header.len());
-        self.aligns = aligns;
     }
 
     /// Appends a row (must match the header width).
@@ -52,11 +32,6 @@ impl Table {
             self.title
         );
         self.rows.push(cells);
-    }
-
-    /// Appends a row of display-formatted values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Number of data rows.
@@ -84,29 +59,23 @@ impl Table {
         if !self.title.is_empty() {
             let _ = writeln!(out, "{}", self.title);
         }
-        let fmt_row = |cells: &[String], widths: &[usize], aligns: &[Align]| -> String {
+        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
             for (i, (cell, w)) in cells.iter().zip(widths).enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                match aligns[i] {
-                    Align::Left => {
-                        let _ = write!(line, "{cell:<w$}");
-                    }
-                    Align::Right => {
-                        let _ = write!(line, "{cell:>w$}");
-                    }
+                if i == 0 {
+                    let _ = write!(line, "{cell:<w$}");
+                } else {
+                    let _ = write!(line, "  {cell:>w$}");
                 }
             }
             line.trim_end().to_string()
         };
-        let header = fmt_row(&self.header, &widths, &self.aligns);
+        let header = fmt_row(&self.header, &widths);
         let rule = "-".repeat(header.len());
         let _ = writeln!(out, "{header}");
         let _ = writeln!(out, "{rule}");
         for row in &self.rows {
-            let _ = writeln!(out, "{}", fmt_row(row, &widths, &self.aligns));
+            let _ = writeln!(out, "{}", fmt_row(row, &widths));
         }
         out
     }

@@ -9,13 +9,18 @@
 
 use crate::graph::{PortPeer, SwitchId, Topology};
 use crate::updown::RoutingTable;
-use std::collections::HashMap;
 
 /// A directed channel: the link out of `switch` through `port`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Channel {
     switch: u16,
     port: u8,
+}
+
+/// The dense index of the channel out of `switch` through `port`:
+/// channels sort by `(switch, port)`.
+fn channel_slot(topo: &Topology, switch: SwitchId, port: u8) -> usize {
+    switch.index() * usize::from(topo.ports_per_switch()) + usize::from(port)
 }
 
 /// Structural invariant of every generated fabric: internally
@@ -34,17 +39,18 @@ pub fn check_well_formed(topo: &Topology) -> Result<(), String> {
 /// it for cycles. Returns `Ok(())` when deadlock-free, or a description
 /// of a cyclic dependency.
 pub fn check_deadlock_freedom(topo: &Topology, routing: &RoutingTable) -> Result<(), String> {
-    // Enumerate channels and dependencies.
-    let mut index: HashMap<Channel, usize> = HashMap::new();
+    // Enumerate channels and dependencies; `index[channel_slot(..)]`
+    // is a channel's node in the graph.
+    let slots = topo.num_switches() * usize::from(topo.ports_per_switch());
+    let mut index = vec![usize::MAX; slots];
     let mut channels: Vec<Channel> = Vec::new();
     for s in topo.switch_ids() {
         for (p, _, _) in topo.switch_links(s) {
-            let c = Channel {
+            index[channel_slot(topo, s, p)] = channels.len();
+            channels.push(Channel {
                 switch: s.0,
                 port: p,
-            };
-            index.insert(c, channels.len());
-            channels.push(c);
+            });
         }
     }
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
@@ -61,7 +67,7 @@ pub fn check_deadlock_freedom(topo: &Topology, routing: &RoutingTable) -> Result
                     break; // last hop exits to the host, no channel
                 }
                 let port = routing.port(s, dest);
-                let c = index[&Channel { switch: s.0, port }];
+                let c = index[channel_slot(topo, s, port)];
                 if let Some(p) = prev {
                     if !deps[p].contains(&c) {
                         deps[p].push(c);
@@ -158,11 +164,14 @@ pub fn mean_path_switches(topo: &Topology, routing: &RoutingTable) -> f64 {
     total as f64 / pairs as f64
 }
 
-/// Convenience: the switch id of the most loaded output channel when
-/// routing uniform all-to-all traffic (static analysis).
+/// Convenience: the most loaded switch-to-switch output channel when
+/// routing uniform all-to-all traffic (static analysis), as `(switch,
+/// port, pairs routed through it)`. Ties go to the lowest `(switch,
+/// port)`; `None` when no pair crosses a switch-to-switch link.
 #[must_use]
 pub fn hottest_channel(topo: &Topology, routing: &RoutingTable) -> Option<(SwitchId, u8, usize)> {
-    let mut load: HashMap<(u16, u8), usize> = HashMap::new();
+    let ports = usize::from(topo.ports_per_switch());
+    let mut load = vec![0usize; topo.num_switches() * ports];
     for src in topo.host_ids() {
         for dest in topo.host_ids() {
             if src == dest {
@@ -173,14 +182,14 @@ pub fn hottest_channel(topo: &Topology, routing: &RoutingTable) -> Option<(Switc
                 if i + 1 == path.len() {
                     break;
                 }
-                let port = routing.port(s, dest);
-                *load.entry((s.0, port)).or_default() += 1;
+                load[channel_slot(topo, s, routing.port(s, dest))] += 1;
             }
         }
     }
-    load.into_iter()
-        .max_by_key(|&(_, l)| l)
-        .map(|((s, p), l)| (SwitchId(s), p, l))
+    // `max_by_key` keeps the last of equal maxima: scan in reverse so
+    // the lowest slot wins a tie.
+    let (slot, &pairs) = load.iter().enumerate().rev().max_by_key(|&(_, l)| l)?;
+    (pairs > 0).then(|| (SwitchId((slot / ports) as u16), (slot % ports) as u8, pairs))
 }
 
 #[cfg(test)]
@@ -224,5 +233,22 @@ mod tests {
         assert!(mean >= 1.0 && mean < t.num_switches() as f64);
         let hot = hottest_channel(&t, &r).unwrap();
         assert!(hot.2 > 0);
+    }
+
+    #[test]
+    fn hottest_channel_breaks_ties_toward_the_lowest_switch_and_port() {
+        // A line S0 - S1 - S2 with one host per switch: each of the four
+        // switch-to-switch channels carries exactly two pairs. S0's link
+        // sits on port 2, so the tie must go to (S0, 2), not to the first
+        // link port of any switch.
+        let mut t = crate::graph::Topology::new(3, 4);
+        t.connect_switches(SwitchId(0), 2, SwitchId(1), 0);
+        t.connect_switches(SwitchId(1), 1, SwitchId(2), 0);
+        for s in 0..3 {
+            t.attach_host(SwitchId(s), 3);
+        }
+        let r = updown::compute(&t);
+        check_deadlock_freedom(&t, &r).unwrap();
+        assert_eq!(hottest_channel(&t, &r), Some((SwitchId(0), 2, 2)));
     }
 }

@@ -46,15 +46,6 @@ pub fn deadline_with_transmission(distance: Distance, hops: usize, packet_bytes:
     hops as u64 * per_stage
 }
 
-/// [`deadline_for`] on a faster link: a `bytes_per_cycle`-wide link
-/// drains a maximum-weight table entry `bytes_per_cycle×` faster, so the
-/// guaranteed deadline shrinks accordingly (4x and 12x links).
-#[must_use]
-pub fn deadline_for_speed(distance: Distance, hops: usize, bytes_per_cycle: u64) -> u64 {
-    assert!(bytes_per_cycle > 0);
-    (hops as u64 * distance.slots() as u64 * SERVICE_QUANTUM_CYCLES).div_ceil(bytes_per_cycle)
-}
-
 /// A QoS connection request.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConnectionRequest {

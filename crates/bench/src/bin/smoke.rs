@@ -429,7 +429,7 @@ fn bench_chaos() -> Vec<BenchRecord> {
             out.violations(),
             out.recovery.evicted,
             out.recovery.reinstalled,
-            out.faults_injected,
+            out.metrics.fault_injected.get(),
             wall.as_secs_f64()
         );
         let rounds = u64::from(cfg.rounds.max(1));

@@ -491,19 +491,18 @@ pub fn chaos(args: &Args) -> Result<String, Failure> {
     } else {
         args.threads
     };
-    let outcome = iba_harness::run_chaos(&cfg, threads);
+    let mut outcome = iba_harness::run_chaos(&cfg, threads);
     let out = outcome.render_report();
-    // SLO gating over a single pseudo-window: the post-repair
-    // auditor's exported registry plus the fault-injection totals.
-    let mut exported = iba_obs::Metrics::new();
-    outcome.audit.auditor.export_into(&mut exported);
-    exported.fault_injected.add(outcome.faults_injected);
+    // SLO gating over a single pseudo-window: the run's registry
+    // (recovery and sweep fault metrics) plus the post-repair
+    // auditor's export.
+    outcome.audit.auditor.export_into(&mut outcome.metrics);
     gate(
         args,
         out,
         Checked {
             failure: (!outcome.passed()).then(|| outcome.summary_line()),
-            metrics: &mut exported,
+            metrics: &mut outcome.metrics,
             timeline: None,
             tracer: outcome.audit.auditor.tracer(),
             requests: &[],
@@ -1041,6 +1040,13 @@ mod tests {
         assert!(ok.contains("slo: verdict=PASS"), "{ok}");
         c.slo = Some("rate(fault_injected_total) == 0".into());
         let err = verdict(chaos(&c), "injected faults breach the zero spec");
+        assert!(err.starts_with("slo: verdict=FAIL"), "{err}");
+        // The repair rounds count into the same registry.
+        c.slo = Some("rate(recovery_repairs_total) >= 1".into());
+        let ok = chaos(&c).expect("chaos repairs the damaged table");
+        assert!(ok.contains("slo: verdict=PASS"), "{ok}");
+        c.slo = Some("rate(recovery_repairs_total) == 0".into());
+        let err = verdict(chaos(&c), "repairs breach the zero spec");
         assert!(err.starts_with("slo: verdict=FAIL"), "{err}");
     }
 

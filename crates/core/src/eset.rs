@@ -121,27 +121,6 @@ impl ESet {
         ))
     }
 
-    /// The sibling set that, merged with `self`, forms the parent set at
-    /// half the distance. Returns `None` at distance 2 (no tighter set).
-    #[must_use]
-    pub fn buddy(self) -> Option<ESet> {
-        self.distance.tighter()?;
-        let d = self.distance.slots();
-        let j = self.offset as usize;
-        let half = d / 2;
-        let buddy_offset = if j < half { j + half } else { j - half };
-        Some(ESet::new(self.distance, buddy_offset))
-    }
-
-    /// Merges `self` with its buddy into the parent set at half the
-    /// distance. Returns `None` at distance 2.
-    #[must_use]
-    pub fn merge_with_buddy(self) -> Option<ESet> {
-        let tighter = self.distance.tighter()?;
-        let j = self.offset as usize % (self.distance.slots() / 2);
-        Some(ESet::new(tighter, j))
-    }
-
     /// All `E_{i,j}` for a given distance, in the paper's bit-reversal
     /// probe order.
     pub fn probe_sequence(distance: Distance) -> impl Iterator<Item = ESet> {
@@ -217,16 +196,22 @@ mod tests {
 
     #[test]
     fn buddy_is_symmetric_and_merges_to_parent() {
+        // Every set looser than distance 2 is one half of the split of
+        // its parent `E_{i-1, j mod d/2}`; the other half is its buddy,
+        // and the buddy's parent is the same set.
         for d in [Distance::D4, Distance::D16, Distance::D64] {
+            let half = d.slots() / 2;
             for e in ESet::all(d) {
-                let b = e.buddy().unwrap();
-                assert_eq!(b.buddy().unwrap(), e);
-                let parent = e.merge_with_buddy().unwrap();
-                assert_eq!(parent, b.merge_with_buddy().unwrap());
-                assert_eq!(parent.mask(), e.mask() | b.mask());
+                let parent = ESet::new(d.tighter().unwrap(), e.offset() % half);
+                let (a, b) = parent.split().unwrap();
+                assert!(a == e || b == e, "{e:?} is not a child of {parent:?}");
+                let buddy = if a == e { b } else { a };
+                assert_ne!(buddy, e);
+                assert_eq!(buddy.offset() % half, e.offset() % half);
+                assert_eq!(parent.mask(), e.mask() | buddy.mask());
             }
         }
-        assert!(ESet::new(Distance::D2, 1).buddy().is_none());
+        assert!(Distance::D2.tighter().is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::bitrev::bit_reverse;
 // lint: allow(no-unordered-iter) -- BFS dedup set: membership tests only, never iterated
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// A live sequence in the scaled model: distance `d` (power of two) and
 /// offset `j < d`, occupying slots `j, j+d, …` of a `size`-entry table.
@@ -37,6 +37,10 @@ pub struct ExplorationReport {
     /// True when the exploration hit its state bound before the
     /// frontier drained — the report then covers a prefix of the space.
     pub truncated: bool,
+    /// The distance multisets of the visited states, each as counts
+    /// indexed by `log2(d) - 1` — the projection the verify crate's
+    /// quotient explores.
+    pub multisets: BTreeSet<Vec<u8>>,
 }
 
 /// The scaled-down table model.
@@ -136,6 +140,16 @@ impl MiniTable {
         out
     }
 
+    /// The distance multiset of a state, as counts indexed by
+    /// `log2(d) - 1`.
+    fn multiset(self, state: &ModelState) -> Vec<u8> {
+        let mut counts = vec![0u8; self.log2 as usize];
+        for &(d, _) in state {
+            counts[d.trailing_zeros() as usize - 1] += 1;
+        }
+        counts
+    }
+
     /// Explores every reachable state of the dynamic system
     /// (alloc at any distance, free any sequence then defrag if
     /// `with_defrag`), checking the invariant everywhere.
@@ -161,6 +175,7 @@ impl MiniTable {
                 break;
             }
             report.states += 1;
+            report.multisets.insert(self.multiset(&state));
             let occ = self.occupancy(&state);
             if !self.is_canonical(occ) {
                 report.violations.push(state.clone());

@@ -298,19 +298,6 @@ impl SlToVlMap {
         SlToVlMap { map }
     }
 
-    /// A mapping collapsing all SLs onto `n_data_vls` data lanes
-    /// round-robin by SL index (a simple model of a switch with fewer
-    /// VLs; SL15 stays on VL15).
-    #[must_use]
-    pub fn collapsed(n_data_vls: u8) -> Self {
-        assert!((1..=15).contains(&n_data_vls));
-        let mut map = [VirtualLane::VL15; 16];
-        for (i, slot) in map.iter_mut().enumerate().take(15) {
-            *slot = VirtualLane::data((i as u8) % n_data_vls);
-        }
-        SlToVlMap { map }
-    }
-
     /// A mapping for a port with fewer VLs that keeps the QoS/best-effort
     /// separation intact: the ten QoS SLs (0–9) are folded round-robin
     /// onto `n_qos_vls` lanes, and the three best-effort SLs keep three
@@ -447,10 +434,13 @@ mod tests {
 
     #[test]
     fn collapsed_map_wraps() {
-        let m = SlToVlMap::collapsed(4);
+        // The QoS SLs wrap round-robin onto the QoS lanes; SL15 stays
+        // on VL15.
+        let m = SlToVlMap::collapsed_qos(4);
         assert_eq!(m.vl(ServiceLevel::new(0).unwrap()).raw(), 0);
         assert_eq!(m.vl(ServiceLevel::new(5).unwrap()).raw(), 1);
-        assert_eq!(m.vl(ServiceLevel::new(14).unwrap()).raw(), 2);
+        assert_eq!(m.vl(ServiceLevel::new(9).unwrap()).raw(), 1);
+        assert_eq!(m.vl(ServiceLevel::new(14).unwrap()).raw(), 6);
         assert!(m.vl(ServiceLevel::new(15).unwrap()).is_management());
     }
 

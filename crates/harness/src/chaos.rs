@@ -28,8 +28,8 @@ use crate::engine::run_sweep;
 use crate::experiment::{build_experiment_sized, run_measured};
 use crate::fnv::Fnv64;
 use iba_core::{AllocatorKind, SplitMix64};
-use iba_obs::ObsRecorder;
-use iba_qos::{RecoveryManager, RecoveryStats, RecoverySummary};
+use iba_obs::{Metrics, ObsRecorder};
+use iba_qos::{RecoveryManager, RecoverySummary};
 use iba_sim::FaultPlan;
 
 /// Parameters of one chaos run.
@@ -73,9 +73,6 @@ pub struct ChaosOutcome {
     pub corruption_ops: usize,
     /// Accumulated repair summary across all rounds.
     pub recovery: RecoverySummary,
-    /// The recovery manager's lifetime stats (retries, backoff,
-    /// degradations).
-    pub recovery_stats: RecoveryStats,
     /// Whether the table passed `check_consistency` after the final
     /// repair (it must).
     pub consistent: bool,
@@ -87,10 +84,11 @@ pub struct ChaosOutcome {
     pub sweep_digest: u64,
     /// Steady-state deliveries across the whole sweep.
     pub sweep_deliveries: u64,
-    /// Fault actions applied by fabrics during the audited windows.
-    pub faults_injected: u64,
-    /// Arbitration candidates suppressed by blackout/stall faults.
-    pub faults_blocked: u64,
+    /// The run's registry: the repair rounds' `recovery_*` (and
+    /// admission) metrics merged with the faulted sweep's, whose
+    /// `fault_*` counters count the fault actions applied and the
+    /// arbitration candidates they blocked.
+    pub metrics: Metrics,
 }
 
 impl ChaosOutcome {
@@ -127,6 +125,7 @@ impl ChaosOutcome {
     #[must_use]
     pub fn render_report(&self) -> String {
         let c = &self.config;
+        let m = &self.metrics;
         let mut out = format!(
             "chaos: allocator={} mtu={} seed={} rounds={} sweep_points={}\n\
              fill: accepted={} rejected={} fallback_installs={}\n\
@@ -147,9 +146,9 @@ impl ChaosOutcome {
             self.recovery.evicted,
             self.recovery.reinstalled,
             self.recovery.lost,
-            self.recovery_stats.degraded,
-            self.recovery_stats.retries,
-            self.recovery_stats.backoff_cycles,
+            m.recovery_degraded.get(),
+            m.recovery_retries.get(),
+            m.recovery_backoff_cycles.sum(),
             if self.consistent { "yes" } else { "no" },
         );
         out.push_str(&self.audit.auditor.render_report());
@@ -157,8 +156,8 @@ impl ChaosOutcome {
             "sweep: points={} faults_injected={} faults_blocked={} \
              deliveries={} digest={:#018x}\n",
             c.sweep_points,
-            self.faults_injected,
-            self.faults_blocked,
+            m.fault_injected.get(),
+            m.fault_blocked.0.iter().map(|c| c.get()).sum::<u64>(),
             self.sweep_deliveries,
             self.sweep_digest,
         ));
@@ -203,7 +202,6 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
         summary.lost += s.lost;
     }
     let consistent = fill.table.check_consistency().is_ok();
-    let recovery_stats = *recovery.stats();
     let audit = drive_engine(&audit_cfg, fill);
 
     // Phase 2: faulted full-fabric sweep — the determinism witness.
@@ -228,20 +226,17 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
         sweep_digest.word(digest);
         sweep_deliveries += count;
     }
-    let faults_injected = merged.metrics.fault_injected.get();
-    let faults_blocked = merged.metrics.fault_blocked.0.iter().map(|c| c.get()).sum();
+    rec.merge(&merged);
 
     ChaosOutcome {
         config: config.clone(),
         corruption_ops,
         recovery: summary,
-        recovery_stats,
         consistent,
         audit,
         sweep_digest: sweep_digest.finish(),
         sweep_deliveries,
-        faults_injected,
-        faults_blocked,
+        metrics: rec.metrics,
     }
 }
 
@@ -281,15 +276,19 @@ mod tests {
         let cfg = ChaosConfig::new(AllocatorKind::BitReversal, 1024, 7);
         let reference = run_chaos(&cfg, 1);
         assert!(reference.sweep_deliveries > 0, "sweep delivered nothing");
-        assert!(reference.faults_injected > 0, "no faults fired in-window");
+        let injected = |o: &ChaosOutcome| o.metrics.fault_injected.get();
+        assert!(injected(&reference) > 0, "no faults fired in-window");
         for threads in [2usize, 8] {
             let got = run_chaos(&cfg, threads);
             assert_eq!(
                 got.sweep_digest, reference.sweep_digest,
                 "digest diverged at {threads} threads"
             );
-            assert_eq!(got.faults_injected, reference.faults_injected);
-            assert_eq!(got.faults_blocked, reference.faults_blocked);
+            assert_eq!(injected(&got), injected(&reference));
+            assert_eq!(
+                got.metrics.fault_blocked.0.map(|c| c.get()),
+                reference.metrics.fault_blocked.0.map(|c| c.get())
+            );
             assert_eq!(got.render_report(), reference.render_report());
         }
     }

@@ -1,7 +1,8 @@
 //! The chaos-serve drive: runs a seeded admit/teardown/repair trace
 //! through the journaled admission service **under a control-plane
-//! fault calendar** — owner crashes, lost or duplicated requests, lost
-//! replies — and differentially audits the survivor against the
+//! fault calendar** ([`ServeFaultPlan::generate_control`]) — owner
+//! crashes, lost or duplicated requests, lost replies — and
+//! differentially audits the survivor against the
 //! sequential [`QosManager`](iba_qos::QosManager) reference.
 //!
 //! Three oracles gate the verdict:
@@ -198,11 +199,7 @@ pub fn run_chaos_serve(config: &ChaosServeConfig, window: Option<u64>) -> ChaosS
     let (planner, hosts) = build_manager(config.switches, config.seed);
     let ops = service::generate_trace(&TraceConfig::new(hosts, config.seed, config.requests));
 
-    // The control-plane fault calendar rides the same seeded-schedule
-    // machinery as the fabric faults, then compiles into the service's
-    // fault plan.
-    let calendar = iba_sim::fault::FaultPlan::generate_control(config.seed, ops.len());
-    let plan = ServeFaultPlan::from_calendar(&calendar);
+    let plan = ServeFaultPlan::generate_control(config.seed, ops.len());
 
     // Sequential reference on an identical, independently built manager.
     let (mut seq_mgr, _) = build_manager(config.switches, config.seed);

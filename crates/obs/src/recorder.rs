@@ -258,16 +258,6 @@ impl ObsRecorder {
         }
     }
 
-    /// A recorder that also profiles wall-clock spans into a ring of
-    /// `capacity` records.
-    #[must_use]
-    pub fn with_spans(capacity: usize) -> Self {
-        ObsRecorder {
-            spans: Some(crate::span::SpanRecorder::new(capacity)),
-            ..ObsRecorder::default()
-        }
-    }
-
     /// A recorder that also aggregates a windowed timeline with
     /// `window_len` ticks per window (see [`crate::timeline`]).
     #[must_use]
@@ -692,7 +682,10 @@ mod tests {
         plain.span_end("x");
         assert!(plain.spans.is_none());
 
-        let mut prof = ObsRecorder::with_spans(8);
+        let mut prof = ObsRecorder {
+            spans: Some(crate::span::SpanRecorder::new(8)),
+            ..ObsRecorder::default()
+        };
         prof.span_begin("alloc.select");
         prof.span_end("alloc.select");
         let spans = prof.spans.as_ref().expect("span recorder installed");
@@ -703,7 +696,10 @@ mod tests {
 
     #[test]
     fn merge_unions_span_rings_when_both_present() {
-        let mut a = ObsRecorder::with_spans(8);
+        let mut a = ObsRecorder {
+            spans: Some(crate::span::SpanRecorder::new(8)),
+            ..ObsRecorder::default()
+        };
         a.span_begin("main");
         a.span_end("main");
         let epoch = a.spans.as_ref().map(|s| s.epoch()).expect("spans on");

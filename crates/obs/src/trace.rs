@@ -84,15 +84,6 @@ pub mod fault_code {
     pub const RECOVERY_RETRY: u8 = 10;
     /// Recovery escalated a re-install down the distance ladder.
     pub const RECOVERY_DEGRADED: u8 = 11;
-    /// A control-plane fault calendar crashed the admission service's
-    /// owner; `detail` is the targeted trace-op index.
-    pub const SERVE_CRASH: u8 = 12;
-    /// A control-plane fault calendar lost or duplicated a request to
-    /// the admission service; `detail` is the targeted trace-op index.
-    pub const SERVE_REQUEST_LOSS: u8 = 13;
-    /// A control-plane fault calendar lost the admission service's
-    /// reply; `detail` is the targeted trace-op index.
-    pub const SERVE_REPLY_LOSS: u8 = 14;
 
     /// Short label for reports; `"fault"` for unknown codes.
     #[must_use]
@@ -108,9 +99,6 @@ pub mod fault_code {
             RECOVERY_REINSTALL => "recovery-reinstall",
             RECOVERY_RETRY => "recovery-retry",
             RECOVERY_DEGRADED => "recovery-degraded",
-            SERVE_CRASH => "serve-crash",
-            SERVE_REQUEST_LOSS => "serve-request-loss",
-            SERVE_REPLY_LOSS => "serve-reply-loss",
             _ => "fault",
         }
     }
@@ -361,9 +349,6 @@ mod tests {
             fault_code::RECOVERY_REINSTALL,
             fault_code::RECOVERY_RETRY,
             fault_code::RECOVERY_DEGRADED,
-            fault_code::SERVE_CRASH,
-            fault_code::SERVE_REQUEST_LOSS,
-            fault_code::SERVE_REPLY_LOSS,
         ];
         let mut labels: Vec<&str> = codes.iter().map(|&c| fault_code::label(c)).collect();
         labels.sort_unstable();

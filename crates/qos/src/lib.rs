@@ -19,9 +19,9 @@
 //! * [`recovery`] — guarantee-preserving recovery: hot table repair,
 //!   re-admission through a graceful-degradation ladder, and bounded
 //!   retry with deterministic backoff;
-//! * [`retry`] — the shared deterministic retry machinery: saturating
-//!   exponential backoff with seeded jitter, used by both [`recovery`]
-//!   and the [`service`] timeouts;
+//! * [`retry`] — the shared deterministic retry machinery: three
+//!   retries with saturating exponential backoff and seeded jitter,
+//!   used by both [`recovery`] and the [`service`] timeouts;
 //! * [`journal`] — the admission service's write-ahead journal: each
 //!   trace operation is journaled before it is applied and its outcome
 //!   after, and a crashed owner restarts by replaying it;
@@ -53,8 +53,8 @@ pub use frame::{FillReport, QosFrame};
 pub use journal::{IntentJournal, JournalRecord, OpKey};
 pub use manager::{LowPriorityPolicy, QosManager};
 pub use measure::QosObserver;
-pub use recovery::{RecoveryManager, RecoveryPolicy, RecoveryStats, RecoverySummary};
-pub use retry::{saturating_backoff, Backoff, RetryPolicy};
+pub use recovery::{RecoveryManager, RecoverySummary};
+pub use retry::{saturating_backoff, Backoff};
 pub use service::{
     apply_trace_sequential, generate_trace, run_trace, run_trace_faulted, CrashPoint, FaultStats,
     ServeFault, ServeFaultKind, ServeFaultPlan, ServeOptions, ServeReport, TraceConfig, TraceOp,

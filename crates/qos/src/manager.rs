@@ -93,8 +93,6 @@ pub struct QosManager {
     low_stamp: u64,
     link_mbps: f64,
     header_bytes: u32,
-    accepted: u64,
-    rejected: u64,
     /// The path buffer admission reuses from request to request.
     path: Vec<PortKey>,
 }
@@ -131,8 +129,6 @@ impl QosManager {
             low_stamp: crate::stamp::unique(),
             link_mbps: LINK_1X_MBPS,
             header_bytes: 0,
-            accepted: 0,
-            rejected: 0,
             path: Vec::new(),
         }
     }
@@ -211,12 +207,6 @@ impl QosManager {
         &self.routing
     }
 
-    /// (accepted, rejected) request counters.
-    #[must_use]
-    pub fn admission_counters(&self) -> (u64, u64) {
-        (self.accepted, self.rejected)
-    }
-
     /// The output ports a connection from `src` to `dst` crosses:
     /// the host's uplink, then every switch's output along the route
     /// (the last one faces the destination host).
@@ -274,7 +264,6 @@ impl QosManager {
         let Some(weight) =
             iba_core::weight_for_bandwidth(req.mean_bw_mbps * gross_factor, self.link_mbps)
         else {
-            self.rejected += 1;
             rec.cac_reject(RejectReason::RequestTooLarge.kind());
             return Err(RejectReason::RequestTooLarge);
         };
@@ -288,7 +277,6 @@ impl QosManager {
         let hops = match admitted {
             Ok(h) => h,
             Err(e) => {
-                self.rejected += 1;
                 rec.cac_reject(e.kind());
                 return Err(e);
             }
@@ -319,7 +307,6 @@ impl QosManager {
                 (self.connections.len() - 1) as u32
             }
         };
-        self.accepted += 1;
         Ok(ConnectionId(id))
     }
 
@@ -907,9 +894,7 @@ mod tests {
         // 128 Mbps reserves 836/13056 of a link: at most 15 fit.
         assert!(admitted <= 15, "{admitted} admitted");
         assert!(admitted >= 10, "only {admitted} admitted");
-        let (acc, rej) = m.admission_counters();
-        assert_eq!(acc, admitted as u64);
-        assert_eq!(rej, 1);
+        assert_eq!(m.live_connections(), admitted);
     }
 
     #[test]

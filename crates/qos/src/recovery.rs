@@ -13,9 +13,9 @@
 //! 3. **re-admits** what the repair dropped, first at its contracted
 //!    distance, then escalating through [`iba_core::Distance::looser`]
 //!    — a degraded-but-served reservation beats a dropped one;
-//! 4. retries admissions a bounded number of times with deterministic
-//!    exponential backoff and jitter from the core SplitMix64 rng,
-//!    defragmenting between attempts.
+//! 4. retries admissions up to [`crate::retry::MAX_RETRIES`] times
+//!    with deterministic exponential backoff and jitter from the core
+//!    SplitMix64 rng, defragmenting between attempts.
 //!
 //! Two callers drive it. [`crate::QosManager::repair_tables`] repairs
 //! every port table of a subnet and re-admits each *connection* that
@@ -28,58 +28,18 @@
 //! Everything is seeded and deterministic: the same damage and seed
 //! produce byte-identical recovery decisions, which is what lets the
 //! chaos harness assert exact outcomes.
+//!
+//! The manager keeps no counters of its own. Every repair, re-install,
+//! loosening step and retry is reported once, through the
+//! [`iba_obs::Recorder`] hooks, into the `recovery_*` metrics of the
+//! caller's registry; the returned [`RecoverySummary`] adds only what
+//! has no metric (the reservations lost).
 
-use crate::retry::{Backoff, RetryPolicy};
+use crate::retry::Backoff;
 use iba_core::{
     Admission, Distance, EvictedSequence, HighPriorityTable, ServiceLevel, TableError, VirtualLane,
     Weight,
 };
-
-/// Tunables of the recovery ladder.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryPolicy {
-    /// Bounded retry attempts per admission (on top of the first try).
-    pub max_retries: u32,
-    /// Base backoff in cycles; attempt `n` waits `base << n`
-    /// (saturating, via [`crate::retry::saturating_backoff`]) plus
-    /// jitter in `[0, base)`.
-    pub backoff_base: u64,
-    /// How many [`Distance::looser`] steps the degradation ladder may
-    /// take before declaring the reservation lost.
-    pub max_degrade_steps: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_base: 1024,
-            max_degrade_steps: 5,
-        }
-    }
-}
-
-/// Counters accumulated across every recovery action. The ladder runs
-/// once per re-admitted reservation: per evicted sequence on a
-/// standalone table, per connection hop under
-/// [`crate::QosManager::repair_tables`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Repair passes that found (and fixed) damage.
-    pub repairs: u64,
-    /// Sequences evicted by repair passes.
-    pub evicted: u64,
-    /// Reservations the ladder re-installed.
-    pub reinstalled: u64,
-    /// Loosening steps the ladder took.
-    pub degraded: u64,
-    /// Reservations the ladder could not place anywhere.
-    pub lost: u64,
-    /// Admission retries performed.
-    pub retries: u64,
-    /// Total deterministic backoff cycles accumulated by retries.
-    pub backoff_cycles: u64,
-}
 
 /// Outcome of one repair. [`crate::QosManager::repair_tables`] counts
 /// connections, [`RecoveryManager::repair_table`] sequences; either way
@@ -99,48 +59,20 @@ pub struct RecoverySummary {
     pub lost: usize,
 }
 
-/// The recovery manager: owns the seeded rng, the policy and the
-/// lifetime stats. One instance drives any number of tables.
+/// The recovery manager: owns the seeded backoff rng. One instance
+/// drives any number of tables.
 #[derive(Clone, Debug)]
 pub struct RecoveryManager {
     backoff: Backoff,
-    policy: RecoveryPolicy,
-    stats: RecoveryStats,
 }
 
 impl RecoveryManager {
-    /// A manager with the default policy.
+    /// A manager whose backoff jitter is seeded from `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        Self::with_policy(seed, RecoveryPolicy::default())
-    }
-
-    /// A manager with an explicit policy.
-    #[must_use]
-    pub fn with_policy(seed: u64, policy: RecoveryPolicy) -> Self {
         RecoveryManager {
-            backoff: Backoff::new(
-                seed ^ 0x5EC0_4E4F_1A2B_3C4D,
-                RetryPolicy {
-                    max_retries: policy.max_retries,
-                    backoff_base: policy.backoff_base,
-                },
-            ),
-            policy,
-            stats: RecoveryStats::default(),
+            backoff: Backoff::new(seed ^ 0x5EC0_4E4F_1A2B_3C4D),
         }
-    }
-
-    /// Lifetime counters.
-    #[must_use]
-    pub fn stats(&self) -> &RecoveryStats {
-        &self.stats
-    }
-
-    /// The policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
     }
 
     /// Repairs one standalone table and re-admits each live evicted
@@ -195,16 +127,14 @@ impl RecoveryManager {
         if !report.was_damaged && report.evicted.is_empty() {
             return None;
         }
-        self.stats.repairs += 1;
-        self.stats.evicted += report.evicted.len() as u64;
         rec.recovery_repair(report.evicted.len() as u64);
         Some(report.evicted)
     }
 
     /// Graceful-degradation ladder: contracted distance first, then
-    /// each [`Distance::looser`] step (bounded by the policy). Every
-    /// loosening is metered as a degradation. Returns the admission,
-    /// or `None` when the reservation is lost.
+    /// each [`Distance::looser`] step up to D64. Every loosening is
+    /// metered as a degradation. Returns the admission, or `None` when
+    /// the reservation is lost.
     pub(crate) fn reinstall(
         &mut self,
         table: &mut HighPriorityTable,
@@ -215,29 +145,19 @@ impl RecoveryManager {
         rec: &mut dyn iba_obs::Recorder,
     ) -> Option<Admission> {
         let mut distance = contracted;
-        for step in 0..=self.policy.max_degrade_steps {
+        loop {
             match self.admit_with_retry(table, sl, vl, distance, weight, rec) {
                 Ok(admission) => {
                     rec.recovery_reinstall();
-                    self.stats.reinstalled += 1;
                     return Some(admission);
                 }
                 Err(TableError::NoFreeSequence | TableError::CapacityExceeded) => {
-                    let Some(looser) = distance.looser() else {
-                        break;
-                    };
-                    if step == self.policy.max_degrade_steps {
-                        break;
-                    }
+                    distance = distance.looser()?;
                     rec.recovery_degraded();
-                    self.stats.degraded += 1;
-                    distance = looser;
                 }
-                Err(_) => break,
+                Err(_) => return None,
             }
         }
-        self.stats.lost += 1;
-        None
     }
 
     /// Bounded-retry admission with deterministic exponential backoff
@@ -263,8 +183,6 @@ impl RecoveryManager {
                     }
                     let backoff = self.backoff.delay(attempt);
                     rec.recovery_retry(backoff);
-                    self.stats.retries += 1;
-                    self.stats.backoff_cycles = self.stats.backoff_cycles.saturating_add(backoff);
                     table.defragment();
                     attempt += 1;
                 }
@@ -277,6 +195,7 @@ impl RecoveryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::{BACKOFF_BASE, MAX_RETRIES};
     use iba_core::SplitMix64;
     use iba_obs::{NullRecorder, ObsRecorder};
 
@@ -307,11 +226,12 @@ mod tests {
         let mut t = filled(1);
         let before = t.reserved_weight();
         let mut mgr = RecoveryManager::new(7);
-        let s = mgr.repair_table(&mut t, &mut NullRecorder);
+        let mut rec = ObsRecorder::new();
+        let s = mgr.repair_table(&mut t, &mut rec);
         assert_eq!(s.repaired, 0);
         assert_eq!(s.evicted, 0);
         assert_eq!(t.reserved_weight(), before);
-        assert_eq!(mgr.stats().repairs, 0);
+        assert_eq!(rec.metrics.recovery_repairs.get(), 0);
     }
 
     #[test]
@@ -351,7 +271,6 @@ mod tests {
         assert!(!t.can_admit(sl(0), Distance::D2, 32));
         let ok = mgr.reinstall(&mut t, sl(0), vl(0), Distance::D2, 32, &mut rec);
         assert!(ok.is_some(), "ladder should find a looser placement");
-        assert!(mgr.stats().degraded > 0);
         assert!(rec.metrics.recovery_degraded.get() > 0);
         assert_eq!(rec.metrics.recovery_reinstalls.get(), 1);
         t.check_consistency().unwrap();
@@ -370,17 +289,14 @@ mod tests {
                 .admit_with_retry(&mut t, sl(1), vl(1), Distance::D64, 10, &mut rec)
                 .unwrap_err();
             assert_eq!(err, TableError::CapacityExceeded);
-            (
-                mgr.stats().retries,
-                mgr.stats().backoff_cycles,
-                rec.metrics.recovery_retries.get(),
-            )
+            let m = &rec.metrics;
+            assert_eq!(m.recovery_backoff_cycles.count(), m.recovery_retries.get());
+            (m.recovery_retries.get(), m.recovery_backoff_cycles.sum())
         };
-        let (retries, backoff, metered) = run();
-        assert_eq!(retries, RecoveryPolicy::default().max_retries as u64);
-        assert_eq!(retries, metered);
-        // Exponential: total exceeds max_retries * base.
-        assert!(backoff > retries * RecoveryPolicy::default().backoff_base);
-        assert_eq!((retries, backoff, metered), run(), "must be deterministic");
+        let (retries, backoff) = run();
+        assert_eq!(retries, u64::from(MAX_RETRIES));
+        // Exponential: total exceeds retries * base.
+        assert!(backoff > retries * BACKOFF_BASE);
+        assert_eq!((retries, backoff), run(), "must be deterministic");
     }
 }

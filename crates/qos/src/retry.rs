@@ -1,10 +1,10 @@
-//! Shared deterministic retry machinery: bounded attempts with
-//! saturating exponential backoff and seeded jitter.
+//! Shared deterministic retry machinery: at most [`MAX_RETRIES`]
+//! retries with saturating exponential backoff from [`BACKOFF_BASE`]
+//! cycles and seeded jitter.
 //!
-//! Promoted out of `recovery.rs` so that both the data-plane
-//! [`crate::recovery::RecoveryManager`] and the control-plane
-//! timeouts in [`crate::service`] draw their backoff
-//! schedule from one implementation. Everything here is a pure
+//! Both the data-plane [`crate::recovery::RecoveryManager`] and the
+//! control-plane timeouts in [`crate::service`] draw their backoff
+//! schedule from this one implementation. Everything here is a pure
 //! function of the seed and the attempt number — no wall-clock, no
 //! global state — which is what keeps faulted runs byte-reproducible.
 //!
@@ -16,24 +16,12 @@
 
 use iba_core::SplitMix64;
 
-/// Tunables of a bounded retry schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Bounded retry attempts (on top of the first try).
-    pub max_retries: u32,
-    /// Base backoff in cycles; attempt `n` waits `base << n`
-    /// (saturating) plus jitter in `[0, base)`.
-    pub backoff_base: u64,
-}
+/// Retry attempts a schedule allows on top of the first try.
+pub const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base: 1024,
-        }
-    }
-}
+/// Base backoff in cycles: retry `n` waits `BACKOFF_BASE << n`
+/// (saturating) plus jitter in `[0, BACKOFF_BASE)`.
+pub const BACKOFF_BASE: u64 = 1024;
 
 /// Saturating exponential growth: `base << attempt`, clamped to
 /// `u64::MAX` on overflow of either the shift or the product.
@@ -48,7 +36,7 @@ pub fn saturating_backoff(base: u64, attempt: u32) -> u64 {
     }
 }
 
-/// A seeded backoff schedule: owns the jitter rng and the policy.
+/// A seeded backoff schedule: owns the jitter rng.
 ///
 /// Deterministic: the same seed and the same call sequence produce the
 /// same delays. One instance serves one retry domain (a recovery
@@ -57,40 +45,32 @@ pub fn saturating_backoff(base: u64, attempt: u32) -> u64 {
 #[derive(Clone, Debug)]
 pub struct Backoff {
     rng: SplitMix64,
-    policy: RetryPolicy,
 }
 
 impl Backoff {
     /// A schedule seeded with `seed` (callers apply their own domain
     /// mixing before passing it in).
     #[must_use]
-    pub fn new(seed: u64, policy: RetryPolicy) -> Self {
+    pub fn new(seed: u64) -> Self {
         Backoff {
             rng: SplitMix64::seed_from_u64(seed),
-            policy,
         }
-    }
-
-    /// The policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// True when `attempt` has used up the retry budget.
     #[must_use]
     pub fn exhausted(&self, attempt: u32) -> bool {
-        attempt >= self.policy.max_retries
+        attempt >= MAX_RETRIES
     }
 
     /// The delay before retry number `attempt`:
-    /// `saturating_backoff(base, attempt)` plus jitter in `[0, base)`.
+    /// `saturating_backoff(BACKOFF_BASE, attempt)` plus jitter in
+    /// `[0, BACKOFF_BASE)`.
     ///
     /// Advances the jitter rng, so call order matters for
     /// reproducibility.
     pub fn delay(&mut self, attempt: u32) -> u64 {
-        let base = self.policy.backoff_base.max(1);
-        saturating_backoff(base, attempt).saturating_add(self.rng.next_u64() % base)
+        saturating_backoff(BACKOFF_BASE, attempt).saturating_add(self.rng.next_u64() % BACKOFF_BASE)
     }
 }
 
@@ -127,33 +107,27 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_and_jittered() {
-        let policy = RetryPolicy::default();
         let run = || {
-            let mut b = Backoff::new(42, policy);
+            let mut b = Backoff::new(42);
             (0..4).map(|a| b.delay(a)).collect::<Vec<_>>()
         };
         let delays = run();
         assert_eq!(delays, run(), "same seed must give the same schedule");
         for (attempt, d) in delays.iter().enumerate() {
-            let floor = saturating_backoff(policy.backoff_base, attempt as u32);
-            assert!(*d >= floor && *d < floor + policy.backoff_base);
+            let floor = saturating_backoff(BACKOFF_BASE, attempt as u32);
+            assert!(*d >= floor && *d < floor + BACKOFF_BASE);
         }
-        let mut other = Backoff::new(43, policy);
+        let mut other = Backoff::new(43);
         let other_delays: Vec<u64> = (0..4).map(|a| other.delay(a)).collect();
         assert_ne!(delays, other_delays, "different seeds should jitter apart");
     }
 
     #[test]
     fn delay_never_panics_at_extreme_attempts() {
-        let mut b = Backoff::new(
-            7,
-            RetryPolicy {
-                max_retries: 100,
-                backoff_base: u64::MAX,
-            },
-        );
+        let mut b = Backoff::new(7);
         assert_eq!(b.delay(200), u64::MAX, "saturates, never wraps");
-        assert!(b.exhausted(100));
-        assert!(!b.exhausted(99));
+        assert_eq!(b.delay(u32::MAX), u64::MAX);
+        assert!(b.exhausted(MAX_RETRIES));
+        assert!(!b.exhausted(MAX_RETRIES - 1));
     }
 }

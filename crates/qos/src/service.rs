@@ -44,7 +44,7 @@ use crate::connection::{ConnectionId, HopReservation};
 use crate::journal::{IntentJournal, JournalRecord, OpKey};
 use crate::manager::QosManager;
 use crate::recovery::{RecoveryManager, RecoverySummary};
-use crate::retry::{Backoff, RetryPolicy};
+use crate::retry::Backoff;
 use iba_core::{Distance, ServiceLevel, SplitMix64, Weight};
 use iba_obs::{request_stage, NullRecorder, ObsRecorder, Recorder};
 use iba_sim::NodeId;
@@ -55,6 +55,8 @@ use std::collections::{BTreeMap, VecDeque};
 const TRACE_SEED: u64 = 0x5E87_EACE_5EED;
 /// Domain-separation constant for control-plane fault plans.
 const SERVE_FAULT_SEED: u64 = 0xC0DE_FA17_5EED;
+/// Domain-separation constant for the control-plane fault calendar.
+const CONTROL_CALENDAR_SEED: u64 = 0xC7A0_17A7_FA17_5EED;
 
 /// One operation of a request trace, addressed by request id (`rid`).
 #[derive(Clone, Debug)]
@@ -389,41 +391,33 @@ impl ServeFaultPlan {
         ServeFaultPlan { seed, faults }
     }
 
-    /// Threads the control-plane fault kinds of a data-plane fault
-    /// calendar ([`iba_sim::fault::FaultPlan`]) into a serve plan:
-    /// `ServeCrash`, `ServeRequestLoss` and `ServeReplyLoss` events map
-    /// to crashes, request loss or duplication, and reply loss (crash
-    /// point and loss-or-duplicate derived deterministically from the
-    /// op index); data-plane events pass through untouched to whoever
-    /// drives the simulator.
+    /// The control-plane fault calendar `ibaqos chaos-serve` runs:
+    /// at most one fault per operation, roughly one op in three
+    /// targeted, split evenly between crashes, request faults and
+    /// reply losses. The crash point and loss-or-duplicate follow from
+    /// the op index (crash before replying when `op % 3 == 2`, lose the
+    /// request when `op` is even), so the plan is in op order.
     #[must_use]
-    pub fn from_calendar(plan: &iba_sim::fault::FaultPlan) -> Self {
-        use iba_sim::fault::FaultAction;
-        let faults = plan
-            .events
-            .iter()
-            .filter_map(|&(_, action)| {
-                let (op, kind) = match action {
-                    FaultAction::ServeCrash { op } if op % 3 == 2 => {
-                        (op, ServeFaultKind::Crash(CrashPoint::BeforeReply))
-                    }
-                    FaultAction::ServeCrash { op } => {
-                        (op, ServeFaultKind::Crash(CrashPoint::BeforeAct))
-                    }
-                    FaultAction::ServeRequestLoss { op } if op % 2 == 0 => {
-                        (op, ServeFaultKind::RequestLoss)
-                    }
-                    FaultAction::ServeRequestLoss { op } => (op, ServeFaultKind::Duplicate),
-                    FaultAction::ServeReplyLoss { op } => (op, ServeFaultKind::ReplyLoss),
-                    _ => return None,
-                };
-                Some(ServeFault { op, kind })
-            })
-            .collect();
-        ServeFaultPlan {
-            seed: plan.seed,
-            faults,
+    pub fn generate_control(seed: u64, ops: usize) -> Self {
+        let mut rng = SplitMix64::seed_from_u64(seed ^ CONTROL_CALENDAR_SEED);
+        let mut faults = Vec::new();
+        for op in 0..ops {
+            let roll = rng.next_u64() % 100;
+            let kind = rng.next_u64() % 3;
+            if roll >= 33 {
+                continue;
+            }
+            let op = op as OpKey;
+            let kind = match kind {
+                0 if op % 3 == 2 => ServeFaultKind::Crash(CrashPoint::BeforeReply),
+                0 => ServeFaultKind::Crash(CrashPoint::BeforeAct),
+                1 if op.is_multiple_of(2) => ServeFaultKind::RequestLoss,
+                1 => ServeFaultKind::Duplicate,
+                _ => ServeFaultKind::ReplyLoss,
+            };
+            faults.push(ServeFault { op, kind });
         }
+        ServeFaultPlan { seed, faults }
     }
 }
 
@@ -589,7 +583,7 @@ pub fn run_trace_faulted(
 ) -> ServeReport {
     let mut owner = Owner::new(planner, opts.journal);
     let mut faults: VecDeque<ServeFault> = plan.faults.iter().copied().collect();
-    let mut backoff = Backoff::new(plan.seed ^ SERVE_FAULT_SEED, RetryPolicy::default());
+    let mut backoff = Backoff::new(plan.seed ^ SERVE_FAULT_SEED);
     let mut stats = FaultStats::default();
     let mut outcomes = Vec::with_capacity(ops.len());
     let (mut accepted, mut rejected, mut released) = (0u64, 0u64, 0u64);
@@ -725,6 +719,17 @@ mod tests {
         let mut mgr = planner(0);
         let outcomes = apply_trace_sequential(&mut mgr, ops, &mut NullRecorder);
         (outcomes, format!("{:?}", mgr.port_tables()))
+    }
+
+    #[test]
+    fn generate_control_is_deterministic() {
+        let ops = |p: &ServeFaultPlan| p.faults.iter().map(|f| (f.op, f.kind)).collect::<Vec<_>>();
+        let a = ServeFaultPlan::generate_control(7, 64);
+        assert_eq!(ops(&a), ops(&ServeFaultPlan::generate_control(7, 64)));
+        assert!(!a.faults.is_empty());
+        assert_ne!(ops(&a), ops(&ServeFaultPlan::generate_control(8, 64)));
+        // At most one fault per op, in op order.
+        assert!(a.faults.windows(2).all(|w| w[0].op < w[1].op));
     }
 
     #[test]

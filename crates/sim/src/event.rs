@@ -268,22 +268,6 @@ impl EventQueue {
         level.append(&mut self.nodes, slot as usize, i);
     }
 
-    /// Time of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Cycles> {
-        if let Some(slot) = self.near.first_from(0) {
-            return Some(self.block << BITS | slot as u64);
-        }
-        let Some(slot) = self.far.first_from(((self.block + 1) & MASK) as usize) else {
-            return self.overflow.peek().map(|e| e.0 .0);
-        };
-        // A far slot spans a block: take the minimum over its list.
-        let next = |&i: &u32| Some(self.nodes[i as usize].next).filter(|&n| n != NIL);
-        std::iter::successors(Some(self.far.ends[slot][0]), next)
-            .map(|i| self.nodes[i as usize].time)
-            .min()
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -335,21 +319,29 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
+        // A bounded pop that stops short of the next event only looks
+        // at it: the event stays queued.
         let mut q = EventQueue::new();
         q.push(7, Event::Complete { node: 0, port: 1 });
-        assert_eq!(q.peek_time(), Some(7));
+        assert_eq!(q.pop_at_most(6), None);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop().unwrap();
         assert!(q.is_empty());
-        // Far and overflow tiers: the peek is the minimum over a far
+        // Far and overflow tiers: the look is at the minimum over a far
         // slot's list, not its head.
         q.push(5_000, Event::Generate { flow: 0 });
         q.push(4_200, Event::Generate { flow: 1 });
-        assert_eq!(q.peek_time(), Some(4_200));
+        assert_eq!(q.pop_at_most(4_199), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.pop_at_most(4_200),
+            Some((4_200, Event::Generate { flow: 1 }))
+        );
         let mut q = EventQueue::new();
         q.push(50_000_000, Event::Generate { flow: 0 });
-        assert_eq!(q.peek_time(), Some(50_000_000));
+        assert_eq!(q.pop_at_most(49_999_999), None);
+        assert_eq!(q.pop(), Some((50_000_000, Event::Generate { flow: 0 })));
     }
 
     #[test]

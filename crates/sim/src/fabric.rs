@@ -977,12 +977,6 @@ impl Fabric {
         let Some(action) = self.faults.get(index).copied() else {
             return;
         };
-        if action.is_control_plane() {
-            // Serve faults are consumed by the admission service's
-            // fault engine; the fabric only traces their passage.
-            rec.fault_injected(action.code(), 0, 0);
-            return;
-        }
         let (node, port) = action.target();
         let code = action.code();
         let mut recompiled = false;
@@ -1017,10 +1011,6 @@ impl Fabric {
                     recompiled = true;
                     (seed & 0xFFFF_FFFF) as u32
                 }
-                // Handled by the early return above.
-                FaultAction::ServeCrash { .. }
-                | FaultAction::ServeRequestLoss { .. }
-                | FaultAction::ServeReplyLoss { .. } => 0,
             };
             // Any fault action may change which heads are eligible:
             // the port's next pass is a full one.

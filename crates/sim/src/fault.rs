@@ -102,33 +102,10 @@ pub enum FaultAction {
         /// Corruption sub-seed.
         seed: u64,
     },
-    /// Control-plane fault: crash the admission service's owner while
-    /// it serves trace operation `op`. Consumed by
-    /// `iba_qos::service::ServeFaultPlan::from_calendar`; the fabric
-    /// ignores it.
-    ServeCrash {
-        /// Targeted trace-operation index.
-        op: u32,
-    },
-    /// Control-plane fault: lose or duplicate the request of trace
-    /// operation `op` to the admission service.
-    ServeRequestLoss {
-        /// Targeted trace-operation index.
-        op: u32,
-    },
-    /// Control-plane fault: lose the admission service's reply to trace
-    /// operation `op`.
-    ServeReplyLoss {
-        /// Targeted trace-operation index.
-        op: u32,
-    },
 }
 
 impl FaultAction {
-    /// The output port this action targets. Control-plane (serve)
-    /// actions have no port target and report `(Switch(0), 0)`; use
-    /// [`FaultAction::is_control_plane`] to filter them out before
-    /// touching the fabric.
+    /// The output port this action targets.
     #[must_use]
     pub fn target(&self) -> (NodeId, u8) {
         match *self {
@@ -138,22 +115,7 @@ impl FaultAction {
             | FaultAction::SetVlBlackout { node, port, .. }
             | FaultAction::SetCreditStall { node, port, .. }
             | FaultAction::CorruptTable { node, port, .. } => (node, port),
-            FaultAction::ServeCrash { .. }
-            | FaultAction::ServeRequestLoss { .. }
-            | FaultAction::ServeReplyLoss { .. } => (NodeId::Switch(0), 0),
         }
-    }
-
-    /// Does this action target the admission-service control plane
-    /// (rather than a fabric port)?
-    #[must_use]
-    pub fn is_control_plane(&self) -> bool {
-        matches!(
-            *self,
-            FaultAction::ServeCrash { .. }
-                | FaultAction::ServeRequestLoss { .. }
-                | FaultAction::ServeReplyLoss { .. }
-        )
     }
 
     /// The `fault_code` this action is traced under.
@@ -166,9 +128,6 @@ impl FaultAction {
             FaultAction::SetVlBlackout { .. } => fault_code::VL_BLACKOUT,
             FaultAction::SetCreditStall { .. } => fault_code::CREDIT_STALL,
             FaultAction::CorruptTable { .. } => fault_code::TABLE_CORRUPT,
-            FaultAction::ServeCrash { .. } => fault_code::SERVE_CRASH,
-            FaultAction::ServeRequestLoss { .. } => fault_code::SERVE_REQUEST_LOSS,
-            FaultAction::ServeReplyLoss { .. } => fault_code::SERVE_REPLY_LOSS,
         }
     }
 }
@@ -318,33 +277,6 @@ impl FaultPlan {
         plan.events.sort_by_key(|&(t, _)| t);
         plan
     }
-
-    /// Generates a control-plane chaos schedule against an admission
-    /// trace of `ops` operations: at most one serve fault per
-    /// operation, roughly one op in three targeted. Fire times are the
-    /// operation indices, so the schedule is time-sorted by
-    /// construction. Deterministic in both arguments; never touches
-    /// the fabric-fault domain of [`FaultPlan::generate`].
-    #[must_use]
-    pub fn generate_control(seed: u64, ops: usize) -> Self {
-        let mut rng = SplitMix64::seed_from_u64(seed ^ 0xC7A0_17A7_FA17_5EED);
-        let mut plan = FaultPlan::new(seed);
-        for op in 0..ops {
-            let roll = rng.next_u64() % 100;
-            let kind = rng.next_u64() % 3;
-            if roll >= 33 {
-                continue;
-            }
-            let op = op as u32;
-            let action = match kind {
-                0 => FaultAction::ServeCrash { op },
-                1 => FaultAction::ServeRequestLoss { op },
-                _ => FaultAction::ServeReplyLoss { op },
-            };
-            plan.push(Cycles::from(op), action);
-        }
-        plan
-    }
 }
 
 fn pick_target(rng: &mut SplitMix64, switches: u16, ports: u8, hosts: u16) -> (NodeId, u8) {
@@ -408,55 +340,10 @@ mod tests {
                         downs -= 1;
                     }
                 }
-                FaultAction::CorruptTable { .. }
-                | FaultAction::ServeCrash { .. }
-                | FaultAction::ServeRequestLoss { .. }
-                | FaultAction::ServeReplyLoss { .. } => {}
+                FaultAction::CorruptTable { .. } => {}
             }
         }
         assert_eq!(downs, 0, "every transient fault must have a restore");
-    }
-
-    #[test]
-    fn generate_control_is_deterministic_and_control_plane_only() {
-        let a = FaultPlan::generate_control(7, 64);
-        let b = FaultPlan::generate_control(7, 64);
-        assert_eq!(a.events, b.events);
-        assert!(!a.events.is_empty());
-        assert_ne!(a.events, FaultPlan::generate_control(8, 64).events);
-        let mut last = 0;
-        for &(t, action) in &a.events {
-            assert!(action.is_control_plane());
-            assert!(t >= last, "control plan not time-sorted");
-            last = t;
-        }
-        // At most one fault per op, and fire time == op index.
-        let ops: Vec<u64> = a.events.iter().map(|&(t, _)| t).collect();
-        let mut deduped = ops.clone();
-        deduped.dedup();
-        assert_eq!(ops, deduped, "more than one fault scheduled for an op");
-    }
-
-    #[test]
-    fn serve_actions_carry_serve_fault_codes() {
-        assert_eq!(
-            FaultAction::ServeCrash { op: 3 }.code(),
-            fault_code::SERVE_CRASH
-        );
-        assert_eq!(
-            FaultAction::ServeRequestLoss { op: 3 }.code(),
-            fault_code::SERVE_REQUEST_LOSS
-        );
-        assert_eq!(
-            FaultAction::ServeReplyLoss { op: 3 }.code(),
-            fault_code::SERVE_REPLY_LOSS
-        );
-        assert!(FaultAction::ServeCrash { op: 0 }.is_control_plane());
-        assert!(!FaultAction::LinkDown {
-            node: NodeId::Switch(0),
-            port: 0
-        }
-        .is_control_plane());
     }
 
     #[test]

@@ -40,14 +40,6 @@ pub fn interval_for_rate(packet_bytes: u64, mbps: f64) -> Cycles {
     cycles.round().max(1.0) as Cycles
 }
 
-/// The effective rate (Mbps) of a flow sending `packet_bytes` every
-/// `interval` cycles — inverse of [`interval_for_rate`].
-#[must_use]
-pub fn rate_for_interval(packet_bytes: u64, interval: Cycles) -> f64 {
-    assert!(interval > 0);
-    packet_bytes as f64 / interval as f64 * LINK_1X_MBPS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +78,8 @@ mod tests {
         for mbps in [0.5, 1.0, 16.0, 128.0, 1250.0] {
             for bytes in [64u64, 256, 2048, 4096] {
                 let i = interval_for_rate(bytes, mbps);
-                let back = rate_for_interval(bytes, i);
+                // The rate a flow sending `bytes` every `i` cycles has.
+                let back = bytes as f64 / i as f64 * LINK_1X_MBPS;
                 assert!(
                     (back - mbps).abs() / mbps < 0.01,
                     "{mbps} Mbps {bytes}B -> {i} cycles -> {back} Mbps"

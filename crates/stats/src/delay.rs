@@ -81,15 +81,6 @@ impl DelayDistribution {
         })
     }
 
-    /// Percentage of packets that met the deadline (threshold 1.0).
-    #[must_use]
-    pub fn met_deadline_pct(&self) -> f64 {
-        if self.total == 0 {
-            return 100.0;
-        }
-        100.0 * (self.total - self.missed) as f64 / self.total as f64
-    }
-
     /// Merges another distribution.
     pub fn merge(&mut self, other: &DelayDistribution) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -147,25 +138,6 @@ impl DelayCollector {
             .enumerate()
             .filter_map(|(k, g)| g.as_ref().map(|g| (k, g)))
     }
-
-    /// The group keys with the lowest and the highest percentage of
-    /// packets meeting `threshold_idx` — the paper's *worst* and *best*
-    /// connections of Figure 6. Ties break to the lower key.
-    #[must_use]
-    pub fn worst_and_best(&self, threshold_idx: usize) -> Option<(usize, usize)> {
-        let mut worst: Option<(usize, f64)> = None;
-        let mut best: Option<(usize, f64)> = None;
-        for (k, g) in self.groups() {
-            let pct = g.percentages()[threshold_idx];
-            if worst.is_none_or(|(_, w)| pct < w) {
-                worst = Some((k, pct));
-            }
-            if best.is_none_or(|(_, b)| pct > b) {
-                best = Some((k, pct));
-            }
-        }
-        Some((worst?.0, best?.0))
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +155,6 @@ mod tests {
         assert!(pct.windows(2).all(|w| w[0] <= w[1]), "CDF not monotone");
         assert_eq!(pct[pct.len() - 1], 100.0);
         assert_eq!(d.missed(), 0);
-        assert_eq!(d.met_deadline_pct(), 100.0);
     }
 
     #[test]
@@ -193,7 +164,6 @@ mod tests {
         d.record(1200, 1000);
         assert_eq!(d.total(), 2);
         assert_eq!(d.missed(), 1);
-        assert_eq!(d.met_deadline_pct(), 50.0);
         assert!(d.max_ratio() > 1.19 && d.max_ratio() < 1.21);
         // 0.4 of the deadline meets D/2, 3D/4 and D; the late packet none.
         assert_eq!(d.percentages(), [0.0, 0.0, 0.0, 0.0, 0.0, 50.0, 50.0, 50.0]);
@@ -225,9 +195,7 @@ mod tests {
         }
         assert_eq!(c.group(0).unwrap().percentages()[half], 100.0);
         assert_eq!(c.group(2).unwrap().percentages()[half], 0.0);
-        let (worst, best) = c.worst_and_best(half).unwrap();
-        assert_eq!(worst, 2);
-        assert_eq!(best, 0);
+        assert_eq!(c.group(1).unwrap().percentages()[half], 50.0);
         assert!(c.group(3).is_none());
         assert_eq!(c.groups().count(), 3);
     }

@@ -79,42 +79,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (no title).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-}
-
-/// Formats a float with `digits` decimals (helper for rows).
-#[must_use]
-pub fn fnum(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
 }
 
 #[cfg(test)]
@@ -143,25 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(vec!["x,y".into(), "he said \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn width_mismatch_panics() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(fnum(0.5, 3), "0.500");
     }
 
     #[test]

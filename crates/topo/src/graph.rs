@@ -191,16 +191,6 @@ impl Topology {
             .map(|p| p as u8)
     }
 
-    /// Number of free ports of a switch.
-    #[must_use]
-    pub fn free_ports(&self, switch: SwitchId) -> usize {
-        self.switches[switch.index()]
-            .ports
-            .iter()
-            .filter(|p| matches!(p, PortPeer::Free))
-            .count()
-    }
-
     /// Wires two free switch ports together. Panics if either port is
     /// taken or the link is a self-loop on the same port.
     pub fn connect_switches(&mut self, a: SwitchId, pa: u8, b: SwitchId, pb: u8) {
@@ -353,10 +343,8 @@ mod tests {
     #[test]
     fn free_port_accounting() {
         let mut t = Topology::new(1, 4);
-        assert_eq!(t.free_ports(SwitchId(0)), 4);
         assert_eq!(t.free_port(SwitchId(0)), Some(0));
         t.attach_host(SwitchId(0), 0);
-        assert_eq!(t.free_ports(SwitchId(0)), 3);
         assert_eq!(t.free_port(SwitchId(0)), Some(1));
     }
 

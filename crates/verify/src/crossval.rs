@@ -6,15 +6,16 @@
 //! where both sides are tractable:
 //!
 //! 1. the set of distance multisets reachable by **concrete**
-//!    exploration (raw `(d, offset)` states, defrag on free) equals the
-//!    state set of the **quotient** exploration, and
+//!    exploration ([`MiniTable::explore`] over raw `(d, offset)`
+//!    states, defrag on free) equals the state set of the **quotient**
+//!    exploration, and
 //! 2. neither side ever reaches a non-canonical state.
 //!
 //! At sizes 8 and 16 both explorations are exhaustive, so (1) is a set
 //! equality; at size 32 the concrete side is bounded and (1) weakens to
 //! a subset check.
 
-use iba_core::model::{MiniTable, ModelState};
+use iba_core::model::MiniTable;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Outcome of one cross-validation run.
@@ -32,72 +33,6 @@ pub struct CrossvalReport {
     pub concrete_truncated: bool,
     /// Disagreements between the two explorations (empty = validated).
     pub mismatches: Vec<String>,
-}
-
-/// The distance multiset of a concrete model state, as counts indexed
-/// by `log2(d) - 1`.
-fn multiset_of(state: &ModelState, n_dists: usize) -> Vec<u8> {
-    let mut counts = vec![0u8; n_dists];
-    for &(d, _) in state {
-        // lint: allow(no-raw-occupancy-arith) -- log2 of a distance value, not mask decoding
-        counts[u32::from(d).trailing_zeros() as usize - 1] += 1;
-    }
-    counts
-}
-
-/// Concrete BFS over raw model states (alloc at any distance, free any
-/// sequence then defrag), collecting the projected multiset set.
-fn concrete_explore(
-    table: MiniTable,
-    size: u32,
-    max_states: usize,
-) -> (usize, BTreeSet<Vec<u8>>, bool, Vec<String>) {
-    // lint: allow(no-raw-occupancy-arith) -- log2 of the table size, not mask decoding
-    let n_dists = size.trailing_zeros() as usize;
-    let mut violations = Vec::new();
-    let mut seen: BTreeSet<ModelState> = BTreeSet::new();
-    let mut multisets: BTreeSet<Vec<u8>> = BTreeSet::new();
-    let mut queue: VecDeque<ModelState> = VecDeque::new();
-    let mut states = 0usize;
-    let mut truncated = false;
-
-    let empty: ModelState = Vec::new();
-    seen.insert(empty.clone());
-    queue.push_back(empty);
-
-    while let Some(state) = queue.pop_front() {
-        if states >= max_states {
-            truncated = true;
-            break;
-        }
-        states += 1;
-        multisets.insert(multiset_of(&state, n_dists));
-        let occ = table.occupancy(&state);
-        if !table.is_canonical(occ) {
-            violations.push(format!(
-                "concrete size {size}: non-canonical state {state:?}"
-            ));
-        }
-        for d in table.distances() {
-            if let Some(s) = table.alloc(occ, d) {
-                let mut next = state.clone();
-                next.push(s);
-                next.sort_unstable();
-                if seen.insert(next.clone()) {
-                    queue.push_back(next);
-                }
-            }
-        }
-        for i in 0..state.len() {
-            let mut next = state.clone();
-            next.remove(i);
-            let next = table.defrag(&next);
-            if seen.insert(next.clone()) {
-                queue.push_back(next);
-            }
-        }
-    }
-    (states, multisets, truncated, violations)
 }
 
 /// Quotient BFS over multisets of the scaled table: the representative
@@ -173,14 +108,19 @@ fn quotient_explore(table: MiniTable, size: u32) -> (BTreeSet<Vec<u8>>, Vec<Stri
 #[must_use]
 pub fn validate(size: u32, max_concrete: usize) -> CrossvalReport {
     let table = MiniTable::new(size);
-    let (concrete_states, concrete_multisets, truncated, mut mismatches) =
-        concrete_explore(table, size, max_concrete);
+    let concrete = table.explore(true, max_concrete);
+    let (concrete_multisets, truncated) = (&concrete.multisets, concrete.truncated);
+    let mut mismatches: Vec<String> = concrete
+        .violations
+        .iter()
+        .map(|state| format!("concrete size {size}: non-canonical state {state:?}"))
+        .collect();
     let (quotient_set, qviol) = quotient_explore(table, size);
     mismatches.extend(qviol);
 
     // Both sides are BTreeSets, so the mismatch report below comes out
     // in lexicographic multiset order — stable across runs and hashers.
-    for m in &concrete_multisets {
+    for m in concrete_multisets {
         if !quotient_set.contains(m) {
             mismatches.push(format!(
                 "size {size}: multiset {m:?} reachable concretely but absent from quotient"
@@ -199,7 +139,7 @@ pub fn validate(size: u32, max_concrete: usize) -> CrossvalReport {
 
     CrossvalReport {
         size,
-        concrete_states,
+        concrete_states: concrete.states,
         concrete_multisets: concrete_multisets.len(),
         quotient_states: quotient_set.len(),
         concrete_truncated: truncated,

@@ -1,17 +1,21 @@
-//! Virtual-lane buffers, the shared packet pool, and credit accounting.
+//! Switch VL buffers, host injection lanes, and credit accounting.
 //!
-//! Every queued packet in the fabric — switch input VL buffers and host
-//! injection queues alike — lives in one [`PacketPool`]: a slab of
-//! reusable slots threaded by an intrusive free list. Queues
-//! ([`VlBuffer`]) are intrusive singly-linked lists of slot indices, so
-//! pushing and popping a packet is two or three index writes and **no
-//! allocation** once the pool has warmed up to the fabric's peak
-//! population. The previous design kept a `VecDeque<Packet>` per VL per
-//! port (16 lanes x ports x switches of them), each growing its own
-//! heap block; the pool replaces all of that with a single arena that
-//! the steady state never grows.
+//! Every packet buffered at a switch input lives in one
+//! [`PacketPool`]: a [`Slab`] of reusable slots threaded by an
+//! intrusive free list. A port's VL queues ([`VlQueueSet`]) are
+//! intrusive singly-linked lists of slot indices, so pushing and
+//! popping a packet is two or three index writes and **no allocation**
+//! once the pool has warmed up to the fabric's peak switch-buffered
+//! population, which credit flow control bounds.
 //!
-//! Pool placement is driven purely by push/pop order, which is itself
+//! Hosts hold no packets. A host's injection lanes (`HostLanes`)
+//! queue *runs*: consecutive packets of one flow, counted in one slot
+//! of a shared `RunArena`. A packet's sequence number and creation
+//! time follow from its flow's arrival process, so the fabric rebuilds
+//! the packet when the lane grants it. An open-loop source that outruns
+//! the fabric grows the count of its lane's tail run, not the arena.
+//!
+//! Slot placement is driven purely by push/pop order, which is itself
 //! fully determined by the simulation's event order — pooling does not
 //! perturb determinism.
 
@@ -20,70 +24,72 @@ use crate::packet::Packet;
 /// Sentinel index: "no slot".
 const NIL: u32 = u32::MAX;
 
-struct Slot {
-    packet: Packet,
+struct Slot<T> {
+    item: T,
     /// Next slot in whichever list (queue or free list) owns this slot.
     next: u32,
 }
 
-/// A slab of packet slots with an intrusive free list, shared by every
-/// queue of a fabric.
-#[derive(Default)]
-pub struct PacketPool {
-    slots: Vec<Slot>,
+/// Reusable slots with an intrusive free list, shared by every queue
+/// of one kind in a fabric.
+pub struct Slab<T> {
+    slots: Vec<Slot<T>>,
     free_head: u32,
     in_use: usize,
 }
 
-impl PacketPool {
-    /// An empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        PacketPool {
+/// Backing storage of every switch-buffered packet of a fabric.
+pub type PacketPool = Slab<Packet>;
+
+/// Backing storage of every host lane's runs of a fabric.
+pub(crate) type RunArena = Slab<Run>;
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
             slots: Vec::new(),
             free_head: NIL,
             in_use: 0,
         }
     }
+}
 
-    /// A pool with `capacity` slots pre-allocated (queues still start
-    /// empty).
+impl<T> Slab<T> {
+    /// An empty slab.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut pool = PacketPool::new();
-        pool.slots.reserve(capacity);
-        pool
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Packets currently held in queues.
+    /// Items currently held in queues.
     #[must_use]
     pub fn in_use(&self) -> usize {
         self.in_use
     }
 
     /// Total slots ever allocated (the high-water mark of the live
-    /// packet population).
+    /// population).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     #[inline]
-    fn alloc(&mut self, packet: Packet) -> u32 {
+    fn alloc(&mut self, item: T) -> u32 {
         self.in_use += 1;
         if self.free_head != NIL {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
             self.free_head = slot.next;
-            slot.packet = packet;
+            slot.item = item;
             slot.next = NIL;
             idx
         } else {
             assert!(
                 self.slots.len() < NIL as usize,
-                "packet pool exhausted the u32 index space"
+                "slab exhausted the u32 index space"
             );
-            self.slots.push(Slot { packet, next: NIL });
+            self.slots.push(Slot { item, next: NIL });
             (self.slots.len() - 1) as u32
         }
     }
@@ -97,121 +103,11 @@ impl PacketPool {
     }
 }
 
-/// One VL's receive buffer at an input port: a FIFO of whole packets
-/// with a byte-capacity bound ("each VL is large enough to store four
-/// whole packets"). The packets themselves live in the fabric's shared
-/// [`PacketPool`]; the buffer is an intrusive list of slot indices.
-#[derive(Clone, Debug)]
-pub struct VlBuffer {
-    head: u32,
-    tail: u32,
-    len: usize,
-    used: u64,
-    capacity: u64,
-}
-
-impl VlBuffer {
-    /// An empty buffer of `capacity` bytes.
-    #[must_use]
-    pub fn new(capacity: u64) -> Self {
-        VlBuffer {
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            used: 0,
-            capacity,
-        }
-    }
-
-    /// An empty buffer with no byte bound (host injection queues:
-    /// sources are paced by their arrival process, not back-pressure).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        VlBuffer::new(u64::MAX)
-    }
-
-    /// Capacity in bytes.
-    #[must_use]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently buffered.
-    #[must_use]
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Whether `bytes` more would fit.
-    #[must_use]
-    pub fn fits(&self, bytes: u64) -> bool {
-        self.used.saturating_add(bytes) <= self.capacity
-    }
-
-    /// Packets queued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// No packets queued?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The head packet, if any.
-    #[must_use]
-    pub fn head<'p>(&self, pool: &'p PacketPool) -> Option<&'p Packet> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(&pool.slots[self.head as usize].packet)
-        }
-    }
-
-    /// Appends a packet. Panics on overflow — the sender must have held
-    /// credits, so an overflow is a flow-control bug.
-    pub fn push(&mut self, pool: &mut PacketPool, p: Packet) {
-        assert!(
-            self.fits(u64::from(p.bytes)),
-            "VL buffer overflow: flow control violated"
-        );
-        self.used += u64::from(p.bytes);
-        self.len += 1;
-        let idx = pool.alloc(p);
-        if self.tail == NIL {
-            self.head = idx;
-        } else {
-            pool.slots[self.tail as usize].next = idx;
-        }
-        self.tail = idx;
-    }
-
-    /// Removes and returns the head packet, returning its slot to the
-    /// pool.
-    pub fn pop(&mut self, pool: &mut PacketPool) -> Option<Packet> {
-        if self.head == NIL {
-            return None;
-        }
-        let idx = self.head;
-        let slot = &pool.slots[idx as usize];
-        let p = slot.packet.clone();
-        self.head = slot.next;
-        if self.head == NIL {
-            self.tail = NIL;
-        }
-        pool.release(idx);
-        self.used -= u64::from(p.bytes);
-        self.len -= 1;
-        Some(p)
-    }
-}
-
 /// All 16 VL queues of one port in struct-of-arrays layout, plus an
 /// occupancy bitmask.
 ///
-/// Semantically this is `[VlBuffer; 16]`, but the hot path never asks
+/// Semantically this is sixteen byte-bounded FIFOs (the tests hold it
+/// to a one-lane reference list, `VlBuffer`), but the hot path never asks
 /// "what is the state of lane v" — it asks "which lanes have a head
 /// packet". Keeping heads, tails, lengths and byte counts in parallel
 /// arrays puts each question's answers on one or two cache lines, and
@@ -253,13 +149,6 @@ impl VlQueueSet {
             capacity,
             occupied: 0,
         }
-    }
-
-    /// Sixteen empty queues with no byte bound (host injection queues:
-    /// sources are paced by their arrival process, not back-pressure).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        VlQueueSet::new(u64::MAX)
     }
 
     /// Bitmask of lanes holding at least one packet (bit `v` = VL v).
@@ -316,7 +205,7 @@ impl VlQueueSet {
         if self.head[vl] == NIL {
             None
         } else {
-            Some(&pool.slots[self.head[vl] as usize].packet)
+            Some(&pool.slots[self.head[vl] as usize].item)
         }
     }
 
@@ -351,18 +240,159 @@ impl VlQueueSet {
         }
         let idx = self.head[vl];
         let slot = &pool.slots[idx as usize];
-        let p = slot.packet.clone();
+        let p = slot.item.clone();
         self.head[vl] = slot.next;
         if self.head[vl] == NIL {
             self.tail[vl] = NIL;
             self.occupied &= !(1 << vl);
         } else {
-            self.head_bytes[vl] = pool.slots[self.head[vl] as usize].packet.bytes;
+            self.head_bytes[vl] = pool.slots[self.head[vl] as usize].item.bytes;
         }
         pool.release(idx);
         self.used[vl] -= u64::from(p.bytes);
         self.len[vl] -= 1;
         Some(p)
+    }
+}
+
+/// One run of a host lane: `count` consecutive queued packets of one
+/// flow, each `bytes` long on the wire.
+pub(crate) struct Run {
+    /// The fabric's index of the flow (not its id).
+    flow: u32,
+    count: u32,
+    bytes: u32,
+}
+
+/// The 16 injection lanes of one host in struct-of-arrays layout, plus
+/// an occupancy bitmask. Lanes have no byte bound: sources are paced by
+/// their arrival process, not by back-pressure.
+///
+/// A lane stores no packets, only whose packets are queued, in order:
+/// a push from the flow of the lane's tail run extends that run, any
+/// other push opens a new run in the fabric's shared [`RunArena`].
+/// [`HostLanes::pop`] names the flow whose packet leaves; the fabric
+/// rebuilds the packet from that flow's cursor.
+pub(crate) struct HostLanes {
+    /// Head run index per lane (`NIL` when empty).
+    head: [u32; 16],
+    /// Tail run index per lane (`NIL` when empty).
+    tail: [u32; 16],
+    /// Packets queued per lane.
+    len: [u64; 16],
+    /// Bytes queued per lane.
+    used: [u64; 16],
+    /// Wire size of the head packet per lane (valid only while the
+    /// lane's `occupied` bit is set), read by the candidate scan.
+    head_bytes: [u32; 16],
+    /// Bit `v` set iff lane `v` holds at least one packet.
+    occupied: u16,
+}
+
+impl Default for HostLanes {
+    fn default() -> Self {
+        HostLanes {
+            head: [NIL; 16],
+            tail: [NIL; 16],
+            len: [0; 16],
+            used: [0; 16],
+            head_bytes: [0; 16],
+            occupied: 0,
+        }
+    }
+}
+
+impl HostLanes {
+    /// Sixteen empty lanes.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bitmask of lanes holding at least one packet (bit `v` = VL v).
+    #[must_use]
+    #[inline]
+    pub fn occupied(&self) -> u16 {
+        self.occupied
+    }
+
+    /// Packets queued on lane `vl`.
+    #[must_use]
+    #[inline]
+    pub fn len(&self, vl: usize) -> u64 {
+        self.len[vl]
+    }
+
+    /// Bytes queued over all lanes.
+    #[must_use]
+    pub fn total_used(&self) -> u64 {
+        self.used.iter().sum()
+    }
+
+    /// Wire size of the head packet of lane `vl`. Only meaningful while
+    /// the lane's [`HostLanes::occupied`] bit is set.
+    #[must_use]
+    #[inline]
+    pub fn head_bytes(&self, vl: usize) -> u32 {
+        self.head_bytes[vl]
+    }
+
+    /// Appends one `bytes`-long packet of fabric flow `flow` to lane
+    /// `vl`: the tail run grows if it is that flow's and not full,
+    /// otherwise a new run opens.
+    #[inline]
+    pub fn push(&mut self, arena: &mut RunArena, vl: usize, flow: u32, bytes: u32) {
+        self.used[vl] += u64::from(bytes);
+        self.len[vl] += 1;
+        self.occupied |= 1 << vl;
+        let tail = self.tail[vl];
+        if tail != NIL {
+            let run = &mut arena.slots[tail as usize].item;
+            if run.flow == flow && run.count < u32::MAX {
+                debug_assert_eq!(run.bytes, bytes, "flow {flow} changed its packet size");
+                run.count += 1;
+                return;
+            }
+        }
+        let idx = arena.alloc(Run {
+            flow,
+            count: 1,
+            bytes,
+        });
+        if tail == NIL {
+            self.head[vl] = idx;
+            self.head_bytes[vl] = bytes;
+        } else {
+            arena.slots[tail as usize].next = idx;
+        }
+        self.tail[vl] = idx;
+    }
+
+    /// Removes the head packet of lane `vl` and returns its fabric flow
+    /// index; a drained run returns its slot to the arena.
+    #[inline]
+    pub fn pop(&mut self, arena: &mut RunArena, vl: usize) -> Option<u32> {
+        let idx = self.head[vl];
+        if idx == NIL {
+            return None;
+        }
+        let slot = &mut arena.slots[idx as usize];
+        let Run { flow, bytes, .. } = slot.item;
+        slot.item.count -= 1;
+        if slot.item.count == 0 {
+            let next = slot.next;
+            arena.release(idx);
+            self.head[vl] = next;
+            if next == NIL {
+                self.tail[vl] = NIL;
+                self.occupied &= !(1 << vl);
+            } else {
+                self.head_bytes[vl] = arena.slots[next as usize].item.bytes;
+            }
+        }
+        self.used[vl] -= u64::from(bytes);
+        self.len[vl] -= 1;
+        Some(flow)
     }
 }
 
@@ -430,6 +460,81 @@ mod tests {
         }
     }
 
+    /// One VL's receive buffer as a plain intrusive list over the pool:
+    /// the one-lane reference [`VlQueueSet`] is held to.
+    struct VlBuffer {
+        head: u32,
+        tail: u32,
+        len: usize,
+        used: u64,
+        capacity: u64,
+    }
+
+    impl VlBuffer {
+        fn new(capacity: u64) -> Self {
+            VlBuffer {
+                head: NIL,
+                tail: NIL,
+                len: 0,
+                used: 0,
+                capacity,
+            }
+        }
+
+        fn used(&self) -> u64 {
+            self.used
+        }
+
+        fn fits(&self, bytes: u64) -> bool {
+            self.used.saturating_add(bytes) <= self.capacity
+        }
+
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
+        fn head<'p>(&self, pool: &'p PacketPool) -> Option<&'p Packet> {
+            (self.head != NIL).then(|| &pool.slots[self.head as usize].item)
+        }
+
+        fn push(&mut self, pool: &mut PacketPool, p: Packet) {
+            assert!(
+                self.fits(u64::from(p.bytes)),
+                "VL buffer overflow: flow control violated"
+            );
+            self.used += u64::from(p.bytes);
+            self.len += 1;
+            let idx = pool.alloc(p);
+            if self.tail == NIL {
+                self.head = idx;
+            } else {
+                pool.slots[self.tail as usize].next = idx;
+            }
+            self.tail = idx;
+        }
+
+        fn pop(&mut self, pool: &mut PacketPool) -> Option<Packet> {
+            if self.head == NIL {
+                return None;
+            }
+            let idx = self.head;
+            let slot = &pool.slots[idx as usize];
+            let p = slot.item.clone();
+            self.head = slot.next;
+            if self.head == NIL {
+                self.tail = NIL;
+            }
+            pool.release(idx);
+            self.used -= u64::from(p.bytes);
+            self.len -= 1;
+            Some(p)
+        }
+    }
+
     #[test]
     fn buffer_fifo_and_accounting() {
         let mut pool = PacketPool::new();
@@ -493,12 +598,87 @@ mod tests {
 
     #[test]
     fn unbounded_buffer_never_overflows() {
-        let mut pool = PacketPool::new();
-        let mut q = VlBuffer::unbounded();
+        // Host lanes have no byte bound, and one flow's backlog is one
+        // run however long it grows.
+        let mut arena = RunArena::new();
+        let mut q = HostLanes::new();
         for _ in 0..100 {
-            q.push(&mut pool, pkt(u32::MAX / 2));
+            q.push(&mut arena, 0, 7, u32::MAX / 2);
         }
-        assert_eq!(q.len(), 100);
+        assert_eq!(q.len(0), 100);
+        assert_eq!(q.total_used(), 100 * u64::from(u32::MAX / 2));
+        assert_eq!(arena.in_use(), 1);
+    }
+
+    /// Lane `vl`'s length, bytes, head size and occupancy bit.
+    fn lane(q: &HostLanes, vl: usize) -> (u64, u64, Option<u32>) {
+        let head = (q.occupied() & (1 << vl) != 0).then(|| q.head_bytes(vl));
+        (q.len(vl), q.used[vl], head)
+    }
+
+    #[test]
+    fn host_lane_runs_grow_split_and_pop_in_order() {
+        let mut arena = RunArena::new();
+        let mut q = HostLanes::new();
+        // Same-flow pushes extend one run.
+        q.push(&mut arena, 3, 1, 100);
+        q.push(&mut arena, 3, 1, 100);
+        assert_eq!(arena.in_use(), 1);
+        assert_eq!(lane(&q, 3), (2, 200, Some(100)));
+        // Another flow opens a run; the first flow again opens a third.
+        q.push(&mut arena, 3, 2, 60);
+        q.push(&mut arena, 3, 1, 100);
+        assert_eq!(arena.in_use(), 3);
+        assert_eq!(lane(&q, 3), (4, 360, Some(100)));
+        // Lanes keep their own runs.
+        q.push(&mut arena, 9, 2, 60);
+        assert_eq!(arena.in_use(), 4);
+        assert_eq!(q.occupied(), (1 << 3) | (1 << 9));
+        assert_eq!(q.total_used(), 420);
+
+        let mut order = Vec::new();
+        while let Some(flow) = q.pop(&mut arena, 3) {
+            order.push(flow);
+            let (len, used, head) = lane(&q, 3);
+            assert_eq!(len, 4 - order.len() as u64);
+            let expect = [
+                (260, Some(100)),
+                (160, Some(60)),
+                (100, Some(100)),
+                (0, None),
+            ];
+            assert_eq!((used, head), expect[order.len() - 1]);
+        }
+        assert_eq!(order, [1, 1, 2, 1], "FIFO across runs");
+        assert_eq!(q.occupied(), 1 << 9);
+        assert_eq!(arena.in_use(), 1);
+        // Drained runs are recycled, not grown.
+        q.push(&mut arena, 3, 5, 10);
+        q.push(&mut arena, 3, 6, 10);
+        q.push(&mut arena, 3, 5, 10);
+        assert_eq!((arena.in_use(), arena.capacity()), (4, 4));
+        assert_eq!(q.pop(&mut arena, 9), Some(2));
+        assert_eq!(q.pop(&mut arena, 9), None);
+    }
+
+    #[test]
+    fn full_run_opens_a_new_run() {
+        let mut arena = RunArena::new();
+        let mut q = HostLanes::new();
+        q.push(&mut arena, 0, 4, 8);
+        // Stand in for u32::MAX - 2 further pushes of the same flow.
+        arena.slots[q.head[0] as usize].item.count = u32::MAX - 1;
+        q.len[0] = u64::from(u32::MAX - 1);
+        q.used[0] = 8 * u64::from(u32::MAX - 1);
+        q.push(&mut arena, 0, 4, 8);
+        assert_eq!(arena.in_use(), 1, "the run fills up to u32::MAX");
+        q.push(&mut arena, 0, 4, 8);
+        assert_eq!(arena.in_use(), 2, "a full run opens a new one");
+        let len = u64::from(u32::MAX) + 1;
+        assert_eq!(lane(&q, 0), (len, 8 * len, Some(8)));
+        assert_eq!(q.pop(&mut arena, 0), Some(4));
+        assert_eq!(lane(&q, 0).0, u64::from(u32::MAX));
+        assert_eq!(arena.in_use(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The fabric: nodes, links, and the deterministic event loop.
 
-use crate::buffer::{Credits, PacketPool, VlQueueSet};
+use crate::buffer::{Credits, HostLanes, PacketPool, RunArena};
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{corrupt_config, encode_target, FaultAction, FaultPlan, FaultState};
@@ -121,10 +121,10 @@ struct Candidates {
 
 struct HostNode {
     out: OutputPort,
-    /// Per-VL injection queues (unbounded: sources are paced by their
-    /// arrival process, not by back-pressure). Packets live in the
-    /// fabric's shared pool.
-    queues: VlQueueSet,
+    /// Per-VL injection lanes of runs of a flow, in the fabric's shared
+    /// run arena. The packets themselves are rebuilt at grant time from
+    /// their flow's cursor.
+    lanes: HostLanes,
     injected_bytes: u64,
     injected_packets: u64,
     delivered_bytes: u64,
@@ -133,7 +133,14 @@ struct HostNode {
 
 struct FlowState {
     spec: FlowSpec,
+    /// Sequence number of the next packet the source generates.
     next_seq: u64,
+    /// Sequence number and creation time of the flow's oldest packet
+    /// still in its host lane: the next one the lane grants. Each grant
+    /// advances them by one packet and by the gap that scheduled the
+    /// packet's successor.
+    queued_seq: u64,
+    queued_created: Cycles,
 }
 
 /// Aggregate measurements over the current statistics window.
@@ -220,8 +227,10 @@ pub struct Fabric {
     switches: Vec<SwitchNode>,
     hosts: Vec<HostNode>,
     flows: Vec<FlowState>,
-    /// Backing storage for every queued packet in the fabric.
+    /// Backing storage for every packet buffered at a switch input.
     pool: PacketPool,
+    /// Backing storage for the runs of every host lane.
+    runs: RunArena,
     queue: EventQueue,
     /// Registered fault actions, addressed by [`Event::Fault`] index.
     faults: Vec<FaultAction>,
@@ -312,7 +321,7 @@ impl Fabric {
                             port: att.port,
                         },
                     ),
-                    queues: VlQueueSet::unbounded(),
+                    lanes: HostLanes::new(),
                     injected_bytes: 0,
                     injected_packets: 0,
                     delivered_bytes: 0,
@@ -352,6 +361,7 @@ impl Fabric {
             hosts,
             flows: Vec::new(),
             pool: PacketPool::new(),
+            runs: RunArena::new(),
             queue: EventQueue::new(),
             faults: Vec::new(),
             now: 0,
@@ -655,7 +665,12 @@ impl Fabric {
         );
         let flow = self.flows.len() as u32;
         let start = spec.start.max(self.now);
-        self.flows.push(FlowState { spec, next_seq: 0 });
+        self.flows.push(FlowState {
+            spec,
+            next_seq: 0,
+            queued_seq: 0,
+            queued_created: start,
+        });
         self.queue.push(start, Event::Generate { flow });
     }
 
@@ -805,14 +820,16 @@ impl Fabric {
         st
     }
 
-    /// Total bytes currently waiting in one host's injection queues.
+    /// Total bytes generated at one host and not yet granted its uplink
+    /// (the host lanes hold them as runs, outside the packet pool).
     #[must_use]
     pub fn host_backlog(&self, host: HostId) -> u64 {
-        self.hosts[host.index()].queues.total_used()
+        self.hosts[host.index()].lanes.total_used()
     }
 
-    /// Packets currently buffered anywhere in the fabric (pool
-    /// occupancy) and the pool's high-water slot count.
+    /// Packets currently buffered at switch inputs (pool occupancy) and
+    /// the pool's high-water slot count. Host backlogs are not in the
+    /// pool: see [`Fabric::host_backlog`].
     #[must_use]
     pub fn pool_usage(&self) -> (usize, usize) {
         (self.pool.in_use(), self.pool.capacity())
@@ -823,36 +840,24 @@ impl Fabric {
     // ------------------------------------------------------------------
 
     fn on_generate<R: Recorder>(&mut self, flow: usize, observer: &mut impl Observer, rec: &mut R) {
-        let (packet, gap, stopped) = {
-            let f = &mut self.flows[flow];
-            if f.spec.stop.is_some_and(|s| self.now > s) {
-                return;
-            }
-            let packet = Packet {
-                flow: f.spec.id,
-                seq: f.next_seq,
-                src: f.spec.src,
-                dst: f.spec.dst,
-                sl: f.spec.sl,
-                // Wire size: payload plus the configured header overhead.
-                bytes: f.spec.packet_bytes + self.config.header_bytes,
-                created: self.now,
-            };
-            let gap = f.spec.arrival.gap(f.next_seq);
-            f.next_seq += 1;
-            let stopped = f.spec.stop.is_some_and(|s| self.now + gap > s);
-            (packet, gap, stopped)
-        };
-
-        let src = packet.src;
-        let vl = self.config.sl_to_vl.vl(packet.sl).index();
-        observer.on_generated(packet.flow, packet.bytes, self.now);
+        let f = &mut self.flows[flow];
+        if f.spec.stop.is_some_and(|s| self.now > s) {
+            return;
+        }
+        // Wire size: payload plus the configured header overhead.
+        let bytes = f.spec.packet_bytes + self.config.header_bytes;
+        let gap = f.spec.arrival.gap(f.next_seq);
+        f.next_seq += 1;
+        let stopped = f.spec.stop.is_some_and(|s| self.now + gap > s);
+        let src = f.spec.src;
+        let vl = self.config.sl_to_vl.vl(f.spec.sl).index();
+        observer.on_generated(f.spec.id, bytes, self.now);
         {
-            let Fabric { hosts, pool, .. } = self;
+            let Fabric { hosts, runs, .. } = self;
             let h = &mut hosts[src.index()];
-            h.injected_bytes += u64::from(packet.bytes);
+            h.injected_bytes += u64::from(bytes);
             h.injected_packets += 1;
-            h.queues.push(pool, vl, packet);
+            h.lanes.push(runs, vl, flow as u32, bytes);
             h.out.dirty_lanes |= 1 << vl;
         }
         if !stopped {
@@ -1328,7 +1333,7 @@ impl Fabric {
             if host.out.busy() || host.out.fault.down {
                 return;
             }
-            host.out.dirty_lanes & host.queues.occupied()
+            host.out.dirty_lanes & host.lanes.occupied()
         };
         if dirty_lanes == 0 {
             return;
@@ -1369,16 +1374,25 @@ impl Fabric {
         if exhausted {
             rec.arb_weight_exhausted(vl);
         }
-        rec.arb_queue_depth(self.hosts[h].queues.len(vl as usize) as u64);
-        let packet = {
-            let Fabric { hosts, pool, .. } = self;
-            hosts[h].queues.pop(pool, vl as usize)
+        rec.arb_queue_depth(self.hosts[h].lanes.len(vl as usize));
+        let flow = {
+            let Fabric { hosts, runs, .. } = self;
+            hosts[h].lanes.pop(runs, vl as usize)
         };
-        assert!(
-            packet.is_some(),
-            "granted candidate vanished from host queue"
-        );
-        let Some(packet) = packet else { return };
+        assert!(flow.is_some(), "granted candidate vanished from host lane");
+        let Some(flow) = flow else { return };
+        let f = &mut self.flows[flow as usize];
+        let packet = Packet {
+            flow: f.spec.id,
+            seq: f.queued_seq,
+            src: f.spec.src,
+            dst: f.spec.dst,
+            sl: f.spec.sl,
+            bytes,
+            created: f.queued_created,
+        };
+        f.queued_created += f.spec.arrival.gap(f.queued_seq);
+        f.queued_seq += 1;
         let bpc = self.config.link_bytes_per_cycle;
         let out = &mut self.hosts[h].out;
         let duration =
@@ -1406,11 +1420,11 @@ impl Fabric {
         let mut cand = Candidates::default();
         let host = &self.hosts[h];
         let fault = host.out.fault;
-        let mut pend = host.queues.occupied() & dirty_lanes;
+        let mut pend = host.lanes.occupied() & dirty_lanes;
         while pend != 0 {
             let vl = pend.trailing_zeros() as usize;
             pend &= pend - 1;
-            let bytes = u64::from(host.queues.head_bytes(vl));
+            let bytes = u64::from(host.lanes.head_bytes(vl));
             if fault.blackout_mask & (1 << vl) != 0 || fault.stall_mask & (1 << vl) != 0 {
                 rec.fault_blocked(vl as u8);
             } else if host.out.credits.can_send(vl, bytes) {

@@ -14,7 +14,7 @@
 //!   receiving ([`fabric`]);
 //! * output arbitration by the IBA `VLArbitrationTable` engine from
 //!   `iba-core`, VL15 always first;
-//! * host channel adapters with per-VL injection queues and CBR/pattern
+//! * host channel adapters with per-VL injection lanes and CBR/pattern
 //!   sources ([`packet`]);
 //! * deterministic event ordering — identical runs for identical inputs.
 //!

@@ -476,8 +476,8 @@ pub fn audit(args: &Args) -> Result<String, Failure> {
 
 /// `ibaqos chaos` — fills a port's table, injects `--rounds` of seeded
 /// corruption each answered by the guarantee-preserving
-/// `RecoveryManager`, re-audits the repaired table against the original
-/// contracts, and runs a faulted full-fabric sweep (seeded fault plans
+/// `recovery::repair_table`, re-audits the repaired table against the
+/// original contracts, and runs a faulted full-fabric sweep (seeded fault plans
 /// through the event calendar) whose delivery digest witnesses
 /// determinism. Returns `Err` (non-zero process exit, machine-readable
 /// first stderr line) when recovery leaves a violation or an

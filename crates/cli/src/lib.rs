@@ -34,8 +34,8 @@
 //! paper's distance guarantee against a live grant stream and exits
 //! non-zero on any violation; `--perfetto` writes a Chrome trace-event
 //! timeline viewable at <https://ui.perfetto.dev>. `chaos` damages the
-//! filled table under seeded fault injection, recovers it with the
-//! guarantee-preserving `RecoveryManager` and exits non-zero when any
+//! filled table under seeded fault injection, recovers it with
+//! guarantee-preserving table repair and exits non-zero when any
 //! post-repair violation remains; on failure both `audit` and `chaos`
 //! print a machine-readable `verdict=FAIL` line first on stderr.
 //! `serve` drives a seeded admit/teardown/repair trace through the

@@ -215,20 +215,6 @@ impl SlTable {
         SlTable { profiles }
     }
 
-    /// Builds a custom SL table. Panics if two profiles claim the same SL.
-    #[must_use]
-    pub fn custom(profiles: Vec<SlProfile>) -> Self {
-        let mut seen = [false; 16];
-        for p in &profiles {
-            assert!(
-                !std::mem::replace(&mut seen[p.sl.index()], true),
-                "duplicate profile for {}",
-                p.sl
-            );
-        }
-        SlTable { profiles }
-    }
-
     /// All configured profiles.
     #[must_use]
     pub fn profiles(&self) -> &[SlProfile] {
@@ -442,17 +428,5 @@ mod tests {
         assert_eq!(m.vl(ServiceLevel::new(9).unwrap()).raw(), 1);
         assert_eq!(m.vl(ServiceLevel::new(14).unwrap()).raw(), 6);
         assert!(m.vl(ServiceLevel::new(15).unwrap()).is_management());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate profile")]
-    fn custom_rejects_duplicates() {
-        let p = SlProfile {
-            sl: ServiceLevel::new(1).unwrap(),
-            class: TrafficClass::Bts,
-            distance: Some(Distance::D2),
-            bandwidth_mbps: (1.0, 2.0),
-        };
-        let _ = SlTable::custom(vec![p, p]);
     }
 }

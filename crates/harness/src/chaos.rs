@@ -7,9 +7,9 @@
 //!    port's high-priority table to saturation, then `rounds` of seeded
 //!    corruption (entry loss, garbled weights, orphaned and colliding
 //!    sequences — `iba_core::HighPriorityTable::inject_corruption`) are
-//!    each answered by the [`iba_qos::RecoveryManager`]: evict, rebuild,
-//!    re-pack with the canonical bit-reversal defragmentation, and
-//!    re-admit what was evicted. The repaired table is then driven
+//!    each answered by [`iba_qos::recovery::repair_table`]: evict,
+//!    rebuild, re-pack with the canonical bit-reversal defragmentation,
+//!    and re-admit what was evicted. The repaired table is then driven
 //!    through the arbiter under the [`iba_obs::GuaranteeAuditor`] with the
 //!    *original contracted* budgets. The paper's claim extends to
 //!    recovery: with the bit-reversal allocator the repaired table
@@ -29,7 +29,7 @@ use crate::experiment::{build_experiment_sized, run_measured};
 use crate::fnv::Fnv64;
 use iba_core::{AllocatorKind, SplitMix64};
 use iba_obs::{Metrics, ObsRecorder};
-use iba_qos::{RecoveryManager, RecoverySummary};
+use iba_qos::{recovery, RecoverySummary};
 use iba_sim::FaultPlan;
 
 /// Parameters of one chaos run.
@@ -40,8 +40,7 @@ pub struct ChaosConfig {
     pub allocator: AllocatorKind,
     /// Packet size in bytes.
     pub mtu: u32,
-    /// Master seed: corruption, recovery jitter and every fault plan
-    /// derive from it.
+    /// Master seed: corruption and every fault plan derive from it.
     pub seed: u64,
     /// Corruption/repair rounds against the audited table.
     pub rounds: u32,
@@ -131,7 +130,7 @@ impl ChaosOutcome {
              fill: accepted={} rejected={} fallback_installs={}\n\
              corruption: ops={}\n\
              recovery: repaired={} evicted={} reinstalled={} lost={} \
-             degraded={} retries={} backoff_cycles={}\n\
+             degraded={}\n\
              table: consistent={}\n",
             c.allocator.name(),
             c.mtu,
@@ -147,8 +146,6 @@ impl ChaosOutcome {
             self.recovery.reinstalled,
             self.recovery.lost,
             m.recovery_degraded.get(),
-            m.recovery_retries.get(),
-            m.recovery_backoff_cycles.sum(),
             if self.consistent { "yes" } else { "no" },
         );
         out.push_str(&self.audit.auditor.render_report());
@@ -182,7 +179,6 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
     // Phase 1: fill, damage, repair — then audit the repaired table
     // against the original contracts.
     let mut fill = fill_table(&audit_cfg);
-    let mut recovery = RecoveryManager::new(config.seed);
     let mut rec = ObsRecorder::new();
     let mut corruption_ops = 0usize;
     let mut summary = RecoverySummary::default();
@@ -194,7 +190,7 @@ pub fn run_chaos(config: &ChaosConfig, threads: usize) -> ChaosOutcome {
                 ^ 0x0C0A_50FC_4A05,
         );
         corruption_ops += fill.table.inject_corruption(&mut rng);
-        let s = recovery.repair_table(&mut fill.table, &mut rec);
+        let s = recovery::repair_table(&mut fill.table, &mut rec);
         summary.tables += s.tables;
         summary.repaired += s.repaired;
         summary.evicted += s.evicted;

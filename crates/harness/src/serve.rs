@@ -21,7 +21,7 @@ use iba_topo::{irregular, updown, Topology};
 pub struct ServeConfig {
     /// Switches in the irregular fabric under management.
     pub switches: usize,
-    /// Master seed: topology, trace, corruption and repair streams.
+    /// Master seed: topology, trace and corruption streams.
     pub seed: u64,
     /// Trace length (operations, admit-heavy mix).
     pub requests: usize,

@@ -15,7 +15,7 @@
 use iba_core::SlTable;
 use iba_harness::{build_experiment_sized, run_measured, run_points, SimPoint};
 use iba_obs::{NullRecorder, ObsRecorder};
-use iba_qos::{PortKey, QosFrame, QosManager, QosObserver, RecoveryManager};
+use iba_qos::{PortKey, QosFrame, QosManager, QosObserver};
 use iba_sim::{DeliveryRecord, Fabric, FaultAction, NodeId, NullObserver, Observer, SimConfig};
 use iba_topo::irregular::{generate, IrregularConfig};
 use iba_topo::updown;
@@ -193,8 +193,7 @@ fn every_mutation_path_invalidates_the_schedule() {
         // Repair may restore identical tables, so only the exact count
         // (checked inside `download`) holds.
         frame.manager.corrupt_tables(seed);
-        let mut recovery = RecoveryManager::new(seed);
-        frame.manager.repair_tables(&mut recovery, &mut rec);
+        frame.manager.repair_tables(&mut rec);
         download(&frame.manager, &mut fabric, &mut rec);
 
         // Fault corruption: an in-fabric CorruptTable event invalidates
@@ -351,9 +350,7 @@ fn churn_run(download: fn(&QosManager, &mut Fabric)) -> ChurnOutcome {
         }
         if k == ARRIVALS * 3 / 4 {
             frame.manager.corrupt_tables(k);
-            frame
-                .manager
-                .repair_tables(&mut RecoveryManager::new(k), &mut NullRecorder);
+            frame.manager.repair_tables(&mut NullRecorder);
             // A connection the repair lost stops sending.
             live.retain(|&(id, flow)| {
                 let kept = frame.manager.connection(id).is_some();

@@ -524,8 +524,7 @@ registry! {
     /// `fault_blocked_total`: arbitration candidates suppressed by an
     /// active fault (link down, VL blackout or credit stall), per VL.
     fault_blocked: PerLane<Counter> = "fault_blocked_total" by vl,
-    /// `recovery_repairs_total`: damaged-table repair passes performed
-    /// by the recovery manager.
+    /// `recovery_repairs_total`: damaged-table repair passes.
     recovery_repairs: Counter = "recovery_repairs_total",
     /// `recovery_evicted_total`: orphaned/corrupt sequences evicted
     /// during repair.
@@ -533,15 +532,10 @@ registry! {
     /// `recovery_reinstalls_total`: sequences re-installed after a
     /// repair (at contracted or degraded distance).
     recovery_reinstalls: Counter = "recovery_reinstalls_total",
-    /// `recovery_retries_total`: bounded admission retries taken by the
-    /// recovery manager.
-    recovery_retries: Counter = "recovery_retries_total",
-    /// `recovery_degraded_total`: re-installs that had to loosen the
-    /// contracted distance (graceful-degradation ladder).
+    /// `recovery_degraded_total`: re-installs placed looser than their
+    /// contracted distance (graceful-degradation ladder), one per
+    /// re-install.
     recovery_degraded: Counter = "recovery_degraded_total",
-    /// `recovery_backoff_cycles`: deterministic exponential backoff
-    /// delay per retry, in cycles.
-    recovery_backoff_cycles: Histogram = "recovery_backoff_cycles",
     /// `span_records_total`: span profiler records exported (explicit
     /// [`crate::span::SpanRecorder::export_into`] only — wall-clock
     /// data never enters a registry implicitly).
@@ -717,9 +711,7 @@ mod tests {
         m.recovery_repairs.incr();
         m.recovery_evicted.add(3);
         m.recovery_reinstalls.add(2);
-        m.recovery_retries.incr();
         m.recovery_degraded.incr();
-        m.recovery_backoff_cycles.observe(128);
         m.span_records.add(2);
         m.span_dropped.incr();
         m.serve_shard_rollback.lane(0).incr();

@@ -161,23 +161,19 @@ pub trait Recorder {
     #[inline]
     fn schedule_compiled(&mut self) {}
 
-    /// The recovery manager repaired a damaged table, evicting
+    /// Recovery repaired a damaged table, evicting
     /// `evicted` orphaned or corrupt sequences.
     #[inline]
     fn recovery_repair(&mut self, _evicted: u64) {}
 
-    /// The recovery manager re-installed a repaired sequence (or a
-    /// repaired table onto the fabric).
+    /// Recovery re-installed an evicted reservation (at contracted or
+    /// degraded distance).
     #[inline]
     fn recovery_reinstall(&mut self) {}
 
-    /// The recovery manager retried an admission after a deterministic
-    /// backoff of `backoff_cycles` cycles.
-    #[inline]
-    fn recovery_retry(&mut self, _backoff_cycles: u64) {}
-
-    /// A recovery re-install had to loosen the contracted distance
-    /// (one step down the graceful-degradation ladder).
+    /// A recovery re-install was placed looser than its contracted
+    /// distance (down the graceful-degradation ladder). Called once per
+    /// such re-install, after [`Recorder::recovery_reinstall`].
     #[inline]
     fn recovery_degraded(&mut self) {}
 
@@ -451,16 +447,6 @@ impl Recorder for ObsRecorder {
         });
     }
 
-    fn recovery_retry(&mut self, backoff_cycles: u64) {
-        self.metrics.recovery_retries.incr();
-        self.metrics.recovery_backoff_cycles.observe(backoff_cycles);
-        self.trace(TraceEvent::Fault {
-            code: crate::trace::fault_code::RECOVERY_RETRY,
-            port: 0,
-            detail: u32::try_from(backoff_cycles).unwrap_or(u32::MAX),
-        });
-    }
-
     fn recovery_degraded(&mut self) {
         self.metrics.recovery_degraded.incr();
         self.trace(TraceEvent::Fault {
@@ -619,7 +605,6 @@ mod tests {
         r.fault_blocked(5);
         r.recovery_repair(4);
         r.recovery_reinstall();
-        r.recovery_retry(256);
         r.recovery_degraded();
 
         let m = &r.metrics;
@@ -628,14 +613,11 @@ mod tests {
         assert_eq!(m.recovery_repairs.get(), 1);
         assert_eq!(m.recovery_evicted.get(), 4);
         assert_eq!(m.recovery_reinstalls.get(), 1);
-        assert_eq!(m.recovery_retries.get(), 1);
         assert_eq!(m.recovery_degraded.get(), 1);
-        assert_eq!(m.recovery_backoff_cycles.count(), 1);
-        assert_eq!(m.recovery_backoff_cycles.sum(), 256);
 
         let records = r.tracer.as_ref().map(RingTracer::records).unwrap();
-        // fault_blocked is metrics-only; the other five hooks trace.
-        assert_eq!(records.len(), 5);
+        // fault_blocked is metrics-only; the other four hooks trace.
+        assert_eq!(records.len(), 4);
         assert!(records.iter().all(|(t, _)| *t == 42));
         assert!(matches!(
             records[0].1,

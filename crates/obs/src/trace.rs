@@ -79,10 +79,8 @@ pub mod fault_code {
     pub const RECOVERY_REPAIR: u8 = 8;
     /// Recovery re-installed arbitration tables on the fabric.
     pub const RECOVERY_REINSTALL: u8 = 9;
-    /// Recovery retried an admission; `detail` is the backoff delay in
-    /// cycles.
-    pub const RECOVERY_RETRY: u8 = 10;
-    /// Recovery escalated a re-install down the distance ladder.
+    /// Recovery placed a re-install looser than its contracted
+    /// distance.
     pub const RECOVERY_DEGRADED: u8 = 11;
 
     /// Short label for reports; `"fault"` for unknown codes.
@@ -97,7 +95,6 @@ pub mod fault_code {
             TABLE_CORRUPT => "table-corrupt",
             RECOVERY_REPAIR => "recovery-repair",
             RECOVERY_REINSTALL => "recovery-reinstall",
-            RECOVERY_RETRY => "recovery-retry",
             RECOVERY_DEGRADED => "recovery-degraded",
             _ => "fault",
         }
@@ -347,7 +344,6 @@ mod tests {
             fault_code::TABLE_CORRUPT,
             fault_code::RECOVERY_REPAIR,
             fault_code::RECOVERY_REINSTALL,
-            fault_code::RECOVERY_RETRY,
             fault_code::RECOVERY_DEGRADED,
         ];
         let mut labels: Vec<&str> = codes.iter().map(|&c| fault_code::label(c)).collect();

@@ -770,7 +770,7 @@ mod tests {
 
     #[test]
     fn registry_matches_the_btreemap_reference_on_a_seeded_walk() {
-        use crate::recovery::RecoveryManager;
+        use crate::recovery::repair_table;
         use iba_core::SplitMix64;
 
         // Touched ports: a few switch ports and host uplinks, plus the
@@ -851,13 +851,11 @@ mod tests {
                     }
                     assert_same_registry(&pt, &reference, step);
                     let null = &mut iba_obs::NullRecorder;
-                    let mut recovery = RecoveryManager::new(seed);
                     for k in pt.sorted_keys() {
-                        recovery.repair_table(pt.get_table_mut(k).unwrap(), null);
+                        repair_table(pt.get_table_mut(k).unwrap(), null);
                     }
-                    let mut recovery = RecoveryManager::new(seed);
                     for t in reference.tables.values_mut() {
-                        recovery.repair_table(t, null);
+                        repair_table(t, null);
                     }
                     // Repairs re-admit under fresh ids; start over.
                     live.clear();

@@ -16,12 +16,11 @@
 //!   metrics (delay vs deadline per SL and per connection, jitter);
 //! * [`frame`] — one-call experiment orchestration: fill the network to
 //!   its admission limit and produce the flows and fabric to run;
-//! * [`recovery`] — guarantee-preserving recovery: hot table repair,
-//!   re-admission through a graceful-degradation ladder, and bounded
-//!   retry with deterministic backoff;
-//! * [`retry`] — the shared deterministic retry machinery: three
-//!   retries with saturating exponential backoff and seeded jitter,
-//!   used by both [`recovery`] and the [`service`] timeouts;
+//! * [`recovery`] — guarantee-preserving recovery: hot table repair
+//!   and re-admission through a graceful-degradation ladder, one
+//!   attempt per distance;
+//! * [`retry`] — the deterministic timeout schedule of the [`service`]:
+//!   saturating exponential backoff with seeded jitter;
 //! * [`journal`] — the admission service's write-ahead journal: each
 //!   trace operation is journaled before it is applied and its outcome
 //!   after, and a crashed owner restarts by replaying it;
@@ -53,8 +52,7 @@ pub use frame::{FillReport, QosFrame};
 pub use journal::{IntentJournal, JournalRecord, OpKey};
 pub use manager::{LowPriorityPolicy, QosManager};
 pub use measure::QosObserver;
-pub use recovery::{RecoveryManager, RecoverySummary};
-pub use retry::{saturating_backoff, Backoff};
+pub use recovery::RecoverySummary;
 pub use service::{
     apply_trace_sequential, generate_trace, run_trace, run_trace_faulted, CrashPoint, FaultStats,
     ServeFault, ServeFaultKind, ServeFaultPlan, ServeOptions, ServeReport, TraceConfig, TraceOp,

@@ -4,7 +4,7 @@
 
 use crate::cac::{PortKey, PortTables, RejectReason};
 use crate::connection::{Connection, ConnectionId, HopReservation};
-use crate::recovery::{RecoveryManager, RecoverySummary};
+use crate::recovery::{self, RecoverySummary};
 use iba_core::{
     sl, AllocatorKind, ArbEntry, Distance, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig,
 };
@@ -381,7 +381,7 @@ impl QosManager {
     ///    live.
     /// 3. In connection-id order, each stale hop is re-admitted with
     ///    the connection's own SL, VL, reserved distance and weight
-    ///    through `recovery`'s degradation ladder, and the hop is
+    ///    through the [`recovery`] degradation ladder, and the hop is
     ///    rebound to the sequence it got. A connection with a hop the
     ///    ladder cannot place is released on every hop it still holds
     ///    and its id freed: no half-paths.
@@ -389,16 +389,12 @@ impl QosManager {
     /// The summary counts connections: `reinstalled + lost == evicted`.
     /// The repaired state still has to be pushed into a fabric with
     /// [`QosManager::apply_tables`].
-    pub fn repair_tables(
-        &mut self,
-        recovery: &mut RecoveryManager,
-        rec: &mut dyn iba_obs::Recorder,
-    ) -> RecoverySummary {
+    pub fn repair_tables(&mut self, rec: &mut dyn iba_obs::Recorder) -> RecoverySummary {
         let mut summary = RecoverySummary::default();
         for key in self.tables.sorted_keys() {
             if let Some(t) = self.tables.get_table_mut(key) {
                 summary.tables += 1;
-                summary.repaired += usize::from(recovery.repair(t, rec).is_some());
+                summary.repaired += usize::from(recovery::repair(t, rec).is_some());
             }
         }
         let stale: Vec<(usize, Vec<usize>)> = self
@@ -425,7 +421,7 @@ impl QosManager {
                 let placed = self
                     .tables
                     .get_table_mut(hop.key())
-                    .and_then(|t| recovery.reinstall(t, sl, vl, distance, conn.weight, rec));
+                    .and_then(|t| recovery::reinstall(t, sl, vl, distance, conn.weight, rec));
                 match placed {
                     Some(admission) => {
                         hop.sequence = admission.sequence;
@@ -1031,8 +1027,7 @@ mod tests {
         for seed in 0..REPAIR_SEEDS {
             let mut m = churn_and_repair(seed, |m, round_seed| {
                 let ops = m.corrupt_tables(round_seed);
-                let mut recovery = RecoveryManager::new(round_seed);
-                let summary = m.repair_tables(&mut recovery, &mut iba_obs::NullRecorder);
+                let summary = m.repair_tables(&mut iba_obs::NullRecorder);
                 m.port_tables()
                     .check_all()
                     .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -1068,11 +1063,10 @@ mod tests {
                 let run = std::panic::catch_unwind(|| {
                     let mut m = churn_and_repair(seed, |m, round_seed| {
                         m.corrupt_tables(round_seed);
-                        let mut recovery = RecoveryManager::new(round_seed);
                         let tables = m.tables_mut();
                         for key in tables.sorted_keys() {
                             if let Some(t) = tables.get_table_mut(key) {
-                                recovery.repair_table(t, &mut iba_obs::NullRecorder);
+                                recovery::repair_table(t, &mut iba_obs::NullRecorder);
                             }
                         }
                     });
@@ -1101,7 +1095,7 @@ mod tests {
         tables.release_hop(hop, conn.weight).unwrap();
         let t = tables.get_table_mut(hop.key()).unwrap();
         t.set_capacity_limit(t.reserved_weight());
-        let summary = m.repair_tables(&mut RecoveryManager::new(1), &mut iba_obs::NullRecorder);
+        let summary = m.repair_tables(&mut iba_obs::NullRecorder);
         assert_eq!(
             (summary.evicted, summary.reinstalled, summary.lost),
             (1, 0, 1)
@@ -1111,5 +1105,55 @@ mod tests {
         assert!(m.connection(kept).is_some());
         assert_eq!(m.live_connections(), 1);
         drain(&mut m).unwrap();
+    }
+
+    /// Hops of live connections whose sequence is looser than the
+    /// distance the connection reserved: `(connection, hop)`.
+    fn looser_hops(m: &QosManager) -> Vec<(ConnectionId, usize)> {
+        m.connections()
+            .flat_map(|(id, c)| {
+                let reserved = m.reserved_distance(&c.request);
+                c.hops.iter().enumerate().filter_map(move |(i, h)| {
+                    let info = m.tables.sequence_info(h.key(), h.sequence)?;
+                    (!info.eset.distance().at_least_as_strict(reserved)).then_some((id, i))
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_serve_repair_drill_reaches_the_degradation_ladder() {
+        use crate::service::{apply_trace_sequential, generate_trace, TraceConfig, TraceOp};
+        // The trace of `ibaqos serve --switches 4 --seed 42 --requests 500`.
+        let hosts = small_manager(42).topology().num_hosts() as u16;
+        let ops = generate_trace(&TraceConfig::new(hosts, 42, 500));
+        // Replay up to the first repair that degrades a re-install.
+        let (mut m, at) = (0..ops.len())
+            .filter(|&at| matches!(ops[at], TraceOp::Repair { .. }))
+            .find_map(|at| {
+                let mut m = small_manager(42);
+                let mut rec = iba_obs::ObsRecorder::new();
+                apply_trace_sequential(&mut m, &ops[..=at], &mut rec);
+                let degraded = rec.metrics.recovery_degraded.get();
+                assert!(degraded <= 1, "op {at}: {degraded} degraded");
+                (degraded == 1).then_some((m, at))
+            })
+            .expect("a repair drill on this trace degrades a re-install");
+        let looser = looser_hops(&m);
+        assert_eq!(looser.len(), 1, "op {at}: {looser:?}");
+
+        // Control: without the ladder that hop is lost. Give its slots
+        // back and re-admit it at the contracted distance alone.
+        let (id, i) = looser[0];
+        let conn = m.connection(id).unwrap().clone();
+        let (hop, sl) = (conn.hops[i], conn.request.sl);
+        let contracted = m.reserved_distance(&conn.request);
+        m.tables.release_hop(hop, conn.weight).unwrap();
+        let table = m.tables.get_table_mut(hop.key()).unwrap();
+        assert_eq!(
+            table.admit(sl, m.sl_to_vl.vl(sl), contracted, conn.weight),
+            Err(iba_core::TableError::NoFreeSequence),
+            "op {at}: hop {hop:?} fits at its contracted {contracted}"
+        );
     }
 }

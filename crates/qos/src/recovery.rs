@@ -1,9 +1,9 @@
 //! Guarantee-preserving recovery: hot table repair plus re-admission
 //! through a graceful-degradation ladder.
 //!
-//! The [`RecoveryManager`] is the control-plane reaction to the fault
-//! layer (`iba_sim::fault`): when a VLArb table is damaged — entry
-//! loss, garbled weights, orphaned or colliding sequences — it
+//! Recovery is the control-plane reaction to the fault layer
+//! (`iba_sim::fault`): when a VLArb table is damaged — entry loss,
+//! garbled weights, orphaned or colliding sequences — it
 //!
 //! 1. **detects** the damage via the table's own
 //!    `check_consistency` (the repair pass reports `was_damaged`);
@@ -11,38 +11,39 @@
 //!    the slot array and re-packs the survivors with the canonical
 //!    bit-reversal defragmentation ([`iba_core::HighPriorityTable::repair`]);
 //! 3. **re-admits** what the repair dropped, first at its contracted
-//!    distance, then escalating through [`iba_core::Distance::looser`]
-//!    — a degraded-but-served reservation beats a dropped one;
-//! 4. retries admissions up to [`crate::retry::MAX_RETRIES`] times
-//!    with deterministic exponential backoff and jitter from the core
-//!    SplitMix64 rng, defragmenting between attempts.
+//!    distance, then at each [`iba_core::Distance::looser`] step — a
+//!    degraded-but-served reservation beats a dropped one;
+//! 4. tries each distance **once**. Bit-reversal allocation keeps the
+//!    free entries arranged so that the most restrictive request the
+//!    free count permits can still be placed, and nothing runs between
+//!    two attempts that could free capacity, so retrying a failed
+//!    distance cannot succeed. A `CapacityExceeded` rejection reads the
+//!    weight only and ends the ladder at once.
 //!
 //! Two callers drive it. [`crate::QosManager::repair_tables`] repairs
 //! every port table of a subnet and re-admits each *connection* that
 //! lost a hop, from the manager's own connection records, so every
 //! live connection stays bound to the sequences it holds.
-//! [`RecoveryManager::repair_table`] repairs one standalone table that
-//! has no such records and can only re-admit each evicted *sequence*
-//! as one lump.
+//! [`repair_table`] repairs one standalone table that has no such
+//! records and can only re-admit each evicted *sequence* as one lump.
 //!
-//! Everything is seeded and deterministic: the same damage and seed
-//! produce byte-identical recovery decisions, which is what lets the
+//! Recovery holds no state and draws no randomness: the same damage
+//! produces byte-identical recovery decisions, which is what lets the
 //! chaos harness assert exact outcomes.
 //!
-//! The manager keeps no counters of its own. Every repair, re-install,
-//! loosening step and retry is reported once, through the
+//! Recovery keeps no counters of its own. Every repair, re-install and
+//! degraded re-install is reported once, through the
 //! [`iba_obs::Recorder`] hooks, into the `recovery_*` metrics of the
 //! caller's registry; the returned [`RecoverySummary`] adds only what
 //! has no metric (the reservations lost).
 
-use crate::retry::Backoff;
 use iba_core::{
     Admission, Distance, EvictedSequence, HighPriorityTable, ServiceLevel, TableError, VirtualLane,
     Weight,
 };
 
 /// Outcome of one repair. [`crate::QosManager::repair_tables`] counts
-/// connections, [`RecoveryManager::repair_table`] sequences; either way
+/// connections, [`repair_table`] sequences; either way
 /// `reinstalled + lost` covers every live eviction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoverySummary {
@@ -59,135 +60,83 @@ pub struct RecoverySummary {
     pub lost: usize,
 }
 
-/// The recovery manager: owns the seeded backoff rng. One instance
-/// drives any number of tables.
-#[derive(Clone, Debug)]
-pub struct RecoveryManager {
-    backoff: Backoff,
+/// Repairs one standalone table and re-admits each live evicted
+/// sequence as one reservation of its total weight, under a fresh id.
+/// Without connection records nothing can follow the new ids, so a
+/// registry whose connections name their sequences is repaired with
+/// [`crate::QosManager::repair_tables`] instead.
+///
+/// Returns the per-table summary (`tables == 1`). Postcondition: the
+/// table passes `check_consistency` — the repair itself never fails;
+/// only re-admission can degrade or lose reservations.
+pub fn repair_table(
+    table: &mut HighPriorityTable,
+    rec: &mut dyn iba_obs::Recorder,
+) -> RecoverySummary {
+    let mut summary = RecoverySummary {
+        tables: 1,
+        ..RecoverySummary::default()
+    };
+    let Some(evicted) = repair(table, rec) else {
+        return summary;
+    };
+    summary.repaired = 1;
+    summary.evicted = evicted.len();
+    for ev in &evicted {
+        if ev.weight == 0 || ev.connections == 0 {
+            // Damage debris, not a live reservation: nothing to
+            // re-install.
+            continue;
+        }
+        if reinstall(table, ev.sl, ev.vl, ev.distance, ev.weight, rec).is_some() {
+            summary.reinstalled += 1;
+        } else {
+            summary.lost += 1;
+        }
+    }
+    summary
 }
 
-impl RecoveryManager {
-    /// A manager whose backoff jitter is seeded from `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        RecoveryManager {
-            backoff: Backoff::new(seed ^ 0x5EC0_4E4F_1A2B_3C4D),
-        }
+/// Runs [`HighPriorityTable::repair`] and meters it. Returns the
+/// evicted sequences, or `None` when the table was healthy.
+pub(crate) fn repair(
+    table: &mut HighPriorityTable,
+    rec: &mut dyn iba_obs::Recorder,
+) -> Option<Vec<EvictedSequence>> {
+    let report = table.repair();
+    if !report.was_damaged && report.evicted.is_empty() {
+        return None;
     }
+    rec.recovery_repair(report.evicted.len() as u64);
+    Some(report.evicted)
+}
 
-    /// Repairs one standalone table and re-admits each live evicted
-    /// sequence as one reservation of its total weight, under a fresh
-    /// id. Without connection records nothing can follow the new ids,
-    /// so a registry whose connections name their sequences is repaired
-    /// with [`crate::QosManager::repair_tables`] instead.
-    ///
-    /// Returns the per-table summary (`tables == 1`). Postcondition:
-    /// the table passes `check_consistency` — the repair itself never
-    /// fails; only re-admission can degrade or lose reservations.
-    pub fn repair_table(
-        &mut self,
-        table: &mut HighPriorityTable,
-        rec: &mut dyn iba_obs::Recorder,
-    ) -> RecoverySummary {
-        let mut summary = RecoverySummary {
-            tables: 1,
-            ..RecoverySummary::default()
-        };
-        let Some(evicted) = self.repair(table, rec) else {
-            return summary;
-        };
-        summary.repaired = 1;
-        summary.evicted = evicted.len();
-        for ev in &evicted {
-            if ev.weight == 0 || ev.connections == 0 {
-                // Damage debris, not a live reservation: nothing to
-                // re-install.
-                continue;
-            }
-            if self
-                .reinstall(table, ev.sl, ev.vl, ev.distance, ev.weight, rec)
-                .is_some()
-            {
-                summary.reinstalled += 1;
-            } else {
-                summary.lost += 1;
-            }
-        }
-        summary
-    }
-
-    /// Runs [`HighPriorityTable::repair`] and meters it. Returns the
-    /// evicted sequences, or `None` when the table was healthy.
-    pub(crate) fn repair(
-        &mut self,
-        table: &mut HighPriorityTable,
-        rec: &mut dyn iba_obs::Recorder,
-    ) -> Option<Vec<EvictedSequence>> {
-        let report = table.repair();
-        if !report.was_damaged && report.evicted.is_empty() {
-            return None;
-        }
-        rec.recovery_repair(report.evicted.len() as u64);
-        Some(report.evicted)
-    }
-
-    /// Graceful-degradation ladder: contracted distance first, then
-    /// each [`Distance::looser`] step up to D64. Every loosening is
-    /// metered as a degradation. Returns the admission, or `None` when
-    /// the reservation is lost.
-    pub(crate) fn reinstall(
-        &mut self,
-        table: &mut HighPriorityTable,
-        sl: ServiceLevel,
-        vl: VirtualLane,
-        contracted: Distance,
-        weight: Weight,
-        rec: &mut dyn iba_obs::Recorder,
-    ) -> Option<Admission> {
-        let mut distance = contracted;
-        loop {
-            match self.admit_with_retry(table, sl, vl, distance, weight, rec) {
-                Ok(admission) => {
-                    rec.recovery_reinstall();
-                    return Some(admission);
-                }
-                Err(TableError::NoFreeSequence | TableError::CapacityExceeded) => {
-                    distance = distance.looser()?;
+/// Graceful-degradation ladder: one admission at the contracted
+/// distance, then one at each [`Distance::looser`] step up to D64,
+/// until one places. A placement looser than `contracted` is metered
+/// once as a degradation. `CapacityExceeded` does not depend on the
+/// distance, so it ends the ladder without loosening. Returns the
+/// admission, or `None` when the reservation is lost.
+pub(crate) fn reinstall(
+    table: &mut HighPriorityTable,
+    sl: ServiceLevel,
+    vl: VirtualLane,
+    contracted: Distance,
+    weight: Weight,
+    rec: &mut dyn iba_obs::Recorder,
+) -> Option<Admission> {
+    let mut distance = contracted;
+    loop {
+        match table.admit_observed(sl, vl, distance, weight, rec) {
+            Ok(admission) => {
+                rec.recovery_reinstall();
+                if distance != contracted {
                     rec.recovery_degraded();
                 }
-                Err(_) => return None,
+                return Some(admission);
             }
-        }
-    }
-
-    /// Bounded-retry admission with deterministic exponential backoff
-    /// and jitter. Between attempts the table is defragmented — the
-    /// realistic analogue of "wait for churn to free capacity, then
-    /// try again", kept deterministic by the seeded rng.
-    pub fn admit_with_retry(
-        &mut self,
-        table: &mut HighPriorityTable,
-        sl: ServiceLevel,
-        vl: VirtualLane,
-        distance: Distance,
-        weight: Weight,
-        rec: &mut dyn iba_obs::Recorder,
-    ) -> Result<Admission, TableError> {
-        let mut attempt = 0u32;
-        loop {
-            match table.admit_observed(sl, vl, distance, weight, rec) {
-                Ok(a) => return Ok(a),
-                Err(e @ (TableError::NoFreeSequence | TableError::CapacityExceeded)) => {
-                    if self.backoff.exhausted(attempt) {
-                        return Err(e);
-                    }
-                    let backoff = self.backoff.delay(attempt);
-                    rec.recovery_retry(backoff);
-                    table.defragment();
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+            Err(TableError::NoFreeSequence) => distance = distance.looser()?,
+            Err(_) => return None,
         }
     }
 }
@@ -195,7 +144,6 @@ impl RecoveryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::{BACKOFF_BASE, MAX_RETRIES};
     use iba_core::SplitMix64;
     use iba_obs::{NullRecorder, ObsRecorder};
 
@@ -221,13 +169,22 @@ mod tests {
         t
     }
 
+    /// `n` single-entry D64 sequences of full weight on distinct SLs
+    /// (mod 10): none has room for a join.
+    fn single_entries(n: u8) -> HighPriorityTable {
+        let mut t = HighPriorityTable::new();
+        for k in 0..n {
+            t.admit(sl(k % 10), vl(k % 10), Distance::D64, 255).unwrap();
+        }
+        t
+    }
+
     #[test]
     fn healthy_table_is_left_alone() {
         let mut t = filled(1);
         let before = t.reserved_weight();
-        let mut mgr = RecoveryManager::new(7);
         let mut rec = ObsRecorder::new();
-        let s = mgr.repair_table(&mut t, &mut rec);
+        let s = repair_table(&mut t, &mut rec);
         assert_eq!(s.repaired, 0);
         assert_eq!(s.evicted, 0);
         assert_eq!(t.reserved_weight(), before);
@@ -244,8 +201,7 @@ mod tests {
             let reserved_before = t.reserved_weight();
             let mut rng = SplitMix64::seed_from_u64(seed ^ 0xFEED);
             t.inject_corruption(&mut rng);
-            let mut mgr = RecoveryManager::new(seed);
-            let s = mgr.repair_table(&mut t, &mut NullRecorder);
+            let s = repair_table(&mut t, &mut NullRecorder);
             t.check_consistency()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(s.reinstalled + s.lost <= s.evicted);
@@ -256,47 +212,54 @@ mod tests {
 
     #[test]
     fn degradation_ladder_loosens_distance() {
-        // Fill the table so the contracted distance has no free set but
-        // a looser one does: 32 single-slot D64 sequences on distinct
-        // SLs occupy the canonical bit-reversal prefix, leaving no free
-        // D2 set but plenty of looser capacity.
-        let mut t = HighPriorityTable::new();
-        for k in 0..33u8 {
-            let _ = t.admit(sl(k % 10), vl(k % 10), Distance::D64, 255);
-        }
-        let mut mgr = RecoveryManager::new(3);
+        // 33 single-slot D64 sequences occupy the canonical bit-reversal
+        // prefix, leaving no free D2 set but plenty of looser capacity.
+        let mut t = single_entries(33);
         let mut rec = ObsRecorder::new();
         // D2 needs 32 aligned slots; it cannot fit, so the ladder must
         // loosen until an admissible distance is found.
         assert!(!t.can_admit(sl(0), Distance::D2, 32));
-        let ok = mgr.reinstall(&mut t, sl(0), vl(0), Distance::D2, 32, &mut rec);
+        let ok = reinstall(&mut t, sl(0), vl(0), Distance::D2, 32, &mut rec);
         assert!(ok.is_some(), "ladder should find a looser placement");
-        assert!(rec.metrics.recovery_degraded.get() > 0);
+        // One degraded re-install, however many steps it loosened.
+        assert_eq!(rec.metrics.recovery_degraded.get(), 1);
         assert_eq!(rec.metrics.recovery_reinstalls.get(), 1);
         t.check_consistency().unwrap();
+        // A placement at the contracted distance is not a degradation.
+        let ok = reinstall(&mut t, sl(1), vl(1), Distance::D64, 255, &mut rec);
+        assert!(ok.is_some());
+        assert_eq!(rec.metrics.recovery_degraded.get(), 1);
+        assert_eq!(rec.metrics.recovery_reinstalls.get(), 2);
     }
 
     #[test]
-    fn retry_backoff_is_deterministic_and_bounded() {
-        let run = || {
-            let mut t = HighPriorityTable::new();
-            // Saturate capacity so every admission fails.
-            t.set_capacity_limit(10);
-            let _ = t.admit(sl(0), vl(0), Distance::D64, 10);
-            let mut mgr = RecoveryManager::new(42);
-            let mut rec = ObsRecorder::new();
-            let err = mgr
-                .admit_with_retry(&mut t, sl(1), vl(1), Distance::D64, 10, &mut rec)
-                .unwrap_err();
-            assert_eq!(err, TableError::CapacityExceeded);
-            let m = &rec.metrics;
-            assert_eq!(m.recovery_backoff_cycles.count(), m.recovery_retries.get());
-            (m.recovery_retries.get(), m.recovery_backoff_cycles.sum())
-        };
-        let (retries, backoff) = run();
-        assert_eq!(retries, u64::from(MAX_RETRIES));
-        // Exponential: total exceeds retries * base.
-        assert!(backoff > retries * BACKOFF_BASE);
-        assert_eq!((retries, backoff), run(), "must be deterministic");
+    fn a_lost_reinstall_is_not_a_degradation() {
+        // Every entry holds a sequence of another SL, under the weight
+        // cap: no distance up the ladder places, and the reservation is
+        // lost without a metered step.
+        let mut t = single_entries(63);
+        t.admit(sl(9), vl(9), Distance::D64, 200).unwrap();
+        let mut rec = ObsRecorder::new();
+        let got = reinstall(&mut t, sl(12), vl(12), Distance::D8, 10, &mut rec);
+        assert!(got.is_none());
+        assert_eq!(rec.metrics.recovery_degraded.get(), 0);
+        assert_eq!(rec.metrics.recovery_reinstalls.get(), 0);
+        // The ladder tried D8, D16, D32 and D64, once each.
+        assert_eq!(rec.metrics.alloc_select_fail.get(), 4);
+    }
+
+    #[test]
+    fn capacity_exceeded_ends_the_ladder_without_a_probe() {
+        let mut t = HighPriorityTable::new();
+        t.set_capacity_limit(10);
+        t.admit(sl(0), vl(0), Distance::D64, 10).unwrap();
+        let before = format!("{t:?}");
+        let mut rec = ObsRecorder::new();
+        let got = reinstall(&mut t, sl(1), vl(1), Distance::D8, 10, &mut rec);
+        assert!(got.is_none());
+        let m = &rec.metrics;
+        assert_eq!(m.recovery_degraded.get(), 0);
+        assert_eq!(m.alloc_probe.get() + m.alloc_select_fail.get(), 0);
+        assert_eq!(format!("{t:?}"), before, "no table byte moves");
     }
 }

@@ -1,10 +1,8 @@
-//! Shared deterministic retry machinery: at most [`MAX_RETRIES`]
-//! retries with saturating exponential backoff from [`BACKOFF_BASE`]
-//! cycles and seeded jitter.
+//! Deterministic timeout schedule: saturating exponential backoff
+//! from [`BACKOFF_BASE`] cycles plus seeded jitter.
 //!
-//! Both the data-plane [`crate::recovery::RecoveryManager`] and the
-//! control-plane timeouts in [`crate::service`] draw their backoff
-//! schedule from this one implementation. Everything here is a pure
+//! The admission service's control-plane timeouts ([`crate::service`])
+//! draw their delays from this schedule. Everything here is a pure
 //! function of the seed and the attempt number — no wall-clock, no
 //! global state — which is what keeps faulted runs byte-reproducible.
 //!
@@ -15,9 +13,6 @@
 //! above `2^48`); see `backoff_saturates_at_large_attempts`.
 
 use iba_core::SplitMix64;
-
-/// Retry attempts a schedule allows on top of the first try.
-pub const MAX_RETRIES: u32 = 3;
 
 /// Base backoff in cycles: retry `n` waits `BACKOFF_BASE << n`
 /// (saturating) plus jitter in `[0, BACKOFF_BASE)`.
@@ -39,9 +34,8 @@ pub fn saturating_backoff(base: u64, attempt: u32) -> u64 {
 /// A seeded backoff schedule: owns the jitter rng.
 ///
 /// Deterministic: the same seed and the same call sequence produce the
-/// same delays. One instance serves one retry domain (a recovery
-/// manager, an admission-service run); delays are metered by the
-/// caller.
+/// same delays. One instance serves one retry domain (an
+/// admission-service run); delays are metered by the caller.
 #[derive(Clone, Debug)]
 pub struct Backoff {
     rng: SplitMix64,
@@ -55,12 +49,6 @@ impl Backoff {
         Backoff {
             rng: SplitMix64::seed_from_u64(seed),
         }
-    }
-
-    /// True when `attempt` has used up the retry budget.
-    #[must_use]
-    pub fn exhausted(&self, attempt: u32) -> bool {
-        attempt >= MAX_RETRIES
     }
 
     /// The delay before retry number `attempt`:
@@ -127,7 +115,5 @@ mod tests {
         let mut b = Backoff::new(7);
         assert_eq!(b.delay(200), u64::MAX, "saturates, never wraps");
         assert_eq!(b.delay(u32::MAX), u64::MAX);
-        assert!(b.exhausted(MAX_RETRIES));
-        assert!(!b.exhausted(MAX_RETRIES - 1));
     }
 }

@@ -24,7 +24,7 @@
 //!   manager, the request-id map and the reply cache; the restart
 //!   replays every journaled intent from the empty manager and rolls
 //!   the interrupted one forward;
-//! * deterministic timeouts on the shared [`crate::retry::Backoff`]
+//! * deterministic timeouts on the [`crate::retry::Backoff`]
 //!   schedule: a request or reply that never arrived is re-sent;
 //! * idempotency keys (the op index, [`OpKey`]): a re-delivered
 //!   operation that already completed is answered from the reply
@@ -43,7 +43,7 @@ use crate::cac::{PortTables, RejectReason};
 use crate::connection::{ConnectionId, HopReservation};
 use crate::journal::{IntentJournal, JournalRecord, OpKey};
 use crate::manager::QosManager;
-use crate::recovery::{RecoveryManager, RecoverySummary};
+use crate::recovery::RecoverySummary;
 use crate::retry::Backoff;
 use iba_core::{Distance, ServiceLevel, SplitMix64, Weight};
 use iba_obs::{request_stage, NullRecorder, ObsRecorder, Recorder};
@@ -72,7 +72,7 @@ pub enum TraceOp {
     /// hold, so their handles stay valid; a connection the repair
     /// lost is gone, and tearing it down reports `TornDown(false)`.
     Repair {
-        /// Seed for both the corruption and the repair streams.
+        /// Seed of the corruption streams.
         seed: u64,
     },
 }
@@ -209,7 +209,7 @@ fn apply_op(
         ),
         TraceOp::Repair { seed } => {
             let damage = mgr.corrupt_tables(*seed);
-            let summary = mgr.repair_tables(&mut RecoveryManager::new(*seed), rec);
+            let summary = mgr.repair_tables(rec);
             // Forget the connections the repair lost before a later
             // admission can reuse their ids.
             rids.retain(|_, id| mgr.connection(*id).is_some());

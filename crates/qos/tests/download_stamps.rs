@@ -27,9 +27,7 @@
 use iba_core::{ArbEntry, SlTable, SplitMix64};
 use iba_obs::NullRecorder;
 use iba_qos::service::apply_trace_sequential;
-use iba_qos::{
-    ConnectionId, LowPriorityPolicy, PortKey, QosManager, RecoveryManager, RejectReason, TraceOp,
-};
+use iba_qos::{ConnectionId, LowPriorityPolicy, PortKey, QosManager, RejectReason, TraceOp};
 use iba_sim::{DeliveryRecord, Fabric, FaultAction, Observer, SimConfig};
 use iba_topo::{irregular, updown};
 use iba_traffic::besteffort::{background_flows, BackgroundConfig};
@@ -284,7 +282,7 @@ fn differential(seed: u64, writer: Writer, oracle: Oracle) -> Result<Coverage, S
                 let repair_seed = rng.next_u64();
                 if repair_seed.is_multiple_of(2) {
                     mgr.corrupt_tables(repair_seed);
-                    mgr.repair_tables(&mut RecoveryManager::new(repair_seed), &mut NullRecorder);
+                    mgr.repair_tables(&mut NullRecorder);
                 } else {
                     let op = TraceOp::Repair { seed: repair_seed };
                     apply_trace_sequential(mgr, &[op], &mut NullRecorder);

@@ -165,18 +165,6 @@ impl VlQueueSet {
         self.len[vl] as usize
     }
 
-    /// Whether every lane is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.occupied == 0
-    }
-
-    /// Bytes queued on lane `vl`.
-    #[must_use]
-    pub fn used(&self, vl: usize) -> u64 {
-        self.used[vl]
-    }
-
     /// Bytes queued over all lanes.
     #[must_use]
     pub fn total_used(&self) -> u64 {
@@ -685,14 +673,13 @@ mod tests {
     fn queue_set_tracks_occupancy_mask() {
         let mut pool = PacketPool::new();
         let mut q = VlQueueSet::new(1024);
-        assert!(q.is_empty());
         assert_eq!(q.occupied(), 0);
         q.push(&mut pool, 3, pkt(256));
         q.push(&mut pool, 3, pkt(128));
         q.push(&mut pool, 15, pkt(64));
         assert_eq!(q.occupied(), (1 << 3) | (1 << 15));
         assert_eq!(q.len(3), 2);
-        assert_eq!(q.used(3), 384);
+        assert_eq!(q.used[3], 384);
         assert_eq!(q.total_used(), 448);
         assert_eq!(q.head(&pool, 3).unwrap().bytes, 256);
         assert_eq!(q.pop(&mut pool, 3).unwrap().bytes, 256);
@@ -700,7 +687,7 @@ mod tests {
         assert_eq!(q.pop(&mut pool, 3).unwrap().bytes, 128);
         assert_eq!(q.occupied(), 1 << 15, "lane 3 drained");
         assert_eq!(q.pop(&mut pool, 15).unwrap().bytes, 64);
-        assert!(q.is_empty());
+        assert_eq!(q.occupied(), 0);
         assert_eq!(pool.in_use(), 0);
     }
 
@@ -720,7 +707,7 @@ mod tests {
         }
         for (vl, buf) in bufs.iter_mut().enumerate() {
             assert_eq!(set.len(vl), buf.len(), "lane {vl} length");
-            assert_eq!(set.used(vl), buf.used(), "lane {vl} bytes");
+            assert_eq!(set.used[vl], buf.used(), "lane {vl} bytes");
             assert_eq!(set.fits(vl, 256), buf.fits(256), "lane {vl} fits");
             loop {
                 let a = set.pop(&mut pool_a, vl).map(|p| p.bytes);

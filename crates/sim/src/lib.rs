@@ -35,7 +35,6 @@ pub mod port;
 pub mod time;
 pub mod trace;
 
-pub use buffer::VlQueueSet;
 pub use config::SimConfig;
 pub use event::{Event, EventQueue};
 pub use fabric::{DownloadKey, Fabric, FabricStats, NodeId, PortDownload};

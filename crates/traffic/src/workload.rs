@@ -95,16 +95,6 @@ impl RequestGenerator {
             packet_bytes: self.packet_bytes,
         }
     }
-
-    /// Draws a request for one specific SL index within the QoS profile
-    /// list (used by targeted tests and the oversend ablation).
-    pub fn request_for_profile(&mut self, profile_idx: usize) -> ConnectionRequest {
-        let save = self.next_profile;
-        self.next_profile = profile_idx % self.profiles.len();
-        let r = self.next_request();
-        self.next_profile = save;
-        r
-    }
 }
 
 #[cfg(test)]
@@ -176,14 +166,5 @@ mod tests {
             (0..30).map(|_| g.next_request()).collect()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn targeted_profile_requests() {
-        let mut g = gen();
-        let r = g.request_for_profile(3);
-        assert_eq!(r.sl.raw(), 3);
-        // Round-robin state is preserved.
-        assert_eq!(g.next_request().sl.raw(), 0);
     }
 }

@@ -63,14 +63,14 @@ const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b
 /// Faulted admission-service run: `(report digest, metrics digest)`.
 /// Its repair drills re-admit evicted connections from the manager's
 /// records, so connections admitted before a repair stay live.
-const SERVE_FAULTED: (u64, u64) = (0x91e8_9707_86a2_e19d, 0x88cc_336f_54eb_db1a);
+const SERVE_FAULTED: (u64, u64) = (0x91e8_9707_86a2_e19d, 0xf57f_ab2d_6dbf_a54a);
 
 /// Seeded metrics registries: `(Debug, snapshot, merge, delta)` digests.
 const REGISTRY: (u64, u64, u64, u64) = (
-    0x0287_f963_0f68_db75,
-    0x8c6f_06b0_d81f_8a69,
-    0xcee3_02ec_477f_1610,
-    0x12ff_2f60_9a3f_0749,
+    0x166a_bdb3_4127_d9a5,
+    0xe1bb_246b_b3d2_4f30,
+    0xd2d1_3af8_df9f_f032,
+    0x0377_cf83_bffb_ef5f,
 );
 
 /// Digest of every table's slots, occupancy and sequence records.
@@ -415,7 +415,6 @@ fn seeded_registry(seed: u64) -> iba_obs::Metrics {
         &mut m.recovery_repairs,
         &mut m.recovery_evicted,
         &mut m.recovery_reinstalls,
-        &mut m.recovery_retries,
         &mut m.recovery_degraded,
         &mut m.span_records,
         &mut m.span_dropped,
@@ -457,7 +456,6 @@ fn seeded_registry(seed: u64) -> iba_obs::Metrics {
         &mut m.alloc_probe_depth,
         &mut m.arb_queue_depth,
         &mut m.sim_event_queue_depth,
-        &mut m.recovery_backoff_cycles,
         &mut m.serve_queue_depth,
     ] {
         for _ in 0..rng.next_u64() % 8 {

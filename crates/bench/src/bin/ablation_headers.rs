@@ -12,7 +12,7 @@
 
 use iba_bench::{point_from_env, SimPoint};
 use iba_core::SlTable;
-use iba_qos::{QosFrame, QosManager};
+use iba_qos::QosFrame;
 use iba_sim::config::IBA_HEADER_BYTES;
 use iba_sim::SimConfig;
 use iba_stats::Table;
@@ -43,9 +43,7 @@ fn main() {
     for mtu in [256u32, 4096] {
         eprintln!("== MTU {mtu}, headers on ==");
         let config = SimConfig::with_headers(mtu);
-        let mut manager = QosManager::new(topo.clone(), routing.clone(), sl_table.clone());
-        manager.set_header_bytes(IBA_HEADER_BYTES);
-        let mut frame = QosFrame::with_manager(manager, config);
+        let mut frame = QosFrame::new(topo.clone(), routing.clone(), sl_table.clone(), config);
         let mut gen =
             RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(mtu, p.seed ^ 0xF00D));
         frame.fill(&mut gen, 120, 100_000);

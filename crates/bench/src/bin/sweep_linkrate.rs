@@ -11,7 +11,7 @@
 
 use iba_bench::{point_from_env, SimPoint};
 use iba_core::SlTable;
-use iba_qos::{QosFrame, QosManager};
+use iba_qos::QosFrame;
 use iba_sim::{SimConfig, LINK_1X_MBPS};
 use iba_stats::Table;
 use iba_topo::irregular::{generate, IrregularConfig};
@@ -44,9 +44,7 @@ fn main() {
         let link_mbps = LINK_1X_MBPS * bytes_per_cycle as f64;
         let mut config = SimConfig::paper_default(256);
         config.link_bytes_per_cycle = bytes_per_cycle;
-        let mut manager = QosManager::new(topo.clone(), routing.clone(), sl_table.clone());
-        manager.set_link_mbps(link_mbps);
-        let mut frame = QosFrame::with_manager(manager, config);
+        let mut frame = QosFrame::new(topo.clone(), routing.clone(), sl_table.clone(), config);
 
         let mut gen =
             RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(256, p.seed ^ 0xF00D));

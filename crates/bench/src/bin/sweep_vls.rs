@@ -11,7 +11,7 @@
 
 use iba_bench::{point_from_env, SimPoint};
 use iba_core::{SlTable, SlToVlMap};
-use iba_qos::{QosFrame, QosManager};
+use iba_qos::QosFrame;
 use iba_sim::SimConfig;
 use iba_stats::Table;
 use iba_topo::irregular::{generate, IrregularConfig};
@@ -47,10 +47,8 @@ fn main() {
             SlToVlMap::collapsed_qos(n_qos)
         };
         let mut config = SimConfig::paper_default(256);
-        config.sl_to_vl = map.clone();
-        let mut manager = QosManager::new(topo.clone(), routing.clone(), sl_table.clone());
-        manager.set_sl_to_vl(map);
-        let mut frame = QosFrame::with_manager(manager, config);
+        config.sl_to_vl = map;
+        let mut frame = QosFrame::new(topo.clone(), routing.clone(), sl_table.clone(), config);
 
         let mut gen =
             RequestGenerator::new(&topo, &sl_table, &WorkloadConfig::new(256, p.seed ^ 0xF00D));

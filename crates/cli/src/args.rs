@@ -47,8 +47,8 @@ OPTIONS (a command rejects every option it does not read, exit 2):
     --replay               (serve/chaos-serve) print the full replay
                            report
     --no-journal           (chaos-serve) disable the write-ahead
-                           intent journal — the negative control; injected
-                           crashes then lose reservations and the run FAILs
+                           intent journal — the negative control; a crashed
+                           owner then restarts empty and the run FAILs
     --perfetto <FILE>      (audit/trace/sweep/serve/chaos-serve) write a
                            Perfetto/Chrome trace-event JSON timeline to
                            FILE; on serve it carries one pid-3 track per

@@ -5,6 +5,7 @@ use crate::args::Args;
 use crate::Failure;
 use iba_core::{Distance, HighPriorityTable, ServiceLevel, SlTable, VirtualLane};
 use iba_harness::{build_experiment_sized, Experiment};
+use iba_qos::service::ServeOptions;
 use iba_qos::QosFrame;
 use iba_sim::SimConfig;
 use iba_stats::Table;
@@ -511,32 +512,36 @@ pub fn chaos(args: &Args) -> Result<String, Failure> {
     )
 }
 
-/// `ibaqos serve` — drives a seeded admit/teardown/repair trace
-/// through the journaled admission service and differentially audits
-/// it against the sequential `QosManager` on outcomes, final tables and
-/// shared metrics. With `--replay` the full replay report is printed.
-/// Returns `Err` (non-zero process exit, machine-readable first stderr
-/// line) on any divergence or consistency failure.
+/// `ibaqos serve` and `ibaqos chaos-serve` — drive a seeded
+/// admit/teardown/repair trace through the journaled admission service
+/// (`chaos-serve`: under the seeded control-plane fault calendar of
+/// owner crashes, lost or duplicated requests and lost replies) and
+/// audit it against the sequential `QosManager` on outcomes, final
+/// tables, shared metrics, consistency and the exactly-once ledger.
+/// `chaos-serve --no-journal` is the negative control: the same
+/// calendar must then FAIL. With `--replay` the full replay report is
+/// printed. Returns `Err` (non-zero process exit, machine-readable
+/// `<command>: verdict=FAIL` first stderr line) on any failed oracle.
 pub fn serve(args: &Args) -> Result<String, Failure> {
-    let cfg = iba_harness::ServeConfig::new(args.switches, args.seed, args.requests);
+    let cfg = iba_harness::ServeConfig {
+        faults: (args.command == crate::Command::ChaosServe).then_some(ServeOptions {
+            journal: !args.no_journal,
+        }),
+        ..iba_harness::ServeConfig::new(args.switches, args.seed, args.requests)
+    };
     // `--slo`/`--flight-dir`/`--perfetto` need the windowed run: a
-    // timeline keyed by finalized trace operations plus per-request
-    // trace records for span reassembly and request tracks.
+    // timeline keyed by trace operations plus per-request trace
+    // records for span reassembly and request tracks.
     let windowed = args.slo.is_some() || args.flight_dir.is_some() || args.perfetto.is_some();
     let mut outcome = iba_harness::run_serve(&cfg, windowed.then_some(args.window));
     let mut out = if args.replay {
         outcome.render_report()
     } else {
         format!(
-            "{}\n{}",
+            "{}\n{}\n{}",
             outcome.summary_line(),
-            format_args!(
-                "trace: accepted={} rejected={} released={} live={}",
-                outcome.report.accepted,
-                outcome.report.rejected,
-                outcome.report.released,
-                outcome.report.live.len(),
-            )
+            outcome.trace_line(),
+            outcome.faults_line()
         )
     };
     if let Some(path) = &args.perfetto {
@@ -544,57 +549,6 @@ pub fn serve(args: &Args) -> Result<String, Failure> {
         // dispatch -> commit/abort -> finalize chain. The ring
         // tracer is skipped here — its Request records are the same
         // ones already drained into `request_records`.
-        out.push_str(&write_perfetto(
-            path,
-            None,
-            None,
-            &outcome.report.request_records,
-        )?);
-    }
-    // The SLO report sits one blank line below the run's report.
-    if args.slo.is_some() {
-        out.push('\n');
-    }
-    gate(
-        args,
-        out,
-        Checked {
-            failure: (!outcome.passed()).then(|| outcome.summary_line()),
-            metrics: &mut outcome.recorder.metrics,
-            timeline: outcome.recorder.timeline.as_ref(),
-            tracer: outcome.recorder.tracer.as_ref(),
-            requests: &outcome.report.request_records,
-            quiet: false,
-        },
-    )
-}
-
-/// `ibaqos chaos-serve` — drives the journaled admission service under
-/// a seeded control-plane fault calendar (owner crashes, lost or
-/// duplicated requests, lost replies) and audits the survivor for
-/// convergence to the sequential manager plus exactly-once reservation
-/// semantics. `--no-journal` is the negative control: the same
-/// calendar must then lose reservations and FAIL (machine-readable
-/// `chaos-serve: verdict=FAIL` first line on stderr).
-pub fn chaos_serve(args: &Args) -> Result<String, Failure> {
-    let mut cfg = iba_harness::ChaosServeConfig::new(args.switches, args.seed, args.requests);
-    cfg.journal = !args.no_journal;
-    let windowed = args.slo.is_some() || args.flight_dir.is_some() || args.perfetto.is_some();
-    let mut outcome = iba_harness::run_chaos_serve(&cfg, windowed.then_some(args.window));
-    let mut out = if args.replay {
-        outcome.render_report()
-    } else {
-        let f = &outcome.fault_stats;
-        format!(
-            "{}\n{}",
-            outcome.summary_line(),
-            format_args!(
-                "faults: crashes={} request_losses={} duplicates={} reply_losses={} timeouts={}",
-                f.crashes, f.request_losses, f.duplicates, f.reply_losses, f.timeouts,
-            )
-        )
-    };
-    if let Some(path) = &args.perfetto {
         out.push_str(&write_perfetto(
             path,
             None,
@@ -957,6 +911,21 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_that_fills_its_last_window_opens_no_empty_one() {
+        // 500 ops at 500 ticks per window are exactly one window: its
+        // repair drills degrade a re-install, and no empty window after
+        // the last op breaches the floor.
+        let mut a = args(crate::Command::Serve);
+        a.switches = 4;
+        a.seed = 42;
+        a.requests = 500;
+        a.window = 500;
+        a.slo = Some("rate(recovery_degraded_total) >= 1".into());
+        let ok = serve(&a).expect("the whole trace meets the floor");
+        assert!(ok.contains("windows=1 breaching=0"), "{ok}");
+    }
+
+    #[test]
     fn serve_perfetto_export_carries_request_tracks() {
         let path =
             std::env::temp_dir().join(format!("ibaqos_serve_perfetto_{}.json", std::process::id()));
@@ -979,14 +948,14 @@ mod tests {
         a.switches = 4;
         a.seed = 7;
         a.requests = 48;
-        let out = chaos_serve(&a).expect("faulted service converges with the journal on");
+        let out = serve(&a).expect("faulted service converges with the journal on");
         assert!(out.starts_with("chaos-serve: verdict=PASS"), "{out}");
         assert!(out.contains("crashes="), "{out}");
-        // The negative control: same calendar, journal off — crashes
-        // must lose reservations, and the machine-readable FAIL line
-        // must lead stderr.
+        // The negative control: same calendar, journal off — the run
+        // must diverge from the sequential manager, and the
+        // machine-readable FAIL line must lead stderr.
         a.no_journal = true;
-        let err = verdict(chaos_serve(&a), "journal-off run must fail");
+        let err = verdict(serve(&a), "journal-off run must fail");
         assert!(
             err.lines()
                 .next()
@@ -997,7 +966,7 @@ mod tests {
         // A failing `--slo` as well: the run's own verdict still leads
         // stderr, ahead of the SLO line.
         a.slo = Some("rate(cac_admit_total) == 0".into());
-        let err = verdict(chaos_serve(&a), "journal-off run must fail");
+        let err = verdict(serve(&a), "journal-off run must fail");
         assert!(err.starts_with("chaos-serve: verdict=FAIL"), "{err}");
         assert!(err.contains("slo: verdict=FAIL"), "{err}");
     }
@@ -1010,7 +979,7 @@ mod tests {
             a.seed = 7;
             a.requests = 48;
             a.replay = true;
-            chaos_serve(&a).expect("chaos-serve passes")
+            serve(&a).expect("chaos-serve passes")
         };
         let report = replay();
         assert_eq!(report, replay());

@@ -119,8 +119,7 @@ pub fn run(argv: &[String]) -> Result<String, Failure> {
         Command::Trace => commands::trace(&args),
         Command::Audit => commands::audit(&args),
         Command::Chaos => commands::chaos(&args),
-        Command::Serve => commands::serve(&args),
-        Command::ChaosServe => commands::chaos_serve(&args),
+        Command::Serve | Command::ChaosServe => commands::serve(&args),
         Command::Timeline => commands::timeline(&args),
         Command::Demo => Ok(commands::demo()),
         Command::Help => Ok(args::USAGE.to_string()),

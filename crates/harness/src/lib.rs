@@ -20,7 +20,6 @@
 
 pub mod audit;
 pub mod chaos;
-pub mod chaos_serve;
 pub mod engine;
 pub mod experiment;
 pub mod fnv;
@@ -30,7 +29,6 @@ pub mod timeline;
 
 pub use audit::{run_audit, AuditConfig, AuditOutcome};
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
-pub use chaos_serve::{run_chaos_serve, ChaosServeConfig, ChaosServeOutcome};
 pub use engine::{run_sweep, threads_from_env};
 pub use experiment::{build_experiment_sized, run_measured, Experiment, Measured};
 pub use fnv::{fnv64, Fnv64};

@@ -122,7 +122,6 @@ mod tests {
                 TraceEvent::Request {
                     rid: 0,
                     stage: request_stage::DISPATCH,
-                    shard: 0,
                     path: request_stage::NO_PATH,
                 },
             ),
@@ -131,7 +130,6 @@ mod tests {
                 TraceEvent::Request {
                     rid: 0,
                     stage: request_stage::COMMIT,
-                    shard: 1,
                     path: 0,
                 },
             ),

@@ -104,31 +104,18 @@ fn sim_event_fields(ev: &TraceEvent) -> (u8, &'static str, Vec<(String, Json)>) 
                 ("detail".to_string(), Json::uint(u64::from(detail))),
             ],
         ),
-        TraceEvent::Request {
-            rid,
-            stage,
-            shard,
-            path,
-        } => (
+        TraceEvent::Request { rid, stage, path } => (
             0,
             crate::trace::request_stage::label(stage),
             vec![
                 ("rid".to_string(), Json::uint(u64::from(rid))),
-                ("shard".to_string(), Json::uint(u64::from(shard))),
                 ("hop".to_string(), Json::uint(u64::from(path))),
             ],
         ),
-        TraceEvent::Serve {
-            code,
-            shard,
-            detail,
-        } => (
+        TraceEvent::Serve { code, detail } => (
             0,
             crate::trace::serve_code::label(code),
-            vec![
-                ("shard".to_string(), Json::uint(u64::from(shard))),
-                ("detail".to_string(), Json::uint(u64::from(detail))),
-            ],
+            vec![("detail".to_string(), Json::uint(u64::from(detail)))],
         ),
     }
 }
@@ -252,7 +239,6 @@ pub fn perfetto_trace_full(
             fields.push((
                 "args".to_string(),
                 Json::Object(vec![
-                    ("shard".to_string(), Json::uint(u64::from(s.shard))),
                     ("hop".to_string(), Json::uint(u64::from(s.path))),
                     ("recorded_at".to_string(), Json::uint(s.time)),
                 ]),
@@ -381,28 +367,14 @@ mod tests {
     #[test]
     fn request_records_become_one_track_per_request() {
         use crate::trace::request_stage;
-        let req = |rid: u32, stage: u8, shard: u8, path: u8| TraceEvent::Request {
-            rid,
-            stage,
-            shard,
-            path,
-        };
+        let req = |rid: u32, stage: u8, path: u8| TraceEvent::Request { rid, stage, path };
         // Worker clocks run ahead of the coordinator's: the commit was
         // recorded at t=9 but the finalize at t=4.
         let records = vec![
-            (
-                1,
-                req(0, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
-            (9, req(0, request_stage::COMMIT, 1, 0)),
-            (
-                4,
-                req(0, request_stage::FINALIZE, 0, request_stage::NO_PATH),
-            ),
-            (
-                2,
-                req(1, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
+            (1, req(0, request_stage::DISPATCH, request_stage::NO_PATH)),
+            (9, req(0, request_stage::COMMIT, 0)),
+            (4, req(0, request_stage::FINALIZE, request_stage::NO_PATH)),
+            (2, req(1, request_stage::DISPATCH, request_stage::NO_PATH)),
         ];
         let doc = perfetto_trace_full(None, None, &records);
         let events = trace_events(&doc);

@@ -199,12 +199,11 @@ pub trait Recorder {
 
     /// One causal stage of an admission-service request: `rid` is the
     /// request id (the trace-op index), `stage` one of the
-    /// [`crate::trace::request_stage`] constants, `shard` the shard
-    /// that observed the stage and `path` the hop index within the
-    /// request's path ([`crate::trace::request_stage::NO_PATH`] when
+    /// [`crate::trace::request_stage`] constants and `path` the hop
+    /// index within the request's path ([`crate::trace::request_stage::NO_PATH`] when
     /// the stage is not hop-specific). Trace-only: no metric moves.
     #[inline]
-    fn request_stage(&mut self, _rid: u32, _stage: u8, _shard: u8, _path: u8) {}
+    fn request_stage(&mut self, _rid: u32, _stage: u8, _path: u8) {}
 
     /// A wall-clock profiling span named `name` opened on the calling
     /// thread. No-op unless the recorder carries a
@@ -465,7 +464,6 @@ impl Recorder for ObsRecorder {
         self.metrics.serve_crash.incr();
         self.trace(TraceEvent::Serve {
             code: crate::trace::serve_code::CRASH,
-            shard: 0,
             detail: 0,
         });
     }
@@ -474,7 +472,6 @@ impl Recorder for ObsRecorder {
         self.metrics.serve_journal_replay.add(records);
         self.trace(TraceEvent::Serve {
             code: crate::trace::serve_code::JOURNAL_REPLAY,
-            shard: 0,
             detail: u32::try_from(records).unwrap_or(u32::MAX),
         });
     }
@@ -483,19 +480,13 @@ impl Recorder for ObsRecorder {
         self.metrics.serve_timeout.incr();
         self.trace(TraceEvent::Serve {
             code: crate::trace::serve_code::TIMEOUT,
-            shard: 0,
             detail: u32::try_from(backoff).unwrap_or(u32::MAX),
         });
     }
 
     #[inline]
-    fn request_stage(&mut self, rid: u32, stage: u8, shard: u8, path: u8) {
-        self.trace(TraceEvent::Request {
-            rid,
-            stage,
-            shard,
-            path,
-        });
+    fn request_stage(&mut self, rid: u32, stage: u8, path: u8) {
+        self.trace(TraceEvent::Request { rid, stage, path });
     }
 
     #[inline]
@@ -722,7 +713,7 @@ mod tests {
     fn request_stage_hook_traces_without_metrics() {
         let mut r = ObsRecorder::with_tracer(4);
         r.tick(7);
-        r.request_stage(5, crate::trace::request_stage::COMMIT, 2, 1);
+        r.request_stage(5, crate::trace::request_stage::COMMIT, 1);
         let records = r.tracer.as_ref().map(RingTracer::records).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(
@@ -732,7 +723,6 @@ mod tests {
                 TraceEvent::Request {
                     rid: 5,
                     stage: crate::trace::request_stage::COMMIT,
-                    shard: 2,
                     path: 1
                 }
             )

@@ -5,7 +5,7 @@
 //! request id (the operation's index in the trace) and emits
 //! `dispatch`, per-hop `commit` or `abort`, and `finalize` records.
 //! The reassembler orders each request's records by the **causal
-//! key** `(stage, path, shard, time)` — stage codes are causally
+//! key** `(stage, path, time)` — stage codes are causally
 //! ordered (see [`crate::trace::request_stage`]) — rather than by
 //! timestamp, so the span trees are deterministic even for records
 //! merged from several rings.
@@ -21,9 +21,6 @@ pub struct StageRecord {
     pub time: u64,
     /// Stage code (a [`request_stage`] constant).
     pub stage: u8,
-    /// The shard that observed the stage (0: the service has one
-    /// owner).
-    pub shard: u8,
     /// Hop index within the request's path, or
     /// [`request_stage::NO_PATH`] for non-hop stages.
     pub path: u8,
@@ -34,7 +31,7 @@ pub struct StageRecord {
 pub struct RequestSpan {
     /// The request id (the trace-op index).
     pub rid: u32,
-    /// Stage records sorted by `(stage, path, shard, time)`.
+    /// Stage records sorted by `(stage, path, time)`.
     pub stages: Vec<StageRecord>,
 }
 
@@ -69,9 +66,6 @@ impl RequestSpan {
             out.push_str(indent);
             out.push_str(&format!("{:<9}", request_stage::label(s.stage)));
             out.push_str(&format!(" t={}", s.time));
-            if hop_level {
-                out.push_str(&format!(" shard={}", s.shard));
-            }
             if s.path != request_stage::NO_PATH {
                 out.push_str(&format!(" hop={}", s.path));
             }
@@ -88,17 +82,10 @@ impl RequestSpan {
 pub fn reassemble(records: &[(u64, TraceEvent)]) -> Vec<RequestSpan> {
     let mut by_rid: BTreeMap<u32, Vec<StageRecord>> = BTreeMap::new();
     for (time, ev) in records {
-        if let TraceEvent::Request {
-            rid,
-            stage,
-            shard,
-            path,
-        } = *ev
-        {
+        if let TraceEvent::Request { rid, stage, path } = *ev {
             by_rid.entry(rid).or_default().push(StageRecord {
                 time: *time,
                 stage,
-                shard,
                 path,
             });
         }
@@ -106,7 +93,7 @@ pub fn reassemble(records: &[(u64, TraceEvent)]) -> Vec<RequestSpan> {
     by_rid
         .into_iter()
         .map(|(rid, mut stages)| {
-            stages.sort_by_key(|s| (s.stage, s.path, s.shard, s.time));
+            stages.sort_by_key(|s| (s.stage, s.path, s.time));
             RequestSpan { rid, stages }
         })
         .collect()
@@ -130,13 +117,8 @@ pub fn render_all(spans: &[RequestSpan]) -> String {
 mod tests {
     use super::*;
 
-    fn req(rid: u32, stage: u8, shard: u8, path: u8) -> TraceEvent {
-        TraceEvent::Request {
-            rid,
-            stage,
-            shard,
-            path,
-        }
+    fn req(rid: u32, stage: u8, path: u8) -> TraceEvent {
+        TraceEvent::Request { rid, stage, path }
     }
 
     #[test]
@@ -144,20 +126,11 @@ mod tests {
         // Records arrive shuffled (two rings drained back to back,
         // worker clocks ahead of the coordinator's).
         let records = vec![
-            (
-                5,
-                req(1, request_stage::FINALIZE, 0, request_stage::NO_PATH),
-            ),
-            (3, req(1, request_stage::COMMIT, 2, 1)),
-            (
-                9,
-                req(2, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
-            (
-                1,
-                req(1, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
-            (3, req(1, request_stage::COMMIT, 0, 0)),
+            (5, req(1, request_stage::FINALIZE, request_stage::NO_PATH)),
+            (3, req(1, request_stage::COMMIT, 1)),
+            (9, req(2, request_stage::DISPATCH, request_stage::NO_PATH)),
+            (1, req(1, request_stage::DISPATCH, request_stage::NO_PATH)),
+            (3, req(1, request_stage::COMMIT, 0)),
             (7, TraceEvent::Release), // non-request noise: ignored
         ];
         let spans = reassemble(&records);
@@ -182,15 +155,9 @@ mod tests {
     #[test]
     fn aborted_requests_are_flagged() {
         let records = vec![
-            (
-                1,
-                req(4, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
-            (3, req(4, request_stage::ABORT, 1, 0)),
-            (
-                4,
-                req(4, request_stage::FINALIZE, 0, request_stage::NO_PATH),
-            ),
+            (1, req(4, request_stage::DISPATCH, request_stage::NO_PATH)),
+            (3, req(4, request_stage::ABORT, 0)),
+            (4, req(4, request_stage::FINALIZE, request_stage::NO_PATH)),
         ];
         let spans = reassemble(&records);
         assert!(spans[0].aborted());
@@ -198,21 +165,15 @@ mod tests {
         let text = spans[0].render();
         assert!(text.starts_with("request rid=4 outcome=abort\n"));
         assert!(text.contains("    abort"));
-        assert!(text.contains("shard=1"));
+        assert!(text.contains("    abort     t=3 hop=0\n"), "{text}");
     }
 
     #[test]
     fn render_all_handles_empty_and_joins_spans() {
         assert_eq!(render_all(&[]), "no request records\n");
         let records = vec![
-            (
-                1,
-                req(0, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
-            (
-                2,
-                req(1, request_stage::DISPATCH, 0, request_stage::NO_PATH),
-            ),
+            (1, req(0, request_stage::DISPATCH, request_stage::NO_PATH)),
+            (2, req(1, request_stage::DISPATCH, request_stage::NO_PATH)),
         ];
         let text = render_all(&reassemble(&records));
         assert_eq!(text.matches("request rid=").count(), 2);

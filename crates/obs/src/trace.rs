@@ -8,7 +8,7 @@ use crate::recorder::{RejectKind, ServedKind};
 
 /// Stage codes of a [`TraceEvent::Request`]. The numeric order **is**
 /// the causal order within one request, so sorting records by `(rid,
-/// stage, path, shard)` reconstructs the span tree.
+/// stage, path)` reconstructs the span tree.
 pub mod request_stage {
     /// The service dispatched the operation (root of the span).
     pub const DISPATCH: u8 = 0;
@@ -166,9 +166,6 @@ pub enum TraceEvent {
         rid: u32,
         /// Stage code (one of the [`request_stage`] constants).
         stage: u8,
-        /// Shard that produced the record (0: the service has one
-        /// owner).
-        shard: u8,
         /// Path (hop) index the stage concerns, or
         /// [`request_stage::NO_PATH`] when none.
         path: u8,
@@ -177,8 +174,6 @@ pub enum TraceEvent {
     Serve {
         /// Sub-kind (one of the [`serve_code`] constants).
         code: u8,
-        /// Affected shard (0: the service has one owner).
-        shard: u8,
         /// Sub-kind-specific detail (records replayed, backoff cycles).
         detail: u32,
     },
@@ -219,28 +214,19 @@ impl TraceEvent {
                 "{time:>10}  fault            kind={} port={port} detail={detail}",
                 fault_code::label(code)
             ),
-            TraceEvent::Request {
-                rid,
-                stage,
-                shard,
-                path,
-            } => {
+            TraceEvent::Request { rid, stage, path } => {
                 let at = if path == request_stage::NO_PATH {
                     String::from("-")
                 } else {
                     path.to_string()
                 };
                 format!(
-                    "{time:>10}  request          rid={rid} stage={} shard={shard} path={at}",
+                    "{time:>10}  request          rid={rid} stage={} path={at}",
                     request_stage::label(stage)
                 )
             }
-            TraceEvent::Serve {
-                code,
-                shard,
-                detail,
-            } => format!(
-                "{time:>10}  serve            kind={} shard={shard} detail={detail}",
+            TraceEvent::Serve { code, detail } => format!(
+                "{time:>10}  serve            kind={} detail={detail}",
                 serve_code::label(code)
             ),
         }
@@ -410,12 +396,10 @@ mod tests {
             TraceEvent::Request {
                 rid: u32::MAX,
                 stage: request_stage::ABORT,
-                shard: 255,
                 path: request_stage::NO_PATH,
             },
             TraceEvent::Serve {
                 code: serve_code::JOURNAL_REPLAY,
-                shard: 2,
                 detail: 17,
             },
         ];

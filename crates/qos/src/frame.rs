@@ -37,7 +37,9 @@ pub struct QosFrame {
 }
 
 impl QosFrame {
-    /// New frame over a topology with the paper's defaults.
+    /// New frame over a topology: a manager with the paper's defaults
+    /// that takes the fabric's header bytes, link rate and SL→VL
+    /// mapping from `sim_config`.
     #[must_use]
     pub fn new(
         topo: Topology,
@@ -45,16 +47,26 @@ impl QosFrame {
         sl_table: SlTable,
         sim_config: SimConfig,
     ) -> Self {
+        let mut manager = QosManager::new(topo, routing, sl_table);
+        manager.configure(&sim_config);
         QosFrame {
-            manager: QosManager::new(topo, routing, sl_table),
+            manager,
             sim_config,
         }
     }
 
     /// Frame around an existing manager (ablations pick their own
-    /// allocator / QoS share).
+    /// allocator / QoS share). The manager's header bytes, link rate
+    /// and SL→VL mapping must be `sim_config`'s: a manager built by
+    /// `QosManager::new` agrees with the default (1x, identity-mapped,
+    /// header-free) configurations, and any other fabric goes through
+    /// [`QosFrame::new`].
     #[must_use]
     pub fn with_manager(manager: QosManager, sim_config: SimConfig) -> Self {
+        assert!(
+            manager.agrees_with(&sim_config),
+            "the manager's header bytes, link rate or SL->VL mapping differ from the simulation config's"
+        );
         QosFrame {
             manager,
             sim_config,

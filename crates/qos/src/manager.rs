@@ -8,7 +8,7 @@ use crate::recovery::{self, RecoverySummary};
 use iba_core::{
     sl, AllocatorKind, ArbEntry, Distance, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig,
 };
-use iba_sim::{DownloadKey, Fabric, NodeId, PortDownload, LINK_1X_MBPS};
+use iba_sim::{DownloadKey, Fabric, NodeId, PortDownload, SimConfig, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, Topology};
 use iba_traffic::ConnectionRequest;
 use std::cmp::Reverse;
@@ -133,52 +133,47 @@ impl QosManager {
         }
     }
 
-    /// Declares the per-packet wire overhead the fabric adds (see
-    /// `iba_sim::SimConfig::header_bytes`): reservations are then made
-    /// for the *gross* rate, `bandwidth · (payload + header) / payload`,
-    /// so the guarantee covers the headers too.
-    pub fn set_header_bytes(&mut self, header_bytes: u32) {
-        self.header_bytes = header_bytes;
-    }
-
     /// Overrides the low-priority policy.
     pub fn set_low_priority_policy(&mut self, policy: LowPriorityPolicy) {
         self.low = policy;
         self.low_stamp = crate::stamp::unique();
     }
 
-    /// Installs a non-identity SL→VL mapping (a fabric with fewer VLs).
+    /// Takes the fabric's physical parameters from `config` (the
+    /// frame's one source of them), on a manager that holds no
+    /// connection yet:
     ///
-    /// Per §3.2 of the paper, when several SLs share a VL "we could use
-    /// less SLs or enforce more restrictive requirements for some SLs":
-    /// admission then reserves, for every connection, the **most
-    /// restrictive distance among the SLs mapped to its VL**, so the
-    /// shared lane still honours the strictest guarantee riding on it.
-    ///
-    /// Must be called before any connection is admitted.
-    pub fn set_sl_to_vl(&mut self, map: SlToVlMap) {
-        assert_eq!(
-            self.live_connections(),
-            0,
-            "change the SL->VL mapping only on an empty subnet"
-        );
-        self.low = LowPriorityPolicy::for_map(&map);
+    /// * the per-packet wire overhead, `header_bytes`: reservations are
+    ///   made for the *gross* rate, `bandwidth · (payload + header) /
+    ///   payload`, so the guarantee covers the headers too;
+    /// * the link rate weights are computed against,
+    ///   `link_bytes_per_cycle` times a 1x link;
+    /// * the SL→VL mapping. Per §3.2 of the paper, when several SLs
+    ///   share a VL "we could use less SLs or enforce more restrictive
+    ///   requirements for some SLs": admission then reserves, for every
+    ///   connection, the **most restrictive distance among the SLs
+    ///   mapped to its VL**, so the shared lane still honours the
+    ///   strictest guarantee riding on it.
+    pub(crate) fn configure(&mut self, config: &SimConfig) {
+        self.header_bytes = config.header_bytes;
+        self.link_mbps = link_mbps(config);
+        self.low = LowPriorityPolicy::for_map(&config.sl_to_vl);
         self.low_stamp = crate::stamp::unique();
-        self.reserved = reserved_distances(&self.sl_table, &map);
-        self.sl_to_vl = map;
+        self.reserved = reserved_distances(&self.sl_table, &config.sl_to_vl);
+        self.sl_to_vl = config.sl_to_vl.clone();
+    }
+
+    /// Whether the manager's physical parameters are `config`'s.
+    pub(crate) fn agrees_with(&self, config: &SimConfig) -> bool {
+        self.header_bytes == config.header_bytes
+            && self.link_mbps == link_mbps(config)
+            && self.sl_to_vl == config.sl_to_vl
     }
 
     /// The SL→VL mapping in force.
     #[must_use]
     pub fn sl_to_vl(&self) -> &SlToVlMap {
         &self.sl_to_vl
-    }
-
-    /// Overrides the link capacity (Mbps) used for weight computation —
-    /// 2500 for 1x (the default), 10000 for 4x, 30000 for 12x.
-    pub fn set_link_mbps(&mut self, mbps: f64) {
-        assert!(mbps > 0.0);
-        self.link_mbps = mbps;
     }
 
     /// The effective distance reserved for a connection of `sl`: the
@@ -242,7 +237,7 @@ impl QosManager {
     }
 
     /// The distance admission reserves for `req`: its own, tightened
-    /// when the SL shares its VL with stricter SLs (see `set_sl_to_vl`).
+    /// when the SL shares its VL with stricter SLs (see `QosManager::configure`).
     fn reserved_distance(&self, req: &ConnectionRequest) -> Distance {
         match self.effective_distance(req.sl) {
             Some(d) if d.at_least_as_strict(req.distance) => d,
@@ -690,6 +685,12 @@ impl QosManager {
             packet_bytes,
         })
     }
+}
+
+/// The link capacity (Mbps) weights are computed against: 2500 per
+/// byte per cycle, so 2500 for 1x, 10000 for 4x, 30000 for 12x.
+fn link_mbps(config: &SimConfig) -> f64 {
+    LINK_1X_MBPS * config.link_bytes_per_cycle as f64
 }
 
 /// The distance admission reserves for each SL, by SL number: the

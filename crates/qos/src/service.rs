@@ -229,12 +229,12 @@ pub fn apply_trace_sequential(
     ops.iter()
         .enumerate()
         .map(|(i, op)| {
-            let outcome = apply_op(mgr, &mut rids, op, rec);
-            // One logical tick per applied op — the same clock the
-            // service advances, so a timeline attached to either
-            // recorder windows identically.
-            rec.tick((i + 1) as u64);
-            outcome
+            // One logical tick per op, before it is applied — the same
+            // clock the service advances, so a timeline attached to
+            // either recorder windows identically: op `i` lands in
+            // window `i / len`, and no window opens after the last op.
+            rec.tick(i as u64);
+            apply_op(mgr, &mut rids, op, rec)
         })
         .collect()
 }
@@ -589,7 +589,8 @@ pub fn run_trace_faulted(
     let (mut accepted, mut rejected, mut released) = (0u64, 0u64, 0u64);
     for (i, op) in ops.iter().enumerate() {
         let key = i as OpKey;
-        rec.request_stage(key, request_stage::DISPATCH, 0, request_stage::NO_PATH);
+        rec.tick(i as u64);
+        rec.request_stage(key, request_stage::DISPATCH, request_stage::NO_PATH);
         let mut attempt = 0;
         let outcome = loop {
             let at = faults.iter().position(|f| f.op == key);
@@ -638,7 +639,7 @@ pub fn run_trace_faulted(
                     .and_then(|&id| owner.mgr.connection(id))
                     .map_or(0, |c| c.hops.len());
                 for hop in 0..hops {
-                    rec.request_stage(key, request_stage::COMMIT, 0, hop as u8);
+                    rec.request_stage(key, request_stage::COMMIT, hop as u8);
                 }
             }
             TraceOutcome::Rejected(reason) => {
@@ -646,7 +647,7 @@ pub fn run_trace_faulted(
                 if let RejectReason::NoFreeSequence(at) | RejectReason::CapacityExceeded(at) =
                     reason
                 {
-                    rec.request_stage(key, request_stage::ABORT, 0, request_stage::NO_PATH);
+                    rec.request_stage(key, request_stage::ABORT, request_stage::NO_PATH);
                     // Every path starts at the source host's uplink; a
                     // table rejection further on rolled that hop back.
                     if matches!(at.node, NodeId::Switch(_)) {
@@ -657,8 +658,7 @@ pub fn run_trace_faulted(
             TraceOutcome::TornDown(true) => released += 1,
             TraceOutcome::TornDown(false) | TraceOutcome::Repaired { .. } => {}
         }
-        rec.request_stage(key, request_stage::FINALIZE, 0, request_stage::NO_PATH);
-        rec.tick((i + 1) as u64);
+        rec.request_stage(key, request_stage::FINALIZE, request_stage::NO_PATH);
         outcomes.push(outcome);
     }
 

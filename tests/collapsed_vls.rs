@@ -9,13 +9,10 @@ fn build(n_qos_vls: Option<u8>, seed: u64) -> QosFrame {
     let topo = generate(IrregularConfig::with_switches(4, seed));
     let routing = compute_routing(&topo);
     let mut config = SimConfig::paper_default(256);
-    let mut manager = QosManager::new(topo, routing, SlTable::paper_table1());
     if let Some(n) = n_qos_vls {
-        let map = SlToVlMap::collapsed_qos(n);
-        config.sl_to_vl = map.clone();
-        manager.set_sl_to_vl(map);
+        config.sl_to_vl = SlToVlMap::collapsed_qos(n);
     }
-    QosFrame::with_manager(manager, config)
+    QosFrame::new(topo, routing, SlTable::paper_table1(), config)
 }
 
 #[test]

@@ -63,7 +63,7 @@ const CHURN: (u64, u64, u64, u64, u64) = (0xe952_8936_9528_5e13, 0xd711_1cfe_10b
 /// Faulted admission-service run: `(report digest, metrics digest)`.
 /// Its repair drills re-admit evicted connections from the manager's
 /// records, so connections admitted before a repair stay live.
-const SERVE_FAULTED: (u64, u64) = (0x91e8_9707_86a2_e19d, 0xf57f_ab2d_6dbf_a54a);
+const SERVE_FAULTED: (u64, u64) = (0x14fe_4005_64b0_72ff, 0xf57f_ab2d_6dbf_a54a);
 
 /// Seeded metrics registries: `(Debug, snapshot, merge, delta)` digests.
 const REGISTRY: (u64, u64, u64, u64) = (

@@ -293,10 +293,11 @@ fn bench_schedule(h: &mut Harness) {
         arb_full.reconfigure(black_box(full.clone()));
         arb_full.high_stream().len()
     });
-    // Per-grant cost, compiled stream vs interpreted WRR walk.
+    // Per-grant cost, compiled stream vs interpreted WRR walk: 64
+    // selects on the 2-VL table per iteration.
     let bytes = [256u64; 16];
     let mut compiled = CompiledVlArb::new(two_vl_config());
-    h.bench("schedule/select_compiled_64", || {
+    h.bench("schedule/select_compiled_2vl_x64", || {
         let mut served = 0u32;
         for _ in 0..64 {
             if compiled.select(black_box(0b0110), &bytes).is_some() {
@@ -307,7 +308,7 @@ fn bench_schedule(h: &mut Harness) {
     });
     let mut interpreted = VlArbEngine::new(two_vl_config());
     let ready = [VirtualLane::data(1), VirtualLane::data(2)];
-    h.bench("schedule/select_interpreted_64", || {
+    h.bench("schedule/select_interpreted_2vl_x64", || {
         let mut served = 0u32;
         for _ in 0..64 {
             let grant = interpreted.select(|vl| ready.contains(&vl).then_some(256));

@@ -291,7 +291,12 @@ fn gate(args: &Args, mut out: String, run: Checked<'_>) -> Result<String, Failur
             out.push_str(&note);
         }
     }
-    Err(Failure::Verdict(format!("{first}\n{out}")))
+    // A run whose report already opens with its verdict line (`serve`,
+    // `chaos-serve`) prints it once.
+    if out.lines().next() != Some(first.as_str()) {
+        out = format!("{first}\n{out}");
+    }
+    Err(Failure::Verdict(out))
 }
 
 /// `ibaqos sweep` — one experiment per seed (`--seeds` points starting

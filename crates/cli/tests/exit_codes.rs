@@ -62,4 +62,6 @@ fn a_failed_verdict_exits_1_with_the_verdict_first() {
         stderr.starts_with("chaos-serve: verdict=FAIL"),
         "{argv:?}: {stderr}"
     );
+    let verdicts = stderr.lines().filter(|l| l.contains("verdict=")).count();
+    assert_eq!(verdicts, 1, "{argv:?}: the verdict line repeats: {stderr}");
 }

@@ -41,6 +41,10 @@ pub enum JournalRecord {
     },
 }
 
+// One record per intent and per completion of every trace op.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<JournalRecord>() <= 32);
+
 /// The write-ahead journal of the admission service's owner.
 ///
 /// When disabled (the negative-control configuration) every append is

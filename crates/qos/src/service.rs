@@ -95,11 +95,17 @@ pub enum TraceOutcome {
     /// Corruption + repair pass over every table.
     Repaired {
         /// Damage operations injected before the repair.
-        damage: usize,
-        /// Aggregated repair summary across all tables.
-        summary: RecoverySummary,
+        damage: u32,
+        /// Aggregated repair summary across all tables, boxed: a drill
+        /// is rare, and inline it would make every outcome 56 bytes.
+        summary: Box<RecoverySummary>,
     },
 }
+
+// Outcome vectors, journals and reply caches hold one outcome per
+// trace op; only the rare `Repaired` pays for its payload.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<TraceOutcome>() == 16);
 
 /// Parameters of [`generate_trace`].
 #[derive(Clone, Copy, Debug)]
@@ -213,7 +219,10 @@ fn apply_op(
             // Forget the connections the repair lost before a later
             // admission can reuse their ids.
             rids.retain(|_, id| mgr.connection(*id).is_some());
-            TraceOutcome::Repaired { damage, summary }
+            TraceOutcome::Repaired {
+                damage: u32::try_from(damage).unwrap_or(u32::MAX),
+                summary: Box::new(summary),
+            }
         }
     }
 }
@@ -719,6 +728,33 @@ mod tests {
         let mut mgr = planner(0);
         let outcomes = apply_trace_sequential(&mut mgr, ops, &mut NullRecorder);
         (outcomes, format!("{:?}", mgr.port_tables()))
+    }
+
+    #[test]
+    fn a_boxed_repair_summary_debugs_as_the_inline_one_did() {
+        // Rendered reports and pinned digests hash `{:?}` of outcomes;
+        // these strings were printed while the summary was inline.
+        let outcome = TraceOutcome::Repaired {
+            damage: 7,
+            summary: Box::new(RecoverySummary {
+                tables: 12,
+                repaired: 3,
+                evicted: 4,
+                reinstalled: 3,
+                lost: 1,
+            }),
+        };
+        assert_eq!(
+            format!("{outcome:?}"),
+            "Repaired { damage: 7, summary: RecoverySummary { tables: 12, \
+             repaired: 3, evicted: 4, reinstalled: 3, lost: 1 } }"
+        );
+        assert_eq!(
+            format!("{outcome:#?}"),
+            "Repaired {\n    damage: 7,\n    summary: RecoverySummary {\n        \
+             tables: 12,\n        repaired: 3,\n        evicted: 4,\n        \
+             reinstalled: 3,\n        lost: 1,\n    },\n}"
+        );
     }
 
     #[test]

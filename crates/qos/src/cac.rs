@@ -5,7 +5,7 @@
 //! accepted if there are available resources."
 
 use crate::connection::HopReservation;
-use crate::stamp::Stamps;
+use crate::stamp::{Lineage, Stamps};
 use iba_core::{
     AllocatorKind, Distance, HighPriorityTable, Placement, SequenceId, ServiceLevel, TableError,
     VirtualLane, Weight, MAX_TABLE_WEIGHT,
@@ -163,7 +163,9 @@ pub(crate) struct StampedKey {
 ///
 /// Every mutable access to a table gives it a fresh stamp
 /// ([`PortTables::stamp`]); equal stamps mean equal tables, across
-/// registries and their clones.
+/// registries and their clones. Within one [`PortTables::lineage`]
+/// stamps only grow, so the tables changed since a download are those
+/// stamped after [`PortTables::latest_stamp`] as it stood then.
 #[derive(Clone)]
 pub struct PortTables {
     /// Every touched port with its table's stamp, sorted by key.
@@ -175,6 +177,9 @@ pub struct PortTables {
     allocator: AllocatorKind,
     capacity_limit: Weight,
     stamps: Stamps,
+    /// The last stamp `stamps` handed out (0: none yet).
+    latest: u64,
+    lineage: Lineage,
     /// Scratch of `admit_path`: each planned hop's table position and
     /// placement, kept to reuse its allocation.
     planned: Vec<(usize, Placement)>,
@@ -219,6 +224,8 @@ impl PortTables {
             allocator,
             capacity_limit: (qos_fraction * f64::from(MAX_TABLE_WEIGHT)) as Weight,
             stamps: Stamps::new(),
+            latest: 0,
+            lineage: Lineage::new(),
             planned: Vec::new(),
         }
     }
@@ -263,7 +270,8 @@ impl PortTables {
 
     /// The table at position `p`, restamped: the caller may change it.
     fn restamped(&mut self, p: usize) -> &mut HighPriorityTable {
-        self.keys[p].stamp = self.stamps.fresh();
+        self.latest = self.stamps.fresh();
+        self.keys[p].stamp = self.latest;
         &mut self.tables[p]
     }
 
@@ -304,6 +312,21 @@ impl PortTables {
     #[must_use]
     pub fn stamp(&self, key: PortKey) -> Option<u64> {
         self.position(key).map(|p| self.keys[p].stamp)
+    }
+
+    /// Names this registry's history of stamps: unique to it, and drawn
+    /// afresh by a clone, whose stamps diverge from the original's.
+    #[must_use]
+    pub fn lineage(&self) -> u64 {
+        self.lineage.id()
+    }
+
+    /// The largest [`PortTables::stamp`] this registry has handed out
+    /// (0 before the first). Every table changed later gets a larger
+    /// one.
+    #[must_use]
+    pub fn latest_stamp(&self) -> u64 {
+        self.latest
     }
 
     /// All `(port, table)` pairs touched so far, in canonical key order.
@@ -579,6 +602,24 @@ mod tests {
         assert_eq!(format!("{pt:?}"), before);
         assert_eq!(pt.stamp(key(0, 1)), stamp);
         assert!(pt.table(key(1, 2)).is_none() && pt.table(key(3, 0)).is_none());
+    }
+
+    #[test]
+    fn a_clone_has_a_lineage_of_its_own() {
+        let mut pt = PortTables::new(0.8);
+        assert_eq!(pt.latest_stamp(), 0);
+        pt.admit_path(&[key(0, 1), key(1, 2)], sl(2), vl(2), Distance::D8, 30)
+            .unwrap();
+        let newest = pt.stamped_keys().iter().map(|k| k.stamp).max();
+        assert_eq!(Some(pt.latest_stamp()), newest);
+        let mut copy = pt.clone();
+        assert_ne!(copy.lineage(), pt.lineage());
+        assert_ne!(copy.clone().lineage(), copy.lineage());
+        assert_eq!(copy.latest_stamp(), pt.latest_stamp());
+        copy.admit_path(&[key(0, 1)], sl(2), vl(2), Distance::D8, 30)
+            .unwrap();
+        assert!(copy.stamp(key(0, 1)) > Some(pt.latest_stamp()));
+        assert_eq!(copy.stamp(key(0, 1)), Some(copy.latest_stamp()));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::recovery::{self, RecoverySummary};
 use iba_core::{
     sl, AllocatorKind, ArbEntry, Distance, HighPriorityTable, SlTable, SlToVlMap, VlArbConfig,
 };
-use iba_sim::{DownloadKey, Fabric, NodeId, PortDownload, SimConfig, LINK_1X_MBPS};
+use iba_sim::{DownloadKey, Fabric, NodeId, SimConfig, SyncMark, LINK_1X_MBPS};
 use iba_topo::{HostId, PortPeer, RoutingTable, Topology};
 use iba_traffic::ConnectionRequest;
 use std::cmp::Reverse;
@@ -560,62 +560,105 @@ impl QosManager {
     ///
     /// Each port's [`DownloadKey`] names what the manager would install
     /// there: its table's stamp (0 for a port without a table) and the
-    /// low-priority policy's. One merge of the fabric's
-    /// [`Fabric::port_downloads`] with the registry's stamped keys —
-    /// both dense and in canonical key order — finds the ports whose
-    /// recorded key differs. Only those are compared against the table
-    /// installed in the fabric — a port changed behind the manager's
-    /// back (a `CorruptTable` fault, a hand-installed table) has lost
-    /// its key — then recompiled if it differs, and keyed. Every walk
-    /// restarts through [`Fabric::restart_all_walks`], lazily, so a
-    /// port the merge skips costs one key compare.
+    /// low-priority policy's. A port is stale when its recorded key
+    /// differs. Stale ports are found one of two ways, both in
+    /// canonical key order:
+    ///
+    /// * If the fabric's [`Fabric::sync_mark`] names this registry's
+    ///   lineage and low-priority stamp, every port still holds what
+    ///   the marked download installed, so the stale ports are exactly
+    ///   the tables stamped after the mark: none when no stamp was
+    ///   handed out since.
+    /// * Otherwise (the first download, a writer that forgot a key, a
+    ///   policy change, another registry or a clone downloading), one
+    ///   merge of the fabric's [`Fabric::port_downloads`] with the
+    ///   registry's stamped keys — both dense and in canonical key
+    ///   order — compares every port's key.
+    ///
+    /// Only stale ports are compared against the table installed in the
+    /// fabric — a port changed behind the manager's back (a
+    /// `CorruptTable` fault, a hand-installed table) has lost its key —
+    /// then recompiled if it differs, and keyed. Every walk restarts
+    /// through [`Fabric::restart_all_walks`], lazily, and the download
+    /// leaves its mark on the fabric.
     pub fn apply_tables_observed(&self, fabric: &mut Fabric, rec: &mut dyn iba_obs::Recorder) {
         fabric.restart_all_walks();
-        for (key, table, download) in self.stale_ports(fabric.port_downloads()) {
-            let unchanged = fabric
-                .output_table(key.node, key.port)
-                .is_some_and(|installed| self.is_installed(table, installed));
-            if !unchanged {
-                let edit = |config: &mut VlArbConfig| self.write_config(table, config);
-                fabric.edit_output_table_recorded(key.node, key.port, edit, rec);
+        let stamped = self.tables.stamped_keys();
+        let mark = SyncMark {
+            lineage: self.tables.lineage(),
+            stamp: self.tables.latest_stamp(),
+            low: self.low_stamp,
+        };
+        match fabric.sync_mark() {
+            // Nothing was stamped since the last download.
+            Some(last) if last == mark => {}
+            Some(last) if last.lineage == mark.lineage && last.low == mark.low => {
+                let changed = stamped
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.stamp > last.stamp);
+                for (p, s) in changed {
+                    // Every wired port holds a key stamped no later than
+                    // the mark; a port the fabric does not wire has none.
+                    if fabric.download_key(s.key.node, s.key.port).is_some() {
+                        self.sync_port(fabric, s.key, Some(p), rec);
+                    }
+                }
             }
-            fabric.record_download(key.node, key.port, download);
+            _ => {
+                let mut t = 0;
+                for i in 0..fabric.port_downloads().len() {
+                    let port = fabric.port_downloads()[i];
+                    // Most ports hold a table: the next stamped key is theirs.
+                    let table = loop {
+                        match stamped.get(t) {
+                            Some(s) if s.code == port.code => break Some(t),
+                            Some(s) if s.code < port.code => t += 1,
+                            _ => break None,
+                        }
+                    };
+                    if port.key != Some(self.download_key(table)) {
+                        let key = PortKey {
+                            node: port.node,
+                            port: port.port,
+                        };
+                        self.sync_port(fabric, key, table, rec);
+                    }
+                }
+            }
+        }
+        fabric.mark_synced(mark);
+    }
+
+    /// The [`DownloadKey`] of a port whose table sits at position
+    /// `table` of the registry's stamped keys (`None`: no table).
+    fn download_key(&self, table: Option<usize>) -> DownloadKey {
+        DownloadKey {
+            table: table.map_or(0, |p| self.tables.stamped_keys()[p].stamp),
+            low: self.low_stamp,
         }
     }
 
-    /// The ports whose recorded download key is not the one this
-    /// manager would install, each with its table (`None`: no table)
-    /// and that key. One merge of two dense arrays in canonical key
-    /// order: the fabric's ports and the registry's stamped keys.
-    fn stale_ports(
+    /// Brings one stale port up to date: recompiles it if its installed
+    /// table is not what the manager would install (its table at
+    /// registry position `table`), then records its key.
+    fn sync_port(
         &self,
-        ports: &[PortDownload],
-    ) -> Vec<(PortKey, Option<&HighPriorityTable>, DownloadKey)> {
-        let stamped = self.tables.stamped_keys();
-        let mut stale = Vec::new();
-        let mut t = 0;
-        for port in ports {
-            // Most ports hold a table: the next stamped key is theirs.
-            let table = loop {
-                match stamped.get(t) {
-                    Some(s) if s.code == port.code => break Some(t),
-                    Some(s) if s.code < port.code => t += 1,
-                    _ => break None,
-                }
-            };
-            let download = DownloadKey {
-                table: table.map_or(0, |p| stamped[p].stamp),
-                low: self.low_stamp,
-            };
-            if port.key != Some(download) {
-                let key = PortKey {
-                    node: port.node,
-                    port: port.port,
-                };
-                stale.push((key, table.map(|p| self.tables.table_at(p)), download));
-            }
+        fabric: &mut Fabric,
+        key: PortKey,
+        table: Option<usize>,
+        rec: &mut dyn iba_obs::Recorder,
+    ) {
+        let download = self.download_key(table);
+        let table = table.map(|p| self.tables.table_at(p));
+        let unchanged = fabric
+            .output_table(key.node, key.port)
+            .is_some_and(|installed| self.is_installed(table, installed));
+        if !unchanged {
+            let edit = |config: &mut VlArbConfig| self.write_config(table, config);
+            fabric.edit_output_table_recorded(key.node, key.port, edit, rec);
         }
-        stale
+        fabric.record_download(key.node, key.port, download);
     }
 
     /// Mean reserved bandwidth (Mbps) over (host interfaces, switch

@@ -9,6 +9,11 @@
 //! block of its own. Content copied together with its stamp (a clone of
 //! a registry) keeps that stamp, which stays truthful: the copy is
 //! equal.
+//!
+//! A source also only counts up: a refilled block lies past every block
+//! reserved before it. So every stamp a registry hands out is larger
+//! than all it handed out earlier, and "stamped after stamp `s`" is a
+//! plain comparison within one registry's [`Lineage`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,6 +73,28 @@ impl Clone for Stamps {
     }
 }
 
+/// Names one registry's history of stamps: drawn at construction and
+/// drawn again by a clone, so two registries that could hand out
+/// diverging stamps never share one.
+pub(crate) struct Lineage(u64);
+
+impl Lineage {
+    pub(crate) fn new() -> Self {
+        Lineage(unique())
+    }
+
+    pub(crate) fn id(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A clone's history diverges from the original's from here on.
+impl Clone for Lineage {
+    fn clone(&self) -> Self {
+        Lineage::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +120,22 @@ mod tests {
         let refilled = a.fresh();
         assert!(refilled >= first + BLOCK, "a new block, not a repeat");
         assert_eq!(a.fresh(), refilled + 1);
+    }
+
+    #[test]
+    fn stamps_strictly_increase_across_a_block_refill() {
+        let mut a = Stamps::new();
+        let mut b = Stamps::new();
+        a.next = a.end - 1;
+        let mut last = a.fresh();
+        for _ in 0..3 {
+            // Another source reserves between the refills.
+            b.fresh();
+            let _ = b.clone();
+            let stamp = a.fresh();
+            assert!(stamp > last, "{stamp} after {last}");
+            last = stamp;
+            a.next = a.end;
+        }
     }
 }

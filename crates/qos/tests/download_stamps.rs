@@ -18,17 +18,20 @@
 //! every table empty (the drain oracle): repairs keep connections bound
 //! to what they hold.
 //!
-//! Two negative controls re-run the sequence and require the
+//! Four negative controls re-run the sequence and require the
 //! differential to catch them: a hand-install that leaves the port's
-//! download key in place, and an oracle that skips the walk restart
-//! on the ports whose table it keeps (`apply_tables` restarts every
-//! walk, lazily, by bumping the fabric's download epoch).
+//! download key in place, one that puts the fabric's sync mark back
+//! (a download trusting the mark visits only the tables stamped since),
+//! two clones whose registries share one lineage (so one clone's mark
+//! vouches for the other's tables), and an oracle that skips the walk
+//! restart on the ports whose table it keeps (`apply_tables` restarts
+//! every walk, lazily, by bumping the fabric's download epoch).
 
 use iba_core::{ArbEntry, SlTable, SplitMix64};
 use iba_obs::NullRecorder;
 use iba_qos::service::apply_trace_sequential;
 use iba_qos::{ConnectionId, LowPriorityPolicy, PortKey, QosManager, RejectReason, TraceOp};
-use iba_sim::{DeliveryRecord, Fabric, FaultAction, Observer, SimConfig};
+use iba_sim::{DeliveryRecord, Fabric, FaultAction, Observer, SimConfig, SyncMark};
 use iba_topo::{irregular, updown};
 use iba_traffic::besteffort::{background_flows, BackgroundConfig};
 use iba_traffic::{flow_for_connection, RequestGenerator, WorkloadConfig};
@@ -72,6 +75,20 @@ enum Writer {
     /// The negative control: installs the table, then puts the port's
     /// old download key back.
     KeepsKey,
+    /// The negative control: installs the table, then puts the
+    /// fabric's old sync mark back.
+    KeepsMark,
+}
+
+/// Whether the two clones' registries have lineages of their own.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Lineages {
+    /// As `Clone` draws them: distinct.
+    Own,
+    /// The negative control: before every download the fabric's mark
+    /// is relabelled with the downloading registry's lineage, as if
+    /// both clones shared one.
+    Shared,
 }
 
 /// FNV-1a over every delivery's `(flow, seq, delivered)`.
@@ -96,6 +113,7 @@ struct Rig {
     digests: [Digest; 2],
     writer: Writer,
     oracle_kind: Oracle,
+    lineages: Lineages,
 }
 
 impl Rig {
@@ -115,6 +133,10 @@ impl Rig {
     /// Returns how many schedules the download compiled.
     fn download(&mut self, mgr: &QosManager, step: usize) -> Result<u64, String> {
         let before = self.stamped.schedule_compiles();
+        if let (Lineages::Shared, Some(mark)) = (self.lineages, self.stamped.sync_mark()) {
+            let lineage = mgr.port_tables().lineage();
+            self.stamped.mark_synced(SyncMark { lineage, ..mark });
+        }
         mgr.apply_tables(&mut self.stamped);
         download_comparing_everything(mgr, &mut self.oracle, self.oracle_kind);
         for key in mgr.output_ports() {
@@ -140,9 +162,12 @@ impl Rig {
     /// backs.
     fn hand_install(&mut self, key: PortKey, cfg: &iba_core::VlArbConfig) {
         let kept = self.stamped.download_key(key.node, key.port);
+        let mark = self.stamped.sync_mark();
         self.both(|f| f.set_output_table(key.node, key.port, cfg.clone()));
-        if let (Writer::KeepsKey, Some(k)) = (self.writer, kept) {
-            self.stamped.record_download(key.node, key.port, k);
+        match (self.writer, kept, mark) {
+            (Writer::KeepsKey, Some(k), _) => self.stamped.record_download(key.node, key.port, k),
+            (Writer::KeepsMark, _, Some(m)) => self.stamped.mark_synced(m),
+            _ => {}
         }
     }
 
@@ -195,7 +220,12 @@ impl Coverage {
 }
 
 /// Runs one seeded sequence; `Err` names the first divergence.
-fn differential(seed: u64, writer: Writer, oracle: Oracle) -> Result<Coverage, String> {
+fn differential(
+    seed: u64,
+    writer: Writer,
+    oracle: Oracle,
+    lineages: Lineages,
+) -> Result<Coverage, String> {
     let topo = irregular::generate(irregular::IrregularConfig::with_switches(4, seed));
     let routing = updown::compute(&topo);
     let base = QosManager::new(topo.clone(), routing.clone(), SlTable::paper_table1());
@@ -209,6 +239,7 @@ fn differential(seed: u64, writer: Writer, oracle: Oracle) -> Result<Coverage, S
         ],
         writer,
         oracle_kind: oracle,
+        lineages,
     };
     let mut gen = RequestGenerator::new(
         &topo,
@@ -377,7 +408,7 @@ fn differential(seed: u64, writer: Writer, oracle: Oracle) -> Result<Coverage, S
 fn stamped_download_matches_the_compare_everything_oracle() {
     let mut total = [0; 12];
     for seed in 0..SEEDS {
-        let cov = differential(seed, Writer::Honest, Oracle::Restarts)
+        let cov = differential(seed, Writer::Honest, Oracle::Restarts, Lineages::Own)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for (t, n) in total.iter_mut().zip(cov.counts()) {
             *t += n;
@@ -398,7 +429,7 @@ fn stamped_download_matches_the_compare_everything_oracle() {
 fn a_writer_that_keeps_the_download_key_is_caught() {
     let mut caught = 0;
     for seed in 0..SEEDS {
-        match differential(seed, Writer::KeepsKey, Oracle::Restarts) {
+        match differential(seed, Writer::KeepsKey, Oracle::Restarts, Lineages::Own) {
             Ok(_) => {}
             Err(e) => {
                 assert!(
@@ -412,6 +443,43 @@ fn a_writer_that_keeps_the_download_key_is_caught() {
     assert_eq!(caught, SEEDS, "every seed hand-installs a table");
 }
 
+/// A writer that puts the fabric's sync mark back must make the
+/// differential fail: a download trusting the mark skips the
+/// hand-installed port, whose table stamp did not move.
+#[test]
+fn a_writer_that_keeps_the_sync_mark_is_caught() {
+    let mut caught = 0;
+    for seed in 0..SEEDS {
+        if let Err(e) = differential(seed, Writer::KeepsMark, Oracle::Restarts, Lineages::Own) {
+            assert!(
+                e.contains("does not hold arb_config_for"),
+                "seed {seed}: {e}"
+            );
+            caught += 1;
+        }
+    }
+    assert_eq!(caught, SEEDS, "every seed hand-installs a table");
+}
+
+/// Two clones that share a lineage must make the differential fail: a
+/// download of one clone trusts the other's mark and skips every port
+/// where the two registries' tables differ but its own stamp is older
+/// than the mark.
+#[test]
+fn clones_that_share_a_lineage_are_caught() {
+    let mut caught = 0;
+    for seed in 0..SEEDS {
+        if let Err(e) = differential(seed, Writer::Honest, Oracle::Restarts, Lineages::Shared) {
+            assert!(
+                e.contains("does not hold arb_config_for"),
+                "seed {seed}: {e}"
+            );
+            caught += 1;
+        }
+    }
+    assert_eq!(caught, SEEDS, "every seed switches clones");
+}
+
 /// An oracle that forgets to restart the walks of the ports it keeps
 /// must diverge from `apply_tables`: the differential sees a download
 /// that leaves a walk mid-table. A seed whose kept ports are all idle
@@ -421,7 +489,7 @@ fn a_writer_that_keeps_the_download_key_is_caught() {
 fn an_oracle_that_skips_the_walk_restart_is_caught() {
     let mut caught = 0;
     for seed in 0..SEEDS {
-        if let Err(e) = differential(seed, Writer::Honest, Oracle::SkipsRestart) {
+        if let Err(e) = differential(seed, Writer::Honest, Oracle::SkipsRestart, Lineages::Own) {
             assert!(e.contains("deliveries diverged"), "seed {seed}: {e}");
             caught += 1;
         }

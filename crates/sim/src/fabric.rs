@@ -202,6 +202,21 @@ pub struct DownloadKey {
     pub low: u64,
 }
 
+/// What the last table download left on every wired output port: one
+/// registry's tables (`lineage`) as of its table stamp `stamp`, with
+/// the low-priority part stamped `low`. Opaque stamps chosen by the
+/// subnet manager, like [`DownloadKey`]; the fabric only stores the
+/// mark and clears it whenever it forgets any port's key.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SyncMark {
+    /// The registry whose tables every port holds.
+    pub lineage: u64,
+    /// The registry's latest table stamp at the download.
+    pub stamp: u64,
+    /// Stamp of the low-priority part of every port's table.
+    pub low: u64,
+}
+
 /// One wired output port and the key of the download that installed
 /// its table (`None` if no download did, or if anything wrote the
 /// table since).
@@ -256,6 +271,8 @@ pub struct Fabric {
     /// whose `walk_epoch` differs restarts its walk before its next
     /// grant.
     download_epoch: u64,
+    /// See [`Fabric::sync_mark`].
+    sync: Option<SyncMark>,
 }
 
 impl Fabric {
@@ -372,6 +389,7 @@ impl Fabric {
             downloads,
             download_slot,
             download_epoch: 0,
+            sync: None,
         }
     }
 
@@ -422,8 +440,10 @@ impl Fabric {
     /// compiles the new table (every mutation path — admit, teardown,
     /// repair, fault corruption — funnels through here or through the
     /// fault handler's corruption arm), and forgets the port's
-    /// [`Fabric::download_key`]. The subnet manager's download calls it
-    /// only for ports whose table changed and restarts every walk with
+    /// [`Fabric::download_key`] and the [`Fabric::sync_mark`]. The
+    /// subnet manager's download goes through
+    /// [`Fabric::edit_output_table_recorded`] instead, only for ports
+    /// whose table changed, and restarts every walk with
     /// [`Fabric::restart_all_walks`].
     pub fn set_output_table(&mut self, node: NodeId, port: u8, cfg: VlArbConfig) {
         self.set_output_table_recorded(node, port, cfg, &mut NullRecorder);
@@ -530,12 +550,30 @@ impl Fabric {
         }
     }
 
-    /// Forgets one port's download key: something other than a
-    /// download wrote its table.
+    /// Forgets one port's download key, and with it the sync mark:
+    /// something other than a download wrote its table.
     fn forget_download(&mut self, node: NodeId, port: u8) {
         if let Some(i) = self.port_index(node, port) {
             self.downloads[i].key = None;
         }
+        self.sync = None;
+    }
+
+    /// The mark of the last download, if no port's key was forgotten
+    /// since: then every wired port still holds the key that download
+    /// recorded, and the mark names what they hold. Cleared by every
+    /// writer that forgets a key ([`Fabric::download_key`]).
+    #[must_use]
+    pub fn sync_mark(&self) -> Option<SyncMark> {
+        self.sync
+    }
+
+    /// Records that a download just left every wired port holding what
+    /// `mark` names, each with its [`Fabric::record_download`] key. A
+    /// mark left on ports it does not describe makes the next download
+    /// skip stale ports.
+    pub fn mark_synced(&mut self, mark: SyncMark) {
+        self.sync = Some(mark);
     }
 
     /// The arbitration table installed on one output port (`None` for
@@ -569,7 +607,7 @@ impl Fabric {
 
     /// Installs the same arbitration table on every output port of
     /// every switch and host (each port's schedule is invalidated and
-    /// recompiled, and its download key forgotten).
+    /// recompiled, and its download key and the sync mark forgotten).
     pub fn set_uniform_tables(&mut self, cfg: &VlArbConfig) {
         // One compile, then flat clones: every port gets an identical
         // freshly-reset schedule, exactly as if each had recompiled.
@@ -589,6 +627,7 @@ impl Fabric {
         for d in &mut self.downloads {
             d.key = None;
         }
+        self.sync = None;
     }
 
     /// Arbitration schedules compiled so far: one per output port at
@@ -1911,17 +1950,29 @@ mod tests {
         assert_eq!(f.download_key(NodeId::Switch(9), 0), None);
         f.record_download(NodeId::Switch(9), 0, key);
 
+        let mark = SyncMark {
+            lineage: 1,
+            stamp: 7,
+            low: 9,
+        };
+        assert_eq!(f.sync_mark(), None, "no download yet");
+
         f.record_download(host, 0, key);
+        f.mark_synced(mark);
         f.restart_output_walk(host, 0);
+        f.restart_all_walks();
         assert_eq!(f.download_key(host, 0), Some(key), "a restart keeps it");
+        assert_eq!(f.sync_mark(), Some(mark), "and the mark");
         f.set_output_table(host, 0, Fabric::default_arb_config());
-        assert_eq!(f.download_key(host, 0), None);
+        assert_eq!((f.download_key(host, 0), f.sync_mark()), (None, None));
 
         f.record_download(host, 0, key);
+        f.mark_synced(mark);
         f.set_uniform_tables(&Fabric::default_arb_config());
-        assert_eq!(f.download_key(host, 0), None);
+        assert_eq!((f.download_key(host, 0), f.sync_mark()), (None, None));
 
         f.record_download(host, 0, key);
+        f.mark_synced(mark);
         f.schedule_fault(
             0,
             FaultAction::CorruptTable {
@@ -1931,7 +1982,7 @@ mod tests {
             },
         );
         f.run_until(1, &mut crate::trace::NullObserver);
-        assert_eq!(f.download_key(host, 0), None);
+        assert_eq!((f.download_key(host, 0), f.sync_mark()), (None, None));
     }
 
     #[test]

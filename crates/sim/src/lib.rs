@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use config::SimConfig;
 pub use event::{Event, EventQueue};
-pub use fabric::{DownloadKey, Fabric, FabricStats, NodeId, PortDownload};
+pub use fabric::{DownloadKey, Fabric, FabricStats, NodeId, PortDownload, SyncMark};
 pub use fault::{encode_target, FaultAction, FaultPlan, FaultState};
 pub use packet::{Arrival, FlowSpec, Packet};
 pub use port::PortStats;

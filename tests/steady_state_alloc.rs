@@ -10,7 +10,9 @@
 //! schedule is recycled by then, and a download that changes nothing
 //! only moves the fabric's download epoch (each port restarts its walk
 //! at its next grant), so the second window must make zero heap
-//! allocations.
+//! allocations. The download that follows a teardown, which recompiles
+//! the ports whose tables changed, must make none either, whether it
+//! finds them through the fabric's sync mark or the full key merge.
 //!
 //! This file is its own test binary, so the counting allocator sees no
 //! other test's traffic; counting is further limited to the thread that
@@ -84,6 +86,44 @@ fn steady_state_allocations(switches: usize, seed: u64) -> (u64, u64) {
         fabric.run_until(2 * warm_up, &mut NullObserver);
     });
     (allocs, fabric.events_processed() - events_before)
+}
+
+/// Allocations of the download that follows one teardown in a
+/// `switches`-switch Table-1 frame filled with `seed`, with the schedules
+/// it compiled. With `via_clone`, a clone of the manager downloads
+/// first, so the fabric's sync mark names another registry and the
+/// download takes the full key merge instead of the marked path.
+fn download_after_teardown(switches: usize, seed: u64, via_clone: bool) -> (u64, u64) {
+    let mut exp = build_experiment_sized(256, switches, seed, 40);
+    let (mut fabric, _) = exp.frame.build_fabric(exp.seed ^ 0xABCD, None);
+    let manager = &mut exp.frame.manager;
+    if via_clone {
+        manager.clone().apply_tables(&mut fabric);
+    }
+    manager.apply_tables(&mut fabric);
+    let (id, _) = manager.connections().next().expect("a filled frame");
+    assert!(manager.teardown(id));
+    let compiles = fabric.schedule_compiles();
+    let allocs = allocations_during(|| manager.apply_tables(&mut fabric));
+    (allocs, fabric.schedule_compiles() - compiles)
+}
+
+#[test]
+fn a_download_after_a_teardown_allocates_nothing() {
+    for via_clone in [false, true] {
+        for (switches, seed) in [(4, 42), (8, 7)] {
+            let (allocs, compiles) = download_after_teardown(switches, seed, via_clone);
+            assert!(
+                compiles > 0,
+                "{switches} switches: the teardown changed no table"
+            );
+            assert_eq!(
+                allocs, 0,
+                "{switches} switches, seed {seed}, via clone {via_clone}: {allocs} allocations \
+                 over one download recompiling {compiles} ports"
+            );
+        }
+    }
 }
 
 #[test]
